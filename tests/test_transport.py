@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dustlink.transport as transport
 from dustlink.errors import DomainError
-from dustlink.rng import substream
-from dustlink.transport import (FixedAsymmetry, PacketState, TransportConfig,
-                                UniformAsymmetry, estimate_transmittance,
-                                sample_scatter_angles, sample_step,
-                                trace_packet, update_direction, update_weight)
+from dustlink.rng import UniformStream, substream, substream_uniforms
+from dustlink.transport import (FATES, FixedAsymmetry, PacketState,
+                                TransportConfig, UniformAsymmetry,
+                                estimate_transmittance, sample_scatter_angles,
+                                sample_step, trace_packet, update_direction,
+                                update_weight)
 
 
 def config(**kwargs) -> TransportConfig:
@@ -241,7 +243,108 @@ class TestEstimateTransmittance:
         assert result.mean_events > 0
 
 
+class TestWaveKernel:
+    """The wave kernel against the scalar reference ``_trace``, packet by packet.
+
+    ``np.exp``/``np.log`` may differ from ``math`` in the last bit, so
+    contributions agree within float64 eps times the event bound; fates and
+    event counts are equal.
+    """
+
+    @staticmethod
+    def assert_matches_reference(cfg, start=0, stop=None):
+        stop = cfg.packet_count if stop is None else stop
+        contributions, fates, events = transport._trace_range(cfg, start, stop)
+        reference = [transport._trace(cfg, i) for i in range(start, stop)]
+        assert [FATES[f] for f in fates] == [fate for fate, _, _ in reference]
+        assert events == sum(n for _, _, n in reference)
+        np.testing.assert_allclose(
+            contributions, [c for _, c, _ in reference], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("asymmetry", [
+        UniformAsymmetry(), UniformAsymmetry(0.0, 1.0), UniformAsymmetry(0.0, 0.0),
+        UniformAsymmetry(0.7, 0.7), UniformAsymmetry(1.0, 1.0),
+        FixedAsymmetry(0.0), FixedAsymmetry(0.7), FixedAsymmetry(1.0)])
+    @pytest.mark.parametrize("cext", [0.05, 0.25, 2.5, 50.0])
+    def test_matches_reference(self, asymmetry, cext):
+        self.assert_matches_reference(config(
+            packet_count=300, extinction_per_m=cext, asymmetry=asymmetry))
+
+    def test_all_fates_covered(self):
+        # a lateral bound, a small event guard and a high weight threshold
+        cfg = config(packet_count=400, extinction_per_m=0.4, max_events=6,
+                     lateral_bound_m=4.0, weight_threshold=0.01,
+                     asymmetry=UniformAsymmetry(0.0, 1.0))
+        self.assert_matches_reference(cfg)
+        fates = estimate_transmittance(cfg).fates
+        assert min(vars(fates).values()) > 0
+
+    def test_sub_ranges_give_identical_arrays(self):
+        cfg = config(packet_count=500, extinction_per_m=1.0)
+        whole = transport._trace_range(cfg, 0, 500)
+        parts = [transport._trace_range(cfg, lo, hi)
+                 for lo, hi in ((0, 1), (1, 173), (173, 499), (499, 500))]
+        assert np.array_equal(whole[0], np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(whole[1], np.concatenate([p[1] for p in parts]))
+        assert whole[2] == sum(p[2] for p in parts)
+        self.assert_matches_reference(cfg, 173, 499)
+
+    def test_range_split_into_wave_batches(self, monkeypatch):
+        cfg = config(packet_count=100, extinction_per_m=1.0)
+        whole = transport._trace_range(cfg, 0, 100)
+        monkeypatch.setattr(transport, "_WAVE_PACKETS", 7)
+        batched = transport._trace_range(cfg, 0, 100)
+        for a, b in zip(whole, batched):
+            assert np.array_equal(a, b)
+
+    def test_zero_draws_skipped_like_uniform_stream(self, monkeypatch):
+        # Raw draws that are exactly 0.0 are vanishingly rare (2**-53), so
+        # zeros are planted: as the first draw, three in a row, across a
+        # buffer boundary, and as the first draw of an event that starts
+        # with exactly one event's draws left in the buffer.
+        width = 4 * transport._WAVE_BLOCKS
+        zeros = {0: [0], 1: [width - 1, width], 2: [2, 3, 4],
+                 3: [width - 2, 2 * width - 1], 4: [width - 4]}
+
+        def planted(seed, streams, first_blocks, blocks):
+            draws = substream_uniforms(seed, streams, first_blocks, blocks)
+            for row, (stream, first) in enumerate(zip(streams, first_blocks)):
+                for j in zeros.get(int(stream), ()):
+                    col = j - 4 * (int(first) - 1)
+                    if 0 <= col < draws.shape[1]:
+                        draws[row, col] = 0.0
+            return draws
+
+        class PlantedGenerator:
+            def __init__(self, seed, stream):
+                self.seed, self.stream, self.block = seed, stream, 1
+
+            def random(self, n):
+                out = planted(self.seed, [self.stream], [self.block], n // 4)[0]
+                self.block += n // 4
+                return out
+
+        monkeypatch.setattr(transport, "substream_uniforms", planted)
+        monkeypatch.setattr(transport, "substream", PlantedGenerator)
+        for g in (FixedAsymmetry(0.7), UniformAsymmetry()):
+            cfg = config(packet_count=6, extinction_per_m=2.5, asymmetry=g)
+            self.assert_matches_reference(cfg)
+        draws = transport._WaveDraws(5, 0, 5)
+        streams = [UniformStream(PlantedGenerator(5, i)) for i in range(5)]
+        for _ in range(2 * width):
+            draws.reserve()
+            for _ in range(transport._DRAWS_PER_EVENT):
+                assert np.array_equal(draws.draw(), [s.next() for s in streams])
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("field", [
+        "distance_m", "extinction_per_m", "launch_height_m", "lateral_bound_m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            config(**{field: value})
+
     def test_bad_distance(self):
         with pytest.raises(DomainError):
             config(distance_m=0.0)
