@@ -8,7 +8,8 @@ their lives (receiver, weight threshold, backscatter).
 import math
 
 from dustlink import (EARTH, FixedAsymmetry, TransportConfig,
-                      ensemble_extinction, estimate_transmittance)
+                      ensemble_extinction, estimate_batch,
+                      estimate_transmittance)
 
 # --- analytic check: pure forward scattering telescopes to Beer-Lambert ------
 cfg = TransportConfig(distance_m=10.0, packet_count=10_000,
@@ -42,11 +43,11 @@ for cext in (0.05, 0.25, 0.5, 1.0, 2.0):
           f"{r.fates.backscatter_exit:12d} "
           f"{a if math.isfinite(a) else float('inf'):10.3f}")
 
-# --- reproducibility across workers ------------------------------------------
-cfg = TransportConfig(distance_m=10.0, packet_count=4000,
-                      extinction_per_m=0.25, seed=4)
-serial = estimate_transmittance(cfg, workers=1)
-parallel = estimate_transmittance(cfg, workers=4)
-print("\n1 worker vs 4 workers, same seed:",
-      "identical" if serial.transmittance == parallel.transmittance
-      else "MISMATCH")
+# --- reproducibility across batches ------------------------------------------
+# A run's result does not depend on the other runs traced in its batch.
+cfgs = [TransportConfig(distance_m=10.0, packet_count=4000,
+                        extinction_per_m=c, seed=4) for c in (0.25, 1.0, 2.0)]
+together = estimate_batch(cfgs)
+alone = [estimate_transmittance(c) for c in cfgs]
+print("\nthree runs in one batch vs each alone, same seeds:",
+      "identical" if together == alone else "MISMATCH")

@@ -25,15 +25,15 @@ from .scatter import (DustPermittivity, ExtinctionResult, LinearDensity,
                       MediumSpec, SizeDistribution, Visibility,
                       VolumetricDensity, dust_permittivity,
                       ensemble_extinction, extinction_efficiency,
-                      linear_density_to_volumetric, mie_cext,
+                      extinction_rates, linear_density_to_volumetric, mie_cext,
                       number_density_from_visibility, rayleigh_cext, size_pdf)
 from .storm import (BeamCone, ParticleField, StormConfig, build_beam_cone,
                     count_in_beam, density_time_series, empty_field,
                     step_field)
 from .transport import (FateCounts, FixedAsymmetry, PacketState,
                         TransportConfig, TransportResult, UniformAsymmetry,
-                        estimate_transmittance, sample_scatter_angles,
-                        sample_step, trace_packet, update_direction,
-                        update_weight)
+                        estimate_batch, estimate_transmittance,
+                        sample_scatter_angles, sample_step, trace_packet,
+                        update_direction, update_weight)
 
 __version__ = "0.1.0"

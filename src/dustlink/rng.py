@@ -4,15 +4,15 @@ All randomness in the package flows through Philox, a counter-based
 generator. A 64-bit run seed keys the generator and independent substreams
 are obtained by placing a stream index in the third word of the 256-bit
 counter, which separates streams by 2**128 blocks. Results are therefore
-identical no matter how work is split across workers.
+identical no matter how work is split across workers or batches.
 
 Substream contract: draw ``j`` of substream ``i`` (counting every raw
 word, zeros included) is word ``j % 4`` of the Philox4x64-10 block with
 counter ``(1 + j // 4, 0, i, 0)`` under key ``(seed, 0)``, mapped to
 ``(x >> 11) * 2**-53``. ``substream`` + ``UniformStream`` consume it one
 draw at a time; ``substream_uniforms`` computes any blocks of many
-substreams at once in numpy (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11).
+substreams, of one run seed or of one seed per row, at once in numpy
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
 """
 
 import numpy as np
@@ -27,6 +27,11 @@ _PHILOX_ROUNDS = 10
 _MASK64 = (1 << 64) - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_M = np.array(_PHILOX_M, dtype=np.uint64)
+_M_LO = _M & _LOW32
+_M_HI = _M >> _SHIFT32
+_BUMPS = np.array([[r * w & _MASK64 for w in _PHILOX_W]
+                   for r in range(_PHILOX_ROUNDS)], dtype=np.uint64)
 
 
 def substream(seed: int, stream_index: int) -> np.random.Generator:
@@ -39,59 +44,92 @@ def substream(seed: int, stream_index: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def _mulhilo(a: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a * m, via 32-bit limbs."""
-    m_lo = m & _LOW32
-    m_hi = m >> _SHIFT32
-    a_lo = a & _LOW32
-    a_hi = a >> _SHIFT32
-    lo_lo = a_lo * m_lo
-    mid = a_hi * m_lo + (lo_lo >> _SHIFT32)
-    mid2 = a_lo * m_hi + (mid & _LOW32)
-    hi = a_hi * m_hi + (mid >> _SHIFT32) + (mid2 >> _SHIFT32)
-    return hi, a * m
+def _key_words(seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 64-bit key words of seeds in [0, 2**128), as uint64 arrays.
+
+    An unsigned 64-bit array is taken as low words with zero high words, so
+    64-bit run seeds skip the conversion; any other integers are checked
+    and split as Python ints.
+    """
+    seeds = np.asarray(seeds)
+    if seeds.dtype == np.uint64:
+        return seeds, np.zeros_like(seeds)
+    seeds = seeds.astype(object)
+    if not np.all((seeds >= 0) & (seeds < 1 << 128)):
+        raise ValueError("key must be positive and less than 2**128.")
+    return (np.array(seeds & _MASK64, dtype=np.uint64),
+            np.array(seeds >> 64, dtype=np.uint64))
 
 
-def philox4x64(seed: int, streams, blocks) -> np.ndarray:
+def philox4x64(seeds, streams, blocks) -> np.ndarray:
     """Philox4x64-10 words of counter ``(block, 0, stream, 0)``, key ``(seed, 0)``.
 
-    ``streams`` and ``blocks`` broadcast against each other; the result has
-    their broadcast shape plus a trailing axis of the 4 output words, which
-    equal ``Philox(key=seed, counter=(block - 1, 0, stream, 0)).random_raw(4)``
-    bit for bit. Seeds up to 2**128 fill both key words, as in numpy.
+    ``seeds``, ``streams`` and ``blocks`` broadcast against each other; the
+    result has their broadcast shape plus a trailing axis of the 4 output
+    words, which equal ``Philox(key=seed, counter=(block - 1, 0, stream,
+    0)).random_raw(4)`` bit for bit. Seeds up to 2**128 fill both key
+    words, as in numpy.
     """
-    if not 0 <= seed < 1 << 128:
-        raise ValueError("key must be positive and less than 2**128.")
-    block, stream = np.broadcast_arrays(np.asarray(blocks, dtype=np.uint64),
-                                        np.asarray(streams, dtype=np.uint64))
-    lanes = (2,) + (1,) * block.ndim
-    m = np.array(_PHILOX_M, dtype=np.uint64).reshape(lanes)
+    k0, k1 = _key_words(seeds)
+    block, stream = np.broadcast_arrays(
+        np.asarray(blocks, dtype=np.uint64), np.asarray(streams, dtype=np.uint64))
+    shape = np.broadcast_shapes(block.shape, k0.shape)
+    block, stream = (np.broadcast_to(a, shape) for a in (block, stream))
+    lanes = (2,) + (1,) * len(shape)
+    m, m_lo, m_hi = (c.reshape(lanes) for c in (_M, _M_LO, _M_HI))
+    key0 = np.stack((k0, k1)).reshape(
+        (2,) + (1,) * (len(shape) - k0.ndim) + k0.shape)
+    key = np.empty_like(key0)
     # Counter words 0 and 2 are multiplied, words 1 and 3 mixed in by XOR;
-    # each pair is held as one array so a round costs one set of ufuncs.
+    # each pair is held as one array so a round costs one set of ufuncs,
+    # all writing into buffers allocated here.
     mul = np.stack((block, stream))
-    mix = np.uint64(0)
-    k0, k1 = seed & _MASK64, seed >> 64
-    for _ in range(_PHILOX_ROUNDS):
-        hi, lo = _mulhilo(mul, m)
-        key = np.array((k0, k1), dtype=np.uint64).reshape(lanes)
+    mix, lo = np.zeros_like(mul), np.empty_like(mul)
+    a_lo, a_hi, mid, t = (np.empty_like(mul) for _ in range(4))
+    for bump in _BUMPS:
+        # the round key: the key bumped by the Weyl increments (uint64
+        # addition wraps modulo 2**64)
+        np.add(key0, bump.reshape(lanes), out=key)
+        # 128-bit products mul * m from 32-bit limbs: lo, and hi in a_hi
+        np.multiply(mul, m, out=lo)
+        np.bitwise_and(mul, _LOW32, out=a_lo)
+        np.right_shift(mul, _SHIFT32, out=a_hi)
+        np.multiply(a_lo, m_lo, out=t)
+        t >>= _SHIFT32
+        np.multiply(a_hi, m_lo, out=mid)
+        mid += t
+        np.multiply(a_lo, m_hi, out=t)
+        np.bitwise_and(mid, _LOW32, out=a_lo)
+        t += a_lo
+        a_hi *= m_hi
+        mid >>= _SHIFT32
+        a_hi += mid
+        t >>= _SHIFT32
+        a_hi += t
         # (c0, c1, c2, c3) -> (hi2 ^ c1 ^ k0, lo2, hi0 ^ c3 ^ k1, lo0)
-        mul, mix = hi[::-1] ^ mix ^ key, lo[::-1]
-        k0 = (k0 + _PHILOX_W[0]) & _MASK64
-        k1 = (k1 + _PHILOX_W[1]) & _MASK64
+        np.bitwise_xor(a_hi[::-1], mix, out=mul)
+        mul ^= key
+        mix, lo = lo[::-1], mix[::-1]
     return np.stack((mul[0], mix[0], mul[1], mix[1]), axis=-1)
 
 
-def substream_uniforms(seed: int, streams, first_blocks, blocks: int) -> np.ndarray:
+def substream_uniforms(seeds, streams, first_blocks, blocks: int) -> np.ndarray:
     """Raw draws of many substreams: ``blocks`` Philox blocks each, as doubles.
 
     Row ``r`` holds draws ``4 * (first_blocks[r] - 1)`` onward of substream
-    ``streams[r]``, that is the ``4 * blocks`` values ``substream(seed,
-    streams[r]).random()`` returns from that point, zeros included.
+    ``streams[r]`` of run seed ``seeds[r]`` (or of the one run ``seeds``),
+    that is the ``4 * blocks`` values ``substream(seed, stream).random()``
+    returns from that point, zeros included. The Philox temporaries hold
+    a few words per block computed, so callers bound them by the rows they
+    ask for at once.
     """
-    block_index = (np.asarray(first_blocks, dtype=np.uint64)[..., None]
-                   + np.arange(blocks, dtype=np.uint64))
-    words = philox4x64(seed, np.asarray(streams)[..., None], block_index)
-    return (words >> np.uint64(11)).reshape(words.shape[:-2] + (-1,)) * 2.0 ** -53
+    seeds, streams, first_blocks = np.broadcast_arrays(
+        np.asarray(seeds), np.asarray(streams), np.asarray(first_blocks))
+    words = philox4x64(seeds[..., None], streams[..., None],
+                       first_blocks[..., None].astype(np.uint64)
+                       + np.arange(blocks, dtype=np.uint64))
+    words >>= np.uint64(11)
+    return words.reshape(words.shape[:-2] + (-1,)) * 2.0 ** -53
 
 
 def derive_seed(*parts: int | str) -> int:

@@ -12,24 +12,28 @@ Receiver contributions are only ever evaluated at an actual boundary
 crossing, where the step direction necessarily has a positive X
 component, so the residual Beer-Lambert factor is always finite.
 
-Two implementations share these rules. ``estimate_transmittance`` runs a
-wave kernel: packets are held as arrays, and each wave advances every
-live packet by one event in numpy, drawing from a few buffered Philox
-blocks per packet computed by ``dustlink.rng.substream_uniforms``.
-``trace_packet`` is the scalar reference, one packet in plain Python. The
-kernel keeps the reference's branch order and floating-point operations,
-so each packet has the same fate and event count; its contribution agrees
-within rtol 1e-12, because ``np.exp``/``np.log`` may differ from ``math``
-in the last bit.
+Two implementations share these rules. ``estimate_batch`` (and
+``estimate_transmittance``, a batch of one) runs a wave kernel: packets
+are held as arrays, and each wave advances every live packet by one event
+in numpy, drawing from a few buffered Philox blocks per packet computed by
+``dustlink.rng.substream_uniforms``. The packets of many runs share the
+kernel; each carries its run's seed, its index in the run, and its run's
+extinction, distance and launch height. ``trace_packet`` is the scalar
+reference, one packet in plain Python. The kernel keeps the reference's
+branch order and floating-point operations, so each packet has the same
+fate and event count; its contribution agrees within rtol 1e-12, because
+``np.exp``/``np.log`` may differ from ``math`` in the last bit.
 
 Determinism: every packet draws from its own counter-based substream of
-the run seed (see ``dustlink.rng``), and contributions are accumulated in
-packet order with pairwise summation, so results are identical for any
-number of workers.
+its run's seed (see ``dustlink.rng``), and each run's contributions are
+reduced in packet order with pairwise summation. A run's result therefore
+does not depend on which other runs share its batch, on how the kernel
+chunks the packets, or on how a caller splits runs across worker
+processes.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +56,7 @@ __all__ = [
     "update_weight",
     "trace_packet",
     "estimate_transmittance",
+    "estimate_batch",
 ]
 
 
@@ -76,6 +81,10 @@ class UniformAsymmetry:
             raise DomainError("need 0 <= lo <= hi <= 1")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TransportConfig:
     """Inputs of one transport run. Immutable while the run executes."""
@@ -91,6 +100,11 @@ class TransportConfig:
     max_events: int = 10 ** 6
 
     def __post_init__(self):
+        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 128):
+            raise DomainError(f"seed must be an int in [0, 2**128), got {self.seed!r}")
+        if not (_is_int(self.packet_count) and self.packet_count >= 1):
+            raise DomainError(
+                f"packet_count must be an int >= 1, got {self.packet_count!r}")
         finite = {"distance_m": self.distance_m,
                   "extinction_per_m": self.extinction_per_m,
                   "launch_height_m": self.launch_height_m}
@@ -101,8 +115,6 @@ class TransportConfig:
                 raise DomainError(f"{name} must be finite, got {value!r}")
         if self.distance_m <= 0:
             raise DomainError("distance must be positive")
-        if self.packet_count < 1:
-            raise DomainError("need at least one packet")
         if self.extinction_per_m < 0:
             raise DomainError("extinction rate must be >= 0")
         if not (0.0 < self.weight_threshold < 1.0):
@@ -345,42 +357,80 @@ def _trace(cfg: TransportConfig, packet_index: int) -> tuple[str, float, int]:
         mz = nz / norm
 
 
-_WAVE_BLOCKS = 4          # Philox blocks buffered per live packet
-_WAVE_PACKETS = 1 << 14   # packets traced together; bounds the kernel's memory
-_DRAWS_PER_EVENT = 4      # step, g, nu, chi
+_WAVE_ROWS = 8192        # live packets at most; bounds the kernel's memory
+_FILL_BLOCKS = 8192      # Philox blocks per call; bounds its temporaries
+_FIRST_BLOCKS = 1        # Philox blocks of a packet's first fill
+_MAX_BLOCKS = 4          # blocks of the widest refill, the buffer width
+_DRAWS_PER_EVENT = 4     # step, g, nu, chi
 
 
 class _WaveDraws:
     """Substreams of the live packets of a wave kernel, a few blocks per row.
 
-    Row ``r`` of ``slot``, ``block`` and ``col`` belongs to the r-th live
-    packet: ``slot`` is its row in the buffer (its offset from the range
-    start), ``block`` the Philox block in that row's first column and
-    ``col`` the column of its next draw.
+    Buffer row ``i`` holds draws of substream ``streams[i]`` of run seed
+    ``seeds[i]``; an admitted packet takes a free row. Row ``r`` of
+    ``slot``, ``block``, ``col`` and ``fill`` belongs to the r-th live
+    packet: ``slot`` is its buffer row, ``block`` the Philox block in that
+    row's first column, ``col`` the column of its next draw and ``fill``
+    the number of blocks in its buffer. Most packets end after a few
+    events, so the first fill is one block and each refill doubles the
+    last, up to the buffer width; little of the last fill of a short-lived
+    packet goes unused.
     """
 
-    def __init__(self, seed: int, start: int, count: int):
-        self.seed = seed
-        self.start = start
-        self.width = 4 * _WAVE_BLOCKS
-        self.slot = np.arange(count)
-        self.block = np.ones(count, dtype=np.int64)
-        self.col = np.zeros(count, dtype=np.int64)
-        self.buf = substream_uniforms(seed, start + self.slot, self.block,
-                                      _WAVE_BLOCKS)
+    def __init__(self, rows: int, seed_dtype: np.dtype):
+        self.width = 4 * _MAX_BLOCKS
+        self.buf = np.empty((rows, self.width))
         self.flat = self.buf.reshape(-1)
+        self.seeds = np.empty(rows, dtype=seed_dtype)
+        self.streams = np.empty(rows, dtype=np.int64)
+        self.slot, self.block, self.col, self.fill = (
+            np.empty(0, dtype=np.int64) for _ in range(4))
+
+    def admit(self, seeds: np.ndarray, streams: np.ndarray) -> None:
+        """Give new packets free buffer rows and their first fill.
+
+        They become the last live rows, in the order given.
+        """
+        used = np.zeros(self.seeds.size, dtype=bool)
+        used[self.slot] = True
+        slots = np.flatnonzero(~used)[:streams.size]
+        self.seeds[slots] = seeds
+        self.streams[slots] = streams
+        ones = np.ones(slots.size, dtype=np.int64)
+        self._fill(slots, ones, _FIRST_BLOCKS)
+        self.slot = np.concatenate((self.slot, slots))
+        self.block = np.concatenate((self.block, ones))
+        self.col = np.concatenate((self.col, np.zeros(slots.size, dtype=np.int64)))
+        self.fill = np.concatenate((self.fill, np.full(slots.size, _FIRST_BLOCKS)))
 
     def _refill(self, rows: np.ndarray) -> None:
         """Restart the buffer of ``rows`` at the block of their next draw."""
         self.block[rows] += self.col[rows] // 4
         self.col[rows] %= 4
-        slots = self.slot[rows]
-        self.buf[slots] = substream_uniforms(
-            self.seed, self.start + slots, self.block[rows], _WAVE_BLOCKS)
+        fill = np.minimum(2 * self.fill[rows], _MAX_BLOCKS)
+        self.fill[rows] = fill
+        sizes = np.unique(fill)
+        for blocks in sizes:
+            part = rows if sizes.size == 1 else rows[fill == blocks]
+            self._fill(self.slot[part], self.block[part], int(blocks))
+
+    def _fill(self, slots: np.ndarray, first_blocks: np.ndarray,
+              blocks: int) -> None:
+        """Write ``blocks`` Philox blocks, from ``first_blocks`` on, into
+        buffer rows ``slots``. At most ``_FILL_BLOCKS`` blocks per call bound
+        the Philox temporaries and the copy into the buffer.
+        """
+        step = max(1, _FILL_BLOCKS // blocks)
+        for lo in range(0, slots.size, step):
+            part = slots[lo:lo + step]
+            self.buf[part, :4 * blocks] = substream_uniforms(
+                self.seeds[part], self.streams[part], first_blocks[lo:lo + step],
+                blocks)
 
     def reserve(self) -> None:
         """Make room for one event's draws in every live row."""
-        low = np.flatnonzero(self.col > self.width - _DRAWS_PER_EVENT)
+        low = np.flatnonzero(self.col > 4 * self.fill - _DRAWS_PER_EVENT)
         if low.size:
             self._refill(low)
 
@@ -396,154 +446,199 @@ class _WaveDraws:
             self.col[rows] += 1
         return u
 
-    def keep(self, live: np.ndarray) -> None:
+    def keep(self, live) -> None:
+        """Keep the live rows selected by a boolean mask or a slice."""
         self.slot = self.slot[live]
         self.block = self.block[live]
         self.col = self.col[live]
+        self.fill = self.fill[live]
 
 
-def _trace_range(cfg: TransportConfig, start: int,
-                 stop: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Contributions, fate codes and total events of packets [start, stop)."""
-    contributions = np.zeros(stop - start)
-    fates = np.zeros(stop - start, dtype=np.uint8)
-    if cfg.extinction_per_m == 0.0:
-        contributions[:] = 1.0   # free flight: every packet reaches
-        return contributions, fates, 0
-    events = 0
-    for lo in range(start, stop, _WAVE_PACKETS):
-        hi = min(lo + _WAVE_PACKETS, stop)
-        events += _trace_waves(cfg, lo, contributions[lo - start:hi - start],
-                               fates[lo - start:hi - start])
-    return contributions, fates, events
+def _run_seeds(cfgs) -> np.ndarray:
+    """Run seeds as an array: 64-bit words when all fit, Python ints otherwise."""
+    seeds = [cfg.seed for cfg in cfgs]
+    return np.array(seeds, dtype=np.uint64 if max(seeds) < 1 << 64 else object)
 
 
-def _trace_waves(cfg: TransportConfig, start: int, contributions: np.ndarray,
-                 fates: np.ndarray) -> int:
-    """Trace packets ``start, start + 1, ...`` together, one event per wave.
+def _trace_packets(cfgs, first, count) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trace ``count[r]`` packets of each run ``cfgs[r]``, from ``first[r]`` on.
 
-    Each wave applies ``_trace``'s loop body to every live packet, in the
-    same branch order and floating-point operations, and drops the packets
-    it ends. Fills the slices ``contributions`` and ``fates``, which arrive
-    zeroed (fate 0 is "reached"), and returns the number of events.
+    The runs share their asymmetry, weight threshold, lateral bound and
+    event guard; extinction, distance, launch height and seed are per
+    packet. Packets are admitted in order, at most ``_WAVE_ROWS`` live at
+    a time: whenever half the rows have ended, new packets take their
+    place, so a batch has one tail of waves with few live rows, not one
+    per ``_WAVE_ROWS`` packets. Each wave applies ``_trace``'s loop body to
+    every live packet, in the same branch order and floating-point
+    operations, and drops the packets it ends. Returns the contributions
+    and fate codes of the packets, run after run, and each run's event
+    total.
     """
-    cext = cfg.extinction_per_m
-    dist = cfg.distance_m
-    eps_t = cfg.weight_threshold
-    lateral = cfg.lateral_bound_m
-    height = cfg.launch_height_m
-    asym = cfg.asymmetry
+    head = cfgs[0]
+    asym = head.asymmetry
+    eps_t = head.weight_threshold
+    lateral = head.lateral_bound_m
     two_pi = 2.0 * math.pi
+    run_cext = np.array([cfg.extinction_per_m for cfg in cfgs])
+    run_dist = np.array([cfg.distance_m for cfg in cfgs])
+    run_height = np.array([cfg.launch_height_m for cfg in cfgs])
+    run_seeds = _run_seeds(cfgs)
+    first = np.asarray(first)
+    offsets = np.cumsum([0, *count])
+    total = int(offsets[-1])
 
-    n = fates.size
-    draws = _WaveDraws(cfg.seed, start, n)
-    x = np.zeros(n)
-    y = np.zeros(n)
-    z = np.full(n, height)
-    mx = np.ones(n)
-    my = np.zeros(n)
-    mz = np.zeros(n)
-    w = np.ones(n)
-    events = 0
+    contributions = np.zeros(total)
+    fates = np.zeros(total, dtype=np.uint8)   # fate 0 is "reached"
+    events = np.zeros(len(cfgs), dtype=np.int64)
+    rows = min(_WAVE_ROWS, total)
+    draws = _WaveDraws(rows, run_seeds.dtype)
+    # per live packet: output index, run, wave of its first event, state
+    pos, run, born = (np.empty(0, dtype=np.int64) for _ in range(3))
+    x, y, z, mx, my, mz, w, cext, dist = (np.empty(0) for _ in range(9))
+    admitted = 0
+    wave = 0
+    while admitted < total or pos.size:
+        wave += 1
+        if admitted < total and pos.size <= rows // 2:
+            new = np.arange(admitted, min(admitted + rows - pos.size, total))
+            admitted += new.size
+            r = np.searchsorted(offsets, new, side="right") - 1
+            flight = run_cext[r] == 0.0
+            if flight.any():
+                contributions[new[flight]] = 1.0   # free flight: every packet reaches
+                new, r = new[~flight], r[~flight]
+            draws.admit(run_seeds[r], first[r] + new - offsets[r])
+            pos = np.concatenate((pos, new))
+            run = np.concatenate((run, r))
+            born = np.concatenate((born, np.full(new.size, wave)))
+            x, y, my, mz = (np.concatenate((a, np.zeros(new.size)))
+                            for a in (x, y, my, mz))
+            mx, w = (np.concatenate((a, np.ones(new.size))) for a in (mx, w))
+            z = np.concatenate((z, run_height[r]))
+            cext = np.concatenate((cext, run_cext[r]))
+            dist = np.concatenate((dist, run_dist[r]))
+            if not pos.size:
+                continue
 
-    for wave in range(1, cfg.max_events + 1):
         draws.reserve()
         step = -np.log(draws.draw()) / cext
-        slot = draws.slot
         x_next = x + step * mx
         ended = (x_next >= dist) & (mx > 0.0)
         live = ~ended
         if ended.any():
             # crossing: residual Beer-Lambert factor from the last scatter site
-            contributions[slot[ended]] = w[ended] * np.exp(
-                -cext * (dist - x[ended]) / mx[ended])
+            contributions[pos[ended]] = w[ended] * np.exp(
+                -cext[ended] * (dist[ended] - x[ended]) / mx[ended])
         x = x_next
         out = x < 0.0
         if out.any():
-            fates[slot[out]] = _FATE_INDEX["backscatter_exit"]
+            fates[pos[out]] = _FATE_INDEX["backscatter_exit"]
             live &= ~out
         y = y + step * my
         z = z + step * mz
         if lateral is not None:
-            dz = z - height
+            dz = z - run_height[run]
             out = live & (y * y + dz * dz > lateral * lateral)
             if out.any():
-                fates[slot[out]] = _FATE_INDEX["lateral_exit"]
+                fates[pos[out]] = _FATE_INDEX["lateral_exit"]
                 live &= ~out
         if not live.all():
-            x, y, z, mx, my, mz, w, step = (
-                a[live] for a in (x, y, z, mx, my, mz, w, step))
+            x, y, z, mx, my, mz, w, step, cext, dist, pos, run, born = (
+                a[live] for a in (x, y, z, mx, my, mz, w, step, cext, dist,
+                                  pos, run, born))
             draws.keep(live)
-        events += x.size
-        if wave >= cfg.max_events:
-            fates[draws.slot] = _FATE_INDEX["guard_killed"]
-            break
+        events += np.bincount(run, minlength=len(cfgs))
+        if pos.size and wave - born[0] + 1 >= head.max_events:
+            # rows are in admission order, so the guarded ones lead
+            guarded = slice(np.searchsorted(born, wave + 1 - head.max_events,
+                                            side="right"), None)
+            fates[pos[:guarded.start]] = _FATE_INDEX["guard_killed"]
+            x, y, z, mx, my, mz, w, step, cext, dist, pos, run, born = (
+                a[guarded] for a in (x, y, z, mx, my, mz, w, step, cext, dist,
+                                     pos, run, born))
+            draws.keep(guarded)
         # Beer-Lambert decay; dx/mx telescopes to the step length
         w = w * np.exp(-cext * step)
         killed = w < eps_t
         if killed.any():
-            fates[draws.slot[killed]] = _FATE_INDEX["weight_killed"]
+            fates[pos[killed]] = _FATE_INDEX["weight_killed"]
             live = ~killed
-            x, y, z, mx, my, mz, w = (a[live] for a in (x, y, z, mx, my, mz, w))
+            x, y, z, mx, my, mz, w, cext, dist, pos, run, born = (
+                a[live] for a in (x, y, z, mx, my, mz, w, cext, dist, pos,
+                                  run, born))
             draws.keep(live)
-        if not x.size:
-            break
+        if not pos.size:
+            continue
 
         if isinstance(asym, FixedAsymmetry):
             g = asym.g
         else:
             g = asym.lo + (asym.hi - asym.lo) * draws.draw()
-        nu = draws.draw()
-        chi = draws.draw()
-        ct = _hg_cosine(g, nu)
-        st = np.sqrt(1.0 - ct * ct)
-        phi = two_pi * chi
-        cp = np.cos(phi)
-        sp = np.sin(phi)
-        polar = np.abs(mx) > 0.99999
-        root = np.sqrt(np.where(polar, 1.0, 1.0 - mx * mx))
-        nx = np.where(polar, np.where(mx > 0.0, ct, -ct),
-                      -st * cp * root + mx * ct)
-        ny = np.where(polar, st * cp, st * (my * mx * cp - mz * sp) / root + my * ct)
-        nz = np.where(polar, st * sp, st * (mz * mx * cp + my * sp) / root + mz * ct)
-        norm = np.sqrt(nx * nx + ny * ny + nz * nz)
-        mx = nx / norm
-        my = ny / norm
-        mz = nz / norm
-    return events
+        ct = _hg_cosine(g, draws.draw())
+        mx, my, mz = _rotate(mx, my, mz, ct, two_pi * draws.draw())
+    return contributions, fates, events
 
 
-def estimate_transmittance(cfg: TransportConfig, workers: int = 1) -> TransportResult:
-    """Ensemble transmittance over all packets, and the dB/m attenuation.
-
-    Contributions are assembled into a packet-indexed array and reduced
-    with numpy's pairwise sum, so the estimate is bit-identical for any
-    worker count at a fixed seed. Transmittance 0 reports +inf dB/m.
+def _rotate(mx, my, mz, ct, phi):
+    """Direction cosines after scattering at polar cosine ``ct`` and azimuth
+    ``phi``, with ``_trace``'s arithmetic. Its temporaries end with the call.
     """
-    m = cfg.packet_count
-    if workers > 1 and m >= 2 * workers:
-        bounds = np.linspace(0, m, workers + 1, dtype=int)
-        contributions = np.empty(m)
-        fates = np.empty(m, dtype=np.uint8)
-        total_events = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = [pool.submit(_trace_range, cfg, int(lo), int(hi))
-                    for lo, hi in zip(bounds[:-1], bounds[1:])]
-            for (lo, hi), job in zip(zip(bounds[:-1], bounds[1:]), jobs):
-                part, fate_part, events = job.result()
-                contributions[lo:hi] = part
-                fates[lo:hi] = fate_part
-                total_events += events
-    else:
-        contributions, fates, total_events = _trace_range(cfg, 0, m)
+    st = np.sqrt(1.0 - ct * ct)
+    cp = np.cos(phi)
+    sp = np.sin(phi)
+    polar = np.abs(mx) > 0.99999
+    root = np.sqrt(np.where(polar, 1.0, 1.0 - mx * mx))
+    nx = np.where(polar, np.where(mx > 0.0, ct, -ct), -st * cp * root + mx * ct)
+    ny = np.where(polar, st * cp, st * (my * mx * cp - mz * sp) / root + my * ct)
+    nz = np.where(polar, st * sp, st * (mz * mx * cp + my * sp) / root + mz * ct)
+    norm = np.sqrt(nx * nx + ny * ny + nz * nz)
+    return nx / norm, ny / norm, nz / norm
 
-    transmittance = float(np.sum(contributions)) / m
-    transmittance = min(transmittance, 1.0)
-    counts = np.bincount(fates, minlength=len(FATES))
-    return TransportResult(
-        transmittance=transmittance,
-        attenuation_db_per_m=db_from_transmittance(transmittance, cfg.distance_m),
-        fates=FateCounts(*(int(c) for c in counts)),
-        mean_events=total_events / m,
-        seed=cfg.seed,
-    )
+
+def _estimate_group(cfgs) -> list[TransportResult]:
+    """Results of runs that share the kernel settings, traced together."""
+    counts = [cfg.packet_count for cfg in cfgs]
+    starts = np.cumsum([0, *counts])
+    contributions, fates, events = _trace_packets(cfgs, [0] * len(cfgs), counts)
+    results = []
+    for r, cfg in enumerate(cfgs):
+        m = cfg.packet_count
+        part = slice(starts[r], starts[r + 1])
+        transmittance = min(float(np.sum(contributions[part])) / m, 1.0)
+        fate_counts = np.bincount(fates[part], minlength=len(FATES))
+        results.append(TransportResult(
+            transmittance=transmittance,
+            attenuation_db_per_m=db_from_transmittance(transmittance,
+                                                       cfg.distance_m),
+            fates=FateCounts(*(int(c) for c in fate_counts)),
+            mean_events=int(events[r]) / m,
+            seed=cfg.seed,
+        ))
+    return results
+
+
+def estimate_batch(cfgs: Sequence[TransportConfig]) -> list[TransportResult]:
+    """Ensemble transmittance and dB/m attenuation of many runs at once.
+
+    Runs that share their asymmetry, weight threshold, lateral bound and
+    event guard are traced together in one wave kernel; each packet keeps
+    its run's seed and its index in its run, and each run's contributions
+    are reduced in packet order with numpy's pairwise sum. So every result
+    is bit-identical to that of its config traced alone, whatever the rest
+    of the batch. Transmittance 0 reports +inf dB/m.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        key = (cfg.asymmetry, cfg.weight_threshold, cfg.lateral_bound_m,
+               cfg.max_events)
+        groups.setdefault(key, []).append(i)
+    results: list[TransportResult] = [None] * len(cfgs)
+    for members in groups.values():
+        for i, result in zip(members, _estimate_group([cfgs[i] for i in members])):
+            results[i] = result
+    return results
+
+
+def estimate_transmittance(cfg: TransportConfig) -> TransportResult:
+    """Ensemble transmittance over all packets of one run, and the dB/m attenuation."""
+    return estimate_batch([cfg])[0]

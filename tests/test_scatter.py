@@ -12,8 +12,9 @@ from dustlink.errors import DomainError
 from dustlink.presets import EARTH, MARS
 from dustlink.scatter import (DustPermittivity, LinearDensity, MediumSpec,
                               SizeDistribution, VolumetricDensity,
-                              dust_permittivity, ensemble_extinction,
-                              extinction_efficiency,
+                              Visibility, dust_permittivity,
+                              ensemble_extinction, extinction_efficiency,
+                              extinction_rates,
                               linear_density_to_volumetric, mie_cext,
                               mie_coefficients, number_density_from_visibility,
                               physical_cross_section, rayleigh_cext, size_pdf)
@@ -287,3 +288,61 @@ class TestEnsembleExtinction:
                           (MARS.medium_from_visibility(500.0), 1.64e12)):
             result = ensemble_extinction(medium, f)
             assert all(c >= 0 for _, c in result.c_ext_samples)
+
+
+class TestExtinctionRates:
+    """Rates of many densities from one set of size-distribution integrals."""
+
+    @staticmethod
+    def media():
+        # the Mars time-scenario counts and Earth storm densities, visibility
+        # and volumetric specs, and a second population mixed in
+        out = [MARS.medium_from_count(c / 10.0, 1.64e12)
+               for c in (*range(0, 27_000, 1000), 50, 299, 12_345, 19_999)]
+        out += [EARTH.medium_from_count(c, 0.24e12)
+                for c in (0, 5, 30, 100, 101, 150, 199, 200, 10.0, 1.0)]
+        out += [EARTH.medium_from_visibility(v, 0.24e12) for v in (10.0, 316.2, 1e4)]
+        out += [EARTH.medium_volumetric(n0, 0.24e12) for n0 in (0.0, 1e7)]
+        out += [MediumSpec(SizeDistribution.point_mass(20e-6), EARTH.permittivity(),
+                           density) for density in (LinearDensity(3.0), Visibility(50.0))]
+        return out
+
+    def test_equal_to_the_integral_per_medium(self):
+        media = self.media()
+        for model, f in (("mars-constant", 1.64e12),
+                         ("earth-frequency-dependent", 0.24e12)):
+            chosen = [m for m in media if m.permittivity.model == model]
+            for medium, rate in zip(chosen, extinction_rates(chosen, f)):
+                dist, eps, density = (medium.distribution, medium.permittivity,
+                                      medium.density)
+                if isinstance(density, LinearDensity):
+                    expected = density.count_per_m * dist.expectation(
+                        lambda r: extinction_efficiency(f, r, eps))
+                else:
+                    n0 = (number_density_from_visibility(dist, density.meters)
+                          if isinstance(density, Visibility) else density.per_m3)
+                    expected = n0 * dist.expectation(
+                        lambda r: physical_cross_section(f, r, eps))
+                assert rate == expected
+                assert rate == ensemble_extinction(medium, f).extinction_per_m
+
+    def test_each_integral_evaluated_once(self, monkeypatch):
+        calls = []
+        original = SizeDistribution.expectation
+
+        def counting(self, fn):
+            calls.append(self)
+            return original(self, fn)
+
+        monkeypatch.setattr(SizeDistribution, "expectation", counting)
+        counts = [MARS.medium_from_count(c, 1.64e12) for c in range(0, 27_000, 1000)]
+        extinction_rates(counts, 1.64e12)
+        assert len(calls) == 1
+        calls.clear()
+        extinction_rates([EARTH.medium_from_visibility(v) for v in (10.0, 100.0, 1e3)],
+                         EARTH.frequency_hz)
+        assert len(calls) == 2    # the visibility area and the mean cross section
+
+    def test_bad_frequency(self):
+        with pytest.raises(DomainError):
+            extinction_rates([EARTH.medium_from_count(10.0)], 0.0)

@@ -12,9 +12,9 @@ from dustlink.errors import DomainError
 from dustlink.rng import UniformStream, substream, substream_uniforms
 from dustlink.transport import (FATES, FixedAsymmetry, PacketState,
                                 TransportConfig, UniformAsymmetry,
-                                estimate_transmittance, sample_scatter_angles,
-                                sample_step, trace_packet, update_direction,
-                                update_weight)
+                                estimate_batch, estimate_transmittance,
+                                sample_scatter_angles, sample_step,
+                                trace_packet, update_direction, update_weight)
 
 
 def config(**kwargs) -> TransportConfig:
@@ -219,12 +219,13 @@ class TestEstimateTransmittance:
         assert result.transmittance == 0.0
         assert result.attenuation_db_per_m == math.inf
 
-    def test_worker_count_invariance(self):
-        cfg = config(packet_count=600)
-        serial = estimate_transmittance(cfg, workers=1)
-        parallel = estimate_transmittance(cfg, workers=4)
-        assert serial.transmittance == parallel.transmittance
-        assert serial.fates == parallel.fates
+    def test_batch_split_invariance(self):
+        cfgs = [config(packet_count=600, seed=s, extinction_per_m=c)
+                for s, c in ((1, 0.25), (2, 1.0), (3, 0.0), (4, 2.5))]
+        whole = estimate_batch(cfgs)
+        assert whole == estimate_batch(cfgs[:1]) + estimate_batch(cfgs[1:])
+        assert whole == estimate_batch(cfgs[::-1])[::-1]
+        assert whole == [estimate_transmittance(cfg) for cfg in cfgs]
 
     def test_statistical_monotonicity(self):
         # averaged over seeds, transmittance falls with extinction and distance
@@ -252,9 +253,15 @@ class TestWaveKernel:
     """
 
     @staticmethod
-    def assert_matches_reference(cfg, start=0, stop=None):
+    def trace_range(cfg, start, stop):
+        """Contributions, fate codes and event total of packets [start, stop)."""
+        contributions, fates, events = transport._trace_packets(
+            [cfg], [start], [stop - start])
+        return contributions, fates, int(events[0])
+
+    def assert_matches_reference(self, cfg, start=0, stop=None):
         stop = cfg.packet_count if stop is None else stop
-        contributions, fates, events = transport._trace_range(cfg, start, stop)
+        contributions, fates, events = self.trace_range(cfg, start, stop)
         reference = [transport._trace(cfg, i) for i in range(start, stop)]
         assert [FATES[f] for f in fates] == [fate for fate, _, _ in reference]
         assert events == sum(n for _, _, n in reference)
@@ -281,8 +288,8 @@ class TestWaveKernel:
 
     def test_sub_ranges_give_identical_arrays(self):
         cfg = config(packet_count=500, extinction_per_m=1.0)
-        whole = transport._trace_range(cfg, 0, 500)
-        parts = [transport._trace_range(cfg, lo, hi)
+        whole = self.trace_range(cfg, 0, 500)
+        parts = [self.trace_range(cfg, lo, hi)
                  for lo, hi in ((0, 1), (1, 173), (173, 499), (499, 500))]
         assert np.array_equal(whole[0], np.concatenate([p[0] for p in parts]))
         assert np.array_equal(whole[1], np.concatenate([p[1] for p in parts]))
@@ -291,23 +298,24 @@ class TestWaveKernel:
 
     def test_range_split_into_wave_batches(self, monkeypatch):
         cfg = config(packet_count=100, extinction_per_m=1.0)
-        whole = transport._trace_range(cfg, 0, 100)
-        monkeypatch.setattr(transport, "_WAVE_PACKETS", 7)
-        batched = transport._trace_range(cfg, 0, 100)
-        for a, b in zip(whole, batched):
-            assert np.array_equal(a, b)
+        whole = estimate_transmittance(cfg)
+        monkeypatch.setattr(transport, "_WAVE_ROWS", 7)
+        assert estimate_transmittance(cfg) == whole
 
     def test_zero_draws_skipped_like_uniform_stream(self, monkeypatch):
         # Raw draws that are exactly 0.0 are vanishingly rare (2**-53), so
         # zeros are planted: as the first draw, three in a row, across a
         # buffer boundary, and as the first draw of an event that starts
         # with exactly one event's draws left in the buffer.
-        width = 4 * transport._WAVE_BLOCKS
-        zeros = {0: [0], 1: [width - 1, width], 2: [2, 3, 4],
-                 3: [width - 2, 2 * width - 1], 4: [width - 4]}
+        # Without zeros, UniformAsymmetry events read draws 0-3 from the
+        # first fill (1 block), 4-11 from the second (2 blocks) and 12-27
+        # from the third (4 blocks, the buffer width).
+        width = 4 * transport._MAX_BLOCKS
+        zeros = {0: [0], 1: [3, 4], 2: [2, 3, 4], 3: [11, 12, 27], 4: [8]}
 
-        def planted(seed, streams, first_blocks, blocks):
-            draws = substream_uniforms(seed, streams, first_blocks, blocks)
+        def planted(seeds, streams, first_blocks, blocks):
+            draws = substream_uniforms(seeds, streams, first_blocks, blocks)
+            streams, first_blocks = np.broadcast_arrays(streams, first_blocks)
             for row, (stream, first) in enumerate(zip(streams, first_blocks)):
                 for j in zeros.get(int(stream), ()):
                     col = j - 4 * (int(first) - 1)
@@ -329,7 +337,8 @@ class TestWaveKernel:
         for g in (FixedAsymmetry(0.7), UniformAsymmetry()):
             cfg = config(packet_count=6, extinction_per_m=2.5, asymmetry=g)
             self.assert_matches_reference(cfg)
-        draws = transport._WaveDraws(5, 0, 5)
+        draws = transport._WaveDraws(5, np.dtype(np.uint64))
+        draws.admit(np.full(5, 5, dtype=np.uint64), np.arange(5))
         streams = [UniformStream(PlantedGenerator(5, i)) for i in range(5)]
         for _ in range(2 * width):
             draws.reserve()
@@ -337,7 +346,86 @@ class TestWaveKernel:
                 assert np.array_equal(draws.draw(), [s.next() for s in streams])
 
 
+class TestEstimateBatch:
+    """A batch of runs against each run alone and against the scalar reference."""
+
+    @staticmethod
+    def mixed_configs():
+        # two kernel groups (the lateral bound and event guard split them),
+        # 64- and 128-bit seeds, zero extinction and per-run distances,
+        # launch heights and packet counts
+        rows = [
+            (dict(seed=0, extinction_per_m=0.25), {}),
+            (dict(seed=2 ** 64 - 1, extinction_per_m=0.0, packet_count=40), {}),
+            (dict(seed=2 ** 100 + 7, extinction_per_m=2.5, distance_m=3.0), {}),
+            (dict(seed=12345, extinction_per_m=0.7, launch_height_m=2.0,
+                  packet_count=95), {}),
+            (dict(seed=9, extinction_per_m=40.0, distance_m=0.2), {}),
+            (dict(seed=77, extinction_per_m=0.4, packet_count=130),
+             dict(lateral_bound_m=3.0, max_events=6)),
+            (dict(seed=2 ** 127, extinction_per_m=1.2, launch_height_m=7.5),
+             dict(lateral_bound_m=3.0, max_events=6)),
+            (dict(seed=5, extinction_per_m=0.0),
+             dict(lateral_bound_m=3.0, max_events=6)),
+        ]
+        out = []
+        for asymmetry in (UniformAsymmetry(0.0, 1.0), FixedAsymmetry(0.6)):
+            for run, kernel in rows:
+                out.append(config(**{"packet_count": 120, "asymmetry": asymmetry,
+                                     **run, **kernel}))
+        return out
+
+    def test_equals_each_run_alone(self):
+        cfgs = self.mixed_configs()
+        batch = estimate_batch(cfgs)
+        for cfg, result in zip(cfgs, batch):
+            alone = estimate_transmittance(cfg)
+            assert result.transmittance == alone.transmittance
+            assert result.fates == alone.fates
+            assert result.mean_events == alone.mean_events
+            assert result == alone
+
+    def test_matches_scalar_reference(self):
+        cfgs = self.mixed_configs()
+        for cfg, result in zip(cfgs, estimate_batch(cfgs)):
+            reference = [transport._trace(cfg, i) for i in range(cfg.packet_count)]
+            counts = [sum(fate == name for fate, _, _ in reference) for name in FATES]
+            assert list(vars(result.fates).values()) == counts
+            assert result.mean_events == sum(n for _, _, n in reference) / cfg.packet_count
+            assert result.transmittance == pytest.approx(
+                sum(c for _, c, _ in reference) / cfg.packet_count, rel=1e-12, abs=0.0)
+
+    def test_row_cap_crosses_runs(self, monkeypatch):
+        # 7 live rows admit packets of several runs together, and fills of
+        # at most 4 blocks per Philox call split every fill into slices
+        cfgs = self.mixed_configs()
+        whole = estimate_batch(cfgs)
+        monkeypatch.setattr(transport, "_WAVE_ROWS", 7)
+        monkeypatch.setattr(transport, "_FILL_BLOCKS", 4)
+        assert estimate_batch(cfgs) == whole
+
+    def test_empty_batch(self):
+        assert estimate_batch([]) == []
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, 3.0, "3", None, True,
+                                      np.int64(-2)])
+    def test_bad_seed(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            config(seed=seed)
+
+    @pytest.mark.parametrize("count", [0, -5, 10.5, 10.0, "10", None, True])
+    def test_bad_packet_count(self, count):
+        with pytest.raises(DomainError, match="packet_count"):
+            config(packet_count=count)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64, 2 ** 128 - 1, np.uint64(2 ** 64 - 1)])
+    def test_seed_range_accepted(self, seed):
+        result = estimate_transmittance(config(seed=seed, packet_count=20))
+        assert result.seed == seed
+
+
     @pytest.mark.parametrize("field", [
         "distance_m", "extinction_per_m", "launch_height_m", "lateral_bound_m"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
