@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from dustlink import EARTH, MARS, bundled_catalog_dir, load_catalog_dir
-from dustlink.atmosphere import absorption_coefficient, write_spectrum_csv
+from dustlink.atmosphere import absorption_coefficient
+from dustlink.output import write_csv
 
 out_dir = Path(__file__).parent / "out"
 out_dir.mkdir(exist_ok=True)
@@ -32,7 +33,8 @@ for planet in (EARTH, MARS):
           f"{spectrum.k_per_m[-1]:.3e} per m")
     print(f"  band maximum:    {spectrum.k_per_m.max():.3e} per m at "
           f"{grid[spectrum.k_per_m.argmax()] / 1e12:.4f} THz")
-    path = write_spectrum_csv(spectrum, out_dir / f"absorption_{planet.name}.csv")
+    path = write_csv(out_dir / f"absorption_{planet.name}.csv", ["f_hz", "k_per_m"],
+                     list(zip(spectrum.frequency_hz, spectrum.k_per_m)))
     print(f"  wrote {path}")
 
 # Carrier-frequency comparison: the headline asymmetry between the planets

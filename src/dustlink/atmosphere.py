@@ -38,7 +38,6 @@ __all__ = [
     "doppler_halfwidth",
     "doppler_shape",
     "absorption_coefficient",
-    "write_spectrum_csv",
 ]
 
 RECORD_LENGTH = 160
@@ -381,12 +380,3 @@ def absorption_coefficient(mixture: GasMixture,
     return AbsorptionSpectrum(frequency_hz=grid, k_per_m=k, mixture=mixture,
                               shape_model=shape_model)
 
-
-def write_spectrum_csv(spectrum: AbsorptionSpectrum, path: str | Path) -> Path:
-    """Write the spectrum as ``f_hz,k_per_m`` CSV with LF endings."""
-    path = Path(path)
-    rows = ["f_hz,k_per_m"]
-    rows.extend(f"{repr(float(f))},{repr(float(k))}"
-                for f, k in zip(spectrum.frequency_hz, spectrum.k_per_m))
-    path.write_text("\n".join(rows) + "\n", newline="\n")
-    return path

@@ -12,10 +12,12 @@ are rejected; see ``CONFIG_KEYS`` for the schema. Exit codes: 0 success,
 """
 
 import argparse
+import math
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
 
@@ -29,17 +31,11 @@ from .rng import derive_seed
 from .scatter import ensemble_extinction, extinction_rates
 # estimate_transmittance stays bound here although unused:
 # bench/test_bench.py checks that the benchmark's span recorder rebinds it
-from .transport import (FixedAsymmetry, TransportConfig, UniformAsymmetry,
-                        estimate_batch, estimate_transmittance)  # noqa: F401
+from .transport import (TransportConfig, estimate_batch,
+                        estimate_transmittance)  # noqa: F401
 
-__all__ = ["ExperimentConfig", "SweepRow", "ScenarioResult", "parse_config",
+__all__ = ["ExperimentConfig", "ScenarioResult", "parse_config",
            "run_scenario", "write_outputs", "main", "SCENARIOS"]
-
-SCENARIOS = (
-    "mcp_sweep", "visibility_sweep", "particle_sweep", "distance_sweep",
-    "frequency_sweep", "time_scenario", "capacity_distance", "storm_density",
-    "extinction_table", "absorption_spectrum",
-)
 
 CATALOG_ENV_VAR = "DUSTLINK_CATALOG_DIR"
 
@@ -80,28 +76,15 @@ CONFIG_KEYS = {
     "storm.vortex_strength_rad_s": float,
 }
 
-_DEFAULT_RANGES = {
-    "mcp_sweep": (10.0, 10000.0, 7, "log"),
-    "visibility_sweep": (10.0, 10000.0, 7, "log"),
-    "particle_sweep": (10.0, 10000.0, 7, "log"),
-    "distance_sweep": (1.0, 200.0, 8, "log"),
-    "frequency_sweep": (0.1e12, None, 7, "log"),   # stop capped per planet
-    "capacity_distance": (1.0, 200.0, 12, "log"),
-    "extinction_table": (0.1e12, 10e12, 25, "log"),
-    "absorption_spectrum": (None, None, 201, "linear"),   # band by default
+# config key -> the PlanetPreset field it overrides
+_PRESET_KEYS = {
+    "transport.packets": "packet_count",
+    "transport.weight_threshold": "weight_threshold",
+    "transport.g_lo": "asymmetry_lo",
+    "transport.g_hi": "asymmetry_hi",
+    "transport.distance_m": "distance_m",
+    "medium.count_per_m": "dust_count_per_m",
 }
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One (value, replicate) measurement of a transport sweep."""
-
-    value: float
-    replicate: int
-    seed: int
-    transmittance: float
-    attenuation_db_per_m: float
-    capacity_bps: float | None = None
 
 
 @dataclass(frozen=True)
@@ -129,7 +112,7 @@ class ExperimentConfig:
     range_start: float | None = None
     range_stop: float | None = None
     range_steps: int | None = None
-    range_scale: str = "log"
+    range_scale: str | None = None     # None: the scenario's own scale
     density_lo_per_m: float | None = None
     density_hi_per_m: float | None = None
     overrides: dict = field(default_factory=dict)
@@ -143,7 +126,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown planet {self.planet!r}")
         if self.replicates < 1 or self.workers < 1:
             raise ConfigError("replicates and workers must be >= 1")
-        if self.range_scale not in ("log", "linear"):
+        if self.range_scale not in (None, "log", "linear"):
             raise ConfigError(f"unknown range scale {self.range_scale!r}")
         if (self.range_start is not None and self.range_stop is not None
                 and self.range_start > self.range_stop):
@@ -153,7 +136,10 @@ class ExperimentConfig:
 
 
 def parse_config(text: str, override_scenario: str | None = None) -> ExperimentConfig:
-    """Parse a key-value config; unknown keys and bad numbers are errors."""
+    """Parse a key-value config.
+
+    Unknown keys and unparsable or non-finite numbers are errors.
+    """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -178,6 +164,9 @@ def parse_config(text: str, override_scenario: str | None = None) -> ExperimentC
                 raise ConfigError(
                     f"line {lineno}: cannot parse {key}={value!r} as "
                     f"{conv.__name__}") from None
+            if not math.isfinite(values[key]):
+                raise ConfigError(f"line {lineno}: {key} must be finite, "
+                                  f"got {value!r}")
         else:
             values[key] = value
 
@@ -200,7 +189,7 @@ def parse_config(text: str, override_scenario: str | None = None) -> ExperimentC
         range_start=values.get("range.start"),
         range_stop=values.get("range.stop"),
         range_steps=values.get("range.steps"),
-        range_scale=values.get("range.scale", "log"),
+        range_scale=values.get("range.scale"),
         density_lo_per_m=values.get("density.lo_per_m"),
         density_hi_per_m=values.get("density.hi_per_m"),
         overrides=overrides,
@@ -208,35 +197,24 @@ def parse_config(text: str, override_scenario: str | None = None) -> ExperimentC
 
 
 def _planet(cfg: ExperimentConfig) -> PlanetPreset:
-    p = preset(cfg.planet)
-    overrides = {}
-    if "transport.packets" in cfg.overrides:
-        overrides["packet_count"] = cfg.overrides["transport.packets"]
-    if "transport.weight_threshold" in cfg.overrides:
-        overrides["weight_threshold"] = cfg.overrides["transport.weight_threshold"]
-    if "transport.g_lo" in cfg.overrides:
-        overrides["asymmetry_lo"] = cfg.overrides["transport.g_lo"]
-    if "transport.g_hi" in cfg.overrides:
-        overrides["asymmetry_hi"] = cfg.overrides["transport.g_hi"]
-    if "transport.distance_m" in cfg.overrides:
-        overrides["distance_m"] = cfg.overrides["transport.distance_m"]
-    if "medium.count_per_m" in cfg.overrides:
-        overrides["dust_count_per_m"] = cfg.overrides["medium.count_per_m"]
-    return p.with_overrides(**overrides) if overrides else p
+    return preset(cfg.planet).with_overrides(
+        **{name: cfg.overrides[key] for key, name in _PRESET_KEYS.items()
+           if key in cfg.overrides})
 
 
-def _grid(cfg: ExperimentConfig, planet: PlanetPreset) -> list[float]:
-    start, stop, steps, scale = _DEFAULT_RANGES[cfg.scenario]
-    if cfg.scenario == "frequency_sweep":
-        stop = planet.frequency_cap_hz or 10e12
-    if cfg.scenario == "absorption_spectrum":
-        start, stop = planet.band_lo_hz, planet.band_hi_hz
-    start = cfg.range_start if cfg.range_start is not None else start
-    stop = cfg.range_stop if cfg.range_stop is not None else stop
-    steps = cfg.range_steps if cfg.range_steps is not None else steps
-    scale = cfg.range_scale if cfg.range_scale else scale
-    if start is None or stop is None:
-        raise ConfigError(f"scenario {cfg.scenario} needs range.start/stop")
+def _transport(cfg: ExperimentConfig, planet: PlanetPreset) -> TransportConfig:
+    """The transport template of every run a scenario traces."""
+    return link.transport_template(planet, cfg.overrides.get("transport.g_fixed"),
+                                   cfg.overrides.get("transport.max_events"))
+
+
+def _grid(cfg: ExperimentConfig, start: float, stop: float, steps: int,
+          scale: str) -> list[float]:
+    """The sweep grid: the scenario's default range, overridden by ``range.*``."""
+    start = start if cfg.range_start is None else cfg.range_start
+    stop = stop if cfg.range_stop is None else cfg.range_stop
+    steps = steps if cfg.range_steps is None else cfg.range_steps
+    scale = cfg.range_scale or scale
     if steps == 1:
         return [float(start)]
     if scale == "log":
@@ -246,35 +224,30 @@ def _grid(cfg: ExperimentConfig, planet: PlanetPreset) -> list[float]:
     return [float(v) for v in np.linspace(start, stop, steps)]
 
 
-def _asymmetry(cfg: ExperimentConfig, planet: PlanetPreset):
-    if "transport.g_fixed" in cfg.overrides:
-        return FixedAsymmetry(cfg.overrides["transport.g_fixed"])
-    return UniformAsymmetry(planet.asymmetry_lo, planet.asymmetry_hi)
-
-
-def _medium_builder(cfg: ExperimentConfig, planet: PlanetPreset):
-    """Medium factory for scenarios with a fixed dust population.
+def _medium(cfg: ExperimentConfig, planet: PlanetPreset, f_hz: float):
+    """The fixed dust population of a scenario at ``f_hz``.
 
     Density resolves from the config overrides: an explicit visibility or
     volumetric density wins over the preset's per-meter beam count.
     """
     if "medium.visibility_m" in cfg.overrides:
-        visibility = cfg.overrides["medium.visibility_m"]
-        return lambda f: planet.medium_from_visibility(visibility, f)
+        return planet.medium_from_visibility(cfg.overrides["medium.visibility_m"], f_hz)
     if "medium.n0_per_m3" in cfg.overrides:
-        n0 = cfg.overrides["medium.n0_per_m3"]
-        return lambda f: planet.medium_volumetric(n0, f)
-    return lambda f: planet.medium_from_count(planet.dust_count_per_m, f)
+        return planet.medium_volumetric(cfg.overrides["medium.n0_per_m3"], f_hz)
+    return planet.medium_from_count(planet.dust_count_per_m, f_hz)
 
 
-def _run_sweep_points(cfg: ExperimentConfig,
-                      points: list[tuple[float, int, TransportConfig]]) -> list[SweepRow]:
-    """Trace every (value, replicate, config) point in one batch per worker.
+def _sweep(cfg: ExperimentConfig, values: list[float],
+           runs: list[TransportConfig]) -> list[tuple]:
+    """Trace ``replicates`` seeded copies of each value's run.
 
-    With ``workers > 1`` each worker takes a contiguous slice of the
-    points; results do not depend on how the points are split.
+    All runs go in one batch, or with ``workers > 1`` one contiguous slice
+    per worker; results do not depend on how the runs are split. Rows are
+    ``(value, replicate, seed, T, A)``, sorted by value and replicate.
     """
-    transports = [transport for _, _, transport in points]
+    keys = [(value, rep) for value in values for rep in range(cfg.replicates)]
+    transports = [replace(run, seed=derive_seed(cfg.seed, cfg.scenario, vi, rep))
+                  for vi, run in enumerate(runs) for rep in range(cfg.replicates)]
     if cfg.workers > 1:
         bounds = np.linspace(0, len(transports), cfg.workers + 1, dtype=int)
         slices = [transports[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
@@ -283,68 +256,22 @@ def _run_sweep_points(cfg: ExperimentConfig,
             results = [r for part in pool.map(estimate_batch, slices) for r in part]
     else:
         results = estimate_batch(transports)
-    rows = [SweepRow(value, rep, transport.seed, result.transmittance,
-                     result.attenuation_db_per_m)
-            for (value, rep, transport), result in zip(points, results)]
-    rows.sort(key=lambda r: (r.value, r.replicate))
+    rows = [(value, rep, transport.seed, result.transmittance,
+             result.attenuation_db_per_m)
+            for (value, rep), transport, result in zip(keys, transports, results)]
+    rows.sort(key=lambda row: row[:2])
     return rows
 
 
-def _sweep(cfg: ExperimentConfig, values: list[float], cexts: list[float],
-           m_of=None, d_of=None) -> list[SweepRow]:
-    """Build the (value, replicate) grid and run it.
-
-    ``cexts`` holds the extinction rate of each sweep value; ``m_of`` and
-    ``d_of`` map a value to the packet count and distance of its runs.
-    """
-    planet = _planet(cfg)
-    asymmetry = _asymmetry(cfg, planet)
-    max_events = cfg.overrides.get("transport.max_events", 10 ** 6)
-    points = []
-    for vi, (value, cext) in enumerate(zip(values, cexts)):
-        packets = int(m_of(value)) if m_of else planet.packet_count
-        distance = d_of(value) if d_of else planet.distance_m
-        for rep in range(cfg.replicates):
-            points.append((value, rep, TransportConfig(
-                distance_m=distance,
-                packet_count=packets,
-                extinction_per_m=cext,
-                asymmetry=asymmetry,
-                weight_threshold=planet.weight_threshold,
-                seed=derive_seed(cfg.seed, cfg.scenario, vi, rep),
-                launch_height_m=planet.antenna_height_m,
-                max_events=max_events,
-            )))
-    return _run_sweep_points(cfg, points)
-
-
-def _sweep_result(cfg: ExperimentConfig, rows: list[SweepRow],
-                  value_name: str) -> ScenarioResult:
-    return ScenarioResult(
-        scenario=cfg.scenario,
-        planet=cfg.planet,
-        header=("value", "replicate", "seed", "T_MS", "A_dB_per_m"),
-        rows=tuple((r.value, r.replicate, r.seed, r.transmittance,
-                    r.attenuation_db_per_m) for r in rows),
-        x_column=value_name,
-        y_column="A_dB_per_m",
-    )
-
-
-def _resolve_catalog_dir(cfg: ExperimentConfig) -> str:
-    if cfg.catalog_dir:
-        return cfg.catalog_dir
-    env = os.environ.get(CATALOG_ENV_VAR)
-    if env:
-        return env
-    return bundled_catalog_dir()
+def _catalog(cfg: ExperimentConfig, planet: PlanetPreset) -> dict:
+    directory = (cfg.catalog_dir or os.environ.get(CATALOG_ENV_VAR)
+                 or bundled_catalog_dir())
+    return atmosphere.load_catalog_dir(directory, [g for g, _ in planet.gases])
 
 
 def _band_center_absorption(cfg: ExperimentConfig, planet: PlanetPreset) -> float:
-    catalog = atmosphere.load_catalog_dir(
-        _resolve_catalog_dir(cfg), [g for g, _ in planet.gases])
     spectrum = atmosphere.absorption_coefficient(
-        planet.mixture(), catalog, np.array([planet.frequency_hz]))
+        planet.mixture(), _catalog(cfg, planet), np.array([planet.frequency_hz]))
     return float(spectrum.k_per_m[0])
 
 
@@ -358,131 +285,179 @@ def _link_config(cfg: ExperimentConfig, planet: PlanetPreset,
     )
 
 
+def _runs_at(cfg: ExperimentConfig, planet: PlanetPreset,
+             cexts: list[float]) -> list[TransportConfig]:
+    template = _transport(cfg, planet)
+    return [replace(template, extinction_per_m=cext) for cext in cexts]
+
+
+def _fixed_medium_run(cfg: ExperimentConfig, planet: PlanetPreset) -> TransportConfig:
+    f_hz = planet.frequency_hz
+    cext = ensemble_extinction(_medium(cfg, planet, f_hz), f_hz).extinction_per_m
+    return replace(_transport(cfg, planet), extinction_per_m=cext)
+
+
+# Scenario functions: (config, resolved planet, grid or None) -> CSV rows.
+
+def _mcp_sweep(cfg, planet, grid):
+    run = _fixed_medium_run(cfg, planet)
+    values = [float(round(v)) for v in grid]
+    return _sweep(cfg, values, [replace(run, packet_count=int(v)) for v in values])
+
+
+def _visibility_sweep(cfg, planet, grid):
+    cexts = extinction_rates([planet.medium_from_visibility(v) for v in grid],
+                             planet.frequency_hz)
+    return _sweep(cfg, grid, _runs_at(cfg, planet, cexts))
+
+
+def _particle_sweep(cfg, planet, grid):
+    # sweep value is the particle count on the whole path
+    values = [float(round(v)) for v in grid]
+    cexts = extinction_rates(
+        [planet.medium_from_count(v / planet.distance_m) for v in values],
+        planet.frequency_hz)
+    return _sweep(cfg, values, _runs_at(cfg, planet, cexts))
+
+
+def _distance_sweep(cfg, planet, grid):
+    run = _fixed_medium_run(cfg, planet)
+    return _sweep(cfg, grid, [replace(run, distance_m=d) for d in grid])
+
+
+def _frequency_sweep(cfg, planet, grid):
+    cexts = [ensemble_extinction(_medium(cfg, planet, f), f).extinction_per_m
+             for f in grid]
+    return _sweep(cfg, grid, _runs_at(cfg, planet, cexts))
+
+
+def _time_scenario(cfg, planet, grid):
+    link_cfg = _link_config(cfg, planet, distance_m=1.0)
+    k = _band_center_absorption(cfg, planet)
+    counts = link.default_time_counts(planet, cfg.seed)
+    points = link.time_scenario_points(link_cfg, planet, counts, cfg.seed, k,
+                                       _transport(cfg, planet))
+    return [(p.t_s, p.count, p.transmittance, p.attenuation_db_per_m,
+             p.capacity_bps) for p in points]
+
+
+def _capacity_distance(cfg, planet, grid):
+    link_cfg = _link_config(cfg, planet)
+    k = _band_center_absorption(cfg, planet)
+    lo = cfg.density_lo_per_m
+    hi = cfg.density_hi_per_m
+    if lo is None or hi is None:
+        lo, hi = (100.0, 200.0) if cfg.planet == "earth" else (1000.0, 2000.0)
+    points = link.distance_sweep_points(link_cfg, planet, grid, (lo, hi),
+                                        cfg.seed, k, _transport(cfg, planet))
+    return [(p.distance_m, p.density_per_m, p.k_per_m, p.transmittance,
+             p.h_spreading, p.h_absorption, p.h_dust, p.capacity_bps)
+            for p in points]
+
+
+_STORM_CONE = storm.build_beam_cone((5500.0, 0.0, 50.0), (6500.0, 0.0, 50.0),
+                                    half_angle_rad=1.5e-5, disk_spacing_m=0.01)
+
+
+def _storm_density(cfg, planet, grid):
+    # every storm.* key but storm.steps names a StormConfig field
+    storm_cfg = storm.StormConfig(
+        radius_range_m=(planet.size_distribution.r_min_m,
+                        planet.size_distribution.r_max_m),
+        seed=cfg.seed,
+        **{key.removeprefix("storm."): value
+           for key, value in cfg.overrides.items()
+           if key.startswith("storm.") and key != "storm.steps"})
+    series = storm.density_time_series(storm_cfg, _STORM_CONE,
+                                       cfg.overrides.get("storm.steps", 120))
+    return [(t, count) + tuple(float(v) for v in profile)
+            for t, count, profile in series]
+
+
+def _extinction_table(cfg, planet, grid):
+    rows = []
+    for f in grid:
+        result = ensemble_extinction(_medium(cfg, planet, f), f)
+        rows.append((f, result.extinction_per_m, result.number_density_per_m3,
+                     result.wavelength_m))
+    return rows
+
+
+def _absorption_spectrum(cfg, planet, grid):
+    spectrum = atmosphere.absorption_coefficient(
+        planet.mixture(), _catalog(cfg, planet), np.array(grid))
+    return [(float(f), float(k))
+            for f, k in zip(spectrum.frequency_hz, spectrum.k_per_m)]
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """A scenario function with its default grid and its CSV/plot schema."""
+
+    run: Callable[[ExperimentConfig, PlanetPreset, list[float] | None], list[tuple]]
+    header: tuple[str, ...]
+    x_column: str      # sweeps plot ``value`` under this label
+    y_column: str
+    # planet -> default (start, stop, steps, scale); None: no grid
+    default_range: Callable[[PlanetPreset], tuple] | None = None
+
+
+_SWEEP_HEADER = ("value", "replicate", "seed", "T_MS", "A_dB_per_m")
+
+_SCENARIO_TABLE = {
+    "mcp_sweep": _Scenario(
+        _mcp_sweep, _SWEEP_HEADER, "mcp_packets", "A_dB_per_m",
+        lambda planet: (10.0, 10000.0, 7, "log")),
+    "visibility_sweep": _Scenario(
+        _visibility_sweep, _SWEEP_HEADER, "visibility_m", "A_dB_per_m",
+        lambda planet: (10.0, 10000.0, 7, "log")),
+    "particle_sweep": _Scenario(
+        _particle_sweep, _SWEEP_HEADER, "particles_on_path", "A_dB_per_m",
+        lambda planet: (10.0, 10000.0, 7, "log")),
+    "distance_sweep": _Scenario(
+        _distance_sweep, _SWEEP_HEADER, "distance_m", "A_dB_per_m",
+        lambda planet: (1.0, 200.0, 8, "log")),
+    "frequency_sweep": _Scenario(
+        _frequency_sweep, _SWEEP_HEADER, "frequency_hz", "A_dB_per_m",
+        lambda planet: (0.1e12, planet.frequency_cap_hz or 10e12, 7, "log")),
+    "time_scenario": _Scenario(
+        _time_scenario, ("t_s", "count", "T_MS", "A_dB_per_m", "capacity_bps"),
+        "t_s", "capacity_bps"),
+    "capacity_distance": _Scenario(
+        _capacity_distance,
+        ("d_m", "density_per_m", "k_per_m", "T_MS", "H_spr", "H_abs", "H_dust",
+         "capacity_bps"),
+        "d_m", "capacity_bps",
+        lambda planet: (1.0, 200.0, 12, "log")),
+    "storm_density": _Scenario(
+        _storm_density,
+        ("t_s", "count") + tuple(f"density_per_m_bin_{i}"
+                                 for i in range(_STORM_CONE.bin_count())),
+        "t_s", "count"),
+    "extinction_table": _Scenario(
+        _extinction_table, ("f_hz", "C_ext_per_m", "N0_per_m3", "wavelength_m"),
+        "f_hz", "C_ext_per_m",
+        lambda planet: (0.1e12, 10e12, 25, "log")),
+    "absorption_spectrum": _Scenario(
+        _absorption_spectrum, ("f_hz", "k_per_m"), "f_hz", "k_per_m",
+        lambda planet: (planet.band_lo_hz, planet.band_hi_hz, 201, "linear")),
+}
+
+SCENARIOS = tuple(_SCENARIO_TABLE)
+
+
 def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     """Run one scenario; deterministic per (config, seed)."""
+    scenario = _SCENARIO_TABLE[cfg.scenario]
     planet = _planet(cfg)
-
-    if cfg.scenario == "mcp_sweep":
-        medium = _medium_builder(cfg, planet)(planet.frequency_hz)
-        cext = ensemble_extinction(medium, planet.frequency_hz).extinction_per_m
-        values = [float(round(v)) for v in _grid(cfg, planet)]
-        rows = _sweep(cfg, values, [cext] * len(values), m_of=lambda v: v)
-        return _sweep_result(cfg, rows, "mcp_packets")
-
-    if cfg.scenario == "visibility_sweep":
-        values = _grid(cfg, planet)
-        cexts = extinction_rates([planet.medium_from_visibility(v) for v in values],
-                                 planet.frequency_hz)
-        rows = _sweep(cfg, values, cexts)
-        return _sweep_result(cfg, rows, "visibility_m")
-
-    if cfg.scenario == "particle_sweep":
-        # sweep value is the particle count on the whole path
-        values = [float(round(v)) for v in _grid(cfg, planet)]
-        cexts = extinction_rates(
-            [planet.medium_from_count(v / planet.distance_m) for v in values],
-            planet.frequency_hz)
-        rows = _sweep(cfg, values, cexts)
-        return _sweep_result(cfg, rows, "particles_on_path")
-
-    if cfg.scenario == "distance_sweep":
-        medium = _medium_builder(cfg, planet)(planet.frequency_hz)
-        cext = ensemble_extinction(medium, planet.frequency_hz).extinction_per_m
-        values = _grid(cfg, planet)
-        rows = _sweep(cfg, values, [cext] * len(values), d_of=lambda v: v)
-        return _sweep_result(cfg, rows, "distance_m")
-
-    if cfg.scenario == "frequency_sweep":
-        builder = _medium_builder(cfg, planet)
-        values = _grid(cfg, planet)
-        cexts = [ensemble_extinction(builder(f), f).extinction_per_m for f in values]
-        rows = _sweep(cfg, values, cexts)
-        return _sweep_result(cfg, rows, "frequency_hz")
-
-    if cfg.scenario == "time_scenario":
-        link_cfg = _link_config(cfg, planet, distance_m=1.0)
-        k = _band_center_absorption(cfg, planet)
-        counts = link.default_time_counts(planet, cfg.seed)
-        points = link.run_time_scenario(link_cfg, planet, counts, cfg.seed, k)
-        return ScenarioResult(
-            cfg.scenario, cfg.planet,
-            ("t_s", "count", "T_MS", "A_dB_per_m", "capacity_bps"),
-            tuple((p.t_s, p.count, p.transmittance, p.attenuation_db_per_m,
-                   p.capacity_bps) for p in points),
-            "t_s", "capacity_bps")
-
-    if cfg.scenario == "capacity_distance":
-        link_cfg = _link_config(cfg, planet)
-        k = _band_center_absorption(cfg, planet)
-        lo = cfg.density_lo_per_m
-        hi = cfg.density_hi_per_m
-        if lo is None or hi is None:
-            lo, hi = (100.0, 200.0) if cfg.planet == "earth" else (1000.0, 2000.0)
-        points = link.run_distance_sweep(link_cfg, planet, _grid(cfg, planet),
-                                         (lo, hi), cfg.seed, k)
-        return ScenarioResult(
-            cfg.scenario, cfg.planet,
-            ("d_m", "density_per_m", "k_per_m", "T_MS", "H_spr", "H_abs",
-             "H_dust", "capacity_bps"),
-            tuple((p.distance_m, p.density_per_m, p.k_per_m, p.transmittance,
-                   p.h_spreading, p.h_absorption, p.h_dust, p.capacity_bps)
-                  for p in points),
-            "d_m", "capacity_bps")
-
-    if cfg.scenario == "storm_density":
-        storm_cfg = storm.StormConfig(
-            emission_rate=cfg.overrides.get("storm.emission_rate", 200),
-            timestep_s=cfg.overrides.get("storm.timestep_s", 1.0),
-            updraft_m_s=cfg.overrides.get("storm.updraft_m_s", 0.45),
-            settling_m_s=cfg.overrides.get("storm.settling_m_s", 0.30),
-            wind_speed_m_s=cfg.overrides.get("storm.wind_speed_m_s", 8.0),
-            vortex_strength_rad_s=cfg.overrides.get(
-                "storm.vortex_strength_rad_s", 0.5),
-            radius_range_m=(planet.size_distribution.r_min_m,
-                            planet.size_distribution.r_max_m),
-            seed=cfg.seed,
-        )
-        cone = storm.build_beam_cone((5500.0, 0.0, 50.0), (6500.0, 0.0, 50.0),
-                                     half_angle_rad=1.5e-5, disk_spacing_m=0.01)
-        steps = cfg.overrides.get("storm.steps", 120)
-        series = storm.density_time_series(storm_cfg, cone, steps)
-        n_bins = len(series[0][2])
-        header = ("t_s", "count") + tuple(
-            f"density_per_m_bin_{i}" for i in range(n_bins))
-        rows = tuple((t, count) + tuple(float(v) for v in profile)
-                     for t, count, profile in series)
-        return ScenarioResult(cfg.scenario, cfg.planet, header, rows,
-                              "t_s", "count")
-
-    if cfg.scenario == "extinction_table":
-        builder = _medium_builder(cfg, planet)
-        rows = []
-        for f in _grid(cfg, planet):
-            result = ensemble_extinction(builder(f), f)
-            rows.append((f, result.extinction_per_m,
-                         result.number_density_per_m3, result.wavelength_m))
-        return ScenarioResult(
-            cfg.scenario, cfg.planet,
-            ("f_hz", "C_ext_per_m", "N0_per_m3", "wavelength_m"),
-            tuple(rows), "f_hz", "C_ext_per_m")
-
-    if cfg.scenario == "absorption_spectrum":
-        catalog = atmosphere.load_catalog_dir(
-            _resolve_catalog_dir(cfg), [g for g, _ in planet.gases])
-        grid = np.array(_grid(cfg, planet))
-        spectrum = atmosphere.absorption_coefficient(planet.mixture(), catalog, grid)
-        return ScenarioResult(
-            cfg.scenario, cfg.planet, ("f_hz", "k_per_m"),
-            tuple((float(f), float(k))
-                  for f, k in zip(spectrum.frequency_hz, spectrum.k_per_m)),
-            "f_hz", "k_per_m")
-
-    raise ConfigError(f"unhandled scenario {cfg.scenario!r}")
+    grid = (_grid(cfg, *scenario.default_range(planet))
+            if scenario.default_range else None)
+    return ScenarioResult(cfg.scenario, cfg.planet, scenario.header,
+                          tuple(scenario.run(cfg, planet, grid)),
+                          scenario.x_column, scenario.y_column)
 
 
 def _plot_series(result: ScenarioResult) -> tuple[list[float], list[float]]:
-    xi = result.header.index(result.x_column if result.x_column in result.header
-                             else "value")
     yi = result.header.index(result.y_column)
     if "replicate" in result.header:
         # aggregate replicates by median for a single plotted series
@@ -491,6 +466,7 @@ def _plot_series(result: ScenarioResult) -> tuple[list[float], list[float]]:
             by_value.setdefault(row[0], []).append(row[yi])
         xs = sorted(by_value)
         return xs, [median(by_value[x]) for x in xs]
+    xi = result.header.index(result.x_column)
     return [row[xi] for row in result.rows], [row[yi] for row in result.rows]
 
 
@@ -554,7 +530,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.replicates is not None:
             cli_fields["replicates"] = args.replicates
         if cli_fields:
-            from dataclasses import replace
             cfg = replace(cfg, **cli_fields)
 
         result = run_scenario(cfg)

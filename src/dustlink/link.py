@@ -10,7 +10,7 @@ Capacity uses a single narrow sub-band: C = B * log2(1 + |h|^2 * P / (B * N0)).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .constants import SPEED_OF_LIGHT, dbm_to_watts
 from .errors import DomainError
@@ -19,8 +19,8 @@ from .rng import derive_seed, substream
 from .scatter import extinction_rates
 # estimate_transmittance stays bound here although unused:
 # bench/test_bench.py checks that the benchmark's span recorder rebinds it
-from .transport import (TransportConfig, UniformAsymmetry, estimate_batch,
-                        estimate_transmittance)  # noqa: F401
+from .transport import (FixedAsymmetry, TransportConfig, UniformAsymmetry,
+                        estimate_batch, estimate_transmittance)  # noqa: F401
 
 __all__ = [
     "LinkConfig",
@@ -34,6 +34,9 @@ __all__ = [
     "channel_gain",
     "capacity",
     "default_time_counts",
+    "transport_template",
+    "time_scenario_points",
+    "distance_sweep_points",
     "run_time_scenario",
     "run_distance_sweep",
 ]
@@ -76,7 +79,8 @@ class LinkConfig:
             center_hz=planet.frequency_hz,
             tx_power_w=(DEFAULT_TX_POWER_W if tx_power_dbm is None
                         else dbm_to_watts(tx_power_dbm)),
-            noise_psd_w_hz=noise_psd_w_hz or DEFAULT_NOISE_PSD_W_HZ,
+            noise_psd_w_hz=(DEFAULT_NOISE_PSD_W_HZ if noise_psd_w_hz is None
+                            else noise_psd_w_hz),
             distance_m=distance_m if distance_m is not None else planet.distance_m,
             planet=planet.name,
         )
@@ -103,7 +107,6 @@ class ChannelGains:
 class CapacityResult:
     capacity_bps: float
     snr: float
-    gains: ChannelGains
 
 
 def h_spreading(f_hz: float, distance_m: float) -> float:
@@ -152,17 +155,7 @@ def capacity(cfg: LinkConfig, h_los: float) -> CapacityResult:
         raise DomainError("channel amplitude must be >= 0")
     bw = cfg.bandwidth_hz
     snr = h_los * h_los * cfg.tx_power_w / (bw * cfg.noise_psd_w_hz)
-    gains = ChannelGains(h_spreading=math.nan, h_absorption=math.nan,
-                         h_dust=math.nan, h_los=h_los,
-                         delay_s=cfg.distance_m / SPEED_OF_LIGHT,
-                         phase_rad=0.0)
-    return CapacityResult(capacity_bps=bw * math.log2(1.0 + snr),
-                          snr=snr, gains=gains)
-
-
-def _capacity_from_gains(cfg: LinkConfig, gains: ChannelGains) -> CapacityResult:
-    result = capacity(cfg, gains.h_los)
-    return CapacityResult(result.capacity_bps, result.snr, gains)
+    return CapacityResult(capacity_bps=bw * math.log2(1.0 + snr), snr=snr)
 
 
 @dataclass(frozen=True)
@@ -206,37 +199,79 @@ def default_time_counts(planet: PlanetPreset, seed: int,
     return counts
 
 
-def _transport_config(planet: PlanetPreset, extinction_per_m: float,
-                      distance_m: float, seed: int,
-                      packet_count: int | None = None) -> TransportConfig:
+def transport_template(planet: PlanetPreset, g_fixed: float | None = None,
+                       max_events: int | None = None) -> TransportConfig:
+    """The one transport run that every scenario run is derived from.
+
+    Packet count, asymmetry range, weight threshold, launch height and
+    distance come from the (overridden) planet preset; ``g_fixed`` holds
+    the asymmetry constant and ``max_events`` sets the event guard, else
+    ``TransportConfig``'s default applies. The template is a clear-sky
+    run with seed 0: scenarios vary extinction, distance and seed (and
+    the MCP sweep its packet count) with ``dataclasses.replace``.
+    """
+    asymmetry = (UniformAsymmetry(planet.asymmetry_lo, planet.asymmetry_hi)
+                 if g_fixed is None else FixedAsymmetry(g_fixed))
+    guard = {} if max_events is None else {"max_events": max_events}
     return TransportConfig(
-        distance_m=distance_m,
-        packet_count=packet_count or planet.packet_count,
-        extinction_per_m=extinction_per_m,
-        asymmetry=UniformAsymmetry(planet.asymmetry_lo, planet.asymmetry_hi),
+        distance_m=planet.distance_m,
+        packet_count=planet.packet_count,
+        extinction_per_m=0.0,
+        asymmetry=asymmetry,
         weight_threshold=planet.weight_threshold,
-        seed=seed,
         launch_height_m=planet.antenna_height_m,
+        **guard,
     )
+
+
+def _template(planet: PlanetPreset, packet_count: int | None) -> TransportConfig:
+    if packet_count is not None:
+        planet = planet.with_overrides(packet_count=packet_count)
+    return transport_template(planet)
 
 
 def run_time_scenario(cfg: LinkConfig, planet: PlanetPreset,
                       counts: list[int], seed: int, k_per_m: float,
                       packet_count: int | None = None) -> list[TimePoint]:
+    """``time_scenario_points`` with the preset's transport settings.
+
+    ``packet_count``, when given, replaces the preset's packet count.
+    """
+    return time_scenario_points(cfg, planet, counts, seed, k_per_m,
+                                _template(planet, packet_count))
+
+
+def run_distance_sweep(cfg: LinkConfig, planet: PlanetPreset,
+                       distances_m: list[float],
+                       density_range_per_m: tuple[float, float], seed: int,
+                       k_per_m: float,
+                       packet_count: int | None = None) -> list[DistancePoint]:
+    """``distance_sweep_points`` with the preset's transport settings.
+
+    ``packet_count``, when given, replaces the preset's packet count.
+    """
+    return distance_sweep_points(cfg, planet, distances_m, density_range_per_m,
+                                 seed, k_per_m, _template(planet, packet_count))
+
+
+def time_scenario_points(cfg: LinkConfig, planet: PlanetPreset,
+                         counts: list[int], seed: int, k_per_m: float,
+                         transport: TransportConfig) -> list[TimePoint]:
     """Per-second capacity under a time-varying dust count.
 
     Each second's count becomes a per-meter density over the link
-    distance, drives a seeded transport run (all seconds are traced in one
-    batch), and the resulting dust amplitude composes with spreading and
-    the fixed band-center absorption ``k_per_m``. Deterministic per seed.
+    distance, drives a seeded transport run derived from ``transport``
+    (all seconds are traced in one batch), and the resulting dust
+    amplitude composes with spreading and the fixed band-center
+    absorption ``k_per_m``. Deterministic per seed.
     """
     if any(c < 0 for c in counts):
         raise DomainError("dust counts must be >= 0")
     media = [planet.medium_from_count(count / cfg.distance_m, cfg.center_hz)
              for count in counts]
     results = estimate_batch([
-        _transport_config(planet, cext, cfg.distance_m,
-                          derive_seed(seed, "time", t), packet_count)
+        replace(transport, extinction_per_m=cext, distance_m=cfg.distance_m,
+                seed=derive_seed(seed, "time", t))
         for t, cext in enumerate(extinction_rates(media, cfg.center_hz))])
     points = []
     for t, (count, result) in enumerate(zip(counts, results)):
@@ -247,21 +282,22 @@ def run_time_scenario(cfg: LinkConfig, planet: PlanetPreset,
             count=count,
             transmittance=result.transmittance,
             attenuation_db_per_m=result.attenuation_db_per_m,
-            capacity_bps=_capacity_from_gains(cfg, gains).capacity_bps,
+            capacity_bps=capacity(cfg, gains.h_los).capacity_bps,
         ))
     return points
 
 
-def run_distance_sweep(cfg: LinkConfig, planet: PlanetPreset,
-                       distances_m: list[float],
-                       density_range_per_m: tuple[float, float], seed: int,
-                       k_per_m: float,
-                       packet_count: int | None = None) -> list[DistancePoint]:
+def distance_sweep_points(cfg: LinkConfig, planet: PlanetPreset,
+                          distances_m: list[float],
+                          density_range_per_m: tuple[float, float], seed: int,
+                          k_per_m: float,
+                          transport: TransportConfig) -> list[DistancePoint]:
     """Capacity versus distance at a per-meter dust density range.
 
     The density at each distance is drawn uniformly from the range (a
-    (0, 0) range is clear sky); transport reruns per distance with a
-    derived seed, all distances in one batch. Distances must be increasing.
+    (0, 0) range is clear sky); each distance reruns ``transport`` with
+    its own extinction and derived seed, all distances in one batch.
+    Distances must be increasing.
     """
     if list(distances_m) != sorted(distances_m):
         raise DomainError("distances must be increasing")
@@ -276,8 +312,8 @@ def run_distance_sweep(cfg: LinkConfig, planet: PlanetPreset,
         [planet.medium_from_count(densities[i], cfg.center_hz) for i in dusty],
         cfg.center_hz)
     results = estimate_batch([
-        _transport_config(planet, cext, distances_m[i],
-                          derive_seed(seed, "distance", i), packet_count)
+        replace(transport, extinction_per_m=cext, distance_m=distances_m[i],
+                seed=derive_seed(seed, "distance", i))
         for i, cext in zip(dusty, rates)])
     transmittances = [1.0] * len(distances_m)
     for i, result in zip(dusty, results):
@@ -285,9 +321,6 @@ def run_distance_sweep(cfg: LinkConfig, planet: PlanetPreset,
     points = []
     for distance, density, transmittance in zip(distances_m, densities,
                                                 transmittances):
-        link = LinkConfig(cfg.band_lo_hz, cfg.band_hi_hz, cfg.center_hz,
-                          cfg.tx_power_w, cfg.noise_psd_w_hz, distance,
-                          cfg.planet)
         gains = channel_gain(cfg.center_hz, distance, k_per_m, transmittance)
         points.append(DistancePoint(
             distance_m=float(distance),
@@ -297,6 +330,6 @@ def run_distance_sweep(cfg: LinkConfig, planet: PlanetPreset,
             h_spreading=gains.h_spreading,
             h_absorption=gains.h_absorption,
             h_dust=gains.h_dust,
-            capacity_bps=_capacity_from_gains(link, gains).capacity_bps,
+            capacity_bps=capacity(cfg, gains.h_los).capacity_bps,
         ))
     return points

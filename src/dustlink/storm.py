@@ -29,8 +29,6 @@ __all__ = [
     "build_beam_cone",
     "count_in_beam",
     "density_time_series",
-    "write_density_csv",
-    "write_snapshot_csv",
 ]
 
 
@@ -46,7 +44,7 @@ class StormConfig:
     vortex_strength_rad_s: float = 0.5       # solid-body rotation rate
     vortex_core_radius_m: float = 200.0
     updraft_m_s: float = 0.45
-    settling_m_s: float = 0.295
+    settling_m_s: float = 0.30
     turbulence_m_s: float = 0.1
     timestep_s: float = 1.0
     domain_m: tuple[float, float, float, float, float, float] = (
@@ -169,6 +167,10 @@ class BeamCone:
     def disk_count(self) -> int:
         return int(math.floor(self.length_m / self.disk_spacing_m + 1e-9))
 
+    def bin_count(self) -> int:
+        """Number of 1 m axial bins in ``count_in_beam``'s profile."""
+        return max(int(math.ceil(self.length_m)), 1)
+
     def disk_radius(self, axial_distance_m) -> np.ndarray:
         """Disk radius grows linearly from the apex at the transmitter."""
         return np.asarray(axial_distance_m) * math.tan(self.half_angle_rad)
@@ -194,7 +196,7 @@ def count_in_beam(fld: ParticleField, cone: BeamCone) -> tuple[int, np.ndarray]:
     most that disk's radius. The profile bins in-beam particles into 1 m
     axial slots.
     """
-    n_bins = max(int(math.ceil(cone.length_m)), 1)
+    n_bins = cone.bin_count()
     profile = np.zeros(n_bins)
     if fld.count() == 0:
         return 0, profile
@@ -241,25 +243,3 @@ def density_time_series(cfg: StormConfig, cone: BeamCone,
         series.append((fld.timestamp_s, count, profile))
     return series
 
-
-def write_density_csv(series, path) -> None:
-    """CSV export ``t_s,count,density_per_m_bin_0,...`` with LF endings."""
-    from pathlib import Path
-    path = Path(path)
-    n_bins = len(series[0][2]) if series else 0
-    header = "t_s,count," + ",".join(f"density_per_m_bin_{i}" for i in range(n_bins))
-    rows = [header]
-    for t, count, profile in series:
-        rows.append(f"{repr(float(t))},{count},"
-                    + ",".join(repr(float(v)) for v in profile))
-    path.write_text("\n".join(rows) + "\n", newline="\n")
-
-
-def write_snapshot_csv(fld: ParticleField, path) -> None:
-    """Particle snapshot CSV ``x,y,z,r``."""
-    from pathlib import Path
-    path = Path(path)
-    rows = ["x,y,z,r"]
-    for (x, y, z), r in zip(fld.positions_m, fld.radii_m):
-        rows.append(f"{repr(float(x))},{repr(float(y))},{repr(float(z))},{repr(float(r))}")
-    path.write_text("\n".join(rows) + "\n", newline="\n")

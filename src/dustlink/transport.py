@@ -46,14 +46,11 @@ __all__ = [
     "FixedAsymmetry",
     "UniformAsymmetry",
     "TransportConfig",
-    "PacketState",
     "FateCounts",
     "TransportResult",
     "FATES",
-    "sample_step",
     "sample_scatter_angles",
     "update_direction",
-    "update_weight",
     "trace_packet",
     "estimate_transmittance",
     "estimate_batch",
@@ -123,23 +120,6 @@ class TransportConfig:
             raise DomainError("event guard must be >= 1")
 
 
-@dataclass
-class PacketState:
-    """Position, direction cosines, energy weight and event count of one packet."""
-
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-    mu_x: float = 1.0
-    mu_y: float = 0.0
-    mu_z: float = 0.0
-    weight: float = 1.0
-    events: int = 0
-
-    def direction_norm(self) -> float:
-        return math.sqrt(self.mu_x ** 2 + self.mu_y ** 2 + self.mu_z ** 2)
-
-
 FATES = ("reached", "weight_killed", "backscatter_exit", "lateral_exit", "guard_killed")
 _FATE_INDEX = {name: i for i, name in enumerate(FATES)}
 
@@ -166,21 +146,6 @@ class TransportResult:
     fates: FateCounts
     mean_events: float
     seed: int
-
-
-def sample_step(u: float, extinction_per_m: float) -> float:
-    """Free path length -ln(u)/C for u in the open interval (0, 1).
-
-    A zero extinction rate means free flight: returns +inf so the caller
-    propagates the packet straight to the boundary.
-    """
-    if extinction_per_m < 0:
-        raise DomainError("extinction rate must be >= 0")
-    if extinction_per_m == 0.0:
-        return math.inf
-    if not (0.0 < u < 1.0):
-        raise DomainError("step variate must be in the open interval (0, 1)")
-    return -math.log(u) / extinction_per_m
 
 
 def sample_scatter_angles(nu, chi, g):
@@ -244,14 +209,6 @@ def update_direction(mu: tuple[float, float, float], theta: float,
         nz = st * (mz * mx * cp + my * sp) / root + mz * ct
     n = math.sqrt(nx * nx + ny * ny + nz * nz)
     return nx / n, ny / n, nz / n
-
-
-def update_weight(weight: float, extinction_per_m: float, dx: float,
-                  mu_x_prev: float) -> float:
-    """Beer-Lambert weight decay over an X displacement dx at slope mu_x."""
-    if dx == 0.0:
-        return weight
-    return weight * math.exp(-extinction_per_m * dx / mu_x_prev)
 
 
 def trace_packet(cfg: TransportConfig, packet_index: int) -> tuple[str, float]:

@@ -10,6 +10,7 @@ from dustlink import atmosphere as atm
 from dustlink.constants import (AVOGADRO, ATM_PA, BOLTZMANN, C2_CM_K,
                                 HZ_PER_INVCM, LN2, SPEED_OF_LIGHT)
 from dustlink.errors import CatalogError, DomainError, FormatError
+from dustlink.output import write_csv
 from dustlink.presets import EARTH, MARS, bundled_catalog_dir
 
 # A hand-assembled 160-column record: H2O line at 7.5 1/cm. Column spans:
@@ -286,7 +287,8 @@ class TestAbsorptionCoefficient:
         grid = np.array([line.center_hz - 1e9, line.center_hz, line.center_hz + 1e9])
         spectrum = atm.absorption_coefficient(
             atm.GasMixture((("H2O", 0.01),), 288.0, 1.0), {"H2O": [line]}, grid)
-        path = atm.write_spectrum_csv(spectrum, tmp_path / "spec.csv")
+        path = write_csv(tmp_path / "spec.csv", ["f_hz", "k_per_m"],
+                         list(zip(spectrum.frequency_hz, spectrum.k_per_m)))
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "f_hz,k_per_m"
         values = [tuple(map(float, row.split(","))) for row in rows[1:]]

@@ -1,10 +1,16 @@
 """Tests for config parsing, scenario runs and output emission."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from dustlink.cli import (ExperimentConfig, SCENARIOS, main, parse_config,
-                          run_scenario, write_outputs)
+from dustlink.cli import (CONFIG_KEYS, ExperimentConfig, SCENARIOS,
+                          _SCENARIO_TABLE, main, parse_config, run_scenario,
+                          write_outputs)
 from dustlink.errors import ConfigError
+
+FLOAT_KEYS = [key for key, conv in CONFIG_KEYS.items() if conv is float]
 
 
 def small_config(scenario: str, **kwargs) -> ExperimentConfig:
@@ -54,6 +60,12 @@ class TestParseConfig:
         cfg = parse_config("planet = mars\n", override_scenario="particle_sweep")
         assert cfg.scenario == "particle_sweep"
         assert cfg.planet == "mars"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"line 2: {key} must be finite"):
+            parse_config(f"scenario = mcp_sweep\n{key} = {value}\n")
 
     def test_module_overrides_collected(self):
         cfg = parse_config("scenario = mcp_sweep\ntransport.packets = 100\n"
@@ -126,6 +138,25 @@ class TestRunScenario:
         assert result.rows[-1][0] == pytest.approx(0.24e12)
         assert all(row[1] >= 0 for row in result.rows)
 
+    def test_absorption_spectrum_default_grid_is_linear(self):
+        result = run_scenario(small_config("absorption_spectrum", range_steps=5))
+        assert [row[0] for row in result.rows] == [
+            float(f) for f in np.linspace(0.22e12, 0.24e12, 5)]
+        result = run_scenario(small_config("absorption_spectrum", range_steps=5,
+                                           range_scale="log"))
+        assert [row[0] for row in result.rows] == [
+            float(f) for f in np.geomspace(0.22e12, 0.24e12, 5)]
+
+    @pytest.mark.parametrize("override", [{"transport.g_fixed": 0.0},
+                                          {"transport.max_events": 1}])
+    @pytest.mark.parametrize("scenario", ["time_scenario", "capacity_distance"])
+    def test_transport_overrides_reach_link_scenarios(self, scenario, override):
+        cfg = small_config(scenario, overrides={"transport.packets": 200})
+        tuned = replace(cfg, overrides={**cfg.overrides, **override})
+        rows, tuned_rows = run_scenario(cfg).rows, run_scenario(tuned).rows
+        assert len(rows) == len(tuned_rows)
+        assert rows != tuned_rows
+
     def test_time_scenario_schema(self):
         cfg = small_config("time_scenario", overrides={"transport.packets": 300})
         result = run_scenario(cfg)
@@ -183,6 +214,27 @@ class TestWriteOutputs:
         assert svg.startswith("<svg")
         assert "mcp_packets" in svg
 
+    @pytest.mark.parametrize("planet", ["earth", "mars"])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_every_scenario_writes_its_table_schema(self, scenario, planet,
+                                                     tmp_path):
+        cfg = small_config(scenario, planet=planet, replicates=1, range_steps=2,
+                           output=str(tmp_path), plot=True,
+                           overrides={"transport.packets": 50,
+                                      "storm.steps": 2})
+        entry = _SCENARIO_TABLE[scenario]
+        result = run_scenario(cfg)
+        assert (result.header, result.x_column, result.y_column) == (
+            entry.header, entry.x_column, entry.y_column)
+        csv_path, svg_path = write_outputs(result, cfg)
+        assert csv_path.name == f"{scenario}_{planet}.csv"
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == ",".join(entry.header)
+        assert len(lines) == 1 + len(result.rows)
+        svg = svg_path.read_text()
+        assert svg_path.suffix == ".svg" and "<polyline" in svg
+        assert entry.x_column in svg and entry.y_column in svg
+
     def test_empty_and_ragged_rows_rejected(self, tmp_path):
         from dustlink.errors import DustlinkError
         from dustlink.output import write_csv
@@ -215,6 +267,12 @@ class TestMain:
         code = main(["absorption_spectrum", "--catalog", str(tmp_path / "none"),
                      "--out", str(tmp_path / "out")])
         assert code == 3
+
+    def test_non_finite_config_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "nan.cfg"
+        config.write_text("range.start = nan\n")
+        assert main(["mcp_sweep", "--config", str(config)]) == 2
+        assert "range.start must be finite" in capsys.readouterr().err
 
     def test_cli_flags_override_config(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -11,8 +11,11 @@ from dustlink.constants import SPEED_OF_LIGHT, dbm_to_watts
 from dustlink.errors import DomainError
 from dustlink.link import (DROP_WINDOWS_S, LinkConfig, capacity, channel_gain,
                            default_time_counts, h_absorption, h_dust,
-                           h_spreading, run_distance_sweep, run_time_scenario)
-from dustlink.presets import EARTH, MARS
+                           h_spreading, run_distance_sweep, run_time_scenario,
+                           transport_template)
+from dustlink.presets import (DEFAULT_NOISE_PSD_W_HZ, DEFAULT_TX_POWER_W, EARTH,
+                              MARS)
+from dustlink.transport import FixedAsymmetry, TransportConfig, UniformAsymmetry
 
 
 def link_config(**kwargs) -> LinkConfig:
@@ -136,6 +139,36 @@ class TestCapacity:
     def test_exact_dbm_conversion(self):
         assert dbm_to_watts(10.0) == pytest.approx(0.01, rel=1e-15)
         assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
+
+
+class TestLinkConfig:
+    def test_preset_defaults(self):
+        cfg = LinkConfig.for_preset(EARTH)
+        assert cfg.noise_psd_w_hz == DEFAULT_NOISE_PSD_W_HZ
+        assert cfg.tx_power_w == DEFAULT_TX_POWER_W
+        assert cfg.distance_m == EARTH.distance_m
+
+    def test_zero_noise_rejected(self):
+        with pytest.raises(DomainError, match="noise"):
+            LinkConfig.for_preset(EARTH, noise_psd_w_hz=0.0)
+
+
+class TestTransportTemplate:
+    def test_preset_settings(self):
+        template = transport_template(MARS)
+        assert template.packet_count == MARS.packet_count
+        assert template.distance_m == MARS.distance_m
+        assert template.asymmetry == UniformAsymmetry(MARS.asymmetry_lo,
+                                                      MARS.asymmetry_hi)
+        assert template.weight_threshold == MARS.weight_threshold
+        assert template.launch_height_m == MARS.antenna_height_m
+        assert template.max_events == TransportConfig(
+            distance_m=1.0, packet_count=1, extinction_per_m=0.0).max_events
+
+    def test_fixed_asymmetry_and_event_guard(self):
+        template = transport_template(EARTH, g_fixed=0.3, max_events=5)
+        assert template.asymmetry == FixedAsymmetry(0.3)
+        assert template.max_events == 5
 
 
 class TestTimeScenario:

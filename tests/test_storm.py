@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from dustlink.errors import DomainError
+from dustlink.output import write_csv
 from dustlink.rng import substream
 from dustlink.storm import (BeamCone, ParticleField, StormConfig,
                             build_beam_cone, count_in_beam,
-                            density_time_series, empty_field, step_field,
-                            write_density_csv, write_snapshot_csv)
+                            density_time_series, empty_field, step_field)
 
 
 def quiet_config(**kwargs) -> StormConfig:
@@ -189,7 +189,10 @@ class TestDensityTimeSeries:
     def test_density_csv_export(self, tmp_path):
         series = density_time_series(self.series_config(40), self.BEAM, 3)
         path = tmp_path / "series.csv"
-        write_density_csv(series, path)
+        header = ["t_s", "count"] + [f"density_per_m_bin_{i}"
+                                     for i in range(len(series[0][2]))]
+        write_csv(path, header, [(t, count) + tuple(profile)
+                                 for t, count, profile in series])
         lines = path.read_text().strip().split("\n")
         assert lines[0].startswith("t_s,count,density_per_m_bin_0")
         assert len(lines) == 4
@@ -200,7 +203,8 @@ class TestDensityTimeSeries:
     def test_snapshot_csv_export(self, tmp_path):
         fld = field_at([[1.0, 2.0, 3.0]], radii=[2e-6])
         path = tmp_path / "snap.csv"
-        write_snapshot_csv(fld, path)
+        write_csv(path, ["x", "y", "z", "r"],
+                  [(*xyz, r) for xyz, r in zip(fld.positions_m, fld.radii_m)])
         assert path.read_text() == "x,y,z,r\n1.0,2.0,3.0,2e-06\n"
 
     def test_default_configuration_reaches_the_beam(self):

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 import dustlink.transport as transport
 from dustlink.errors import DomainError
 from dustlink.rng import UniformStream, substream, substream_uniforms
-from dustlink.transport import (FATES, FixedAsymmetry, PacketState,
-                                TransportConfig, UniformAsymmetry,
-                                estimate_batch, estimate_transmittance,
-                                sample_scatter_angles, sample_step,
-                                trace_packet, update_direction, update_weight)
+from dustlink.transport import (FATES, FixedAsymmetry, TransportConfig,
+                                UniformAsymmetry, estimate_batch,
+                                estimate_transmittance, sample_scatter_angles,
+                                trace_packet, update_direction)
 
 
 def config(**kwargs) -> TransportConfig:
@@ -22,35 +21,6 @@ def config(**kwargs) -> TransportConfig:
                 seed=11)
     base.update(kwargs)
     return TransportConfig(**base)
-
-
-class TestSampleStep:
-    def test_near_one_gives_tiny_step(self):
-        assert sample_step(1.0 - 1e-12, 0.5) < 1e-11
-
-    def test_closed_form_inversion(self):
-        # oracle: -ln(e^-1)/0.1 = 10
-        assert sample_step(math.exp(-1.0), 0.1) == pytest.approx(10.0, rel=1e-12)
-
-    def test_exponential_mean(self):
-        # oracle: mean of Exp(rate C) is 1/C, checked within 3 standard errors
-        rng = substream(123, 0)
-        u = rng.random(1_000_000)
-        u = u[u > 0.0]
-        samples = np.array([sample_step(v, 0.5) for v in u])
-        se = samples.std(ddof=1) / math.sqrt(samples.size)
-        assert abs(samples.mean() - 2.0) < 3 * se
-
-    def test_zero_extinction_signals_free_flight(self):
-        assert sample_step(0.5, 0.0) == math.inf
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            sample_step(0.0, 0.5)
-        with pytest.raises(DomainError):
-            sample_step(1.0, 0.5)
-        with pytest.raises(DomainError):
-            sample_step(0.5, -1.0)
 
 
 class TestScatterAngles:
@@ -96,22 +66,6 @@ class TestScatterAngles:
         assert 0.0 <= phi <= 2 * math.pi
 
 
-class TestPacketState:
-    def test_launch_defaults(self):
-        state = PacketState(z=50.0)
-        assert (state.mu_x, state.mu_y, state.mu_z) == (1.0, 0.0, 0.0)
-        assert state.weight == 1.0
-        assert state.events == 0
-        assert state.direction_norm() == 1.0
-
-    def test_norm_after_manual_update(self):
-        state = PacketState(z=50.0)
-        mu = update_direction((state.mu_x, state.mu_y, state.mu_z),
-                              0.4, 1.1)
-        state.mu_x, state.mu_y, state.mu_z = mu
-        assert abs(state.direction_norm() - 1.0) < 1e-9
-
-
 class TestUpdateDirection:
     def test_polar_axis_branch(self):
         assert update_direction((1.0, 0.0, 0.0), math.pi / 2, 0.0) == \
@@ -143,22 +97,6 @@ class TestUpdateDirection:
             phi = float(rng.random() * 2 * math.pi)
             mu = update_direction(mu, theta, phi)
             assert abs(math.sqrt(sum(c * c for c in mu)) - 1.0) < 1e-9
-
-
-class TestUpdateWeight:
-    def test_no_displacement(self):
-        assert update_weight(0.7, 0.2, 0.0, 0.5) == 0.7
-
-    def test_unit_slope(self):
-        # oracle: e^-1
-        assert update_weight(1.0, 0.2, 5.0, 1.0) == pytest.approx(
-            math.exp(-1.0), rel=1e-12)
-
-    def test_inclined_step(self):
-        # oracle: 0.5 * e^-0.4
-        assert update_weight(0.5, 0.1, 2.0, 0.5) == pytest.approx(
-            0.5 * math.exp(-0.4), rel=1e-12)
-        assert update_weight(0.5, 0.1, 2.0, 0.5) == pytest.approx(0.335160, abs=1e-6)
 
 
 class TestTracePacket:
