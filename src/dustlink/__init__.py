@@ -25,7 +25,7 @@ from .scatter import (DustPermittivity, ExtinctionResult, LinearDensity,
                       MediumSpec, SizeDistribution, Visibility,
                       VolumetricDensity, dust_permittivity,
                       ensemble_extinction, extinction_efficiency,
-                      extinction_rates, linear_density_to_volumetric, mie_cext,
+                      linear_density_to_volumetric, mie_cext,
                       number_density_from_visibility, rayleigh_cext, size_pdf)
 from .storm import (BeamCone, ParticleField, StormConfig, build_beam_cone,
                     count_in_beam, density_time_series, empty_field,

@@ -28,7 +28,7 @@ from .errors import CatalogError, ConfigError, DustlinkError, FormatError
 from .output import write_csv, write_svg_line
 from .presets import PlanetPreset, bundled_catalog_dir, preset
 from .rng import derive_seed
-from .scatter import ensemble_extinction, extinction_rates
+from .scatter import ensemble_extinction
 # estimate_transmittance stays bound here although unused:
 # bench/test_bench.py checks that the benchmark's span recorder rebinds it
 from .transport import (TransportConfig, estimate_batch,
@@ -128,6 +128,14 @@ class ExperimentConfig:
             raise ConfigError("replicates and workers must be >= 1")
         if self.range_scale not in (None, "log", "linear"):
             raise ConfigError(f"unknown range scale {self.range_scale!r}")
+        for name in ("range_start", "range_stop", "density_lo_per_m",
+                     "density_hi_per_m"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        if (self.density_lo_per_m is None) != (self.density_hi_per_m is None):
+            raise ConfigError(
+                "density.lo_per_m and density.hi_per_m must be set together")
         if (self.range_start is not None and self.range_stop is not None
                 and self.range_start > self.range_stop):
             raise ConfigError("range.start must not exceed range.stop")
@@ -306,17 +314,18 @@ def _mcp_sweep(cfg, planet, grid):
 
 
 def _visibility_sweep(cfg, planet, grid):
-    cexts = extinction_rates([planet.medium_from_visibility(v) for v in grid],
-                             planet.frequency_hz)
+    f_hz = planet.frequency_hz
+    cexts = [ensemble_extinction(planet.medium_from_visibility(v), f_hz).extinction_per_m
+             for v in grid]
     return _sweep(cfg, grid, _runs_at(cfg, planet, cexts))
 
 
 def _particle_sweep(cfg, planet, grid):
     # sweep value is the particle count on the whole path
     values = [float(round(v)) for v in grid]
-    cexts = extinction_rates(
-        [planet.medium_from_count(v / planet.distance_m) for v in values],
-        planet.frequency_hz)
+    f_hz = planet.frequency_hz
+    cexts = [ensemble_extinction(planet.medium_from_count(v / planet.distance_m),
+                                 f_hz).extinction_per_m for v in values]
     return _sweep(cfg, values, _runs_at(cfg, planet, cexts))
 
 
@@ -344,10 +353,10 @@ def _time_scenario(cfg, planet, grid):
 def _capacity_distance(cfg, planet, grid):
     link_cfg = _link_config(cfg, planet)
     k = _band_center_absorption(cfg, planet)
-    lo = cfg.density_lo_per_m
-    hi = cfg.density_hi_per_m
-    if lo is None or hi is None:
+    if cfg.density_lo_per_m is None:
         lo, hi = (100.0, 200.0) if cfg.planet == "earth" else (1000.0, 2000.0)
+    else:
+        lo, hi = cfg.density_lo_per_m, cfg.density_hi_per_m
     points = link.distance_sweep_points(link_cfg, planet, grid, (lo, hi),
                                         cfg.seed, k, _transport(cfg, planet))
     return [(p.distance_m, p.density_per_m, p.k_per_m, p.transmittance,

@@ -16,7 +16,7 @@ from .constants import SPEED_OF_LIGHT, dbm_to_watts
 from .errors import DomainError
 from .presets import DEFAULT_NOISE_PSD_W_HZ, DEFAULT_TX_POWER_W, PlanetPreset
 from .rng import derive_seed, substream
-from .scatter import extinction_rates
+from .scatter import ensemble_extinction
 # estimate_transmittance stays bound here although unused:
 # bench/test_bench.py checks that the benchmark's span recorder rebinds it
 from .transport import (FixedAsymmetry, TransportConfig, UniformAsymmetry,
@@ -267,12 +267,13 @@ def time_scenario_points(cfg: LinkConfig, planet: PlanetPreset,
     """
     if any(c < 0 for c in counts):
         raise DomainError("dust counts must be >= 0")
-    media = [planet.medium_from_count(count / cfg.distance_m, cfg.center_hz)
-             for count in counts]
+    rates = [ensemble_extinction(
+        planet.medium_from_count(count / cfg.distance_m, cfg.center_hz),
+        cfg.center_hz).extinction_per_m for count in counts]
     results = estimate_batch([
         replace(transport, extinction_per_m=cext, distance_m=cfg.distance_m,
                 seed=derive_seed(seed, "time", t))
-        for t, cext in enumerate(extinction_rates(media, cfg.center_hz))])
+        for t, cext in enumerate(rates)])
     points = []
     for t, (count, result) in enumerate(zip(counts, results)):
         gains = channel_gain(cfg.center_hz, cfg.distance_m, k_per_m,
@@ -308,9 +309,8 @@ def distance_sweep_points(cfg: LinkConfig, planet: PlanetPreset,
     densities = [float(rng.uniform(lo, hi)) if hi > 0 else 0.0
                  for _ in distances_m]
     dusty = [i for i, density in enumerate(densities) if density > 0]
-    rates = extinction_rates(
-        [planet.medium_from_count(densities[i], cfg.center_hz) for i in dusty],
-        cfg.center_hz)
+    rates = [ensemble_extinction(planet.medium_from_count(densities[i], cfg.center_hz),
+                                 cfg.center_hz).extinction_per_m for i in dusty]
     results = estimate_batch([
         replace(transport, extinction_per_m=cext, distance_m=distances_m[i],
                 seed=derive_seed(seed, "distance", i))

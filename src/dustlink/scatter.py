@@ -1,11 +1,14 @@
 """Dust particle populations and their ensemble extinction.
 
 Single-particle extinction uses the small-particle Mie series for Earth
-dust and the Rayleigh approximation for Mars dust. Populations are
-truncated log-normal (or degenerate point-mass) size distributions, and
-the medium density can be given as meteorological visibility, a
-volumetric number density, or a per-meter count of particles inside the
-beam tube.
+dust and the Rayleigh approximation for Mars dust. Each model is written
+once, as a short sum of terms ``coefficient * r**n`` in the particle
+radius. Populations are truncated log-normal (or degenerate point-mass)
+size distributions whose moments ``E[r**n]`` have a closed form, so the
+population mean of a model is the same sum with ``r**n`` replaced by
+``E[r**n]``: no numerical quadrature is involved. The medium density can
+be given as meteorological visibility, a volumetric number density, or a
+per-meter count of particles inside the beam tube.
 
 Units and coupling conventions
 ------------------------------
@@ -28,12 +31,9 @@ conventions are exposed here as named constants.
 """
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
 from .errors import DomainError
@@ -56,7 +56,6 @@ __all__ = [
     "number_density_from_visibility",
     "linear_density_to_volumetric",
     "ensemble_extinction",
-    "extinction_rates",
 ]
 
 # Frequency unit convention of the Earth permittivity law.
@@ -64,17 +63,16 @@ EARTH_PERMITTIVITY_FREQ_UNIT_HZ = 1e9
 # Empirical visibility-extinction constant; visibility in meters.
 VISIBILITY_LAW_CONSTANT = 0.034744
 
-# Adaptive quadrature settings: relative tolerance 1e-8, evaluation budget
-# capped at ~2e5 (21-point Gauss-Kronrod panels).
-_QUAD_EPSREL = 1e-8
-_QUAD_LIMIT = 9500
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
 
 
-def _quad(fn, lo: float, hi: float) -> float:
-    # epsabs=0: SI-unit integrands here are ~1e-10, far below QUADPACK's
-    # default absolute tolerance, which would otherwise stop refinement
-    value, _ = quad(fn, lo, hi, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT)
-    return value
+def _phi(z: float) -> float:
+    """Standard normal cumulative distribution function."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -95,6 +93,9 @@ class SizeDistribution:
     def __post_init__(self):
         if self.kind not in ("log-normal", "point-mass"):
             raise DomainError(f"unknown size distribution kind {self.kind!r}")
+        _require_finite(median_radius_m=self.median_radius_m,
+                        geometric_sigma=self.geometric_sigma,
+                        r_min_m=self.r_min_m, r_max_m=self.r_max_m)
         if self.kind == "point-mass":
             if self.median_radius_m <= 0:
                 raise DomainError("point-mass radius must be positive")
@@ -107,8 +108,7 @@ class SizeDistribution:
             raise DomainError("geometric sigma must exceed 1 for log-normal")
         if not (self.r_min_m <= self.median_radius_m <= self.r_max_m):
             raise DomainError("median radius outside truncation bounds")
-        norm = _quad(self._raw_pdf, self.r_min_m, self.r_max_m)
-        object.__setattr__(self, "_norm", norm)
+        object.__setattr__(self, "_norm", self._tilted_mass(0))
 
     @classmethod
     def log_normal(cls, median_radius_m: float, geometric_sigma: float,
@@ -123,6 +123,16 @@ class SizeDistribution:
         s = math.log(self.geometric_sigma)
         return (np.exp(-0.5 * (np.log(r / self.median_radius_m) / s) ** 2)
                 / (r * s * math.sqrt(2.0 * math.pi)))
+
+    def _tilted_mass(self, order: int) -> float:
+        """Phi(b - n*s) - Phi(a - n*s): the untruncated log-normal's mass on
+        the support under the density tilted by r**n, with a and b the
+        standardised log bounds and s = ln(geometric sigma)."""
+        s = math.log(self.geometric_sigma)
+        mu = math.log(self.median_radius_m)
+        a = (math.log(self.r_min_m) - mu) / s
+        b = (math.log(self.r_max_m) - mu) / s
+        return _phi(b - order * s) - _phi(a - order * s)
 
     def pdf(self, r: float) -> float:
         """Renormalized density at radius ``r`` (1/m); point-mass returns
@@ -141,14 +151,17 @@ class SizeDistribution:
         s = math.log(self.geometric_sigma)
         return self.median_radius_m * math.exp(-s * s)
 
-    def expectation(self, fn) -> float:
-        """E[fn(r)] under the truncated distribution (adaptive quadrature)."""
-        if self.kind == "point-mass":
-            return float(fn(self.median_radius_m))
-        return _quad(lambda r: self.pdf(r) * fn(r), self.r_min_m, self.r_max_m)
-
     def moment(self, order: int) -> float:
-        return self.expectation(lambda r: r ** order)
+        """E[r**order] under the truncated distribution, in closed form.
+
+        For the log-normal, E[r**n] = median**n * exp(n**2 s**2 / 2)
+        * [Phi(b - n*s) - Phi(a - n*s)] / [Phi(b) - Phi(a)].
+        """
+        if self.kind == "point-mass":
+            return self.median_radius_m ** order
+        s = math.log(self.geometric_sigma)
+        return (self.median_radius_m ** order * math.exp(0.5 * (order * s) ** 2)
+                * self._tilted_mass(order) / self._norm)
 
 
 def size_pdf(dist: SizeDistribution, r: float) -> float:
@@ -222,6 +235,7 @@ class Visibility:
     meters: float
 
     def __post_init__(self):
+        _require_finite(meters=self.meters)
         if self.meters <= 0:
             raise DomainError("visibility must be positive")
 
@@ -232,6 +246,7 @@ class VolumetricDensity:
     per_m3: float
 
     def __post_init__(self):
+        _require_finite(per_m3=self.per_m3)
         if self.per_m3 < 0:
             raise DomainError("number density must be >= 0")
 
@@ -244,6 +259,8 @@ class LinearDensity:
     beam_area_m2: float = 1e-6   # 0.01 cm**2 beam face
 
     def __post_init__(self):
+        _require_finite(count_per_m=self.count_per_m,
+                        beam_area_m2=self.beam_area_m2)
         if self.count_per_m < 0:
             raise DomainError("linear particle density must be >= 0")
         if self.beam_area_m2 <= 0:
@@ -261,18 +278,24 @@ class MediumSpec:
 
 @dataclass(frozen=True)
 class ExtinctionResult:
-    """Ensemble extinction at one frequency.
-
-    ``c_ext_samples`` holds (radius, effective per-particle cross section
-    in m**2) pairs on a diagnostic grid over the population support.
-    """
+    """Ensemble extinction at one frequency."""
 
     extinction_per_m: float
-    c_ext_samples: tuple[tuple[float, float], ...]
     wavenumber_per_m: float
     wavelength_m: float
     number_density_per_m3: float
     coupling: str   # "volumetric" or "beam-blockage"
+
+
+# A single-particle model: (power n, coefficient c) pairs, meaning the
+# sum of c * r**n over the pairs.
+_Terms = tuple[tuple[int, float], ...]
+
+
+def _wavenumber(f_hz: float) -> float:
+    if not 0 < f_hz < math.inf:
+        raise DomainError(f"frequency must be positive and finite, got {f_hz!r}")
+    return 2.0 * math.pi * f_hz / SPEED_OF_LIGHT
 
 
 def mie_coefficients(eps: complex) -> tuple[float, float, float]:
@@ -290,6 +313,61 @@ def mie_coefficients(eps: complex) -> tuple[float, float, float]:
     return c1, c2, c3
 
 
+def _mie_terms(f_hz: float, eps: DustPermittivity) -> _Terms:
+    """Cross section of the printed Mie series: r**3, r**5 and r**6 terms.
+
+    The printed efficiency is (k**3 * r * lambda**2 / 2) * (c1 + c2*(kr)**2
+    + c3*(kr)**3), whose leading factor is 2*pi**2*k*r; times the geometric
+    pi*r**2 it becomes a cross section.
+    """
+    k = _wavenumber(f_hz)
+    c1, c2, c3 = mie_coefficients(eps.eps)
+    lead = 2.0 * math.pi ** 3 * k
+    return ((3, lead * c1), (5, lead * c2 * k ** 2), (6, lead * c3 * k ** 3))
+
+
+def _rayleigh_terms(f_hz: float, eps: DustPermittivity) -> _Terms:
+    """Rayleigh cross section: absorption r**3, dipole scattering r**6 and,
+    for charged grains, a charge term r**6 scaling with
+    (sigma_q / (E0*eps0))**2."""
+    k = _wavenumber(f_hz)
+    er = eps.eps
+    if abs(er + 2.0) == 0.0:
+        raise DomainError("permittivity at the resonance eps_r = -2")
+    terms = [(3, 12.0 * math.pi * k * er.imag / abs(er + 2.0) ** 2),
+             (6, (8.0 / 3.0) * math.pi * k ** 4 * abs((er - 1.0) / (er + 2.0)) ** 2)]
+    if eps.charge_density != 0.0:
+        if eps.field_scale == 0.0:
+            raise DomainError("charge term singular: field scale E0 is zero")
+        terms.append((6, (math.pi / 6.0) * k ** 4 * eps.charge_density ** 2
+                      * abs(er - 1.0) ** 2
+                      / (eps.field_scale ** 2 * eps.vacuum_permittivity ** 2)))
+    return tuple(terms)
+
+
+def _cross_section_terms(f_hz: float, eps: DustPermittivity) -> _Terms:
+    if eps.resolved_approximation() == "mie":
+        return _mie_terms(f_hz, eps)
+    return _rayleigh_terms(f_hz, eps)
+
+
+def _efficiency(terms: _Terms) -> _Terms:
+    """Cross-section terms divided by the geometric cross section pi*r**2."""
+    return tuple((n - 2, c / math.pi) for n, c in terms)
+
+
+def _at_radius(terms: _Terms, r_m):
+    r = np.asarray(r_m, dtype=float)
+    if np.any(r <= 0):
+        raise DomainError("radius must be positive")
+    out = sum(c * r ** n for n, c in terms)
+    return float(out) if np.isscalar(r_m) else out
+
+
+def _population_mean(terms: _Terms, dist: SizeDistribution) -> float:
+    return sum(c * dist.moment(n) for n, c in terms)
+
+
 def mie_cext(f_hz: float, r_m, eps: DustPermittivity, normalized: bool = False):
     """Small-particle Mie extinction, as printed in its source form.
 
@@ -298,18 +376,8 @@ def mie_cext(f_hz: float, r_m, eps: DustPermittivity, normalized: bool = False):
     efficiency. ``normalized=True`` returns ``pi*r**2`` times the raw
     value, i.e. a cross section in m**2. Accepts scalar or array radii.
     """
-    if f_hz <= 0:
-        raise DomainError("frequency must be positive")
-    r = np.asarray(r_m, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("radius must be positive")
-    lam = SPEED_OF_LIGHT / f_hz
-    k = 2.0 * math.pi / lam
-    c1, c2, c3 = mie_coefficients(eps.eps)
-    kr = k * r
-    raw = (k ** 3 * r * lam ** 2 / 2.0) * (c1 + c2 * kr ** 2 + c3 * kr ** 3)
-    out = raw * (math.pi * r ** 2) if normalized else raw
-    return float(out) if np.isscalar(r_m) else out
+    terms = _mie_terms(f_hz, eps)
+    return _at_radius(terms if normalized else _efficiency(terms), r_m)
 
 
 def rayleigh_cext(f_hz: float, r_m, eps: DustPermittivity):
@@ -319,28 +387,7 @@ def rayleigh_cext(f_hz: float, r_m, eps: DustPermittivity):
     charged grains, a charge term scaling with (sigma_q / (E0*eps0))**2.
     Accepts scalar or array radii.
     """
-    if f_hz <= 0:
-        raise DomainError("frequency must be positive")
-    r = np.asarray(r_m, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("radius must be positive")
-    er = eps.eps
-    if abs(er + 2.0) == 0.0:
-        raise DomainError("permittivity at the resonance eps_r = -2")
-    k = 2.0 * math.pi * f_hz / SPEED_OF_LIGHT
-    polar = abs((er - 1.0) / (er + 2.0)) ** 2
-    scattering = (8.0 / 3.0) * math.pi * k ** 4 * r ** 6 * polar
-    absorption = 12.0 * math.pi * k * er.imag * r ** 3 / abs(er + 2.0) ** 2
-    if eps.charge_density != 0.0:
-        if eps.field_scale == 0.0:
-            raise DomainError("charge term singular: field scale E0 is zero")
-        charge = ((math.pi / 6.0) * k ** 4 * r ** 6 * eps.charge_density ** 2
-                  * abs(er - 1.0) ** 2
-                  / (eps.field_scale ** 2 * eps.vacuum_permittivity ** 2))
-    else:
-        charge = 0.0
-    out = scattering + absorption + charge
-    return float(out) if np.isscalar(r_m) else out
+    return _at_radius(_rayleigh_terms(f_hz, eps), r_m)
 
 
 def extinction_efficiency(f_hz: float, r_m, eps: DustPermittivity):
@@ -349,19 +396,12 @@ def extinction_efficiency(f_hz: float, r_m, eps: DustPermittivity):
     The Mie series is already an efficiency in its printed form; the
     Rayleigh cross section is divided by the geometric cross section.
     """
-    r = np.asarray(r_m, dtype=float)
-    if eps.resolved_approximation() == "mie":
-        out = mie_cext(f_hz, r, eps, normalized=False)
-    else:
-        out = rayleigh_cext(f_hz, r, eps) / (math.pi * r ** 2)
-    return float(out) if np.isscalar(r_m) else out
+    return _at_radius(_efficiency(_cross_section_terms(f_hz, eps)), r_m)
 
 
 def physical_cross_section(f_hz: float, r_m, eps: DustPermittivity):
     """Per-particle extinction cross section in m**2 for the particle's model."""
-    if eps.resolved_approximation() == "mie":
-        return mie_cext(f_hz, r_m, eps, normalized=True)
-    return rayleigh_cext(f_hz, r_m, eps)
+    return _at_radius(_cross_section_terms(f_hz, eps), r_m)
 
 
 def number_density_from_visibility(dist: SizeDistribution, visibility_m: float) -> float:
@@ -370,17 +410,9 @@ def number_density_from_visibility(dist: SizeDistribution, visibility_m: float) 
     N0 = 15 / (0.034744 * V * integral of pi*r**2*P(r) over the support),
     with visibility in meters.
     """
-    return _visibility_density(visibility_m, _geometric_area(dist))
-
-
-def _geometric_area(dist: SizeDistribution) -> float:
-    return dist.expectation(lambda r: math.pi * r ** 2)
-
-
-def _visibility_density(visibility_m: float, area: float) -> float:
     if visibility_m <= 0:
         raise DomainError("visibility must be positive")
-    return 15.0 / (VISIBILITY_LAW_CONSTANT * visibility_m * area)
+    return 15.0 / (VISIBILITY_LAW_CONSTANT * visibility_m * math.pi * dist.moment(2))
 
 
 def linear_density_to_volumetric(count_per_m: float, beam_area_m2: float) -> float:
@@ -392,105 +424,33 @@ def linear_density_to_volumetric(count_per_m: float, beam_area_m2: float) -> flo
     return count_per_m / beam_area_m2
 
 
-_SAMPLE_POINTS = 33
-
-
-class _Population:
-    """Size-distribution integrals of one dust population at one frequency.
-
-    Extinction is linear in the density: a rate is the density times one
-    of these integrals, so each is evaluated once, on first use, for every
-    density it scales.
-    """
-
-    def __init__(self, dist: SizeDistribution, eps: DustPermittivity, f_hz: float):
-        if f_hz <= 0:
-            raise DomainError("frequency must be positive")
-        self.dist = dist
-        self.eps = eps
-        self.f_hz = f_hz
-
-    @cached_property
-    def mean_efficiency(self) -> float:
-        return self.dist.expectation(
-            lambda r: extinction_efficiency(self.f_hz, r, self.eps))
-
-    @cached_property
-    def mean_cross_section(self) -> float:
-        return self.dist.expectation(
-            lambda r: physical_cross_section(self.f_hz, r, self.eps))
-
-    @cached_property
-    def area(self) -> float:
-        return _geometric_area(self.dist)
-
-    def number_density(self, density) -> float:
-        if isinstance(density, LinearDensity):
-            return linear_density_to_volumetric(density.count_per_m,
-                                                density.beam_area_m2)
-        if isinstance(density, Visibility):
-            return _visibility_density(density.meters, self.area)
-        return density.per_m3
-
-    def rate(self, density) -> float:
-        """Per-meter extinction under the density's coupling rule."""
-        if isinstance(density, LinearDensity):
-            return density.count_per_m * self.mean_efficiency
-        return self.number_density(density) * self.mean_cross_section
-
-
 def ensemble_extinction(medium: MediumSpec, f_hz: float) -> ExtinctionResult:
     """Per-meter extinction rate of a dust population at one frequency.
 
-    Integrates the per-particle extinction over the size distribution and
+    Averages the per-particle extinction over the size distribution and
     scales by the population density. Visibility and volumetric density
     specs use physical cross sections (m**2); per-meter beam counts use
     the beam-blockage coupling (count/m times mean efficiency), with the
     equivalent volumetric density recorded for reference.
     """
     dist = medium.distribution
-    eps = medium.permittivity
     density = medium.density
-    population = _Population(dist, eps, f_hz)
-    lam = SPEED_OF_LIGHT / f_hz
+    terms = _cross_section_terms(f_hz, medium.permittivity)
 
     if isinstance(density, LinearDensity):
         coupling = "beam-blockage"
-        # effective per-particle area implied by the blockage coupling
-        per_particle = lambda r: extinction_efficiency(f_hz, r, eps) * density.beam_area_m2
+        n0 = linear_density_to_volumetric(density.count_per_m, density.beam_area_m2)
+        rate = density.count_per_m * _population_mean(_efficiency(terms), dist)
     else:
         coupling = "volumetric"
-        per_particle = lambda r: physical_cross_section(f_hz, r, eps)
-
-    if dist.kind == "point-mass":
-        radii = np.array([dist.median_radius_m])
-    else:
-        radii = np.geomspace(dist.r_min_m, dist.r_max_m, _SAMPLE_POINTS)
-    samples = tuple((float(r), float(per_particle(r))) for r in radii)
+        n0 = (number_density_from_visibility(dist, density.meters)
+              if isinstance(density, Visibility) else density.per_m3)
+        rate = n0 * _population_mean(terms, dist)
 
     return ExtinctionResult(
-        extinction_per_m=float(population.rate(density)),
-        c_ext_samples=samples,
-        wavenumber_per_m=2.0 * math.pi / lam,
-        wavelength_m=lam,
-        number_density_per_m3=float(population.number_density(density)),
+        extinction_per_m=float(rate),
+        wavenumber_per_m=_wavenumber(f_hz),
+        wavelength_m=SPEED_OF_LIGHT / f_hz,
+        number_density_per_m3=float(n0),
         coupling=coupling,
     )
-
-
-def extinction_rates(media: Sequence[MediumSpec], f_hz: float) -> list[float]:
-    """Per-meter extinction rate of each medium at one frequency.
-
-    Equal, float for float, to ``ensemble_extinction(medium,
-    f_hz).extinction_per_m`` of each medium, but each size-distribution
-    integral is evaluated once per (distribution, permittivity) and scaled
-    by every density that shares it.
-    """
-    populations: dict[tuple, _Population] = {}
-    rates = []
-    for medium in media:
-        key = (medium.distribution, medium.permittivity)
-        if key not in populations:
-            populations[key] = _Population(*key, f_hz)
-        rates.append(float(populations[key].rate(medium.density)))
-    return rates

@@ -74,6 +74,28 @@ class TestParseConfig:
         assert cfg.overrides["link.tx_power_dbm"] == 5.0
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["range_start", "range_stop",
+                                      "density_lo_per_m", "density_hi_per_m"])
+    def test_non_finite_field_rejected(self, name, value):
+        fields = {"density_lo_per_m": 100.0, "density_hi_per_m": 200.0, name: value}
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            ExperimentConfig(scenario="capacity_distance", **fields)
+
+    def test_nan_range_start_rejected_before_running(self):
+        # built in code, not parsed: this once ran three rows at f_hz = nan
+        with pytest.raises(ConfigError, match="range_start must be finite"):
+            run_scenario(ExperimentConfig(scenario="extinction_table",
+                                          range_start=float("nan"), range_steps=3))
+
+    @pytest.mark.parametrize("key", ["density.lo_per_m", "density.hi_per_m"])
+    def test_half_set_density_range_rejected(self, key):
+        # one end alone was silently replaced by the planet's default range
+        with pytest.raises(ConfigError, match="set together"):
+            parse_config(f"scenario = capacity_distance\n{key} = 5\n")
+
+
 class TestRunScenario:
     def test_all_scenarios_registered(self):
         assert len(SCENARIOS) == 10

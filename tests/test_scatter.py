@@ -1,36 +1,61 @@
 """Tests for dust size distributions, cross sections and ensemble extinction."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
+import dustlink
+from dustlink.constants import VACUUM_PERMITTIVITY
 from dustlink.errors import DomainError
 from dustlink.presets import EARTH, MARS
 from dustlink.scatter import (DustPermittivity, LinearDensity, MediumSpec,
                               SizeDistribution, VolumetricDensity,
                               Visibility, dust_permittivity,
                               ensemble_extinction, extinction_efficiency,
-                              extinction_rates,
                               linear_density_to_volumetric, mie_cext,
                               mie_coefficients, number_density_from_visibility,
                               physical_cross_section, rayleigh_cext, size_pdf)
 
 EARTH_DIST = SizeDistribution.log_normal(10e-6, 2.0, 1e-6, 150e-6)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def quad_mean(dist, fn):
+    """Oracle: E[fn(r)] by adaptive quadrature in u = ln r, where the
+    untruncated log-normal is the Gaussian N(ln median, ln(sigma)**2)."""
+    if dist.kind == "point-mass":
+        return float(fn(dist.median_radius_m))
+    mu, s = math.log(dist.median_radius_m), math.log(dist.geometric_sigma)
+    lo, hi = math.log(dist.r_min_m), math.log(dist.r_max_m)
+
+    def integral(g):
+        value, _ = quad(lambda u: g(math.exp(u)) * math.exp(-0.5 * ((u - mu) / s) ** 2),
+                        lo, hi, points=[mu], epsabs=0.0, epsrel=1e-13, limit=500)
+        return value
+
+    return integral(fn) / integral(lambda r: 1.0)
 
 
 class TestSizeDistribution:
     def test_point_mass_unit_mass(self):
         dist = SizeDistribution.point_mass(50e-6)
-        assert dist.expectation(lambda r: 1.0) == 1.0
+        assert dist.moment(0) == 1.0
         assert size_pdf(dist, 50e-6) == math.inf
 
     def test_lognormal_normalization(self):
         dist = SizeDistribution.log_normal(10e-6, 2.0, 1e-6, 150e-6)
-        assert dist.expectation(lambda r: 1.0) == pytest.approx(1.0, abs=1e-9)
+        assert dist.moment(0) == pytest.approx(1.0, abs=1e-15)
+        mass, _ = quad(dist.pdf, dist.r_min_m, dist.r_max_m, epsabs=0.0,
+                       epsrel=1e-13, limit=500)
+        assert mass == pytest.approx(1.0, rel=1e-10)
 
     def test_mode_against_grid_argmax(self):
         # oracle: dense grid search for the density maximum
@@ -56,6 +81,63 @@ class TestSizeDistribution:
             SizeDistribution.log_normal(10e-6, 2.0, 150e-6, 1e-6)
         with pytest.raises(DomainError):
             SizeDistribution.point_mass(0.0)
+
+    @given(st.sampled_from(["median_radius_m", "geometric_sigma", "r_min_m",
+                            "r_max_m"]),
+           NON_FINITE, st.sampled_from(["log-normal", "point-mass"]))
+    def test_non_finite_parameter_rejected(self, name, value, kind):
+        params = dict(kind=kind, median_radius_m=10e-6, geometric_sigma=2.0,
+                      r_min_m=1e-6, r_max_m=150e-6)
+        params[name] = value
+        with pytest.raises(DomainError):
+            SizeDistribution(**params)
+
+
+class TestClosedFormMoments:
+    """The closed-form truncated moments against adaptive quadrature."""
+
+    @pytest.mark.parametrize("dist", [EARTH.size_distribution,
+                                      MARS.size_distribution,
+                                      SizeDistribution.point_mass(20e-6)],
+                             ids=["earth", "mars", "point-mass"])
+    def test_moments_match_quadrature(self, dist):
+        for n in range(7):
+            assert dist.moment(n) == pytest.approx(
+                quad_mean(dist, lambda r: r ** n), rel=1e-10)
+
+    @given(median=st.floats(min_value=0.1e-6, max_value=100e-6),
+           sigma=st.floats(min_value=1.05, max_value=3.0),
+           below=st.floats(min_value=1.01, max_value=100.0),
+           above=st.floats(min_value=1.01, max_value=100.0))
+    @settings(max_examples=30, deadline=None)
+    def test_drawn_moments_match_quadrature(self, median, sigma, below, above):
+        dist = SizeDistribution.log_normal(median, sigma, median / below,
+                                           median * above)
+        for n in range(7):
+            assert dist.moment(n) == pytest.approx(
+                quad_mean(dist, lambda r: r ** n), rel=1e-10)
+
+    @pytest.mark.parametrize("dist, eps, f_hz", [
+        (EARTH.size_distribution, EARTH.permittivity(), EARTH.frequency_hz),
+        # an extinction-table grid point where adaptive quadrature at
+        # epsrel 1e-8 was 1.4e-10 off
+        (EARTH.size_distribution, EARTH.permittivity(681292069057.9622),
+         681292069057.9622),
+        (MARS.size_distribution, MARS.permittivity(), MARS.frequency_hz),
+        (MARS.size_distribution,
+         DustPermittivity("mars-constant", MARS.permittivity().eps_real,
+                          MARS.permittivity().eps_imag, charge_density=1e-5,
+                          field_scale=1.0), MARS.frequency_hz),
+    ], ids=["earth-mie", "earth-mie-0.68THz", "mars-rayleigh", "charged-rayleigh"])
+    def test_population_means_match_quadrature(self, dist, eps, f_hz):
+        # a unit beam count gives the mean efficiency, a unit volumetric
+        # density the mean cross section
+        for density, per_radius in ((LinearDensity(1.0), extinction_efficiency),
+                                    (VolumetricDensity(1.0), physical_cross_section)):
+            rate = ensemble_extinction(MediumSpec(dist, eps, density),
+                                       f_hz).extinction_per_m
+            assert rate == pytest.approx(
+                quad_mean(dist, lambda r: per_radius(f_hz, r, eps)), rel=1e-10)
 
 
 class TestPermittivity:
@@ -116,6 +198,19 @@ class TestMie:
         assert norm == pytest.approx(raw * math.pi * (10e-6) ** 2, rel=1e-12)
         assert raw > 0
 
+    def test_printed_series_oracle(self):
+        # oracle: the printed series written out term by term
+        f = 0.24e12
+        eps = dust_permittivity("earth-frequency-dependent", f)
+        c1, c2, c3 = mie_coefficients(eps.eps)
+        lam = 2.99792458e8 / f
+        k = 2 * math.pi / lam
+        radii = np.array([1e-6, 10e-6, 150e-6])
+        printed = (k ** 3 * radii * lam ** 2 / 2) * (
+            c1 + c2 * (k * radii) ** 2 + c3 * (k * radii) ** 3)
+        np.testing.assert_allclose(mie_cext(f, radii, eps), printed, rtol=1e-12)
+        assert mie_cext(f, 10e-6, eps) == pytest.approx(printed[1], rel=1e-12)
+
     def test_c1_nonnegative_for_physical_permittivity(self):
         for epp in (0.0, 0.01, 1.0, 20.0):
             c1, _, _ = mie_coefficients(complex(3.0, epp))
@@ -151,6 +246,19 @@ class TestRayleigh:
                                charge_density=1e-6, field_scale=0.0)
         with pytest.raises(DomainError):
             rayleigh_cext(1.64e12, 1e-6, eps)
+
+    def test_charge_term_oracle(self):
+        # oracle: the charge term written out, added to the neutral sum
+        neutral = dust_permittivity("mars-constant")
+        charged = DustPermittivity("mars-constant", neutral.eps_real,
+                                   neutral.eps_imag, charge_density=1e-5,
+                                   field_scale=2.0)
+        k = 2 * math.pi * 1.64e12 / 2.99792458e8
+        r = 1.5e-6
+        charge = ((math.pi / 6) * k ** 4 * r ** 6 * 1e-10 * abs(neutral.eps - 1) ** 2
+                  / (4.0 * VACUUM_PERMITTIVITY ** 2))
+        assert rayleigh_cext(1.64e12, r, charged) == pytest.approx(
+            rayleigh_cext(1.64e12, r, neutral) + charge, rel=1e-12)
 
     def test_charge_term_increases_extinction(self):
         neutral = dust_permittivity("mars-constant")
@@ -212,6 +320,24 @@ class TestLinearDensity:
     def test_bad_beam_area(self):
         with pytest.raises(DomainError):
             linear_density_to_volumetric(1.0, 0.0)
+
+    @given(st.sampled_from(["count_per_m", "beam_area_m2"]), NON_FINITE)
+    def test_non_finite_field_rejected(self, name, value):
+        params = {"count_per_m": 10.0, "beam_area_m2": 1e-6, name: value}
+        with pytest.raises(DomainError):
+            LinearDensity(**params)
+
+
+class TestDensityValidation:
+    @given(NON_FINITE)
+    def test_non_finite_visibility_rejected(self, value):
+        with pytest.raises(DomainError):
+            Visibility(value)
+
+    @given(NON_FINITE)
+    def test_non_finite_volumetric_density_rejected(self, value):
+        with pytest.raises(DomainError):
+            VolumetricDensity(value)
 
 
 class TestEnsembleExtinction:
@@ -286,12 +412,13 @@ class TestEnsembleExtinction:
     def test_sample_cross_sections_nonnegative(self):
         for medium, f in ((EARTH.medium_from_count(10.0), 0.24e12),
                           (MARS.medium_from_visibility(500.0), 1.64e12)):
-            result = ensemble_extinction(medium, f)
-            assert all(c >= 0 for _, c in result.c_ext_samples)
+            dist = medium.distribution
+            radii = np.geomspace(dist.r_min_m, dist.r_max_m, 33)
+            assert np.all(physical_cross_section(f, radii, medium.permittivity) >= 0)
 
 
 class TestExtinctionRates:
-    """Rates of many densities from one set of size-distribution integrals."""
+    """Rates of many media against quadrature of the per-particle models."""
 
     @staticmethod
     def media():
@@ -308,41 +435,37 @@ class TestExtinctionRates:
         return out
 
     def test_equal_to_the_integral_per_medium(self):
-        media = self.media()
-        for model, f in (("mars-constant", 1.64e12),
-                         ("earth-frequency-dependent", 0.24e12)):
-            chosen = [m for m in media if m.permittivity.model == model]
-            for medium, rate in zip(chosen, extinction_rates(chosen, f)):
-                dist, eps, density = (medium.distribution, medium.permittivity,
-                                      medium.density)
-                if isinstance(density, LinearDensity):
-                    expected = density.count_per_m * dist.expectation(
-                        lambda r: extinction_efficiency(f, r, eps))
-                else:
-                    n0 = (number_density_from_visibility(dist, density.meters)
-                          if isinstance(density, Visibility) else density.per_m3)
-                    expected = n0 * dist.expectation(
-                        lambda r: physical_cross_section(f, r, eps))
-                assert rate == expected
-                assert rate == ensemble_extinction(medium, f).extinction_per_m
-
-    def test_each_integral_evaluated_once(self, monkeypatch):
-        calls = []
-        original = SizeDistribution.expectation
-
-        def counting(self, fn):
-            calls.append(self)
-            return original(self, fn)
-
-        monkeypatch.setattr(SizeDistribution, "expectation", counting)
-        counts = [MARS.medium_from_count(c, 1.64e12) for c in range(0, 27_000, 1000)]
-        extinction_rates(counts, 1.64e12)
-        assert len(calls) == 1
-        calls.clear()
-        extinction_rates([EARTH.medium_from_visibility(v) for v in (10.0, 100.0, 1e3)],
-                         EARTH.frequency_hz)
-        assert len(calls) == 2    # the visibility area and the mean cross section
+        means = {}
+        for medium in self.media():
+            dist, eps, density = (medium.distribution, medium.permittivity,
+                                  medium.density)
+            f = 1.64e12 if eps.model == "mars-constant" else 0.24e12
+            blockage = isinstance(density, LinearDensity)
+            key = (dist, eps, blockage)
+            if key not in means:
+                per_radius = extinction_efficiency if blockage else physical_cross_section
+                means[key] = quad_mean(dist, lambda r: per_radius(f, r, eps))
+            if blockage:
+                expected = density.count_per_m * means[key]
+            else:
+                n0 = (number_density_from_visibility(dist, density.meters)
+                      if isinstance(density, Visibility) else density.per_m3)
+                expected = n0 * means[key]
+            rate = ensemble_extinction(medium, f).extinction_per_m
+            assert rate == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_bad_frequency(self):
-        with pytest.raises(DomainError):
-            extinction_rates([EARTH.medium_from_count(10.0)], 0.0)
+        for f_hz in (0.0, -1e12, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                ensemble_extinction(EARTH.medium_from_count(10.0), f_hz)
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: importing the package must not load it
+    src = Path(dustlink.__file__).resolve().parents[1]
+    code = ("import sys, dustlink, dustlink.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
