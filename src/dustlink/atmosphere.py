@@ -229,10 +229,7 @@ class GasMixture:
         return self.pressure_atm * ATM_PA / (BOLTZMANN * self.temperature_k)
 
     def number_density_m3(self, gas: str) -> float:
-        for name, ratio in self.species:
-            if name == gas:
-                return ratio * self.total_number_density_m3()
-        return 0.0
+        return self.mixing_ratio(gas) * self.total_number_density_m3()
 
     def mixing_ratio(self, gas: str) -> float:
         for name, ratio in self.species:
@@ -286,12 +283,17 @@ def lorentz_halfwidth(line: SpectralLine, pressure_atm: float,
     return gamma_invcm * HZ_PER_INVCM
 
 
+def _shifted_center_hz(line: SpectralLine, pressure_atm: float) -> float:
+    """Line center moved by the pressure shift at ``pressure_atm``."""
+    return line.center_hz + line.pressure_shift_invcm_atm * pressure_atm * HZ_PER_INVCM
+
+
 def lorentz_shape(f_hz, line: SpectralLine, halfwidth_hz: float,
                   pressure_atm: float):
     """Lorentz profile (1/Hz) about the pressure-shifted line center."""
     if halfwidth_hz <= 0:
         raise DomainError("half width must be positive")
-    center = line.center_hz + line.pressure_shift_invcm_atm * pressure_atm * HZ_PER_INVCM
+    center = _shifted_center_hz(line, pressure_atm)
     f = np.asarray(f_hz, dtype=float)
     out = (halfwidth_hz / math.pi) / (halfwidth_hz ** 2 + (f - center) ** 2)
     return float(out) if np.isscalar(f_hz) else out
@@ -358,8 +360,7 @@ def absorption_coefficient(mixture: GasMixture,
                 halfwidth = lorentz_halfwidth(
                     line, mixture.pressure_atm, partial, mixture.temperature_k)
                 cutoff = LORENTZ_WING_CUTOFF_HZ
-                center = (line.center_hz + line.pressure_shift_invcm_atm
-                          * mixture.pressure_atm * HZ_PER_INVCM)
+                center = _shifted_center_hz(line, mixture.pressure_atm)
             else:
                 halfwidth = doppler_halfwidth(line, mixture.temperature_k)
                 cutoff = DOPPLER_WING_CUTOFF_HALFWIDTHS * halfwidth

@@ -26,7 +26,7 @@ import numpy as np
 from . import atmosphere, link, storm
 from .errors import CatalogError, ConfigError, DustlinkError, FormatError
 from .output import write_csv, write_svg_line
-from .presets import PlanetPreset, bundled_catalog_dir, preset
+from .presets import PLANETS, PlanetPreset, bundled_catalog_dir, preset
 from .rng import derive_seed
 from .scatter import ensemble_extinction
 # estimate_transmittance stays bound here although unused:
@@ -39,7 +39,9 @@ __all__ = ["ExperimentConfig", "ScenarioResult", "parse_config",
 
 CATALOG_ENV_VAR = "DUSTLINK_CATALOG_DIR"
 
-# key -> converter; the complete config schema
+# key -> converter; the complete config schema. A key under one of
+# _OVERRIDE_PREFIXES goes to ``ExperimentConfig.overrides``; any other key
+# sets the ExperimentConfig field named by the key with "." replaced by "_".
 CONFIG_KEYS = {
     "scenario": str,
     "planet": str,
@@ -75,6 +77,8 @@ CONFIG_KEYS = {
     "storm.wind_speed_m_s": float,
     "storm.vortex_strength_rad_s": float,
 }
+
+_OVERRIDE_PREFIXES = ("transport.", "medium.", "link.", "storm.")
 
 # config key -> the PlanetPreset field it overrides
 _PRESET_KEYS = {
@@ -122,8 +126,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of "
                 + ", ".join(SCENARIOS))
-        if self.planet not in ("earth", "mars"):
+        if self.planet not in PLANETS:
             raise ConfigError(f"unknown planet {self.planet!r}")
+        if not 0 <= self.seed < 1 << 128:
+            raise ConfigError(f"seed must be in [0, 2**128), got {self.seed!r}")
         if self.replicates < 1 or self.workers < 1:
             raise ConfigError("replicates and workers must be >= 1")
         if self.range_scale not in (None, "log", "linear"):
@@ -146,7 +152,9 @@ class ExperimentConfig:
 def parse_config(text: str, override_scenario: str | None = None) -> ExperimentConfig:
     """Parse a key-value config.
 
-    Unknown keys and unparsable or non-finite numbers are errors.
+    Unknown keys and unparsable or non-finite numbers are errors. Only the
+    keys that are set are passed on, so unset fields keep the defaults of
+    ``ExperimentConfig``.
     """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -183,25 +191,9 @@ def parse_config(text: str, override_scenario: str | None = None) -> ExperimentC
     if "scenario" not in values:
         raise ConfigError("missing scenario")
 
-    overrides = {k: v for k, v in values.items()
-                 if k.startswith(("transport.", "medium.", "link.", "storm."))}
-    return ExperimentConfig(
-        scenario=values["scenario"],
-        planet=values.get("planet", "earth"),
-        seed=values.get("seed", 1),
-        replicates=values.get("replicates", 10),
-        workers=values.get("workers", 1),
-        output=values.get("output", "out"),
-        plot=values.get("plot", False),
-        catalog_dir=values.get("catalog_dir"),
-        range_start=values.get("range.start"),
-        range_stop=values.get("range.stop"),
-        range_steps=values.get("range.steps"),
-        range_scale=values.get("range.scale"),
-        density_lo_per_m=values.get("density.lo_per_m"),
-        density_hi_per_m=values.get("density.hi_per_m"),
-        overrides=overrides,
-    )
+    overrides = {k: v for k, v in values.items() if k.startswith(_OVERRIDE_PREFIXES)}
+    fields = {k.replace(".", "_"): v for k, v in values.items() if k not in overrides}
+    return ExperimentConfig(**fields, overrides=overrides)
 
 
 def _planet(cfg: ExperimentConfig) -> PlanetPreset:
@@ -353,11 +345,9 @@ def _time_scenario(cfg, planet, grid):
 def _capacity_distance(cfg, planet, grid):
     link_cfg = _link_config(cfg, planet)
     k = _band_center_absorption(cfg, planet)
-    if cfg.density_lo_per_m is None:
-        lo, hi = (100.0, 200.0) if cfg.planet == "earth" else (1000.0, 2000.0)
-    else:
-        lo, hi = cfg.density_lo_per_m, cfg.density_hi_per_m
-    points = link.distance_sweep_points(link_cfg, planet, grid, (lo, hi),
+    densities = (planet.density_range_per_m if cfg.density_lo_per_m is None
+                 else (cfg.density_lo_per_m, cfg.density_hi_per_m))
+    points = link.distance_sweep_points(link_cfg, planet, grid, densities,
                                         cfg.seed, k, _transport(cfg, planet))
     return [(p.distance_m, p.density_per_m, p.k_per_m, p.transmittance,
              p.h_spreading, p.h_absorption, p.h_dust, p.capacity_bps)
@@ -428,7 +418,7 @@ _SCENARIO_TABLE = {
         lambda planet: (1.0, 200.0, 8, "log")),
     "frequency_sweep": _Scenario(
         _frequency_sweep, _SWEEP_HEADER, "frequency_hz", "A_dB_per_m",
-        lambda planet: (0.1e12, planet.frequency_cap_hz or 10e12, 7, "log")),
+        lambda planet: (0.1e12, planet.frequency_cap_hz, 7, "log")),
     "time_scenario": _Scenario(
         _time_scenario, ("t_s", "count", "T_MS", "A_dB_per_m", "capacity_bps"),
         "t_s", "capacity_bps"),
@@ -497,49 +487,39 @@ def write_outputs(result: ScenarioResult, cfg: ExperimentConfig) -> list[Path]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser. Each flag but ``--config`` stores into the
+    ExperimentConfig field it sets, and a flag that is not given leaves
+    no attribute (``argparse.SUPPRESS``)."""
     parser = argparse.ArgumentParser(
         prog="dustlink",
         description="THz link transmittance, attenuation and capacity "
-                    "through dusty atmospheres")
+                    "through dusty atmospheres",
+        argument_default=argparse.SUPPRESS)
     parser.add_argument("scenario", choices=SCENARIOS)
     parser.add_argument("--config", help="path to a key=value config file")
     parser.add_argument("--seed", type=int, help="base RNG seed")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", dest="output", help="output directory")
     parser.add_argument("--plot", action="store_true", help="emit SVG plots")
-    parser.add_argument("--catalog", help="spectroscopic catalog directory")
-    parser.add_argument("--planet", choices=("earth", "mars"))
+    parser.add_argument("--catalog", dest="catalog_dir",
+                        help="spectroscopic catalog directory")
+    parser.add_argument("--planet", choices=PLANETS)
     parser.add_argument("--workers", type=int, help="worker process count")
     parser.add_argument("--replicates", type=int, help="seeds per sweep point")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    cli_fields = vars(_build_parser().parse_args(argv))
+    scenario = cli_fields.pop("scenario")
+    config = cli_fields.pop("config", None)
     try:
         text = ""
-        if args.config:
+        if config:
             try:
-                text = Path(args.config).read_text()
+                text = Path(config).read_text()
             except OSError as exc:
-                raise ConfigError(f"cannot read config {args.config}: {exc}")
-        cfg = parse_config(text, override_scenario=args.scenario)
-        cli_fields = {}
-        if args.seed is not None:
-            cli_fields["seed"] = args.seed
-        if args.out is not None:
-            cli_fields["output"] = args.out
-        if args.plot:
-            cli_fields["plot"] = True
-        if args.catalog is not None:
-            cli_fields["catalog_dir"] = args.catalog
-        if args.planet is not None:
-            cli_fields["planet"] = args.planet
-        if args.workers is not None:
-            cli_fields["workers"] = args.workers
-        if args.replicates is not None:
-            cli_fields["replicates"] = args.replicates
-        if cli_fields:
-            cfg = replace(cfg, **cli_fields)
+                raise ConfigError(f"cannot read config {config}: {exc}")
+        cfg = replace(parse_config(text, override_scenario=scenario), **cli_fields)
 
         result = run_scenario(cfg)
         for path in write_outputs(result, cfg):

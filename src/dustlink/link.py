@@ -183,18 +183,14 @@ def default_time_counts(planet: PlanetPreset, seed: int,
                         seconds: int = TIME_SCENARIO_SECONDS) -> list[int]:
     """Per-second dust counts with low-dust drop windows.
 
-    Storm-level counts run 100-200 (Earth) or 10000-20000 (Mars); inside
-    the drop windows they fall below 30 / 300.
+    Each second draws uniformly from the planet's ``storm_count_range``,
+    or from its ``drop_count_range`` inside the drop windows.
     """
-    if planet.name == "earth":
-        base, drop = (100, 200), (5, 30)
-    else:
-        base, drop = (10_000, 20_000), (50, 300)
     rng = substream(derive_seed(seed, "time-counts"), 0)
     counts = []
     for t in range(seconds):
         in_window = any(lo <= t <= hi for lo, hi in DROP_WINDOWS_S)
-        lo, hi = drop if in_window else base
+        lo, hi = planet.drop_count_range if in_window else planet.storm_count_range
         counts.append(int(rng.integers(lo, hi + 1)))
     return counts
 

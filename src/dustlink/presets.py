@@ -18,14 +18,13 @@ from .scatter import (DustPermittivity, LinearDensity, MediumSpec,
                       SizeDistribution, Visibility, VolumetricDensity,
                       dust_permittivity)
 
-__all__ = ["PlanetPreset", "EARTH", "MARS", "preset", "bundled_catalog_dir",
-            "DEFAULT_NOISE_PSD_W_HZ", "DEFAULT_TX_POWER_W"]
+__all__ = ["PlanetPreset", "EARTH", "MARS", "PLANETS", "preset",
+           "bundled_catalog_dir", "DEFAULT_NOISE_PSD_W_HZ", "DEFAULT_TX_POWER_W"]
 
 # Thermal noise floor at 290 K (-174 dBm/Hz). Absolute capacities scale
 # with this choice; override it to model other receivers.
 DEFAULT_NOISE_PSD_W_HZ = BOLTZMANN * 290.0
 DEFAULT_TX_POWER_W = dbm_to_watts(10.0)
-BEAM_FACE_AREA_M2 = 1e-6   # 0.01 cm**2
 
 
 @dataclass(frozen=True)
@@ -45,10 +44,16 @@ class PlanetPreset:
     size_distribution: SizeDistribution
     permittivity_model: str
     gases: tuple[tuple[str, float], ...]
+    frequency_cap_hz: float                 # top of the frequency sweep
+    # capacity_distance's default per-meter dust density range
+    density_range_per_m: tuple[float, float]
+    # time_scenario's per-second dust counts, outside and inside the drop
+    # windows (inclusive ranges)
+    storm_count_range: tuple[int, int]
+    drop_count_range: tuple[int, int]
     asymmetry_lo: float = 0.5
     asymmetry_hi: float = 1.0
     weight_threshold: float = 1e-5
-    frequency_cap_hz: float | None = None   # sweep ceiling, where applicable
 
     def permittivity(self, f_hz: float | None = None) -> DustPermittivity:
         return dust_permittivity(self.permittivity_model,
@@ -60,7 +65,7 @@ class PlanetPreset:
     def medium_from_count(self, count_per_m: float,
                           f_hz: float | None = None) -> MediumSpec:
         return MediumSpec(self.size_distribution, self.permittivity(f_hz),
-                          LinearDensity(count_per_m, BEAM_FACE_AREA_M2))
+                          LinearDensity(count_per_m))
 
     def medium_from_visibility(self, visibility_m: float,
                                f_hz: float | None = None) -> MediumSpec:
@@ -96,6 +101,9 @@ EARTH = PlanetPreset(
         ("NH3", 0.01e-6),
     ),
     frequency_cap_hz=4e12,
+    density_range_per_m=(100.0, 200.0),
+    storm_count_range=(100, 200),
+    drop_count_range=(5, 30),
 )
 
 MARS = PlanetPreset(
@@ -116,9 +124,14 @@ MARS = PlanetPreset(
         ("H2O", 200e-6), ("O3", 0.1e-6), ("CO", 0.0008),
         ("NO", 100e-6),
     ),
+    frequency_cap_hz=10e12,
+    density_range_per_m=(1000.0, 2000.0),
+    storm_count_range=(10_000, 20_000),
+    drop_count_range=(50, 300),
 )
 
 _PRESETS = {"earth": EARTH, "mars": MARS}
+PLANETS = tuple(_PRESETS)
 
 
 def preset(name: str) -> PlanetPreset:

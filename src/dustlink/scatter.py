@@ -177,6 +177,7 @@ class DustPermittivity:
     term of the Rayleigh cross section; the defaults disable it.
     ``approximation`` selects the single-particle model for ``model="user"``
     permittivities ("mie" or "rayleigh"); the built-in models imply one.
+    Every numeric field must be finite.
     """
 
     model: str
@@ -188,10 +189,17 @@ class DustPermittivity:
     approximation: str | None = None
 
     def __post_init__(self):
+        _require_finite(eps_real=self.eps_real, eps_imag=self.eps_imag,
+                        charge_density=self.charge_density,
+                        field_scale=self.field_scale,
+                        vacuum_permittivity=self.vacuum_permittivity)
         if self.eps_imag < 0:
             raise DomainError("imaginary permittivity must be >= 0")
         if self.model not in ("earth-frequency-dependent", "mars-constant", "user"):
             raise DomainError(f"unknown permittivity model {self.model!r}")
+        if self.approximation not in (None, "mie", "rayleigh"):
+            raise DomainError(f"unknown approximation {self.approximation!r}; "
+                              "expected 'mie' or 'rayleigh'")
 
     @property
     def eps(self) -> complex:
@@ -216,8 +224,9 @@ def dust_permittivity(model: str, f_hz: float = 0.0) -> DustPermittivity:
 
     Earth dust is dispersive, eps = 3 + i*18.256/f_GHz (the square of
     the refractive index sqrt(3 + i*18.256/f_GHz)); Mars dust is the
-    constant (1.52 + 0.01i)**2.
+    constant (1.52 + 0.01i)**2. ``f_hz`` must be finite.
     """
+    _require_finite(f_hz=f_hz)
     if model == "earth-frequency-dependent":
         if f_hz <= 0:
             raise DomainError("earth permittivity needs a positive frequency")

@@ -194,12 +194,21 @@ def update_direction(mu: tuple[float, float, float], theta: float,
     norm = math.sqrt(mx * mx + my * my + mz * mz)
     if abs(norm - 1.0) > 1e-6:
         raise DomainError("direction cosines must be unit length")
-    ct = math.cos(theta)
-    st = math.sin(theta)
+    return _turn(mx, my, mz, math.cos(theta), math.sin(theta), phi)
+
+
+def _turn(mx: float, my: float, mz: float, ct: float, st: float,
+          phi: float) -> tuple[float, float, float]:
+    """Direction cosines after scattering at polar cosine ``ct`` (sine
+    ``st``) and azimuth ``phi``: the scalar form of ``_rotate``.
+
+    Near the polar axis (|mx| > 0.99999) the new x cosine is ``ct`` about
+    +X and ``-ct`` about -X; the result is renormalized to unit length.
+    """
     cp = math.cos(phi)
     sp = math.sin(phi)
     if abs(mx) > 0.99999:
-        nx = math.copysign(ct, mx)
+        nx = ct if mx > 0.0 else -ct
         ny = st * cp
         nz = st * sp
     else:
@@ -207,8 +216,8 @@ def update_direction(mu: tuple[float, float, float], theta: float,
         nx = -st * cp * root + mx * ct
         ny = st * (my * mx * cp - mz * sp) / root + my * ct
         nz = st * (mz * mx * cp + my * sp) / root + mz * ct
-    n = math.sqrt(nx * nx + ny * ny + nz * nz)
-    return nx / n, ny / n, nz / n
+    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
+    return nx / norm, ny / norm, nz / norm
 
 
 def trace_packet(cfg: TransportConfig, packet_index: int) -> tuple[str, float]:
@@ -247,8 +256,6 @@ def _trace(cfg: TransportConfig, packet_index: int) -> tuple[str, float, int]:
     log = math.log
     exp = math.exp
     sqrt = math.sqrt
-    cos = math.cos
-    sin = math.sin
     two_pi = 2.0 * math.pi
 
     x = y = 0.0
@@ -295,23 +302,7 @@ def _trace(cfg: TransportConfig, packet_index: int) -> tuple[str, float, int]:
                 ct = 1.0
             elif ct < -1.0:
                 ct = -1.0
-        st = sqrt(1.0 - ct * ct)
-        phi = two_pi * chi
-        cp = cos(phi)
-        sp = sin(phi)
-        if mx > 0.99999 or mx < -0.99999:
-            nx = ct if mx > 0.0 else -ct
-            ny = st * cp
-            nz = st * sp
-        else:
-            root = sqrt(1.0 - mx * mx)
-            nx = -st * cp * root + mx * ct
-            ny = st * (my * mx * cp - mz * sp) / root + my * ct
-            nz = st * (mz * mx * cp + my * sp) / root + mz * ct
-        norm = sqrt(nx * nx + ny * ny + nz * nz)
-        mx = nx / norm
-        my = ny / norm
-        mz = nz / norm
+        mx, my, mz = _turn(mx, my, mz, ct, sqrt(1.0 - ct * ct), two_pi * chi)
 
 
 _WAVE_ROWS = 8192        # live packets at most; bounds the kernel's memory

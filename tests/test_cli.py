@@ -1,16 +1,17 @@
 """Tests for config parsing, scenario runs and output emission."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from dustlink.cli import (CONFIG_KEYS, ExperimentConfig, SCENARIOS,
-                          _SCENARIO_TABLE, main, parse_config, run_scenario,
-                          write_outputs)
+                          _OVERRIDE_PREFIXES, _SCENARIO_TABLE, _build_parser,
+                          main, parse_config, run_scenario, write_outputs)
 from dustlink.errors import ConfigError
 
 FLOAT_KEYS = [key for key, conv in CONFIG_KEYS.items() if conv is float]
+FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
 
 
 def small_config(scenario: str, **kwargs) -> ExperimentConfig:
@@ -67,6 +68,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"line 2: {key} must be finite"):
             parse_config(f"scenario = mcp_sweep\n{key} = {value}\n")
 
+    def test_every_plain_key_names_a_field(self):
+        # parse_config passes a non-override key on as this field name
+        plain = [key for key in CONFIG_KEYS if not key.startswith(_OVERRIDE_PREFIXES)]
+        assert plain
+        assert all(key.replace(".", "_") in FIELD_NAMES for key in plain)
+
+    def test_scenario_alone_keeps_dataclass_defaults(self):
+        assert parse_config("scenario = mcp_sweep") == ExperimentConfig("mcp_sweep")
+
     def test_module_overrides_collected(self):
         cfg = parse_config("scenario = mcp_sweep\ntransport.packets = 100\n"
                            "link.tx_power_dbm = 5\n")
@@ -88,6 +98,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="range_start must be finite"):
             run_scenario(ExperimentConfig(scenario="extinction_table",
                                           range_start=float("nan"), range_steps=3))
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_seed_out_of_range_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed must be in"):
+            ExperimentConfig(scenario="mcp_sweep", seed=seed)
 
     @pytest.mark.parametrize("key", ["density.lo_per_m", "density.hi_per_m"])
     def test_half_set_density_range_rejected(self, key):
@@ -295,6 +310,29 @@ class TestMain:
         config.write_text("range.start = nan\n")
         assert main(["mcp_sweep", "--config", str(config)]) == 2
         assert "range.start must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["mcp_sweep", "storm_density"])
+    def test_negative_seed_exit_code(self, scenario, tmp_path, capsys):
+        # once a runtime error (exit 4) from deep inside the random streams
+        code = main([scenario, "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "seed must be in [0, 2**128)" in capsys.readouterr().err
+
+    def test_every_flag_stores_into_a_field(self):
+        # main passes the flags that are given on as these field names
+        dests = {action.dest for action in _build_parser()._actions} - {
+            "help", "scenario", "config"}
+        assert dests
+        assert dests <= FIELD_NAMES
+
+    def test_config_plot_holds_without_flag(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("plot = true\nreplicates = 1\n"
+                          "transport.packets = 200\nrange.steps = 2\n")
+        code = main(["mcp_sweep", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().out.split()[-1].endswith("mcp_sweep_earth.svg")
 
     def test_cli_flags_override_config(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

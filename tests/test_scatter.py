@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
@@ -166,6 +166,27 @@ class TestPermittivity:
     def test_negative_imaginary_rejected(self):
         with pytest.raises(DomainError):
             DustPermittivity("user", 3.0, -0.1)
+
+    @given(st.sampled_from(["eps_real", "eps_imag", "charge_density",
+                            "field_scale", "vacuum_permittivity"]), NON_FINITE)
+    def test_non_finite_field_rejected(self, name, value):
+        params = {"eps_real": 3.0, "eps_imag": 0.1, name: value}
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            DustPermittivity("user", approximation="mie", **params)
+
+    @given(st.sampled_from(["earth-frequency-dependent", "mars-constant"]),
+           NON_FINITE)
+    def test_non_finite_frequency_rejected(self, model, f_hz):
+        # nan once gave eps_imag = nan, and inf gave a lossless Earth grain
+        with pytest.raises(DomainError, match="f_hz must be finite"):
+            dust_permittivity(model, f_hz)
+
+    @given(st.text().filter(lambda text: text not in ("mie", "rayleigh")))
+    @example("Mie")
+    def test_unknown_approximation_rejected(self, approximation):
+        # "Mie" once fell through to the Rayleigh model
+        with pytest.raises(DomainError, match="unknown approximation"):
+            DustPermittivity("user", 3.0, 0.1, approximation=approximation)
 
 
 class TestMie:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dustlink.transport as transport
@@ -86,6 +86,29 @@ class TestUpdateDirection:
     def test_non_unit_input_rejected(self):
         with pytest.raises(DomainError):
             update_direction((1.0, 1.0, 0.0), 0.1, 0.1)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("theta", [math.pi / 2 + 0.1, 2 * math.pi / 3,
+                                       0.9 * math.pi, math.pi])
+    def test_polar_axis_backscatter(self, sign, theta):
+        # a scatter past 90 degrees about +-X once came out forward again
+        out = update_direction((sign, 0.0, 0.0), theta, 0.7)
+        assert out[0] == pytest.approx(sign * math.cos(theta), rel=1e-12)
+
+    @given(polar=st.one_of(st.sampled_from([0.0, math.pi]),
+                           st.floats(0.0, math.pi)),
+           azimuth=st.floats(0.0, 2 * math.pi),
+           theta=st.floats(0.1, math.pi - 0.1),
+           phi=st.floats(0.0, 2 * math.pi))
+    @example(polar=0.0, azimuth=0.0, theta=3.0, phi=1.0)
+    @settings(deadline=None)
+    def test_agrees_with_wave_kernel_rotation(self, polar, azimuth, theta, phi):
+        mu = (math.cos(polar), math.sin(polar) * math.cos(azimuth),
+              math.sin(polar) * math.sin(azimuth))
+        kernel = transport._rotate(*(np.array([c]) for c in mu),
+                                   np.array([math.cos(theta)]), np.array([phi]))
+        assert update_direction(mu, theta, phi) == pytest.approx(
+            [float(c[0]) for c in kernel], rel=0.0, abs=1e-12)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
