@@ -121,7 +121,8 @@ def parse_par_record(record: str, record_number: int = 1) -> SpectralLine:
     """Parse one fixed-width catalog record into a SpectralLine.
 
     The record must be exactly 160 characters after stripping the line
-    terminator; parse failures name the offending column span.
+    terminator; parse failures name the offending column span, and a value
+    that ``SpectralLine`` rejects is a FormatError naming the record.
     """
     record = record.rstrip("\r\n")
     if len(record) != RECORD_LENGTH:
@@ -142,7 +143,10 @@ def parse_par_record(record: str, record_number: int = 1) -> SpectralLine:
     if mass is None:
         raise FormatError(
             f"record {record_number}: no molar mass for molecule/isotopologue {key}")
-    return SpectralLine(molar_mass_kg_mol=mass, **values)
+    try:
+        return SpectralLine(molar_mass_kg_mol=mass, **values)
+    except DomainError as exc:
+        raise FormatError(f"record {record_number}: {exc}") from None
 
 
 def render_par_record(line: SpectralLine) -> str:

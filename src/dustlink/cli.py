@@ -17,6 +17,7 @@ import os
 import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
@@ -24,14 +25,17 @@ from statistics import median
 import numpy as np
 
 from . import atmosphere, link, storm
-from .errors import CatalogError, ConfigError, DustlinkError, FormatError
+from .errors import (CatalogError, ConfigError, DomainError, DustlinkError,
+                     FormatError)
 from .output import write_csv, write_svg_line
 from .presets import PLANETS, PlanetPreset, bundled_catalog_dir, preset
 from .rng import derive_seed
-from .scatter import ensemble_extinction
+from .scatter import (LinearDensity, Visibility, VolumetricDensity,
+                      ensemble_extinction)
 # estimate_transmittance stays bound here although unused:
 # bench/test_bench.py checks that the benchmark's span recorder rebinds it
-from .transport import (TransportConfig, estimate_batch,
+from .transport import (FixedAsymmetry, TransportConfig, UniformAsymmetry,
+                        _is_int, estimate_batch,
                         estimate_transmittance)  # noqa: F401
 
 __all__ = ["ExperimentConfig", "ScenarioResult", "parse_config",
@@ -83,11 +87,19 @@ _OVERRIDE_PREFIXES = ("transport.", "medium.", "link.", "storm.")
 # config key -> the PlanetPreset field it overrides
 _PRESET_KEYS = {
     "transport.packets": "packet_count",
-    "transport.weight_threshold": "weight_threshold",
-    "transport.g_lo": "asymmetry_lo",
-    "transport.g_hi": "asymmetry_hi",
     "transport.distance_m": "distance_m",
     "medium.count_per_m": "dust_count_per_m",
+}
+
+# config key -> the field it overrides in the transport template: a
+# TransportConfig field, a UniformAsymmetry bound ("lo", "hi"), or the "g"
+# of a FixedAsymmetry, which wins over the bounds
+_TRANSPORT_KEYS = {
+    "transport.weight_threshold": "weight_threshold",
+    "transport.max_events": "max_events",
+    "transport.g_lo": "lo",
+    "transport.g_hi": "hi",
+    "transport.g_fixed": "g",
 }
 
 
@@ -128,6 +140,13 @@ class ExperimentConfig:
                 + ", ".join(SCENARIOS))
         if self.planet not in PLANETS:
             raise ConfigError(f"unknown planet {self.planet!r}")
+        ints = {"seed": self.seed, "replicates": self.replicates,
+                "workers": self.workers}
+        if self.range_steps is not None:
+            ints["range_steps"] = self.range_steps
+        for name, value in ints.items():
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if not 0 <= self.seed < 1 << 128:
             raise ConfigError(f"seed must be in [0, 2**128), got {self.seed!r}")
         if self.replicates < 1 or self.workers < 1:
@@ -196,16 +215,33 @@ def parse_config(text: str, override_scenario: str | None = None) -> ExperimentC
     return ExperimentConfig(**fields, overrides=overrides)
 
 
+@contextmanager
+def _as_config_error():
+    """Report a DomainError as a ConfigError: wraps the functions that turn
+    config values into objects, so a value the object rejects exits 2."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _planet(cfg: ExperimentConfig) -> PlanetPreset:
-    return preset(cfg.planet).with_overrides(
-        **{name: cfg.overrides[key] for key, name in _PRESET_KEYS.items()
-           if key in cfg.overrides})
+    return replace(preset(cfg.planet),
+                   **{name: cfg.overrides[key] for key, name in _PRESET_KEYS.items()
+                      if key in cfg.overrides})
 
 
+@_as_config_error()
 def _transport(cfg: ExperimentConfig, planet: PlanetPreset) -> TransportConfig:
     """The transport template of every run a scenario traces."""
-    return link.transport_template(planet, cfg.overrides.get("transport.g_fixed"),
-                                   cfg.overrides.get("transport.max_events"))
+    fields = {name: cfg.overrides[key] for key, name in _TRANSPORT_KEYS.items()
+              if key in cfg.overrides}
+    bounds = {name: fields.pop(name) for name in ("lo", "hi") if name in fields}
+    if "g" in fields:
+        fields["asymmetry"] = FixedAsymmetry(fields.pop("g"))
+    elif bounds:
+        fields["asymmetry"] = UniformAsymmetry(**bounds)
+    return replace(link.transport_template(planet), **fields)
 
 
 def _grid(cfg: ExperimentConfig, start: float, stop: float, steps: int,
@@ -224,17 +260,23 @@ def _grid(cfg: ExperimentConfig, start: float, stop: float, steps: int,
     return [float(v) for v in np.linspace(start, stop, steps)]
 
 
-def _medium(cfg: ExperimentConfig, planet: PlanetPreset, f_hz: float):
-    """The fixed dust population of a scenario at ``f_hz``.
+@_as_config_error()
+def _density(cfg: ExperimentConfig, planet: PlanetPreset):
+    """The density of a scenario's fixed dust population.
 
-    Density resolves from the config overrides: an explicit visibility or
-    volumetric density wins over the preset's per-meter beam count.
+    An explicit visibility or volumetric density override wins over the
+    preset's per-meter beam count.
     """
     if "medium.visibility_m" in cfg.overrides:
-        return planet.medium_from_visibility(cfg.overrides["medium.visibility_m"], f_hz)
+        return Visibility(cfg.overrides["medium.visibility_m"])
     if "medium.n0_per_m3" in cfg.overrides:
-        return planet.medium_volumetric(cfg.overrides["medium.n0_per_m3"], f_hz)
-    return planet.medium_from_count(planet.dust_count_per_m, f_hz)
+        return VolumetricDensity(cfg.overrides["medium.n0_per_m3"])
+    return LinearDensity(planet.dust_count_per_m)
+
+
+def _medium(cfg: ExperimentConfig, planet: PlanetPreset, f_hz: float):
+    """The fixed dust population of a scenario at ``f_hz``."""
+    return planet.medium(_density(cfg, planet), f_hz)
 
 
 def _sweep(cfg: ExperimentConfig, values: list[float],
@@ -275,6 +317,7 @@ def _band_center_absorption(cfg: ExperimentConfig, planet: PlanetPreset) -> floa
     return float(spectrum.k_per_m[0])
 
 
+@_as_config_error()
 def _link_config(cfg: ExperimentConfig, planet: PlanetPreset,
                  distance_m: float | None = None) -> link.LinkConfig:
     return link.LinkConfig.for_preset(
@@ -358,16 +401,20 @@ _STORM_CONE = storm.build_beam_cone((5500.0, 0.0, 50.0), (6500.0, 0.0, 50.0),
                                     half_angle_rad=1.5e-5, disk_spacing_m=0.01)
 
 
-def _storm_density(cfg, planet, grid):
+@_as_config_error()
+def _storm_config(cfg: ExperimentConfig, planet: PlanetPreset) -> storm.StormConfig:
     # every storm.* key but storm.steps names a StormConfig field
-    storm_cfg = storm.StormConfig(
+    return storm.StormConfig(
         radius_range_m=(planet.size_distribution.r_min_m,
                         planet.size_distribution.r_max_m),
         seed=cfg.seed,
         **{key.removeprefix("storm."): value
            for key, value in cfg.overrides.items()
            if key.startswith("storm.") and key != "storm.steps"})
-    series = storm.density_time_series(storm_cfg, _STORM_CONE,
+
+
+def _storm_density(cfg, planet, grid):
+    series = storm.density_time_series(_storm_config(cfg, planet), _STORM_CONE,
                                        cfg.overrides.get("storm.steps", 120))
     return [(t, count) + tuple(float(v) for v in profile)
             for t, count, profile in series]

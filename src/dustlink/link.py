@@ -19,8 +19,8 @@ from .rng import derive_seed, substream
 from .scatter import ensemble_extinction
 # estimate_transmittance stays bound here although unused:
 # bench/test_bench.py checks that the benchmark's span recorder rebinds it
-from .transport import (FixedAsymmetry, TransportConfig, UniformAsymmetry,
-                        estimate_batch, estimate_transmittance)  # noqa: F401
+from .transport import (TransportConfig, estimate_batch,
+                        estimate_transmittance)  # noqa: F401
 
 __all__ = [
     "LinkConfig",
@@ -52,10 +52,9 @@ class LinkConfig:
     band_lo_hz: float
     band_hi_hz: float
     center_hz: float
+    distance_m: float
     tx_power_w: float = DEFAULT_TX_POWER_W
     noise_psd_w_hz: float = DEFAULT_NOISE_PSD_W_HZ
-    distance_m: float = 10.0
-    planet: str = "earth"
 
     def __post_init__(self):
         if self.band_lo_hz >= self.band_hi_hz:
@@ -77,12 +76,11 @@ class LinkConfig:
             band_lo_hz=planet.band_lo_hz,
             band_hi_hz=planet.band_hi_hz,
             center_hz=planet.frequency_hz,
+            distance_m=distance_m if distance_m is not None else planet.distance_m,
             tx_power_w=(DEFAULT_TX_POWER_W if tx_power_dbm is None
                         else dbm_to_watts(tx_power_dbm)),
             noise_psd_w_hz=(DEFAULT_NOISE_PSD_W_HZ if noise_psd_w_hz is None
                             else noise_psd_w_hz),
-            distance_m=distance_m if distance_m is not None else planet.distance_m,
-            planet=planet.name,
         )
 
 
@@ -195,34 +193,20 @@ def default_time_counts(planet: PlanetPreset, seed: int,
     return counts
 
 
-def transport_template(planet: PlanetPreset, g_fixed: float | None = None,
-                       max_events: int | None = None) -> TransportConfig:
+def transport_template(planet: PlanetPreset) -> TransportConfig:
     """The one transport run that every scenario run is derived from.
 
-    Packet count, asymmetry range, weight threshold, launch height and
-    distance come from the (overridden) planet preset; ``g_fixed`` holds
-    the asymmetry constant and ``max_events`` sets the event guard, else
-    ``TransportConfig``'s default applies. The template is a clear-sky
-    run with seed 0: scenarios vary extinction, distance and seed (and
-    the MCP sweep its packet count) with ``dataclasses.replace``.
+    A clear-sky run with seed 0 over the planet's distance with its packet
+    count; every other setting is ``TransportConfig``'s default. Callers
+    set Monte Carlo overrides, and scenarios their extinction, distance and
+    seed (the MCP sweep its packet count), with ``dataclasses.replace``.
     """
-    asymmetry = (UniformAsymmetry(planet.asymmetry_lo, planet.asymmetry_hi)
-                 if g_fixed is None else FixedAsymmetry(g_fixed))
-    guard = {} if max_events is None else {"max_events": max_events}
-    return TransportConfig(
-        distance_m=planet.distance_m,
-        packet_count=planet.packet_count,
-        extinction_per_m=0.0,
-        asymmetry=asymmetry,
-        weight_threshold=planet.weight_threshold,
-        launch_height_m=planet.antenna_height_m,
-        **guard,
-    )
+    return TransportConfig(planet.distance_m, planet.packet_count, 0.0)
 
 
 def _template(planet: PlanetPreset, packet_count: int | None) -> TransportConfig:
     if packet_count is not None:
-        planet = planet.with_overrides(packet_count=packet_count)
+        planet = replace(planet, packet_count=packet_count)
     return transport_template(planet)
 
 

@@ -2,13 +2,19 @@
 
 Earth runs 0.24 THz links through 1-150 micron dust under a 288 K /
 1013 mb atmosphere; Mars runs 1.64 THz through 0.5-4 micron dust at
-210 K / 6.1 mb, with the Table-style defaults of 10^4 photon packets,
-50 m antennas and 10 m link distance. The log-normal shape parameters
-(Earth: median 10 um, sigma 2.0; Mars: median 1.5 um, sigma 1.5) are
-modeling choices and overridable everywhere.
+210 K / 6.1 mb, both with 10^4 photon packets over a 10 m link. The
+log-normal shape parameters (Earth: median 10 um, sigma 2.0; Mars:
+median 1.5 um, sigma 1.5) are modeling choices and overridable
+everywhere.
+
+A preset holds only what a planet or its scenario table sets. The Monte
+Carlo settings both planets share (the 0.5-1 asymmetry range, the 1e-5
+weight threshold, the 50 m launch height, the event guard) are the
+defaults of ``TransportConfig``, and transmit power and noise density are
+the defaults below, which ``LinkConfig.for_preset`` applies.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from .atmosphere import GasMixture
@@ -29,14 +35,13 @@ DEFAULT_TX_POWER_W = dbm_to_watts(10.0)
 
 @dataclass(frozen=True)
 class PlanetPreset:
-    """Default channel conditions and simulation settings for one planet."""
+    """Band, atmosphere, dust, link length and scenario ranges of one planet."""
 
     name: str
     frequency_hz: float
     band_lo_hz: float
     band_hi_hz: float
     packet_count: int
-    antenna_height_m: float
     temperature_k: float
     pressure_atm: float
     distance_m: float
@@ -51,9 +56,6 @@ class PlanetPreset:
     # windows (inclusive ranges)
     storm_count_range: tuple[int, int]
     drop_count_range: tuple[int, int]
-    asymmetry_lo: float = 0.5
-    asymmetry_hi: float = 1.0
-    weight_threshold: float = 1e-5
 
     def permittivity(self, f_hz: float | None = None) -> DustPermittivity:
         return dust_permittivity(self.permittivity_model,
@@ -62,23 +64,21 @@ class PlanetPreset:
     def mixture(self) -> GasMixture:
         return GasMixture(self.gases, self.temperature_k, self.pressure_atm)
 
+    def medium(self, density: LinearDensity | Visibility | VolumetricDensity,
+               f_hz: float | None = None) -> MediumSpec:
+        return MediumSpec(self.size_distribution, self.permittivity(f_hz), density)
+
     def medium_from_count(self, count_per_m: float,
                           f_hz: float | None = None) -> MediumSpec:
-        return MediumSpec(self.size_distribution, self.permittivity(f_hz),
-                          LinearDensity(count_per_m))
+        return self.medium(LinearDensity(count_per_m), f_hz)
 
     def medium_from_visibility(self, visibility_m: float,
                                f_hz: float | None = None) -> MediumSpec:
-        return MediumSpec(self.size_distribution, self.permittivity(f_hz),
-                          Visibility(visibility_m))
+        return self.medium(Visibility(visibility_m), f_hz)
 
     def medium_volumetric(self, per_m3: float,
                           f_hz: float | None = None) -> MediumSpec:
-        return MediumSpec(self.size_distribution, self.permittivity(f_hz),
-                          VolumetricDensity(per_m3))
-
-    def with_overrides(self, **kwargs) -> "PlanetPreset":
-        return replace(self, **kwargs)
+        return self.medium(VolumetricDensity(per_m3), f_hz)
 
 
 EARTH = PlanetPreset(
@@ -87,7 +87,6 @@ EARTH = PlanetPreset(
     band_lo_hz=0.22e12,
     band_hi_hz=0.24e12,
     packet_count=10_000,
-    antenna_height_m=50.0,
     temperature_k=288.0,
     pressure_atm=1013.0 / MB_PER_ATM,
     distance_m=10.0,
@@ -112,7 +111,6 @@ MARS = PlanetPreset(
     band_lo_hz=1.64e12,
     band_hi_hz=1.67e12,
     packet_count=10_000,
-    antenna_height_m=50.0,
     temperature_k=210.0,
     pressure_atm=6.1 / MB_PER_ATM,
     distance_m=10.0,

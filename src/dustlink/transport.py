@@ -116,8 +116,9 @@ class TransportConfig:
             raise DomainError("extinction rate must be >= 0")
         if not (0.0 < self.weight_threshold < 1.0):
             raise DomainError("weight threshold must be in (0, 1)")
-        if self.max_events < 1:
-            raise DomainError("event guard must be >= 1")
+        if not (_is_int(self.max_events) and self.max_events >= 1):
+            raise DomainError(
+                f"event guard max_events must be an int >= 1, got {self.max_events!r}")
 
 
 FATES = ("reached", "weight_killed", "backscatter_exit", "lateral_exit", "guard_killed")

@@ -49,15 +49,14 @@ from dustlink.cli import ExperimentConfig, run_scenario, write_outputs
 from dustlink.constants import DB_PER_NEPER, HZ_PER_INVCM
 from dustlink.link import (DROP_WINDOWS_S, LinkConfig, capacity, channel_gain,
                            default_time_counts, h_dust, run_distance_sweep,
-                           run_time_scenario)
+                           run_time_scenario, transport_template)
 from dustlink.presets import EARTH, MARS
 from dustlink.rng import substream
 from dustlink.scatter import (SizeDistribution, ensemble_extinction,
                               number_density_from_visibility)
 from dustlink.storm import ParticleField, build_beam_cone, count_in_beam
-from dustlink.transport import (FixedAsymmetry, TransportConfig,
-                                estimate_transmittance, sample_scatter_angles,
-                                update_direction)
+from dustlink.transport import (FixedAsymmetry, estimate_transmittance,
+                                sample_scatter_angles, update_direction)
 
 # Criterion 10's median specific attenuation window (dB/m) for the default
 # Earth and Mars runs; criterion 11d derives its cutoff window from it.
@@ -75,11 +74,9 @@ def default_run(planet, seed: int, extinction_per_m: float | None = None,
         medium = planet.medium_from_count(planet.dust_count_per_m)
         extinction_per_m = ensemble_extinction(
             medium, planet.frequency_hz).extinction_per_m
-    base = dict(distance_m=planet.distance_m, packet_count=planet.packet_count,
-                extinction_per_m=extinction_per_m, seed=seed,
-                launch_height_m=planet.antenna_height_m)
-    base.update(kwargs)
-    return estimate_transmittance(TransportConfig(**base))
+    return estimate_transmittance(replace(
+        transport_template(planet), extinction_per_m=extinction_per_m,
+        seed=seed, **kwargs))
 
 
 def test_criterion_01_forward_limit():

@@ -61,6 +61,17 @@ class TestParser:
         with pytest.raises(FormatError, match="columns 4-15"):
             atm.parse_par_record(broken)
 
+    def test_rejected_value_names_record(self):
+        # once a bare DomainError, which the CLI reported as a runtime error
+        broken = CRAFTED[:15] + "-1.000E-20" + CRAFTED[25:]
+        with pytest.raises(FormatError,
+                           match="record 4: line intensity must be >= 0"):
+            atm.parse_par_record(broken, record_number=4)
+
+    def test_direct_line_still_domain_error(self):
+        with pytest.raises(DomainError, match="line intensity"):
+            make_line(intensity_ref=-1e-20)
+
     def test_unknown_isotopologue_rejected(self):
         broken = "99" + CRAFTED[2:]
         with pytest.raises(FormatError, match="molar mass"):

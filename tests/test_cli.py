@@ -1,5 +1,6 @@
 """Tests for config parsing, scenario runs and output emission."""
 
+import shutil
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from dustlink.cli import (CONFIG_KEYS, ExperimentConfig, SCENARIOS,
                           _OVERRIDE_PREFIXES, _SCENARIO_TABLE, _build_parser,
                           main, parse_config, run_scenario, write_outputs)
 from dustlink.errors import ConfigError
+from dustlink.presets import bundled_catalog_dir
 
 FLOAT_KEYS = [key for key, conv in CONFIG_KEYS.items() if conv is float]
 FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
@@ -104,6 +106,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="seed must be in"):
             ExperimentConfig(scenario="mcp_sweep", seed=seed)
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, "2", True])
+    @pytest.mark.parametrize("name", ["seed", "replicates", "workers",
+                                      "range_steps"])
+    def test_non_int_field_rejected(self, name, value):
+        # seed = 1.5 once ran, and replicates = 2.5 raised a bare TypeError
+        with pytest.raises(ConfigError, match=f"{name} must be an int"):
+            ExperimentConfig(scenario="mcp_sweep", **{name: value})
+
     @pytest.mark.parametrize("key", ["density.lo_per_m", "density.hi_per_m"])
     def test_half_set_density_range_rejected(self, key):
         # one end alone was silently replaced by the planet's default range
@@ -185,7 +195,10 @@ class TestRunScenario:
             float(f) for f in np.geomspace(0.22e12, 0.24e12, 5)]
 
     @pytest.mark.parametrize("override", [{"transport.g_fixed": 0.0},
-                                          {"transport.max_events": 1}])
+                                          {"transport.max_events": 1},
+                                          {"transport.g_lo": 0.9},
+                                          {"transport.g_hi": 0.6},
+                                          {"transport.weight_threshold": 0.05}])
     @pytest.mark.parametrize("scenario", ["time_scenario", "capacity_distance"])
     def test_transport_overrides_reach_link_scenarios(self, scenario, override):
         cfg = small_config(scenario, overrides={"transport.packets": 200})
@@ -310,6 +323,45 @@ class TestMain:
         config.write_text("range.start = nan\n")
         assert main(["mcp_sweep", "--config", str(config)]) == 2
         assert "range.start must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, line", [
+        ("mcp_sweep", "transport.weight_threshold = 2"),
+        ("mcp_sweep", "transport.g_lo = 1.5"),
+        ("time_scenario", "transport.packets = 0"),
+        ("capacity_distance", "transport.max_events = 0"),
+        ("extinction_table", "medium.visibility_m = -1"),
+        ("capacity_distance", "link.noise_psd_w_hz = 0"),
+        ("storm_density", "storm.timestep_s = 0"),
+    ])
+    def test_bad_override_value_exit_code(self, scenario, line, tmp_path, capsys):
+        # each once a runtime error (exit 4) from the object the value builds
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"replicates = 1\nrange.steps = 2\n{line}\n")
+        code = main([scenario, "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_later_domain_error_exit_code(self, tmp_path, capsys):
+        # a negative path count fails inside the sweep, not in an override
+        config = tmp_path / "run.cfg"
+        config.write_text("range.start = -10\nrange.scale = linear\n"
+                          "range.steps = 2\n")
+        code = main(["particle_sweep", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert "runtime error: linear particle density" in capsys.readouterr().err
+
+    def test_rejected_catalog_value_exit_code(self, tmp_path, capsys):
+        catalog = tmp_path / "catalog"
+        shutil.copytree(bundled_catalog_dir(), catalog)
+        record = (catalog / "H2O.par").read_text().splitlines()[0]
+        (catalog / "H2O.par").write_text(record[:15] + "-1.000E-20" + record[25:] + "\n")
+        code = main(["absorption_spectrum", "--catalog", str(catalog),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert ("data error: record 1: line intensity must be >= 0"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("scenario", ["mcp_sweep", "storm_density"])
     def test_negative_seed_exit_code(self, scenario, tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Tests for channel gain composition, capacity, and the link scenarios."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dustlink.cli import (CONFIG_KEYS, _PRESET_KEYS, _TRANSPORT_KEYS,
+                          ExperimentConfig, _transport)
 from dustlink.constants import SPEED_OF_LIGHT, dbm_to_watts
 from dustlink.errors import DomainError
 from dustlink.link import (DROP_WINDOWS_S, LinkConfig, capacity, channel_gain,
@@ -131,11 +134,6 @@ class TestCapacity:
             c2 = capacity(link_config(tx_power_w=p2), 1e-5).capacity_bps
             assert c2 > c1
 
-    def test_independent_of_planet_label(self):
-        a = capacity(link_config(planet="earth"), 2e-5)
-        b = capacity(link_config(planet="mars"), 2e-5)
-        assert a.capacity_bps == b.capacity_bps
-
     def test_exact_dbm_conversion(self):
         assert dbm_to_watts(10.0) == pytest.approx(0.01, rel=1e-15)
         assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
@@ -148,27 +146,44 @@ class TestLinkConfig:
         assert cfg.tx_power_w == DEFAULT_TX_POWER_W
         assert cfg.distance_m == EARTH.distance_m
 
+    def test_distance_is_required(self):
+        with pytest.raises(TypeError, match="distance_m"):
+            LinkConfig(band_lo_hz=0.22e12, band_hi_hz=0.24e12, center_hz=0.24e12)
+
     def test_zero_noise_rejected(self):
         with pytest.raises(DomainError, match="noise"):
             LinkConfig.for_preset(EARTH, noise_psd_w_hz=0.0)
 
 
 class TestTransportTemplate:
-    def test_preset_settings(self):
+    def test_planet_values_and_transport_defaults(self):
+        # the preset sets distance and packet count; TransportConfig the rest
         template = transport_template(MARS)
-        assert template.packet_count == MARS.packet_count
-        assert template.distance_m == MARS.distance_m
-        assert template.asymmetry == UniformAsymmetry(MARS.asymmetry_lo,
-                                                      MARS.asymmetry_hi)
-        assert template.weight_threshold == MARS.weight_threshold
-        assert template.launch_height_m == MARS.antenna_height_m
-        assert template.max_events == TransportConfig(
-            distance_m=1.0, packet_count=1, extinction_per_m=0.0).max_events
+        assert template == TransportConfig(MARS.distance_m, MARS.packet_count, 0.0)
+        assert template.seed == 0
 
-    def test_fixed_asymmetry_and_event_guard(self):
-        template = transport_template(EARTH, g_fixed=0.3, max_events=5)
-        assert template.asymmetry == FixedAsymmetry(0.3)
-        assert template.max_events == 5
+    def test_every_transport_key_routed_once(self):
+        keys = [key for key in CONFIG_KEYS if key.startswith("transport.")]
+        assert sorted(keys) == sorted([*_TRANSPORT_KEYS, *(
+            key for key in _PRESET_KEYS if key.startswith("transport."))])
+
+    @pytest.mark.parametrize("overrides, field, value", [
+        ({}, "asymmetry", UniformAsymmetry()),
+        ({"transport.weight_threshold": 0.01}, "weight_threshold", 0.01),
+        ({"transport.max_events": 5}, "max_events", 5),
+        ({"transport.g_lo": 0.2}, "asymmetry", UniformAsymmetry(lo=0.2)),
+        ({"transport.g_hi": 0.7}, "asymmetry", UniformAsymmetry(hi=0.7)),
+        ({"transport.g_lo": 0.1, "transport.g_hi": 0.3}, "asymmetry",
+         UniformAsymmetry(0.1, 0.3)),
+        ({"transport.g_fixed": 0.3}, "asymmetry", FixedAsymmetry(0.3)),
+        ({"transport.g_fixed": 0.3, "transport.g_lo": 0.2}, "asymmetry",
+         FixedAsymmetry(0.3)),
+    ], ids=["unset", "weight_threshold", "max_events", "g_lo", "g_hi", "g_lo_hi",
+            "g_fixed", "g_fixed_wins"])
+    def test_cli_key_sets_field(self, overrides, field, value):
+        cfg = ExperimentConfig("mcp_sweep", planet="mars", overrides=overrides)
+        assert _transport(cfg, MARS) == replace(transport_template(MARS),
+                                                **{field: value})
 
 
 class TestTimeScenario:

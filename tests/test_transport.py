@@ -381,6 +381,11 @@ class TestConfigValidation:
         with pytest.raises(DomainError, match="packet_count"):
             config(packet_count=count)
 
+    @pytest.mark.parametrize("guard", [0, -1, 2.5, 6.0, "6", None, True])
+    def test_bad_max_events(self, guard):
+        with pytest.raises(DomainError, match="max_events"):
+            config(max_events=guard)
+
     @pytest.mark.parametrize("seed", [0, 2 ** 64, 2 ** 128 - 1, np.uint64(2 ** 64 - 1)])
     def test_seed_range_accepted(self, seed):
         result = estimate_transmittance(config(seed=seed, packet_count=20))
