@@ -17,7 +17,6 @@ import os
 import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
@@ -84,17 +83,12 @@ CONFIG_KEYS = {
 
 _OVERRIDE_PREFIXES = ("transport.", "medium.", "link.", "storm.")
 
-# config key -> the PlanetPreset field it overrides
-_PRESET_KEYS = {
-    "transport.packets": "packet_count",
-    "transport.distance_m": "distance_m",
-    "medium.count_per_m": "dust_count_per_m",
-}
-
 # config key -> the field it overrides in the transport template: a
 # TransportConfig field, a UniformAsymmetry bound ("lo", "hi"), or the "g"
 # of a FixedAsymmetry, which wins over the bounds
 _TRANSPORT_KEYS = {
+    "transport.packets": "packet_count",
+    "transport.distance_m": "distance_m",
     "transport.weight_threshold": "weight_threshold",
     "transport.max_events": "max_events",
     "transport.g_lo": "lo",
@@ -140,6 +134,9 @@ class ExperimentConfig:
                 + ", ".join(SCENARIOS))
         if self.planet not in PLANETS:
             raise ConfigError(f"unknown planet {self.planet!r}")
+        for key in self.overrides:
+            if key not in CONFIG_KEYS or not key.startswith(_OVERRIDE_PREFIXES):
+                raise ConfigError(f"unknown override key {key!r}")
         ints = {"seed": self.seed, "replicates": self.replicates,
                 "workers": self.workers}
         if self.range_steps is not None:
@@ -215,23 +212,6 @@ def parse_config(text: str, override_scenario: str | None = None) -> ExperimentC
     return ExperimentConfig(**fields, overrides=overrides)
 
 
-@contextmanager
-def _as_config_error():
-    """Report a DomainError as a ConfigError: wraps the functions that turn
-    config values into objects, so a value the object rejects exits 2."""
-    try:
-        yield
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _planet(cfg: ExperimentConfig) -> PlanetPreset:
-    return replace(preset(cfg.planet),
-                   **{name: cfg.overrides[key] for key, name in _PRESET_KEYS.items()
-                      if key in cfg.overrides})
-
-
-@_as_config_error()
 def _transport(cfg: ExperimentConfig, planet: PlanetPreset) -> TransportConfig:
     """The transport template of every run a scenario traces."""
     fields = {name: cfg.overrides[key] for key, name in _TRANSPORT_KEYS.items()
@@ -260,18 +240,18 @@ def _grid(cfg: ExperimentConfig, start: float, stop: float, steps: int,
     return [float(v) for v in np.linspace(start, stop, steps)]
 
 
-@_as_config_error()
 def _density(cfg: ExperimentConfig, planet: PlanetPreset):
     """The density of a scenario's fixed dust population.
 
     An explicit visibility or volumetric density override wins over the
-    preset's per-meter beam count.
+    per-meter beam count, ``medium.count_per_m`` or the preset's.
     """
     if "medium.visibility_m" in cfg.overrides:
         return Visibility(cfg.overrides["medium.visibility_m"])
     if "medium.n0_per_m3" in cfg.overrides:
         return VolumetricDensity(cfg.overrides["medium.n0_per_m3"])
-    return LinearDensity(planet.dust_count_per_m)
+    return LinearDensity(cfg.overrides.get("medium.count_per_m",
+                                           planet.dust_count_per_m))
 
 
 def _medium(cfg: ExperimentConfig, planet: PlanetPreset, f_hz: float):
@@ -317,7 +297,6 @@ def _band_center_absorption(cfg: ExperimentConfig, planet: PlanetPreset) -> floa
     return float(spectrum.k_per_m[0])
 
 
-@_as_config_error()
 def _link_config(cfg: ExperimentConfig, planet: PlanetPreset,
                  distance_m: float | None = None) -> link.LinkConfig:
     return link.LinkConfig.for_preset(
@@ -340,7 +319,7 @@ def _fixed_medium_run(cfg: ExperimentConfig, planet: PlanetPreset) -> TransportC
     return replace(_transport(cfg, planet), extinction_per_m=cext)
 
 
-# Scenario functions: (config, resolved planet, grid or None) -> CSV rows.
+# Scenario functions: (config, planet preset, grid or None) -> CSV rows.
 
 def _mcp_sweep(cfg, planet, grid):
     run = _fixed_medium_run(cfg, planet)
@@ -358,8 +337,9 @@ def _visibility_sweep(cfg, planet, grid):
 def _particle_sweep(cfg, planet, grid):
     # sweep value is the particle count on the whole path
     values = [float(round(v)) for v in grid]
+    distance_m = _transport(cfg, planet).distance_m
     f_hz = planet.frequency_hz
-    cexts = [ensemble_extinction(planet.medium_from_count(v / planet.distance_m),
+    cexts = [ensemble_extinction(planet.medium_from_count(v / distance_m),
                                  f_hz).extinction_per_m for v in values]
     return _sweep(cfg, values, _runs_at(cfg, planet, cexts))
 
@@ -401,7 +381,6 @@ _STORM_CONE = storm.build_beam_cone((5500.0, 0.0, 50.0), (6500.0, 0.0, 50.0),
                                     half_angle_rad=1.5e-5, disk_spacing_m=0.01)
 
 
-@_as_config_error()
 def _storm_config(cfg: ExperimentConfig, planet: PlanetPreset) -> storm.StormConfig:
     # every storm.* key but storm.steps names a StormConfig field
     return storm.StormConfig(
@@ -495,11 +474,16 @@ SCENARIOS = tuple(_SCENARIO_TABLE)
 def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     """Run one scenario; deterministic per (config, seed)."""
     scenario = _SCENARIO_TABLE[cfg.scenario]
-    planet = _planet(cfg)
+    planet = preset(cfg.planet)
     grid = (_grid(cfg, *scenario.default_range(planet))
             if scenario.default_range else None)
-    return ScenarioResult(cfg.scenario, cfg.planet, scenario.header,
-                          tuple(scenario.run(cfg, planet, grid)),
+    try:
+        rows = tuple(scenario.run(cfg, planet, grid))
+    except DomainError as exc:
+        # every object a run builds comes from config values, so a value
+        # that one rejects is a config error (exit 2)
+        raise ConfigError(str(exc)) from exc
+    return ScenarioResult(cfg.scenario, cfg.planet, scenario.header, rows,
                           scenario.x_column, scenario.y_column)
 
 

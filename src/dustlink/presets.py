@@ -9,9 +9,9 @@ everywhere.
 
 A preset holds only what a planet or its scenario table sets. The Monte
 Carlo settings both planets share (the 0.5-1 asymmetry range, the 1e-5
-weight threshold, the 50 m launch height, the event guard) are the
-defaults of ``TransportConfig``, and transmit power and noise density are
-the defaults below, which ``LinkConfig.for_preset`` applies.
+weight threshold, the event guard) are the defaults of
+``TransportConfig``, and transmit power and noise density are the
+defaults below, which ``LinkConfig.for_preset`` applies.
 """
 
 from dataclasses import dataclass

@@ -1,12 +1,13 @@
 """Monte Carlo photon-packet transport through a homogeneous dust slab.
 
-Packets launch at (0, 0, h) heading along +X with unit energy weight.
+Packets launch at X = 0 heading along +X with unit energy weight.
 Free paths are exponential in the extinction rate, scattering angles come
 from the Henyey-Greenstein inversion, and the weight decays by the
 Beer-Lambert factor of each step. A packet terminates when it crosses the
 receiver plane X = D (recording the residual-attenuated weight), exits
-backwards (X < 0), leaves an optional lateral bound, drops below the
-weight threshold, or hits the event guard.
+backwards (X < 0), drops below the weight threshold, or hits the event
+guard. A packet is scored only where it crosses the receiver plane, so
+its state is its X coordinate, direction and weight alone.
 
 Receiver contributions are only ever evaluated at an actual boundary
 crossing, where the step direction necessarily has a positive X
@@ -18,10 +19,10 @@ are held as arrays, and each wave advances every live packet by one event
 in numpy, drawing from a few buffered Philox blocks per packet computed by
 ``dustlink.rng.substream_uniforms``. The packets of many runs share the
 kernel; each carries its run's seed, its index in the run, and its run's
-extinction, distance and launch height. ``trace_packet`` is the scalar
-reference, one packet in plain Python. The kernel keeps the reference's
-branch order and floating-point operations, so each packet has the same
-fate and event count; its contribution agrees within rtol 1e-12, because
+extinction and distance. ``trace_packet`` is the scalar reference, one
+packet in plain Python. The kernel keeps the reference's branch order and
+floating-point operations, so each packet has the same fate and event
+count; its contribution agrees within rtol 1e-12, because
 ``np.exp``/``np.log`` may differ from ``math`` in the last bit.
 
 Determinism: every packet draws from its own counter-based substream of
@@ -92,22 +93,16 @@ class TransportConfig:
     asymmetry: FixedAsymmetry | UniformAsymmetry = UniformAsymmetry()
     weight_threshold: float = 1e-5
     seed: int = 0
-    launch_height_m: float = 50.0   # Z launch coordinate; reporting only
-    lateral_bound_m: float | None = None
     max_events: int = 10 ** 6
 
     def __post_init__(self):
-        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 128):
-            raise DomainError(f"seed must be an int in [0, 2**128), got {self.seed!r}")
+        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 64):
+            raise DomainError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
         if not (_is_int(self.packet_count) and self.packet_count >= 1):
             raise DomainError(
                 f"packet_count must be an int >= 1, got {self.packet_count!r}")
-        finite = {"distance_m": self.distance_m,
-                  "extinction_per_m": self.extinction_per_m,
-                  "launch_height_m": self.launch_height_m}
-        if self.lateral_bound_m is not None:
-            finite["lateral_bound_m"] = self.lateral_bound_m
-        for name, value in finite.items():
+        for name, value in (("distance_m", self.distance_m),
+                            ("extinction_per_m", self.extinction_per_m)):
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
         if self.distance_m <= 0:
@@ -121,7 +116,7 @@ class TransportConfig:
                 f"event guard max_events must be an int >= 1, got {self.max_events!r}")
 
 
-FATES = ("reached", "weight_killed", "backscatter_exit", "lateral_exit", "guard_killed")
+FATES = ("reached", "weight_killed", "backscatter_exit", "guard_killed")
 _FATE_INDEX = {name: i for i, name in enumerate(FATES)}
 
 
@@ -130,12 +125,11 @@ class FateCounts:
     reached: int = 0
     weight_killed: int = 0
     backscatter_exit: int = 0
-    lateral_exit: int = 0
     guard_killed: int = 0
 
     def total(self) -> int:
         return (self.reached + self.weight_killed + self.backscatter_exit
-                + self.lateral_exit + self.guard_killed)
+                + self.guard_killed)
 
 
 @dataclass(frozen=True)
@@ -243,8 +237,6 @@ def _trace(cfg: TransportConfig, packet_index: int) -> tuple[str, float, int]:
     dist = cfg.distance_m
     eps_t = cfg.weight_threshold
     max_events = cfg.max_events
-    lateral = cfg.lateral_bound_m
-    height = cfg.launch_height_m
     asym = cfg.asymmetry
     fixed_g = asym.g if isinstance(asym, FixedAsymmetry) else None
     g_lo = g_span = 0.0
@@ -259,8 +251,7 @@ def _trace(cfg: TransportConfig, packet_index: int) -> tuple[str, float, int]:
     sqrt = math.sqrt
     two_pi = 2.0 * math.pi
 
-    x = y = 0.0
-    z = height
+    x = 0.0
     mx, my, mz = 1.0, 0.0, 0.0
     w = 1.0
     events = 0
@@ -274,13 +265,6 @@ def _trace(cfg: TransportConfig, packet_index: int) -> tuple[str, float, int]:
         x += dx
         if x < 0.0:
             return "backscatter_exit", 0.0, events
-        y += step * my
-        z += step * mz
-        if lateral is not None:
-            dy = y
-            dz = z - height
-            if dy * dy + dz * dz > lateral * lateral:
-                return "lateral_exit", 0.0, events
         events += 1
         if events >= max_events:
             return "guard_killed", 0.0, events
@@ -316,8 +300,8 @@ _DRAWS_PER_EVENT = 4     # step, g, nu, chi
 class _WaveDraws:
     """Substreams of the live packets of a wave kernel, a few blocks per row.
 
-    Buffer row ``i`` holds draws of substream ``streams[i]`` of run seed
-    ``seeds[i]``; an admitted packet takes a free row. Row ``r`` of
+    Buffer row ``i`` holds draws of substream ``streams[i]`` of 64-bit run
+    seed ``seeds[i]``; an admitted packet takes a free row. Row ``r`` of
     ``slot``, ``block``, ``col`` and ``fill`` belongs to the r-th live
     packet: ``slot`` is its buffer row, ``block`` the Philox block in that
     row's first column, ``col`` the column of its next draw and ``fill``
@@ -327,11 +311,11 @@ class _WaveDraws:
     packet goes unused.
     """
 
-    def __init__(self, rows: int, seed_dtype: np.dtype):
+    def __init__(self, rows: int):
         self.width = 4 * _MAX_BLOCKS
         self.buf = np.empty((rows, self.width))
         self.flat = self.buf.reshape(-1)
-        self.seeds = np.empty(rows, dtype=seed_dtype)
+        self.seeds = np.empty(rows, dtype=np.uint64)
         self.streams = np.empty(rows, dtype=np.int64)
         self.slot, self.block, self.col, self.fill = (
             np.empty(0, dtype=np.int64) for _ in range(4))
@@ -403,21 +387,14 @@ class _WaveDraws:
         self.fill = self.fill[live]
 
 
-def _run_seeds(cfgs) -> np.ndarray:
-    """Run seeds as an array: 64-bit words when all fit, Python ints otherwise."""
-    seeds = [cfg.seed for cfg in cfgs]
-    return np.array(seeds, dtype=np.uint64 if max(seeds) < 1 << 64 else object)
+def _trace_packets(cfgs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trace every packet of each run ``cfgs[r]``.
 
-
-def _trace_packets(cfgs, first, count) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace ``count[r]`` packets of each run ``cfgs[r]``, from ``first[r]`` on.
-
-    The runs share their asymmetry, weight threshold, lateral bound and
-    event guard; extinction, distance, launch height and seed are per
-    packet. Packets are admitted in order, at most ``_WAVE_ROWS`` live at
-    a time: whenever half the rows have ended, new packets take their
-    place, so a batch has one tail of waves with few live rows, not one
-    per ``_WAVE_ROWS`` packets. Each wave applies ``_trace``'s loop body to
+    The runs share their asymmetry, weight threshold and event guard;
+    extinction, distance and seed are per packet. Packets are admitted in
+    order, at most ``_WAVE_ROWS`` live at a time: whenever half the rows
+    have ended, new packets take their place, so a batch has one tail of
+    waves with few live rows, not one per ``_WAVE_ROWS`` packets. Each wave applies ``_trace``'s loop body to
     every live packet, in the same branch order and floating-point
     operations, and drops the packets it ends. Returns the contributions
     and fate codes of the packets, run after run, and each run's event
@@ -426,24 +403,21 @@ def _trace_packets(cfgs, first, count) -> tuple[np.ndarray, np.ndarray, np.ndarr
     head = cfgs[0]
     asym = head.asymmetry
     eps_t = head.weight_threshold
-    lateral = head.lateral_bound_m
     two_pi = 2.0 * math.pi
     run_cext = np.array([cfg.extinction_per_m for cfg in cfgs])
     run_dist = np.array([cfg.distance_m for cfg in cfgs])
-    run_height = np.array([cfg.launch_height_m for cfg in cfgs])
-    run_seeds = _run_seeds(cfgs)
-    first = np.asarray(first)
-    offsets = np.cumsum([0, *count])
+    run_seeds = np.array([cfg.seed for cfg in cfgs], dtype=np.uint64)
+    offsets = np.cumsum([0, *(cfg.packet_count for cfg in cfgs)])
     total = int(offsets[-1])
 
     contributions = np.zeros(total)
     fates = np.zeros(total, dtype=np.uint8)   # fate 0 is "reached"
     events = np.zeros(len(cfgs), dtype=np.int64)
     rows = min(_WAVE_ROWS, total)
-    draws = _WaveDraws(rows, run_seeds.dtype)
+    draws = _WaveDraws(rows)
     # per live packet: output index, run, wave of its first event, state
     pos, run, born = (np.empty(0, dtype=np.int64) for _ in range(3))
-    x, y, z, mx, my, mz, w, cext, dist = (np.empty(0) for _ in range(9))
+    x, mx, my, mz, w, cext, dist = (np.empty(0) for _ in range(7))
     admitted = 0
     wave = 0
     while admitted < total or pos.size:
@@ -456,14 +430,12 @@ def _trace_packets(cfgs, first, count) -> tuple[np.ndarray, np.ndarray, np.ndarr
             if flight.any():
                 contributions[new[flight]] = 1.0   # free flight: every packet reaches
                 new, r = new[~flight], r[~flight]
-            draws.admit(run_seeds[r], first[r] + new - offsets[r])
+            draws.admit(run_seeds[r], new - offsets[r])
             pos = np.concatenate((pos, new))
             run = np.concatenate((run, r))
             born = np.concatenate((born, np.full(new.size, wave)))
-            x, y, my, mz = (np.concatenate((a, np.zeros(new.size)))
-                            for a in (x, y, my, mz))
+            x, my, mz = (np.concatenate((a, np.zeros(new.size))) for a in (x, my, mz))
             mx, w = (np.concatenate((a, np.ones(new.size))) for a in (mx, w))
-            z = np.concatenate((z, run_height[r]))
             cext = np.concatenate((cext, run_cext[r]))
             dist = np.concatenate((dist, run_dist[r]))
             if not pos.size:
@@ -483,18 +455,10 @@ def _trace_packets(cfgs, first, count) -> tuple[np.ndarray, np.ndarray, np.ndarr
         if out.any():
             fates[pos[out]] = _FATE_INDEX["backscatter_exit"]
             live &= ~out
-        y = y + step * my
-        z = z + step * mz
-        if lateral is not None:
-            dz = z - run_height[run]
-            out = live & (y * y + dz * dz > lateral * lateral)
-            if out.any():
-                fates[pos[out]] = _FATE_INDEX["lateral_exit"]
-                live &= ~out
         if not live.all():
-            x, y, z, mx, my, mz, w, step, cext, dist, pos, run, born = (
-                a[live] for a in (x, y, z, mx, my, mz, w, step, cext, dist,
-                                  pos, run, born))
+            x, mx, my, mz, w, step, cext, dist, pos, run, born = (
+                a[live] for a in (x, mx, my, mz, w, step, cext, dist, pos,
+                                  run, born))
             draws.keep(live)
         events += np.bincount(run, minlength=len(cfgs))
         if pos.size and wave - born[0] + 1 >= head.max_events:
@@ -502,9 +466,9 @@ def _trace_packets(cfgs, first, count) -> tuple[np.ndarray, np.ndarray, np.ndarr
             guarded = slice(np.searchsorted(born, wave + 1 - head.max_events,
                                             side="right"), None)
             fates[pos[:guarded.start]] = _FATE_INDEX["guard_killed"]
-            x, y, z, mx, my, mz, w, step, cext, dist, pos, run, born = (
-                a[guarded] for a in (x, y, z, mx, my, mz, w, step, cext, dist,
-                                     pos, run, born))
+            x, mx, my, mz, w, step, cext, dist, pos, run, born = (
+                a[guarded] for a in (x, mx, my, mz, w, step, cext, dist, pos,
+                                     run, born))
             draws.keep(guarded)
         # Beer-Lambert decay; dx/mx telescopes to the step length
         w = w * np.exp(-cext * step)
@@ -512,9 +476,9 @@ def _trace_packets(cfgs, first, count) -> tuple[np.ndarray, np.ndarray, np.ndarr
         if killed.any():
             fates[pos[killed]] = _FATE_INDEX["weight_killed"]
             live = ~killed
-            x, y, z, mx, my, mz, w, cext, dist, pos, run, born = (
-                a[live] for a in (x, y, z, mx, my, mz, w, cext, dist, pos,
-                                  run, born))
+            x, mx, my, mz, w, cext, dist, pos, run, born = (
+                a[live] for a in (x, mx, my, mz, w, cext, dist, pos, run,
+                                  born))
             draws.keep(live)
         if not pos.size:
             continue
@@ -546,9 +510,8 @@ def _rotate(mx, my, mz, ct, phi):
 
 def _estimate_group(cfgs) -> list[TransportResult]:
     """Results of runs that share the kernel settings, traced together."""
-    counts = [cfg.packet_count for cfg in cfgs]
-    starts = np.cumsum([0, *counts])
-    contributions, fates, events = _trace_packets(cfgs, [0] * len(cfgs), counts)
+    starts = np.cumsum([0, *(cfg.packet_count for cfg in cfgs)])
+    contributions, fates, events = _trace_packets(cfgs)
     results = []
     for r, cfg in enumerate(cfgs):
         m = cfg.packet_count
@@ -569,8 +532,8 @@ def _estimate_group(cfgs) -> list[TransportResult]:
 def estimate_batch(cfgs: Sequence[TransportConfig]) -> list[TransportResult]:
     """Ensemble transmittance and dB/m attenuation of many runs at once.
 
-    Runs that share their asymmetry, weight threshold, lateral bound and
-    event guard are traced together in one wave kernel; each packet keeps
+    Runs that share their asymmetry, weight threshold and event guard are
+    traced together in one wave kernel; each packet keeps
     its run's seed and its index in its run, and each run's contributions
     are reduced in packet order with numpy's pairwise sum. So every result
     is bit-identical to that of its config traced alone, whatever the rest
@@ -578,8 +541,7 @@ def estimate_batch(cfgs: Sequence[TransportConfig]) -> list[TransportResult]:
     """
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
-        key = (cfg.asymmetry, cfg.weight_threshold, cfg.lateral_bound_m,
-               cfg.max_events)
+        key = (cfg.asymmetry, cfg.weight_threshold, cfg.max_events)
         groups.setdefault(key, []).append(i)
     results: list[TransportResult] = [None] * len(cfgs)
     for members in groups.values():

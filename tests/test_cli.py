@@ -114,6 +114,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=f"{name} must be an int"):
             ExperimentConfig(scenario="mcp_sweep", **{name: value})
 
+    @pytest.mark.parametrize("key", ["transport.packet", "storm.bogus", "seed",
+                                     "range.start", "bogus"])
+    def test_unknown_override_key_rejected(self, key):
+        # built in code, not parsed: transport.packet once ran the preset's
+        # packet count, and storm.bogus raised a bare TypeError
+        with pytest.raises(ConfigError, match="unknown override key"):
+            ExperimentConfig(scenario="mcp_sweep", overrides={key: 10})
+
     @pytest.mark.parametrize("key", ["density.lo_per_m", "density.hi_per_m"])
     def test_half_set_density_range_rejected(self, key):
         # one end alone was silently replaced by the planet's default range
@@ -332,6 +340,8 @@ class TestMain:
         ("extinction_table", "medium.visibility_m = -1"),
         ("capacity_distance", "link.noise_psd_w_hz = 0"),
         ("storm_density", "storm.timestep_s = 0"),
+        ("particle_sweep", "transport.distance_m = 0"),
+        ("particle_sweep", "transport.distance_m = -1"),
     ])
     def test_bad_override_value_exit_code(self, scenario, line, tmp_path, capsys):
         # each once a runtime error (exit 4) from the object the value builds
@@ -343,14 +353,16 @@ class TestMain:
         assert capsys.readouterr().err.startswith("config error: ")
 
     def test_later_domain_error_exit_code(self, tmp_path, capsys):
-        # a negative path count fails inside the sweep, not in an override
-        config = tmp_path / "run.cfg"
-        config.write_text("range.start = -10\nrange.scale = linear\n"
-                          "range.steps = 2\n")
-        code = main(["particle_sweep", "--config", str(config),
-                     "--out", str(tmp_path / "out")])
-        assert code == 4
-        assert "runtime error: linear particle density" in capsys.readouterr().err
+        # a grid value the sweep rejects is a config value too; a negative
+        # path count and a negative packet count each once exited 4
+        for scenario, start in (("particle_sweep", -10), ("mcp_sweep", -5)):
+            config = tmp_path / f"{scenario}.cfg"
+            config.write_text(f"range.start = {start}\nrange.scale = linear\n"
+                              "range.steps = 2\n")
+            code = main([scenario, "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("config error: ")
 
     def test_rejected_catalog_value_exit_code(self, tmp_path, capsys):
         catalog = tmp_path / "catalog"

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dustlink.cli import (CONFIG_KEYS, _PRESET_KEYS, _TRANSPORT_KEYS,
-                          ExperimentConfig, _transport)
+from dustlink.cli import (CONFIG_KEYS, _TRANSPORT_KEYS, ExperimentConfig,
+                          _transport)
 from dustlink.constants import SPEED_OF_LIGHT, dbm_to_watts
 from dustlink.errors import DomainError
 from dustlink.link import (DROP_WINDOWS_S, LinkConfig, capacity, channel_gain,
@@ -164,11 +164,12 @@ class TestTransportTemplate:
 
     def test_every_transport_key_routed_once(self):
         keys = [key for key in CONFIG_KEYS if key.startswith("transport.")]
-        assert sorted(keys) == sorted([*_TRANSPORT_KEYS, *(
-            key for key in _PRESET_KEYS if key.startswith("transport."))])
+        assert sorted(keys) == sorted(_TRANSPORT_KEYS)
 
     @pytest.mark.parametrize("overrides, field, value", [
         ({}, "asymmetry", UniformAsymmetry()),
+        ({"transport.packets": 50}, "packet_count", 50),
+        ({"transport.distance_m": 4.0}, "distance_m", 4.0),
         ({"transport.weight_threshold": 0.01}, "weight_threshold", 0.01),
         ({"transport.max_events": 5}, "max_events", 5),
         ({"transport.g_lo": 0.2}, "asymmetry", UniformAsymmetry(lo=0.2)),
@@ -178,7 +179,7 @@ class TestTransportTemplate:
         ({"transport.g_fixed": 0.3}, "asymmetry", FixedAsymmetry(0.3)),
         ({"transport.g_fixed": 0.3, "transport.g_lo": 0.2}, "asymmetry",
          FixedAsymmetry(0.3)),
-    ], ids=["unset", "weight_threshold", "max_events", "g_lo", "g_hi", "g_lo_hi",
+    ], ids=["unset", "packets", "distance_m", "weight_threshold", "max_events", "g_lo", "g_hi", "g_lo_hi",
             "g_fixed", "g_fixed_wins"])
     def test_cli_key_sets_field(self, overrides, field, value):
         cfg = ExperimentConfig("mcp_sweep", planet="mars", overrides=overrides)

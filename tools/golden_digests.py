@@ -5,9 +5,10 @@ Usage: python3 tools/golden_digests.py SRC_DIR > digests.json
 Imports ``dustlink`` from SRC_DIR and prints a JSON object that maps each
 run to the SHA-256 of its CSV. The runs are every scenario x planet at
 small sizes, alone and with one override set per ``transport.*``,
-``link.*`` and ``medium.*`` key, at 1 and 3 workers, plus every
-``bench/jobs.py`` job of every input set. A refactor that keeps the output
-gives the same JSON on the source trees before and after it.
+``link.*`` and ``medium.*`` key (and, for ``storm_density``, per
+``storm.*`` key), at 1 and 3 workers, plus every ``bench/jobs.py`` job of
+every input set. A refactor that keeps the output gives the same JSON on
+the source trees before and after it.
 """
 
 import hashlib
@@ -34,6 +35,19 @@ OVERRIDES = {
     "link.tx_power_dbm": 20.0,
     "link.noise_psd_w_hz": 1e-20,
 }
+# one value per storm.* key, each different from the default; only
+# storm_density reads them. Its beam cone holds no particle at these sizes,
+# so only storm.steps and storm.timestep_s change the CSV bytes; the other
+# sets show that the key still reaches StormConfig.
+STORM_OVERRIDES = {
+    "storm.emission_rate": 50,
+    "storm.steps": 7,
+    "storm.timestep_s": 120.0,
+    "storm.updraft_m_s": 0.9,
+    "storm.settling_m_s": 0.1,
+    "storm.wind_speed_m_s": 20.0,
+    "storm.vortex_strength_rad_s": 0.1,
+}
 
 
 def main(src_dir: str) -> dict:
@@ -54,9 +68,11 @@ def main(src_dir: str) -> dict:
             digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
 
         for scenario in SCENARIOS:
+            overrides = {**OVERRIDES, **(STORM_OVERRIDES
+                                         if scenario == "storm_density" else {})}
             for planet in PLANETS:
-                for key in ("base", *OVERRIDES):
-                    extra = {key: OVERRIDES[key]} if key in OVERRIDES else {}
+                for key in ("base", *overrides):
+                    extra = {key: overrides[key]} if key in overrides else {}
                     for workers in (1, 3):
                         digest(f"{scenario}/{planet}/{key}/w{workers}",
                                ExperimentConfig(
