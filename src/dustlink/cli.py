@@ -134,9 +134,16 @@ class ExperimentConfig:
                 + ", ".join(SCENARIOS))
         if self.planet not in PLANETS:
             raise ConfigError(f"unknown planet {self.planet!r}")
-        for key in self.overrides:
+        for key, value in self.overrides.items():
             if key not in CONFIG_KEYS or not key.startswith(_OVERRIDE_PREFIXES):
                 raise ConfigError(f"unknown override key {key!r}")
+            # an int fits either kind of key; a float only a finite float key
+            if CONFIG_KEYS[key] is int and not _is_int(value):
+                raise ConfigError(f"override {key} must be an int, got {value!r}")
+            if not (_is_int(value)
+                    or isinstance(value, float) and math.isfinite(value)):
+                raise ConfigError(
+                    f"override {key} must be a finite number, got {value!r}")
         ints = {"seed": self.seed, "replicates": self.replicates,
                 "workers": self.workers}
         if self.range_steps is not None:

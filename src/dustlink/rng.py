@@ -45,20 +45,18 @@ def substream(seed: int, stream_index: int) -> np.random.Generator:
 
 
 def _key_words(seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 64-bit key words of seeds in [0, 2**128), as uint64 arrays.
+    """Low and high 64-bit key words of run seeds in [0, 2**64), as uint64 arrays.
 
-    An unsigned 64-bit array is taken as low words with zero high words, so
-    64-bit run seeds skip the conversion; any other integers are checked
-    and split as Python ints.
+    An unsigned 64-bit array passes through; any other integers are
+    checked against the range. The high key word is 0.
     """
     seeds = np.asarray(seeds)
-    if seeds.dtype == np.uint64:
-        return seeds, np.zeros_like(seeds)
-    seeds = seeds.astype(object)
-    if not np.all((seeds >= 0) & (seeds < 1 << 128)):
-        raise ValueError("key must be positive and less than 2**128.")
-    return (np.array(seeds & _MASK64, dtype=np.uint64),
-            np.array(seeds >> 64, dtype=np.uint64))
+    if seeds.dtype != np.uint64:
+        seeds = seeds.astype(object)
+        if not all(isinstance(s, int) and 0 <= s < 1 << 64 for s in seeds.flat):
+            raise ValueError("key must be an int in [0, 2**64).")
+        seeds = seeds.astype(np.uint64)
+    return seeds, np.zeros_like(seeds)
 
 
 def philox4x64(seeds, streams, blocks) -> np.ndarray:
@@ -67,8 +65,8 @@ def philox4x64(seeds, streams, blocks) -> np.ndarray:
     ``seeds``, ``streams`` and ``blocks`` broadcast against each other; the
     result has their broadcast shape plus a trailing axis of the 4 output
     words, which equal ``Philox(key=seed, counter=(block - 1, 0, stream,
-    0)).random_raw(4)`` bit for bit. Seeds up to 2**128 fill both key
-    words, as in numpy.
+    0)).random_raw(4)`` bit for bit. Seeds are 64-bit run seeds, so the
+    high key word is 0.
     """
     k0, k1 = _key_words(seeds)
     block, stream = np.broadcast_arrays(

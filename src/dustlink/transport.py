@@ -7,7 +7,9 @@ Beer-Lambert factor of each step. A packet terminates when it crosses the
 receiver plane X = D (recording the residual-attenuated weight), exits
 backwards (X < 0), drops below the weight threshold, or hits the event
 guard. A packet is scored only where it crosses the receiver plane, so
-its state is its X coordinate, direction and weight alone.
+its state is its X coordinate, its X direction cosine and its weight
+alone: the MCML update of the X cosine (Wang, Jacques & Zheng, 1995)
+needs no other direction cosine.
 
 Receiver contributions are only ever evaluated at an actual boundary
 crossing, where the step direction necessarily has a positive X
@@ -16,7 +18,7 @@ component, so the residual Beer-Lambert factor is always finite.
 Two implementations share these rules. ``estimate_batch`` (and
 ``estimate_transmittance``, a batch of one) runs a wave kernel: packets
 are held as arrays, and each wave advances every live packet by one event
-in numpy, drawing from a few buffered Philox blocks per packet computed by
+in numpy, drawing from four buffered Philox blocks per packet computed by
 ``dustlink.rng.substream_uniforms``. The packets of many runs share the
 kernel; each carries its run's seed, its index in the run, and its run's
 extinction and distance. ``trace_packet`` is the scalar reference, one
@@ -184,24 +186,14 @@ def update_direction(mu: tuple[float, float, float], theta: float,
 
     Uses the general three-component update, switching to the polar-axis
     form when |mu_x| > 0.99999; the result is renormalized to unit length.
+    Its x component is the x cosine ``_rotate`` gives the transport.
     """
     mx, my, mz = mu
     norm = math.sqrt(mx * mx + my * my + mz * mz)
     if abs(norm - 1.0) > 1e-6:
         raise DomainError("direction cosines must be unit length")
-    return _turn(mx, my, mz, math.cos(theta), math.sin(theta), phi)
-
-
-def _turn(mx: float, my: float, mz: float, ct: float, st: float,
-          phi: float) -> tuple[float, float, float]:
-    """Direction cosines after scattering at polar cosine ``ct`` (sine
-    ``st``) and azimuth ``phi``: the scalar form of ``_rotate``.
-
-    Near the polar axis (|mx| > 0.99999) the new x cosine is ``ct`` about
-    +X and ``-ct`` about -X; the result is renormalized to unit length.
-    """
-    cp = math.cos(phi)
-    sp = math.sin(phi)
+    ct, st = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(phi), math.sin(phi)
     if abs(mx) > 0.99999:
         nx = ct if mx > 0.0 else -ct
         ny = st * cp
@@ -249,10 +241,11 @@ def _trace(cfg: TransportConfig, packet_index: int) -> tuple[str, float, int]:
     log = math.log
     exp = math.exp
     sqrt = math.sqrt
+    cos = math.cos
     two_pi = 2.0 * math.pi
 
     x = 0.0
-    mx, my, mz = 1.0, 0.0, 0.0
+    mx = 1.0
     w = 1.0
     events = 0
 
@@ -287,38 +280,40 @@ def _trace(cfg: TransportConfig, packet_index: int) -> tuple[str, float, int]:
                 ct = 1.0
             elif ct < -1.0:
                 ct = -1.0
-        mx, my, mz = _turn(mx, my, mz, ct, sqrt(1.0 - ct * ct), two_pi * chi)
+        # the x cosine after the turn (``_rotate``'s scalar form)
+        if abs(mx) > 0.99999:
+            mx = ct if mx > 0.0 else -ct
+        else:
+            mx = (-sqrt(1.0 - ct * ct) * cos(two_pi * chi) * sqrt(1.0 - mx * mx)
+                  + mx * ct)
 
 
 _WAVE_ROWS = 8192        # live packets at most; bounds the kernel's memory
 _FILL_BLOCKS = 8192      # Philox blocks per call; bounds its temporaries
-_FIRST_BLOCKS = 1        # Philox blocks of a packet's first fill
-_MAX_BLOCKS = 4          # blocks of the widest refill, the buffer width
+_BLOCKS = 4              # Philox blocks of every fill, the buffer width
 _DRAWS_PER_EVENT = 4     # step, g, nu, chi
 
 
 class _WaveDraws:
-    """Substreams of the live packets of a wave kernel, a few blocks per row.
+    """Substreams of the live packets of a wave kernel, ``_BLOCKS`` blocks per row.
 
     Buffer row ``i`` holds draws of substream ``streams[i]`` of 64-bit run
     seed ``seeds[i]``; an admitted packet takes a free row. Row ``r`` of
-    ``slot``, ``block``, ``col`` and ``fill`` belongs to the r-th live
-    packet: ``slot`` is its buffer row, ``block`` the Philox block in that
-    row's first column, ``col`` the column of its next draw and ``fill``
-    the number of blocks in its buffer. Most packets end after a few
-    events, so the first fill is one block and each refill doubles the
-    last, up to the buffer width; little of the last fill of a short-lived
-    packet goes unused.
+    ``slot``, ``block`` and ``col`` belongs to the r-th live packet:
+    ``slot`` is its buffer row, ``block`` the Philox block in that row's
+    first column and ``col`` the column of its next draw. Every fill, on
+    admission and on each refill, writes the full ``_BLOCKS`` blocks, so
+    a row's refills are one Philox call whatever its age.
     """
 
     def __init__(self, rows: int):
-        self.width = 4 * _MAX_BLOCKS
+        self.width = 4 * _BLOCKS
         self.buf = np.empty((rows, self.width))
         self.flat = self.buf.reshape(-1)
         self.seeds = np.empty(rows, dtype=np.uint64)
         self.streams = np.empty(rows, dtype=np.int64)
-        self.slot, self.block, self.col, self.fill = (
-            np.empty(0, dtype=np.int64) for _ in range(4))
+        self.slot, self.block, self.col = (np.empty(0, dtype=np.int64)
+                                           for _ in range(3))
 
     def admit(self, seeds: np.ndarray, streams: np.ndarray) -> None:
         """Give new packets free buffer rows and their first fill.
@@ -331,39 +326,32 @@ class _WaveDraws:
         self.seeds[slots] = seeds
         self.streams[slots] = streams
         ones = np.ones(slots.size, dtype=np.int64)
-        self._fill(slots, ones, _FIRST_BLOCKS)
+        self._fill(slots, ones)
         self.slot = np.concatenate((self.slot, slots))
         self.block = np.concatenate((self.block, ones))
         self.col = np.concatenate((self.col, np.zeros(slots.size, dtype=np.int64)))
-        self.fill = np.concatenate((self.fill, np.full(slots.size, _FIRST_BLOCKS)))
 
     def _refill(self, rows: np.ndarray) -> None:
         """Restart the buffer of ``rows`` at the block of their next draw."""
         self.block[rows] += self.col[rows] // 4
         self.col[rows] %= 4
-        fill = np.minimum(2 * self.fill[rows], _MAX_BLOCKS)
-        self.fill[rows] = fill
-        sizes = np.unique(fill)
-        for blocks in sizes:
-            part = rows if sizes.size == 1 else rows[fill == blocks]
-            self._fill(self.slot[part], self.block[part], int(blocks))
+        self._fill(self.slot[rows], self.block[rows])
 
-    def _fill(self, slots: np.ndarray, first_blocks: np.ndarray,
-              blocks: int) -> None:
-        """Write ``blocks`` Philox blocks, from ``first_blocks`` on, into
+    def _fill(self, slots: np.ndarray, first_blocks: np.ndarray) -> None:
+        """Write ``_BLOCKS`` Philox blocks, from ``first_blocks`` on, into
         buffer rows ``slots``. At most ``_FILL_BLOCKS`` blocks per call bound
         the Philox temporaries and the copy into the buffer.
         """
-        step = max(1, _FILL_BLOCKS // blocks)
+        step = max(1, _FILL_BLOCKS // _BLOCKS)
         for lo in range(0, slots.size, step):
             part = slots[lo:lo + step]
-            self.buf[part, :4 * blocks] = substream_uniforms(
+            self.buf[part] = substream_uniforms(
                 self.seeds[part], self.streams[part], first_blocks[lo:lo + step],
-                blocks)
+                _BLOCKS)
 
     def reserve(self) -> None:
         """Make room for one event's draws in every live row."""
-        low = np.flatnonzero(self.col > 4 * self.fill - _DRAWS_PER_EVENT)
+        low = np.flatnonzero(self.col > self.width - _DRAWS_PER_EVENT)
         if low.size:
             self._refill(low)
 
@@ -384,7 +372,6 @@ class _WaveDraws:
         self.slot = self.slot[live]
         self.block = self.block[live]
         self.col = self.col[live]
-        self.fill = self.fill[live]
 
 
 def _trace_packets(cfgs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -394,11 +381,11 @@ def _trace_packets(cfgs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     extinction, distance and seed are per packet. Packets are admitted in
     order, at most ``_WAVE_ROWS`` live at a time: whenever half the rows
     have ended, new packets take their place, so a batch has one tail of
-    waves with few live rows, not one per ``_WAVE_ROWS`` packets. Each wave applies ``_trace``'s loop body to
-    every live packet, in the same branch order and floating-point
-    operations, and drops the packets it ends. Returns the contributions
-    and fate codes of the packets, run after run, and each run's event
-    total.
+    waves with few live rows, not one per ``_WAVE_ROWS`` packets. Each
+    wave applies ``_trace``'s loop body to every live packet, in the same
+    branch order and floating-point operations, and drops the packets it
+    ends. Returns the contributions and fate codes of the packets, run
+    after run, and each run's event total.
     """
     head = cfgs[0]
     asym = head.asymmetry
@@ -417,7 +404,7 @@ def _trace_packets(cfgs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     draws = _WaveDraws(rows)
     # per live packet: output index, run, wave of its first event, state
     pos, run, born = (np.empty(0, dtype=np.int64) for _ in range(3))
-    x, mx, my, mz, w, cext, dist = (np.empty(0) for _ in range(7))
+    x, mx, w, cext, dist = (np.empty(0) for _ in range(5))
     admitted = 0
     wave = 0
     while admitted < total or pos.size:
@@ -434,7 +421,7 @@ def _trace_packets(cfgs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             pos = np.concatenate((pos, new))
             run = np.concatenate((run, r))
             born = np.concatenate((born, np.full(new.size, wave)))
-            x, my, mz = (np.concatenate((a, np.zeros(new.size))) for a in (x, my, mz))
+            x = np.concatenate((x, np.zeros(new.size)))
             mx, w = (np.concatenate((a, np.ones(new.size))) for a in (mx, w))
             cext = np.concatenate((cext, run_cext[r]))
             dist = np.concatenate((dist, run_dist[r]))
@@ -442,7 +429,9 @@ def _trace_packets(cfgs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 continue
 
         draws.reserve()
-        step = -np.log(draws.draw()) / cext
+        # a subnormal extinction gives an infinite step: the packet crosses
+        with np.errstate(over="ignore"):
+            step = -np.log(draws.draw()) / cext
         x_next = x + step * mx
         ended = (x_next >= dist) & (mx > 0.0)
         live = ~ended
@@ -456,9 +445,8 @@ def _trace_packets(cfgs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             fates[pos[out]] = _FATE_INDEX["backscatter_exit"]
             live &= ~out
         if not live.all():
-            x, mx, my, mz, w, step, cext, dist, pos, run, born = (
-                a[live] for a in (x, mx, my, mz, w, step, cext, dist, pos,
-                                  run, born))
+            x, mx, w, step, cext, dist, pos, run, born = (
+                a[live] for a in (x, mx, w, step, cext, dist, pos, run, born))
             draws.keep(live)
         events += np.bincount(run, minlength=len(cfgs))
         if pos.size and wave - born[0] + 1 >= head.max_events:
@@ -466,9 +454,8 @@ def _trace_packets(cfgs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             guarded = slice(np.searchsorted(born, wave + 1 - head.max_events,
                                             side="right"), None)
             fates[pos[:guarded.start]] = _FATE_INDEX["guard_killed"]
-            x, mx, my, mz, w, step, cext, dist, pos, run, born = (
-                a[guarded] for a in (x, mx, my, mz, w, step, cext, dist, pos,
-                                     run, born))
+            x, mx, w, step, cext, dist, pos, run, born = (
+                a[guarded] for a in (x, mx, w, step, cext, dist, pos, run, born))
             draws.keep(guarded)
         # Beer-Lambert decay; dx/mx telescopes to the step length
         w = w * np.exp(-cext * step)
@@ -476,9 +463,8 @@ def _trace_packets(cfgs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if killed.any():
             fates[pos[killed]] = _FATE_INDEX["weight_killed"]
             live = ~killed
-            x, mx, my, mz, w, cext, dist, pos, run, born = (
-                a[live] for a in (x, mx, my, mz, w, cext, dist, pos, run,
-                                  born))
+            x, mx, w, cext, dist, pos, run, born = (
+                a[live] for a in (x, mx, w, cext, dist, pos, run, born))
             draws.keep(live)
         if not pos.size:
             continue
@@ -488,24 +474,20 @@ def _trace_packets(cfgs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         else:
             g = asym.lo + (asym.hi - asym.lo) * draws.draw()
         ct = _hg_cosine(g, draws.draw())
-        mx, my, mz = _rotate(mx, my, mz, ct, two_pi * draws.draw())
+        mx = _rotate(mx, ct, two_pi * draws.draw())
     return contributions, fates, events
 
 
-def _rotate(mx, my, mz, ct, phi):
-    """Direction cosines after scattering at polar cosine ``ct`` and azimuth
-    ``phi``, with ``_trace``'s arithmetic. Its temporaries end with the call.
+def _rotate(mx, ct, phi):
+    """The x cosine after scattering at polar cosine ``ct`` and azimuth
+    ``phi``, with ``_trace``'s arithmetic. The MCML update of the x cosine
+    needs only the old x cosine, ``ct`` and ``phi``; it is not
+    renormalized. Its temporaries end with the call.
     """
-    st = np.sqrt(1.0 - ct * ct)
-    cp = np.cos(phi)
-    sp = np.sin(phi)
     polar = np.abs(mx) > 0.99999
     root = np.sqrt(np.where(polar, 1.0, 1.0 - mx * mx))
-    nx = np.where(polar, np.where(mx > 0.0, ct, -ct), -st * cp * root + mx * ct)
-    ny = np.where(polar, st * cp, st * (my * mx * cp - mz * sp) / root + my * ct)
-    nz = np.where(polar, st * sp, st * (mz * mx * cp + my * sp) / root + mz * ct)
-    norm = np.sqrt(nx * nx + ny * ny + nz * nz)
-    return nx / norm, ny / norm, nz / norm
+    turned = -np.sqrt(1.0 - ct * ct) * np.cos(phi) * root + mx * ct
+    return np.where(polar, np.where(mx > 0.0, ct, -ct), turned)
 
 
 def _estimate_group(cfgs) -> list[TransportResult]:

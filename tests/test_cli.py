@@ -1,5 +1,6 @@
 """Tests for config parsing, scenario runs and output emission."""
 
+import math
 import shutil
 from dataclasses import fields, replace
 
@@ -121,6 +122,18 @@ class TestExperimentConfig:
         # packet count, and storm.bogus raised a bare TypeError
         with pytest.raises(ConfigError, match="unknown override key"):
             ExperimentConfig(scenario="mcp_sweep", overrides={key: 10})
+
+    @pytest.mark.parametrize("scenario, overrides", [
+        ("storm_density", {"storm.steps": 2.5}),
+        ("time_scenario", {"link.tx_power_dbm": "x"}),
+        ("mcp_sweep", {"transport.packets": True}),
+        ("mcp_sweep", {"medium.visibility_m": math.nan}),
+    ])
+    def test_override_value_type_rejected(self, scenario, overrides):
+        # built in code, not parsed: these once failed late with a bare
+        # TypeError, or ran on a bool or a NaN
+        with pytest.raises(ConfigError, match="override"):
+            ExperimentConfig(scenario=scenario, overrides=overrides)
 
     @pytest.mark.parametrize("key", ["density.lo_per_m", "density.hi_per_m"])
     def test_half_set_density_range_rejected(self, key):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dustlink.rng import UniformStream, philox4x64, substream, substream_uniforms
 
 seeds = st.integers(0, 2 ** 64 - 1)
-wide_seeds = st.integers(0, 2 ** 128 - 1)
 streams = st.integers(0, 2 ** 63)
 # block 33 onward lies past UniformStream's first 128-draw chunk
 blocks = st.integers(1, 200)
@@ -33,8 +32,7 @@ class TestPhilox:
             expected = substream(seed, stream).random(4 * (first - 1 + count))
             assert np.array_equal(row, expected[4 * (first - 1):])
 
-    @given(st.lists(st.tuples(wide_seeds, streams, blocks), min_size=1,
-                    max_size=6))
+    @given(st.lists(st.tuples(seeds, streams, blocks), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_per_row_keys_match_numpy(self, rows):
         seed_list, stream_list, block_list = zip(*rows)
@@ -45,14 +43,13 @@ class TestPhilox:
             expected = np.random.Philox(
                 key=seed, counter=(block - 1, 0, stream, 0)).random_raw(4)
             assert np.array_equal(row, expected)
-        if max(seed_list) < 2 ** 64:
-            as_words = philox4x64(np.array(seed_list, dtype=np.uint64),
-                                  np.array(stream_list, dtype=np.uint64),
-                                  np.array(block_list))
-            assert np.array_equal(as_words, words)
+        as_words = philox4x64(np.array(seed_list, dtype=np.uint64),
+                              np.array(stream_list, dtype=np.uint64),
+                              np.array(block_list))
+        assert np.array_equal(as_words, words)
 
     def test_uniforms_of_per_row_seeds(self):
-        seed_array = np.array([3, 2 ** 64 - 1, 2 ** 90, 11, 0], dtype=object)
+        seed_array = np.array([3, 2 ** 64 - 1, 2 ** 63 + 5, 11, 0], dtype=object)
         stream_array = np.array([0, 5, 2 ** 40, 7, 9])
         first = np.array([1, 3, 2, 40, 1])
         draws = substream_uniforms(seed_array, stream_array, first, 3)
@@ -65,18 +62,15 @@ class TestPhilox:
         raw = np.random.Philox(key=123456789, counter=(0, 0, 17, 0)).random_raw(4)
         assert np.array_equal(philox4x64(123456789, 17, 1), raw)
 
-    def test_two_word_key(self):
-        seed = 2 ** 100 + 12345
-        expected = np.random.Philox(key=seed, counter=(4, 0, 9, 0)).random_raw(4)
-        assert np.array_equal(philox4x64(seed, 9, 5), expected)
-
     def test_broadcast_shape(self):
         words = philox4x64(3, np.arange(5)[:, None], np.arange(1, 4))
         assert words.shape == (5, 3, 4)
         assert np.array_equal(words[2, 1], philox4x64(3, 2, 2))
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 128, np.array([1, -1]),
-                                      np.array([0, 2 ** 128], dtype=object)])
+                                      np.array([0, 2 ** 128], dtype=object),
+                                      2 ** 64, np.array([0, 2 ** 64], dtype=object),
+                                      1.5])
     def test_key_range(self, seed):
         with pytest.raises(ValueError):
             philox4x64(seed, 0, 1)

@@ -103,12 +103,13 @@ class TestUpdateDirection:
     @example(polar=0.0, azimuth=0.0, theta=3.0, phi=1.0)
     @settings(deadline=None)
     def test_agrees_with_wave_kernel_rotation(self, polar, azimuth, theta, phi):
+        # the kernel's x cosine is the 3D update's, whatever (my, mz) are
         mu = (math.cos(polar), math.sin(polar) * math.cos(azimuth),
               math.sin(polar) * math.sin(azimuth))
-        kernel = transport._rotate(*(np.array([c]) for c in mu),
-                                   np.array([math.cos(theta)]), np.array([phi]))
-        assert update_direction(mu, theta, phi) == pytest.approx(
-            [float(c[0]) for c in kernel], rel=0.0, abs=1e-12)
+        kernel = transport._rotate(np.array([mu[0]]), np.array([math.cos(theta)]),
+                                   np.array([phi]))
+        assert update_direction(mu, theta, phi)[0] == pytest.approx(
+            float(kernel[0]), rel=0.0, abs=1e-12)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -173,6 +174,13 @@ class TestEstimateTransmittance:
         result = estimate_transmittance(config(extinction_per_m=50.0))
         assert result.transmittance == 0.0
         assert result.attenuation_db_per_m == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_extinction_crosses(self):
+        # the free path overflows to inf, and every packet crosses, as in _trace
+        result = estimate_transmittance(TransportConfig(10.0, 5, 1e-310))
+        assert result.transmittance == 1.0
+        assert result.fates.reached == 5
 
     def test_batch_split_invariance(self):
         cfgs = [config(packet_count=600, seed=s, extinction_per_m=c)
@@ -242,13 +250,14 @@ class TestWaveKernel:
     def test_zero_draws_skipped_like_uniform_stream(self, monkeypatch):
         # Raw draws that are exactly 0.0 are vanishingly rare (2**-53), so
         # zeros are planted: as the first draw, three in a row, across a
-        # buffer boundary, and as the first draw of an event that starts
-        # with exactly one event's draws left in the buffer.
-        # Without zeros, UniformAsymmetry events read draws 0-3 from the
-        # first fill (1 block), 4-11 from the second (2 blocks) and 12-27
-        # from the third (4 blocks, the buffer width).
-        width = 4 * transport._MAX_BLOCKS
-        zeros = {0: [0], 1: [3, 4], 2: [2, 3, 4], 3: [11, 12, 27], 4: [8]}
+        # refill, and as the first draw of an event that starts with
+        # exactly one event's draws left in the buffer.
+        # Without zeros, UniformAsymmetry events read draws 0-15 from the
+        # first fill (4 blocks, the buffer width), the event at draw 12
+        # taking the last four, and draws 16-31 from the first refill.
+        width = 4 * transport._BLOCKS
+        zeros = {0: [0], 1: [15, 16], 2: [14, 15, 16], 3: [12, 31, 32],
+                 4: [2, 3, 4]}
 
         def planted(seeds, streams, first_blocks, blocks):
             draws = substream_uniforms(seeds, streams, first_blocks, blocks)

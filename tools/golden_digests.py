@@ -1,19 +1,31 @@
 """Golden SHA-256 digests of scenario CSVs, for accepting a refactor.
 
 Usage: python3 tools/golden_digests.py SRC_DIR > digests.json
+       python3 tools/golden_digests.py OLD_SRC NEW_SRC
 
-Imports ``dustlink`` from SRC_DIR and prints a JSON object that maps each
-run to the SHA-256 of its CSV. The runs are every scenario x planet at
-small sizes, alone and with one override set per ``transport.*``,
-``link.*`` and ``medium.*`` key (and, for ``storm_density``, per
-``storm.*`` key), at 1 and 3 workers, plus every ``bench/jobs.py`` job of
-every input set. A refactor that keeps the output gives the same JSON on
-the source trees before and after it.
+With one tree, imports ``dustlink`` from SRC_DIR and prints a JSON object
+that maps each run to the SHA-256 of its CSV. The runs are every scenario
+x planet at small sizes, alone and with one override set per
+``transport.*``, ``link.*`` and ``medium.*`` key (and, for
+``storm_density``, per ``storm.*`` key), at 1 and 3 workers, plus every
+``bench/jobs.py`` job of every input set. A refactor that keeps the output
+gives the same JSON on the source trees before and after it.
+
+With two trees, runs the same set once per tree, each in its own
+subprocess, and prints, for each CSV whose digest differs, its header, its
+row count and the largest relative change of each column that changed. It
+exits 1 if a run or a header is missing or differs, a row count differs, a
+column outside ``bench/verify.py``'s ``MC_COLUMNS`` changes, or a cell
+flips between finite and non-finite or between zero and non-zero: a
+deliberate change of the Monte Carlo draws passes, anything else fails.
 """
 
 import hashlib
 import json
+import math
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -50,7 +62,9 @@ STORM_OVERRIDES = {
 }
 
 
-def main(src_dir: str) -> dict:
+def main(src_dir: str, keep_dir: str | None = None) -> dict:
+    """Digest of each run's CSV; with ``keep_dir``, a copy of each CSV there
+    too, at its run's name plus ".csv"."""
     sys.path[:0] = [str(Path(src_dir).resolve()), str(BENCH_DIR)]
     os.environ.pop("DUSTLINK_CATALOG_DIR", None)
     import dustlink
@@ -66,6 +80,10 @@ def main(src_dir: str) -> dict:
         def digest(name: str, cfg) -> None:
             path = write_outputs(run_scenario(cfg), cfg)[0]
             digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+            if keep_dir is not None:
+                kept = Path(keep_dir, name + ".csv")
+                kept.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copyfile(path, kept)
 
         for scenario in SCENARIOS:
             overrides = {**OVERRIDES, **(STORM_OVERRIDES
@@ -88,7 +106,83 @@ def main(src_dir: str) -> dict:
     return digests
 
 
+def _run_tree(src_dir: str, keep_dir: str) -> dict:
+    """``main`` on one tree in a fresh interpreter, so each tree imports its
+    own ``dustlink``."""
+    code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            f"import golden_digests; "
+            f"print(json.dumps(golden_digests.main({src_dir!r}, {keep_dir!r})))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def _cells(path: Path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+def _changes(old: list[list[str]], new: list[list[str]]) -> tuple[dict, list[str]]:
+    """Largest relative change per changed column of two CSVs with one
+    header and row count, and the cells that flip kind."""
+    header = old[0]
+    largest: dict[str, float] = {}
+    flips = []
+    for i, (old_row, new_row) in enumerate(zip(old[1:], new[1:])):
+        for column, a, b in zip(header, old_row, new_row):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                x, y = math.nan, math.nan   # text changed: no number to compare
+            if math.isfinite(x) != math.isfinite(y) or (x == 0.0) != (y == 0.0):
+                flips.append(f"{column}[{i}] {a} -> {b}")
+            change = (abs(x - y) / max(abs(x), abs(y))
+                      if math.isfinite(x) and math.isfinite(y) else math.inf)
+            largest[column] = max(largest.get(column, 0.0), change)
+    return largest, flips
+
+
+def compare(old_src: str, new_src: str) -> int:
+    """Print how each differing CSV of ``new_src`` differs from ``old_src``'s;
+    0 if only Monte Carlo columns move, and only in value, else 1."""
+    sys.path.insert(0, str(BENCH_DIR))
+    from verify import MC_COLUMNS
+
+    with tempfile.TemporaryDirectory() as work:
+        trees = [Path(work, "old"), Path(work, "new")]
+        old, new = (_run_tree(src, str(keep))
+                    for src, keep in zip((old_src, new_src), trees))
+        bad = sorted(set(old) ^ set(new))
+        for name in bad:
+            print(f"{name}: only in {'old' if name in old else 'new'}")
+        differ = sorted(name for name in set(old) & set(new) if old[name] != new[name])
+        overall: dict[str, float] = {}
+        for name in differ:
+            a, b = (_cells(Path(tree, name + ".csv")) for tree in trees)
+            print(f"{name}: header {','.join(b[0])}, rows {len(a) - 1} -> {len(b) - 1}")
+            if a[0] != b[0] or len(a) != len(b):
+                print("  header or row count differs")
+                bad.append(name)
+                continue
+            largest, flips = _changes(a, b)
+            for column, change in largest.items():
+                print(f"  {column}: largest relative change {change:.3g}")
+                overall[column] = max(overall.get(column, 0.0), change)
+            for flip in flips:
+                print(f"  flips {flip}")
+            if flips or set(largest) - set(MC_COLUMNS):
+                bad.append(name)
+    print(f"{len(differ)} of {len(old)} CSVs differ; largest relative change "
+          + (", ".join(f"{c} {v:.3g}" for c, v in sorted(overall.items())) or "none")
+          + f"; {len(bad)} failing")
+    return 1 if bad else 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) == 2:
+        print(json.dumps(main(sys.argv[1]), indent=1, sort_keys=True))
+    elif len(sys.argv) == 3:
+        sys.exit(compare(sys.argv[1], sys.argv[2]))
+    else:
         raise SystemExit(__doc__.split("\n\n")[1])
-    print(json.dumps(main(sys.argv[1]), indent=1, sort_keys=True))
