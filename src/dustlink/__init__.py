@@ -9,11 +9,12 @@ counts from a kinematic wind field, and ``cli`` orchestrates the built-in
 experiment scenarios.
 """
 
-from .atmosphere import (AbsorptionSpectrum, GasMixture, SpectralLine,
-                         absorption_coefficient, doppler_halfwidth,
-                         doppler_shape, line_intensity_at_temperature,
-                         load_catalog_dir, lorentz_halfwidth, lorentz_shape,
-                         parse_catalog, parse_par_record, render_par_record)
+from .atmosphere import (AbsorptionSpectrum, GasMixture, LineTable,
+                         SpectralLine, absorption_coefficient,
+                         doppler_halfwidth, doppler_shape,
+                         line_intensity_at_temperature, load_catalog_dir,
+                         lorentz_halfwidth, lorentz_shape, parse_catalog,
+                         parse_par_record, render_par_record)
 from .constants import db_from_transmittance, dbm_to_watts
 from .errors import (CatalogError, ConfigError, DomainError, DustlinkError,
                      FormatError)

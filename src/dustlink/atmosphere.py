@@ -4,6 +4,9 @@ Catalog records use the 2004-era 160-column fixed-width layout: molecule
 number, isotopologue number, line center (1/cm), reference intensity at
 296 K, air- and self-broadened half widths, lower-state energy,
 temperature exponent and pressure shift, parsed at exact column offsets.
+A catalog is held as a ``LineTable``, one numpy column per field in record
+order; the loaders cast the fields of all records together, and fall back
+to ``parse_par_record`` only to report a bad record.
 
 The absorption coefficient k(f) sums, over species and lines,
 (number density) * S(T) * F(f) with a Lorentz (pressure-broadened) or
@@ -11,11 +14,15 @@ Doppler (Gaussian) line shape. Line intensities are rescaled from 296 K
 with the power-law partition-sum approximation (exponent 1 for linear
 molecules, 1.5 otherwise), which is good to a few percent down to about
 210 K. Line wings are cut off at +/-750 GHz (Lorentz) or 50 Doppler
-half-widths; there is no continuum term.
+half-widths; there is no continuum term. A line adds to the grid points f
+with |f - center| <= cutoff, a contiguous window found by binary search on
+the sorted grid; each point sums its lines in catalog order. The per-line
+formulas take a ``SpectralLine`` or a ``LineTable``, and give the same bits
+for a table row as for the line alone.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +32,7 @@ from .errors import CatalogError, DomainError, FormatError
 
 __all__ = [
     "SpectralLine",
+    "LineTable",
     "GasMixture",
     "AbsorptionSpectrum",
     "MOLECULE_IDS",
@@ -54,7 +62,7 @@ MOLECULE_IDS = {
 }
 
 # Linear molecules use partition-sum exponent 1, the rest 1.5.
-_LINEAR_MOLECULES = {2, 4, 5, 7, 8, 22}
+_LINEAR_MOLECULES = (2, 4, 5, 7, 8, 22)
 
 # Isotopologue molar masses in kg/mol, keyed by (molecule, isotopologue).
 _MOLAR_MASS_KG_MOL = {
@@ -83,6 +91,49 @@ _FIELDS = (
     ("temperature_exponent", 56, 4, float),
     ("pressure_shift_invcm_atm", 60, 8, float),
 )
+_FLOAT_FIELDS = tuple(name for name, _, _, conv in _FIELDS if conv is float) \
+    + ("molar_mass_kg_mol",)
+
+# ``_cast_records`` reads every field right-aligned in a cell of _CELL
+# characters, blanked left of the field (int() and float() skip leading
+# blanks): _CELL_COLUMNS holds each cell's record columns (0-based) and
+# _CELL_PAD its blanked positions. The integer fields come first, as in
+# SpectralLine.
+_CELL = max(width for _, _, width, _ in _FIELDS)
+_CELL_COLUMNS = np.array([[max(start - 1 + width - _CELL + i, 0) for i in range(_CELL)]
+                          for _, start, width, _ in _FIELDS])
+_CELL_PAD = np.array([[i < _CELL - width for i in range(_CELL)]
+                      for _, _, width, _ in _FIELDS])
+_INT_CELLS = [i for i, (_, _, _, conv) in enumerate(_FIELDS) if conv is int]
+_FLOAT_CELLS = [i for i, (_, _, _, conv) in enumerate(_FIELDS) if conv is float]
+
+
+def _mass_key(molecule_id, isotopologue_id):
+    # a 2-character molecule number lies in [-9, 99] and a 1-character
+    # isotopologue number in [0, 9]
+    return 10 * (molecule_id + 9) + isotopologue_id
+
+
+# Molar masses by _mass_key, NaN for a pair without one.
+_MASS_BY_KEY = np.full(_mass_key(100, 0), np.nan)
+_MASS_BY_KEY[[_mass_key(*pair) for pair in _MOLAR_MASS_KG_MOL]] = list(
+    _MOLAR_MASS_KG_MOL.values())
+
+# (field, test, message): the range checks on a line. Each test takes a
+# value or a column; a value must also be finite.
+_RANGE_CHECKS = (
+    ("line_center_invcm", lambda v: v > 0, "line center must be positive"),
+    ("intensity_ref", lambda v: v >= 0, "line intensity must be >= 0"),
+    ("gamma_air_invcm_atm", lambda v: v > 0,
+     "air-broadened half width must be positive"),
+    ("lower_state_energy_invcm", lambda v: v >= 0,
+     "lower-state energy must be >= 0"),
+    ("molar_mass_kg_mol", lambda v: v > 0, "molar mass must be positive"),
+)
+
+
+def _center_hz(line) -> float:
+    return line.line_center_invcm * HZ_PER_INVCM
 
 
 @dataclass(frozen=True)
@@ -101,20 +152,73 @@ class SpectralLine:
     molar_mass_kg_mol: float
 
     def __post_init__(self):
-        if self.line_center_invcm <= 0:
-            raise DomainError("line center must be positive")
-        if self.intensity_ref < 0:
-            raise DomainError("line intensity must be >= 0")
-        if self.gamma_air_invcm_atm <= 0:
-            raise DomainError("air-broadened half width must be positive")
-        if self.lower_state_energy_invcm < 0:
-            raise DomainError("lower-state energy must be >= 0")
-        if self.molar_mass_kg_mol <= 0:
-            raise DomainError("molar mass must be positive")
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
+        for name, test, message in _RANGE_CHECKS:
+            if not test(getattr(self, name)):
+                raise DomainError(message)
 
-    @property
-    def center_hz(self) -> float:
-        return self.line_center_invcm * HZ_PER_INVCM
+    center_hz = property(_center_hz)
+
+
+_COLUMN_TYPES = {f.name: f.type for f in fields(SpectralLine)}
+_COLUMNS = tuple(_COLUMN_TYPES)
+
+
+@dataclass(frozen=True, eq=False)
+class LineTable:
+    """Catalog lines as columns: one read-only numpy array per
+    ``SpectralLine`` field, in record order.
+
+    ``len`` counts the lines; an integer index, and iteration, give
+    ``SpectralLine`` objects; any other numpy index gives a LineTable of
+    those rows.
+    """
+
+    molecule_id: np.ndarray
+    isotopologue_id: np.ndarray
+    line_center_invcm: np.ndarray
+    intensity_ref: np.ndarray
+    gamma_air_invcm_atm: np.ndarray
+    gamma_self_invcm_atm: np.ndarray
+    lower_state_energy_invcm: np.ndarray
+    temperature_exponent: np.ndarray
+    pressure_shift_invcm_atm: np.ndarray
+    molar_mass_kg_mol: np.ndarray
+
+    def __post_init__(self):
+        for column in self._columns():
+            column.setflags(write=False)
+
+    @classmethod
+    def from_lines(cls, lines) -> "LineTable":
+        lines = list(lines)
+        return cls(*(np.array([getattr(line, name) for line in lines], dtype=kind)
+                     for name, kind in _COLUMN_TYPES.items()))
+
+    center_hz = property(_center_hz)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in _COLUMNS)
+
+    def __len__(self) -> int:
+        return len(self.molecule_id)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return SpectralLine(*(column[index].item() for column in self._columns()))
+        return LineTable(*(column[index] for column in self._columns()))
+
+    def __iter__(self):
+        for row in zip(*(column.tolist() for column in self._columns())):
+            yield SpectralLine(*row)
+
+    def __eq__(self, other):
+        if not isinstance(other, LineTable):
+            return NotImplemented
+        return all(np.array_equal(a, b)
+                   for a, b in zip(self._columns(), other._columns()))
 
 
 def parse_par_record(record: str, record_number: int = 1) -> SpectralLine:
@@ -183,21 +287,70 @@ def render_par_record(line: SpectralLine) -> str:
     return "".join(chars)
 
 
-def parse_catalog(text: str) -> list[SpectralLine]:
-    """Parse catalog text, one record per line; blank lines are skipped."""
-    lines = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        lines.append(parse_par_record(raw, record_number=number))
-    return lines
+def _cast_records(records: list[str]) -> LineTable:
+    """The records' fields as columns; ValueError if any record is bad.
+
+    numpy casts text to int and float by Python's own rules, except that
+    it drops trailing NULs, so a field holding a NUL counts as bad.
+    """
+    if not set(map(len, records)) <= {RECORD_LENGTH}:
+        raise ValueError("record length")
+    try:    # one byte per character, which numpy casts faster
+        kind, chars = "S", np.array(records, dtype=f"S{RECORD_LENGTH}").view(np.uint8)
+    except UnicodeEncodeError:
+        kind, chars = "U", np.array(records, dtype=f"U{RECORD_LENGTH}").view(np.uint32)
+    cells = np.take(chars.reshape(len(records), RECORD_LENGTH), _CELL_COLUMNS, axis=1)
+    cells[:, _CELL_PAD] = ord(" ")
+    if not cells.all():
+        raise ValueError("NUL in a field")
+    values = cells.view(f"{kind}{_CELL}").reshape(len(records), len(_FIELDS))
+    ints = values[:, _INT_CELLS].T.astype(int, order="C")
+    floats = values[:, _FLOAT_CELLS].T.astype(float, order="C")
+    if not np.isfinite(floats).all():
+        raise ValueError("non-finite value")
+    # an unknown pair gets a NaN mass, which fails its range check
+    table = LineTable(*ints, *floats, _MASS_BY_KEY[_mass_key(*ints)])
+    for name, test, _ in _RANGE_CHECKS:
+        if not test(getattr(table, name)).all():
+            raise ValueError(f"{name} out of range")
+    return table
+
+
+def _parse_texts(texts: list[str]) -> list[LineTable]:
+    """One table per catalog text; the records of all texts are cast at once.
+
+    A bad record raises the FormatError that ``parse_par_record`` gives it,
+    numbered by its line in its text; the first bad record wins.
+    """
+    lines = [text.splitlines() for text in texts]
+    records = [[raw for raw in text_lines if raw.strip()] for text_lines in lines]
+    try:
+        table = _cast_records([record for text_records in records for record in text_records])
+    except ValueError:
+        for text_lines in lines:
+            for number, raw in enumerate(text_lines, start=1):
+                if raw.strip():
+                    parse_par_record(raw, record_number=number)
+        raise RuntimeError("parse_par_record accepts every record the column cast rejected")
+    ends = np.cumsum([len(text_records) for text_records in records]).tolist()
+    return [table[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def parse_catalog(text: str) -> LineTable:
+    """Parse catalog text, one record per line; blank lines are skipped.
+
+    A bad record raises the FormatError that ``parse_par_record`` gives it,
+    numbered by its line in ``text``; the first bad record wins.
+    """
+    return _parse_texts([text])[0]
 
 
 def load_catalog_dir(directory: str | Path,
-                     gases: list[str]) -> dict[str, list[SpectralLine]]:
+                     gases: list[str]) -> dict[str, LineTable]:
     """Load ``<GAS>.par`` files for the requested gases from a directory.
 
-    Raises CatalogError listing every expected path that is missing.
+    Raises CatalogError listing every expected path that is missing, and
+    FormatError for the first bad record of the first file that has one.
     """
     directory = Path(directory)
     paths = {gas: directory / f"{gas}.par" for gas in gases}
@@ -205,7 +358,7 @@ def load_catalog_dir(directory: str | Path,
     if missing:
         raise CatalogError(
             "missing catalog files: " + ", ".join(sorted(missing)))
-    return {gas: parse_catalog(path.read_text()) for gas, path in paths.items()}
+    return dict(zip(paths, _parse_texts([path.read_text() for path in paths.values()])))
 
 
 @dataclass(frozen=True)
@@ -217,12 +370,16 @@ class GasMixture:
     pressure_atm: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.temperature_k) and math.isfinite(self.pressure_atm)):
+            raise DomainError("temperature and pressure must be finite")
         if self.temperature_k <= 0 or self.pressure_atm <= 0:
             raise DomainError("temperature and pressure must be positive")
         total = 0.0
         for name, ratio in self.species:
             if name not in MOLECULE_IDS:
                 raise DomainError(f"unknown gas {name!r}")
+            if not math.isfinite(ratio):
+                raise DomainError(f"non-finite mixing ratio for {name}")
             if ratio < 0:
                 raise DomainError(f"negative mixing ratio for {name}")
             total += ratio
@@ -252,12 +409,23 @@ class AbsorptionSpectrum:
     shape_model: str
 
 
-def line_intensity_at_temperature(line: SpectralLine, temperature_k: float) -> float:
+def _libm(fn, x):
+    """``fn``, a ``math`` function, of a float or of each element of an array.
+
+    numpy's own exp and power differ from libm's in the last bit for a few
+    percent of inputs; this way a table row gives the bits of its line.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+    return fn(x)
+
+
+def line_intensity_at_temperature(line, temperature_k: float):
     """Line intensity rescaled from the 296 K reference.
 
     Combines the partition-sum power law, the Boltzmann factor of the
     lower state, and the stimulated-emission factor; exactly S_ref at the
-    reference temperature.
+    reference temperature. ``line`` is a SpectralLine or a LineTable.
     """
     if temperature_k <= 0:
         raise DomainError("temperature must be positive")
@@ -265,80 +433,122 @@ def line_intensity_at_temperature(line: SpectralLine, temperature_k: float) -> f
     t0 = REFERENCE_TEMPERATURE_K
     if t == t0:
         return line.intensity_ref
-    exponent = 1.0 if line.molecule_id in _LINEAR_MOLECULES else 1.5
-    partition = (t0 / t) ** exponent
-    boltzmann = math.exp(-C2_CM_K * line.lower_state_energy_invcm / t) \
-        / math.exp(-C2_CM_K * line.lower_state_energy_invcm / t0)
-    stimulated = (1.0 - math.exp(-C2_CM_K * line.line_center_invcm / t)) \
-        / (1.0 - math.exp(-C2_CM_K * line.line_center_invcm / t0))
+    partition = np.where(np.equal.outer(line.molecule_id, _LINEAR_MOLECULES).any(-1),
+                         (t0 / t) ** 1.0, (t0 / t) ** 1.5)
+    energy = line.lower_state_energy_invcm
+    center = line.line_center_invcm
+    boltzmann = _libm(math.exp, -C2_CM_K * energy / t) \
+        / _libm(math.exp, -C2_CM_K * energy / t0)
+    stimulated = (1.0 - _libm(math.exp, -C2_CM_K * center / t)) \
+        / (1.0 - _libm(math.exp, -C2_CM_K * center / t0))
     return line.intensity_ref * partition * boltzmann * stimulated
 
 
-def lorentz_halfwidth(line: SpectralLine, pressure_atm: float,
-                      partial_pressure_atm: float, temperature_k: float) -> float:
-    """Pressure-broadened HWHM in Hz."""
+def lorentz_halfwidth(line, pressure_atm: float,
+                      partial_pressure_atm: float, temperature_k: float):
+    """Pressure-broadened HWHM in Hz; ``line`` is a SpectralLine or a LineTable."""
     if temperature_k <= 0:
         raise DomainError("temperature must be positive")
     if not (0.0 <= partial_pressure_atm <= pressure_atm):
         raise DomainError("partial pressure must lie in [0, total pressure]")
-    gamma_invcm = ((REFERENCE_TEMPERATURE_K / temperature_k) ** line.temperature_exponent
+    ratio = REFERENCE_TEMPERATURE_K / temperature_k
+    gamma_invcm = (_libm(lambda n: ratio ** n, line.temperature_exponent)
                    * (line.gamma_air_invcm_atm * (pressure_atm - partial_pressure_atm)
                       + line.gamma_self_invcm_atm * partial_pressure_atm))
     return gamma_invcm * HZ_PER_INVCM
 
 
-def _shifted_center_hz(line: SpectralLine, pressure_atm: float) -> float:
+def _shifted_center_hz(line, pressure_atm: float):
     """Line center moved by the pressure shift at ``pressure_atm``."""
     return line.center_hz + line.pressure_shift_invcm_atm * pressure_atm * HZ_PER_INVCM
+
+
+def _lorentz(f: np.ndarray, center_hz: float, halfwidth_hz: float) -> np.ndarray:
+    if halfwidth_hz <= 0:
+        raise DomainError("half width must be positive")
+    return (halfwidth_hz / math.pi) / (halfwidth_hz ** 2 + (f - center_hz) ** 2)
 
 
 def lorentz_shape(f_hz, line: SpectralLine, halfwidth_hz: float,
                   pressure_atm: float):
     """Lorentz profile (1/Hz) about the pressure-shifted line center."""
-    if halfwidth_hz <= 0:
-        raise DomainError("half width must be positive")
-    center = _shifted_center_hz(line, pressure_atm)
-    f = np.asarray(f_hz, dtype=float)
-    out = (halfwidth_hz / math.pi) / (halfwidth_hz ** 2 + (f - center) ** 2)
+    out = _lorentz(np.asarray(f_hz, dtype=float),
+                   _shifted_center_hz(line, pressure_atm), halfwidth_hz)
     return float(out) if np.isscalar(f_hz) else out
 
 
-def doppler_halfwidth(line: SpectralLine, temperature_k: float) -> float:
-    """Thermal (Gaussian) HWHM in Hz."""
+def doppler_halfwidth(line, temperature_k: float):
+    """Thermal (Gaussian) HWHM in Hz; ``line`` is a SpectralLine or a LineTable."""
     if temperature_k <= 0:
         raise DomainError("temperature must be positive")
-    return (line.center_hz / SPEED_OF_LIGHT) * math.sqrt(
+    return (line.center_hz / SPEED_OF_LIGHT) * _libm(math.sqrt,
         2.0 * AVOGADRO * BOLTZMANN * temperature_k * LN2 / line.molar_mass_kg_mol)
+
+
+def _doppler(f: np.ndarray, center_hz: float, halfwidth_hz: float) -> np.ndarray:
+    if halfwidth_hz <= 0:
+        raise DomainError("half width must be positive")
+    return math.sqrt(LN2 / (math.pi * halfwidth_hz ** 2)) * np.exp(
+        -((f - center_hz) ** 2) * LN2 / halfwidth_hz ** 2)
 
 
 def doppler_shape(f_hz, line: SpectralLine, halfwidth_hz: float):
     """Gaussian profile (1/Hz) with HWHM ``halfwidth_hz``."""
-    if halfwidth_hz <= 0:
-        raise DomainError("half width must be positive")
-    f = np.asarray(f_hz, dtype=float)
-    out = math.sqrt(LN2 / (math.pi * halfwidth_hz ** 2)) * np.exp(
-        -((f - line.center_hz) ** 2) * LN2 / halfwidth_hz ** 2)
+    out = _doppler(np.asarray(f_hz, dtype=float), line.center_hz, halfwidth_hz)
     return float(out) if np.isscalar(f_hz) else out
 
 
-def _intensity_si(line: SpectralLine, temperature_k: float) -> float:
+def _intensity_si(line, temperature_k: float):
     # S in (1/cm)/(molecule/cm**2) -> Hz m**2 / molecule
     return line_intensity_at_temperature(line, temperature_k) * SPEED_OF_LIGHT * 1e-2
 
 
+def _windows(grid: np.ndarray, center: np.ndarray, cutoff) -> tuple[np.ndarray, np.ndarray]:
+    """Per line, the bounds [lo, hi) of the grid points f with
+    |f - center| <= cutoff.
+
+    ``f - center`` rounds differently from ``center -/+ cutoff``, so each
+    binary-search bound is moved until it meets that rule exactly: lo
+    counts the points with f - center < -cutoff, n - hi those with
+    f - center > cutoff.
+    """
+    n = grid.size
+    lo = np.searchsorted(grid, center - cutoff, side="left")
+    hi = np.searchsorted(grid, center + cutoff, side="right")
+
+    def below(i):
+        return grid.take(i, mode="clip") - center < -cutoff
+
+    def above(i):
+        return grid.take(i, mode="clip") - center > cutoff
+
+    while (step := (lo > 0) & ~below(lo - 1)).any():
+        lo -= step
+    while (step := (lo < n) & below(lo)).any():
+        lo += step
+    while (step := (hi < n) & ~above(hi)).any():
+        hi += step
+    while (step := (hi > 0) & above(hi - 1)).any():
+        hi -= step
+    return lo, hi
+
+
 def absorption_coefficient(mixture: GasMixture,
-                           catalog: dict[str, list[SpectralLine]],
+                           catalog: dict[str, LineTable | list[SpectralLine]],
                            frequency_hz,
                            shape_model: str | None = None) -> AbsorptionSpectrum:
     """Absorption coefficient of a gas mixture on a frequency grid.
 
     ``shape_model`` defaults by pressure regime: Lorentz at or above
     0.1 atm, Doppler below. Lines whose wing cutoff does not reach the
-    grid contribute nothing.
+    grid contribute nothing. A catalog entry may be a LineTable or a
+    list of SpectralLines.
     """
     grid = np.atleast_1d(np.asarray(frequency_hz, dtype=float))
     if grid.size == 0:
         raise DomainError("frequency grid is empty")
+    if not np.isfinite(grid).all():
+        raise DomainError("frequency grid must be finite")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise DomainError("frequency grid must be strictly increasing")
     if shape_model is None:
@@ -347,41 +557,42 @@ def absorption_coefficient(mixture: GasMixture,
                        else "doppler")
     if shape_model not in ("lorentz", "doppler"):
         raise DomainError(f"unknown line shape model {shape_model!r}")
+    tables = {gas: lines if isinstance(lines, LineTable) else LineTable.from_lines(lines)
+              for gas, lines in catalog.items()}
 
     k = np.zeros_like(grid)
     f_lo = grid[0]
     f_hi = grid[-1]
     for gas, _ratio in mixture.species:
-        lines = catalog.get(gas, [])
+        lines = tables.get(gas)
         if not lines:
             continue
         density = mixture.number_density_m3(gas)
         if density == 0.0:
             continue
         partial = mixture.mixing_ratio(gas) * mixture.pressure_atm
-        for line in lines:
-            if shape_model == "lorentz":
-                halfwidth = lorentz_halfwidth(
-                    line, mixture.pressure_atm, partial, mixture.temperature_k)
-                cutoff = LORENTZ_WING_CUTOFF_HZ
-                center = _shifted_center_hz(line, mixture.pressure_atm)
-            else:
-                halfwidth = doppler_halfwidth(line, mixture.temperature_k)
-                cutoff = DOPPLER_WING_CUTOFF_HALFWIDTHS * halfwidth
-                center = line.center_hz
-            if center + cutoff < f_lo or center - cutoff > f_hi:
-                continue
-            strength = density * _intensity_si(line, mixture.temperature_k)
-            window = np.abs(grid - center) <= cutoff
-            if not np.any(window):
-                continue
-            if shape_model == "lorentz":
-                shape = lorentz_shape(grid[window], line, halfwidth,
-                                      mixture.pressure_atm)
-            else:
-                shape = doppler_shape(grid[window], line, halfwidth)
-            k[window] += strength * shape
+        if shape_model == "lorentz":
+            cutoff = LORENTZ_WING_CUTOFF_HZ
+            center = _shifted_center_hz(lines, mixture.pressure_atm)
+        else:
+            halfwidth = doppler_halfwidth(lines, mixture.temperature_k)
+            cutoff = DOPPLER_WING_CUTOFF_HALFWIDTHS * halfwidth
+            center = lines.center_hz
+        lo, hi = _windows(grid, center, cutoff)
+        hit = (lo < hi) & (center + cutoff >= f_lo) & (center - cutoff <= f_hi)
+        hits = lines[hit]
+        if shape_model == "lorentz":
+            halfwidth = lorentz_halfwidth(hits, mixture.pressure_atm, partial,
+                                          mixture.temperature_k)
+            shape = _lorentz
+        else:
+            halfwidth = halfwidth[hit]
+            shape = _doppler
+        strength = density * _intensity_si(hits, mixture.temperature_k)
+        for a, b, c, w, s in zip(lo[hit].tolist(), hi[hit].tolist(),
+                                 center[hit].tolist(), halfwidth.tolist(),
+                                 strength.tolist()):
+            k[a:b] += s * shape(grid[a:b], c, w)
 
     return AbsorptionSpectrum(frequency_hz=grid, k_per_m=k, mixture=mixture,
                               shape_model=shape_model)
-

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dustlink import atmosphere as atm
@@ -29,6 +31,72 @@ def make_line(**kwargs) -> atm.SpectralLine:
                 molar_mass_kg_mol=18.010565e-3)
     base.update(kwargs)
     return atm.SpectralLine(**base)
+
+
+def replace_field(record: str, name: str, text: str) -> str:
+    """``record`` with field ``name`` set to ``text``, right-justified."""
+    _, start, width, _ = next(f for f in atm._FIELDS if f[0] == name)
+    return record[:start - 1] + text.rjust(width) + record[start - 1 + width:]
+
+
+FLOAT_FIELDS = ["line_center_invcm", "intensity_ref", "gamma_air_invcm_atm",
+                "gamma_self_invcm_atm", "lower_state_energy_invcm",
+                "temperature_exponent", "pressure_shift_invcm_atm",
+                "molar_mass_kg_mol"]
+COLUMNS = ["molecule_id", "isotopologue_id"] + FLOAT_FIELDS
+
+
+@st.composite
+def drawn_lines(draw) -> atm.SpectralLine:
+    """A line whose every field fits its record width."""
+    return atm.SpectralLine(
+        molecule_id=draw(st.sampled_from(sorted(atm.MOLECULE_IDS.values()))),
+        isotopologue_id=draw(st.integers(1, 2)),
+        line_center_invcm=draw(st.integers(1, 10**11 - 1)) / 1e6,
+        intensity_ref=draw(st.integers(0, 9999)) / 1000 * 10.0 ** -draw(st.integers(0, 30)),
+        gamma_air_invcm_atm=draw(st.integers(1, 9999)) / 1e4,
+        gamma_self_invcm_atm=draw(st.integers(0, 9999)) / 1e4,
+        lower_state_energy_invcm=draw(st.integers(0, 10**9 - 1)) / 1e4,
+        temperature_exponent=draw(st.integers(0, 999)) / 100,
+        pressure_shift_invcm_atm=draw(st.integers(-999_999, 999_999)) / 1e6,
+        molar_mass_kg_mol=1.0)
+
+
+# Characters a damaged record may hold: numerals of two scripts, parts of
+# numbers, letters, blanks, NUL and a non-ASCII letter.
+GARBAGE = st.sampled_from(list("0123456789+-._eEinfaINFx \t\xa0\x00é١"))
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "+nan"])
+
+
+@st.composite
+def damaged_records(draw) -> str:
+    """A rendered record, maybe with one field or span spoiled."""
+    record = atm.render_par_record(draw(drawn_lines()))
+    name, start, width, conv = draw(st.sampled_from(atm._FIELDS))
+    damage = draw(st.sampled_from(["none", "none", "blank", "garbage", "non-finite",
+                                   "negative intensity", "isotopologue", "length",
+                                   "trailing NUL", "unparsed"]))
+    if damage == "blank":
+        record = replace_field(record, name, "")
+    elif damage == "garbage":
+        record = replace_field(record, name,
+                               draw(st.text(GARBAGE, min_size=width, max_size=width)))
+    elif damage == "non-finite" and conv is float:
+        record = replace_field(record, name, draw(NON_FINITE.filter(lambda t: len(t) <= width)))
+    elif damage == "negative intensity":
+        record = replace_field(record, "intensity_ref", f"{-draw(st.floats(1e-30, 1e-18)):10.3E}")
+    elif damage == "isotopologue":
+        record = replace_field(record, "isotopologue_id", str(draw(st.integers(4, 9))))
+    elif damage == "length":
+        cut = draw(st.integers(1, 5))
+        record = record[:-cut] if draw(st.booleans()) else record + " " * cut
+    elif damage == "trailing NUL":   # numpy alone would read "1.5\0" as 1.5
+        end = start - 1 + width
+        record = record[:end - 1] + "\x00" + record[end:]
+    elif damage == "unparsed":   # a column no field reads
+        column = draw(st.sampled_from([26, 35, 68, 160]))
+        record = record[:column - 1] + draw(st.sampled_from(["\x00", "é", "x"])) + record[column:]
+    return record
 
 
 class TestParser:
@@ -93,6 +161,62 @@ class TestParser:
         second = atm.parse_catalog(text)
         assert first == second
         assert len(first) == 2
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_line_value_rejected(self, name, value):
+        # nan <= 0 is False, so a range check alone lets nan through
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            make_line(**{name: value})
+
+    @pytest.mark.parametrize("name,text", [("line_center_invcm", "nan"),
+                                           ("intensity_ref", "inf"),
+                                           ("temperature_exponent", "nan")])
+    def test_non_finite_record_names_record(self, name, text):
+        broken = replace_field(CRAFTED, name, text)
+        message = f"record 3: {name} must be finite"
+        with pytest.raises(FormatError, match=message):
+            atm.parse_par_record(broken, record_number=3)
+        with pytest.raises(FormatError, match=message):
+            atm.parse_catalog("\n".join([CRAFTED, "", broken, CRAFTED]))
+
+    def test_table_rows_are_lines(self):
+        records = [CRAFTED, atm.render_par_record(make_line(
+            molecule_id=2, line_center_invcm=12.5, temperature_exponent=0.75))]
+        lines = [atm.parse_par_record(r) for r in records]
+        table = atm.parse_catalog("\n".join(records))
+        assert len(table) == 2
+        assert list(table) == lines
+        assert table[1] == lines[1]
+        assert table[np.array([False, True])] == atm.parse_catalog(records[1])
+        assert atm.LineTable.from_lines(lines) == table
+        assert table != atm.parse_catalog(records[0])
+        with pytest.raises(ValueError):
+            table.line_center_invcm[0] = 1.0
+
+    @given(st.lists(st.tuples(damaged_records(),
+                              st.sampled_from([None, None, "", "   ", "\t"])),
+                    max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_catalog_parse_matches_record_parser(self, entries):
+        lines = []
+        for record, blank in entries:
+            lines += [record] if blank is None else [record, blank]
+        text = "\n".join(lines)
+        numbered = [(n, r) for n, r in enumerate(text.splitlines(), start=1)
+                    if r.strip()]
+        try:
+            expected = [atm.parse_par_record(r, n) for n, r in numbered]
+        except FormatError as exc:
+            with pytest.raises(FormatError) as caught:
+                atm.parse_catalog(text)
+            assert str(caught.value) == str(exc)
+            return
+        table = atm.parse_catalog(text)
+        for name in COLUMNS:
+            column = getattr(table, name)
+            assert column.tobytes() == np.array(
+                [getattr(line, name) for line in expected], dtype=column.dtype).tobytes()
 
     def test_bundled_catalog_loads(self):
         catalog = atm.load_catalog_dir(bundled_catalog_dir(),
@@ -225,6 +349,72 @@ class TestDoppler:
         assert value == pytest.approx(1.0, abs=1e-3)
 
 
+def oracle_absorption(mixture, catalog, grid, shape_model):
+    """The line-by-line loop of the scalar functions: each line's window is
+    every grid point with |f - center| <= cutoff."""
+    k = np.zeros_like(grid)
+    pressure, temperature = mixture.pressure_atm, mixture.temperature_k
+    for gas, _ratio in mixture.species:
+        lines = list(catalog.get(gas, []))
+        if not lines:
+            continue
+        density = mixture.number_density_m3(gas)
+        if density == 0.0:
+            continue
+        partial = mixture.mixing_ratio(gas) * pressure
+        for line in lines:
+            if shape_model == "lorentz":
+                halfwidth = atm.lorentz_halfwidth(line, pressure, partial, temperature)
+                cutoff = atm.LORENTZ_WING_CUTOFF_HZ
+                center = atm._shifted_center_hz(line, pressure)
+            else:
+                halfwidth = atm.doppler_halfwidth(line, temperature)
+                cutoff = atm.DOPPLER_WING_CUTOFF_HALFWIDTHS * halfwidth
+                center = line.center_hz
+            if center + cutoff < grid[0] or center - cutoff > grid[-1]:
+                continue
+            strength = density * atm._intensity_si(line, temperature)
+            window = np.abs(grid - center) <= cutoff
+            if not np.any(window):
+                continue
+            if shape_model == "lorentz":
+                shape = atm.lorentz_shape(grid[window], line, halfwidth, pressure)
+            else:
+                shape = atm.doppler_shape(grid[window], line, halfwidth)
+            k[window] += strength * shape
+    return k
+
+
+def assert_matches_oracle(mixture, catalog, grid, shape_model):
+    spectrum = atm.absorption_coefficient(mixture, catalog, grid, shape_model)
+    oracle = oracle_absorption(mixture, catalog, grid, shape_model)
+    assert spectrum.k_per_m.tobytes() == oracle.tobytes()
+    return oracle
+
+
+GENERATED_GASES = ("H2O", "CO2", "O2", "CO")   # bent and linear molecules
+
+
+def generated_catalog(n_lines: int, seed: int) -> dict[str, atm.LineTable]:
+    """``n_lines`` seeded random lines near 7.5 1/cm, rendered and parsed."""
+    rng = np.random.default_rng(seed)
+    records = {gas: [] for gas in GENERATED_GASES}
+    for _ in range(n_lines):
+        gas = GENERATED_GASES[rng.integers(len(GENERATED_GASES))]
+        line = make_line(
+            molecule_id=atm.MOLECULE_IDS[gas],
+            isotopologue_id=int(rng.integers(1, 3)),
+            line_center_invcm=round(rng.uniform(5.0, 10.0), 6),
+            intensity_ref=round(rng.uniform(1.0, 9.999), 3) * 10.0 ** -int(rng.integers(19, 25)),
+            gamma_air_invcm_atm=round(rng.uniform(0.01, 0.1), 4),
+            gamma_self_invcm_atm=round(rng.uniform(0.1, 0.5), 4),
+            lower_state_energy_invcm=round(rng.uniform(0.0, 3000.0), 4),
+            temperature_exponent=round(rng.uniform(0.5, 0.8), 2),
+            pressure_shift_invcm_atm=round(rng.uniform(-5e-5, 5e-5), 6))
+        records[gas].append(atm.render_par_record(line))
+    return {gas: atm.parse_catalog("\n".join(r)) for gas, r in records.items()}
+
+
 class TestAbsorptionCoefficient:
     def test_empty_catalog(self):
         spectrum = atm.absorption_coefficient(EARTH.mixture(), {},
@@ -281,6 +471,96 @@ class TestAbsorptionCoefficient:
             {"H2O": [line]}, grid)
         assert np.all(spectrum.k_per_m == 0.0)
 
+    @pytest.mark.parametrize("planet", [EARTH, MARS], ids=["earth", "mars"])
+    def test_bundled_catalog_matches_oracle(self, planet):
+        catalog = atm.load_catalog_dir(bundled_catalog_dir(), list(atm.MOLECULE_IDS))
+        for grid in (np.array([planet.frequency_hz]),
+                     np.linspace(0.05e12, 2.0e12, 2001)):
+            for shape_model in ("lorentz", "doppler"):
+                assert_matches_oracle(planet.mixture(), catalog, grid, shape_model)
+
+    @pytest.mark.parametrize("shape_model,pressure_atm",
+                             [("lorentz", 1.0), ("doppler", 0.006)])
+    @pytest.mark.parametrize("temperature_k", [296.0, 250.0])
+    def test_generated_catalog_matches_oracle(self, shape_model, pressure_atm,
+                                              temperature_k):
+        catalog = generated_catalog(2000, seed=11)
+        mixture = atm.GasMixture((("H2O", 0.01), ("CO2", 4e-4), ("O2", 0.2),
+                                  ("CO", 1e-7)), temperature_k, pressure_atm)
+        grid = np.linspace(0.222e12, 0.228e12, 2001)
+        oracle = assert_matches_oracle(mixture, catalog, grid, shape_model)
+        assert np.count_nonzero(oracle) > 200
+
+    @pytest.mark.parametrize("shape_model", ["lorentz", "doppler"])
+    def test_window_edges_match_oracle(self, shape_model):
+        mixture = atm.GasMixture((("H2O", 0.01),), 296.0, 1.0)
+
+        def line_at(f_hz):
+            line = make_line(line_center_invcm=round(f_hz / HZ_PER_INVCM, 6),
+                             pressure_shift_invcm_atm=0.0)
+            if shape_model == "lorentz":
+                return line, line.center_hz, atm.LORENTZ_WING_CUTOFF_HZ
+            halfwidth = atm.doppler_halfwidth(line, 296.0)
+            return line, line.center_hz, atm.DOPPLER_WING_CUTOFF_HALFWIDTHS * halfwidth
+
+        def ulps_around(f):   # f and the 4 floats on either side
+            return f + np.arange(-4, 5) * np.spacing(f)
+
+        def window(grid, center, cutoff):
+            return np.flatnonzero(np.abs(grid - center) <= cutoff).tolist()
+
+        line, center, cutoff = line_at(0.4e12)
+        edge = center + cutoff      # only the first grid point is in reach
+        grid = np.array([edge - 1e3, edge + 1e3, edge + 2e3])
+        assert window(grid, center, cutoff) == [0]
+        assert_matches_oracle(mixture, {"H2O": [line]}, grid, shape_model)
+
+        line, center, cutoff = line_at(2.1e12)
+        edge = center - cutoff      # only the last grid point is in reach
+        grid = np.array([edge - 2e3, edge - 1e3, edge + 1e3])
+        assert window(grid, center, cutoff) == [2]
+        assert_matches_oracle(mixture, {"H2O": [line]}, grid, shape_model)
+
+        line, center, cutoff = line_at(1.3e12)
+        grid = np.array([center - cutoff - 1e3, center + cutoff + 1e3])
+        assert window(grid, center, cutoff) == []   # within the grid's span
+        assert_matches_oracle(mixture, {"H2O": [line]}, grid, shape_model)
+
+        # grid points within a few ulps of center -/+ cutoff, where f - center
+        # rounds differently from center -/+ cutoff. (The Doppler profile
+        # underflows to 0 there; test_windows_follow_the_rule covers its edges.)
+        for f_hz in (0.6e12, 0.9e12, 1.7e12):
+            line, center, cutoff = line_at(f_hz)
+            edges = [center - cutoff, center + cutoff]
+            grid = np.concatenate([ulps_around(f) for f in edges if f > 0]
+                                  + [[center]])
+            grid.sort()
+            assert 0 < len(window(grid, center, cutoff)) < grid.size
+            assert_matches_oracle(mixture, {"H2O": [line]}, grid, shape_model)
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20, unique=True),
+           st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3)), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_windows_follow_the_rule(self, points, lines):
+        # each line's [lo, hi) holds exactly the points with
+        # |f - center| <= cutoff; the grid also has the floats next to
+        # every center -/+ cutoff
+        for center, cutoff in lines:
+            for edge in (center - cutoff, center + cutoff):
+                points += (edge + np.arange(-2, 3) * np.spacing(edge)).tolist()
+        grid = np.unique(points)
+        center = np.array([c for c, _ in lines])
+        cutoff = np.array([w for _, w in lines])
+        lo, hi = atm._windows(grid, center, cutoff)
+        for c, w, a, b in zip(center, cutoff, lo, hi):
+            assert list(range(a, b)) == np.flatnonzero(np.abs(grid - c) <= w).tolist()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        # np.diff(grid) <= 0 is False next to a nan, and inf is increasing
+        with pytest.raises(DomainError, match="finite"):
+            atm.absorption_coefficient(EARTH.mixture(), {}, np.array([1e11, bad]))
+
     def test_non_monotone_grid_rejected(self):
         with pytest.raises(DomainError):
             atm.absorption_coefficient(EARTH.mixture(), {},
@@ -321,3 +601,13 @@ class TestGasMixture:
         oracle = 0.5 * ATM_PA / (BOLTZMANN * 300.0)
         assert mixture.number_density_m3("N2") == pytest.approx(oracle, rel=1e-12)
         assert mixture.number_density_m3("O2") == 0.0
+
+    @pytest.mark.parametrize("species,temperature_k,pressure_atm", [
+        ((("H2O", math.nan),), 288.0, 1.0),
+        ((("H2O", math.inf),), 288.0, 1.0),
+        ((("H2O", 0.01),), math.nan, 1.0),
+        ((("H2O", 0.01),), 288.0, math.inf),
+    ])
+    def test_non_finite_rejected(self, species, temperature_k, pressure_atm):
+        with pytest.raises(DomainError, match="finite"):
+            atm.GasMixture(species, temperature_k, pressure_atm)
