@@ -380,8 +380,8 @@ class GasMixture:
                 raise DomainError(f"unknown gas {name!r}")
             if not math.isfinite(ratio):
                 raise DomainError(f"non-finite mixing ratio for {name}")
-            if ratio < 0:
-                raise DomainError(f"negative mixing ratio for {name}")
+            if not 0 <= ratio <= 1:
+                raise DomainError(f"mixing ratio for {name} outside [0, 1]")
             total += ratio
         if total > 1.001:
             raise DomainError(f"mixing ratios sum to {total}, above 1.001")

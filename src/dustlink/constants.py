@@ -2,6 +2,8 @@
 
 import math
 
+from .errors import DomainError
+
 SPEED_OF_LIGHT = 2.99792458e8           # m/s (exact)
 BOLTZMANN = 1.380649e-23                # J/K (exact)
 AVOGADRO = 6.02214076e23                # 1/mol (exact)
@@ -27,8 +29,10 @@ LN2 = math.log(2.0)
 
 def db_from_transmittance(transmittance: float, distance_m: float) -> float:
     """Specific attenuation in dB/m; +inf when nothing is transmitted."""
-    if transmittance < 0.0 or transmittance > 1.0:
-        raise ValueError(f"transmittance {transmittance} outside [0, 1]")
+    if not 0.0 <= transmittance <= 1.0:
+        raise DomainError(f"transmittance {transmittance} outside [0, 1]")
+    if not 0.0 < distance_m < math.inf:
+        raise DomainError(f"distance must be positive and finite, got {distance_m}")
     if transmittance == 0.0:
         return math.inf
     if transmittance == 1.0:

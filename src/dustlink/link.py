@@ -57,6 +57,11 @@ class LinkConfig:
     noise_psd_w_hz: float = DEFAULT_NOISE_PSD_W_HZ
 
     def __post_init__(self):
+        for name in ("band_lo_hz", "band_hi_hz", "center_hz", "distance_m",
+                     "tx_power_w", "noise_psd_w_hz"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.band_lo_hz >= self.band_hi_hz:
             raise DomainError("band must satisfy f_lo < f_hi")
         if self.tx_power_w <= 0 or self.noise_psd_w_hz <= 0:
@@ -109,17 +114,17 @@ class CapacityResult:
 
 def h_spreading(f_hz: float, distance_m: float) -> float:
     """Free-space spreading amplitude c/(4*pi*D*f)."""
-    if f_hz <= 0 or distance_m <= 0:
-        raise DomainError("frequency and distance must be positive")
+    if not (0 < f_hz < math.inf and 0 < distance_m < math.inf):
+        raise DomainError("frequency and distance must be positive and finite")
     return SPEED_OF_LIGHT / (4.0 * math.pi * distance_m * f_hz)
 
 
 def h_absorption(k_per_m: float, distance_m: float) -> float:
     """Molecular absorption amplitude exp(-k*D/2)."""
-    if k_per_m < 0:
-        raise DomainError("absorption coefficient must be >= 0")
-    if distance_m <= 0:
-        raise DomainError("distance must be positive")
+    if not 0 <= k_per_m < math.inf:
+        raise DomainError("absorption coefficient must be finite and >= 0")
+    if not 0 < distance_m < math.inf:
+        raise DomainError("distance must be positive and finite")
     return math.exp(-0.5 * k_per_m * distance_m)
 
 
@@ -149,8 +154,8 @@ def channel_gain(f_hz: float, distance_m: float, k_per_m: float,
 
 def capacity(cfg: LinkConfig, h_los: float) -> CapacityResult:
     """Shannon capacity of the single sub-band at amplitude ``h_los``."""
-    if h_los < 0:
-        raise DomainError("channel amplitude must be >= 0")
+    if not 0 <= h_los < math.inf:
+        raise DomainError("channel amplitude must be finite and >= 0")
     bw = cfg.bandwidth_hz
     snr = h_los * h_los * cfg.tx_power_w / (bw * cfg.noise_psd_w_hz)
     return CapacityResult(capacity_bps=bw * math.log2(1.0 + snr), snr=snr)
@@ -283,8 +288,8 @@ def distance_sweep_points(cfg: LinkConfig, planet: PlanetPreset,
     if list(distances_m) != sorted(distances_m):
         raise DomainError("distances must be increasing")
     lo, hi = density_range_per_m
-    if lo < 0 or hi < lo:
-        raise DomainError("density range must be ordered and >= 0")
+    if not 0 <= lo <= hi < math.inf:
+        raise DomainError("density range must be ordered, finite and >= 0")
     rng = substream(derive_seed(seed, "distance-densities"), 0)
     densities = [float(rng.uniform(lo, hi)) if hi > 0 else 0.0
                  for _ in distances_m]

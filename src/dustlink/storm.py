@@ -13,12 +13,13 @@ its two nearest disk centers is within that disk's radius.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import DomainError
 from .rng import substream
+from .transport import _is_int
 
 __all__ = [
     "StormConfig",
@@ -53,10 +54,17 @@ class StormConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.emission_rate < 0:
-            raise DomainError("emission rate must be >= 0")
+        if not (_is_int(self.emission_rate) and self.emission_rate >= 0):
+            raise DomainError(
+                f"emission_rate must be an int >= 0, got {self.emission_rate!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in ("emission_rate", "seed") and not np.isfinite(value).all():
+                raise DomainError(f"{f.name} must be finite, got {value!r}")
         if self.timestep_s <= 0:
             raise DomainError("timestep must be positive")
+        if self.ramp_length_m <= 0:
+            raise DomainError("ramp length must be positive")
         x0, x1, y0, y1, z0, z1 = self.domain_m
         if not (x0 < x1 and y0 < y1 and z0 < z1):
             raise DomainError("domain bounds must be well ordered")
@@ -157,8 +165,12 @@ class BeamCone:
     length_m: float = field(init=False)
 
     def __post_init__(self):
-        if self.half_angle_rad <= 0 or self.disk_spacing_m <= 0:
-            raise DomainError("half angle and disk spacing must be positive")
+        if not 0 < self.half_angle_rad < math.pi / 2:
+            raise DomainError("half angle must lie in (0, pi/2)")
+        if not 0 < self.disk_spacing_m < math.inf:
+            raise DomainError("disk spacing must be positive and finite")
+        if not all(map(math.isfinite, (*self.tx_m, *self.rx_m))):
+            raise DomainError("transmitter and receiver must be finite points")
         length = math.dist(self.tx_m, self.rx_m)
         if length == 0.0:
             raise DomainError("transmitter and receiver coincide")

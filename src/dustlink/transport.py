@@ -20,12 +20,15 @@ Two implementations share these rules. ``estimate_batch`` (and
 are held as arrays, and each wave advances every live packet by one event
 in numpy, drawing from four buffered Philox blocks per packet computed by
 ``dustlink.rng.substream_uniforms``. The packets of many runs share the
-kernel; each carries its run's seed, its index in the run, and its run's
-extinction and distance. ``trace_packet`` is the scalar reference, one
-packet in plain Python. The kernel keeps the reference's branch order and
-floating-point operations, so each packet has the same fate and event
-count; its contribution agrees within rtol 1e-12, because
-``np.exp``/``np.log`` may differ from ``math`` in the last bit.
+kernel; a packet's state is its output index, run, first wave, X, X cosine
+and weight, and it reads its run's extinction and distance each wave. A
+wave sets every fate from masks, in the order crossing, backscatter, event
+guard, weight threshold, and drops the ended packets in one pass.
+``trace_packet`` is the scalar reference, one packet in plain Python. The
+kernel keeps the reference's branch order and floating-point operations,
+so each packet has the same fate and event count; its contribution agrees
+within rtol 1e-12, because ``np.exp``/``np.log`` may differ from ``math``
+in the last bit.
 
 Determinism: every packet draws from its own counter-based substream of
 its run's seed (see ``dustlink.rng``), and each run's contributions are
@@ -169,7 +172,7 @@ def sample_scatter_angles(nu, chi, g):
 
 
 def _hg_cosine(g, nu):
-    """Scattering cosine from a unit variate, with ``_trace``'s arithmetic.
+    """Scattering cosine from a unit variate, in ``trace_packet``'s arithmetic.
 
     Isotropic at g == 0, forward (1) at g == 1, the Henyey-Greenstein
     inversion clipped to [-1, 1] otherwise. ``g`` and ``nu`` broadcast.
@@ -207,21 +210,18 @@ def update_direction(mu: tuple[float, float, float], theta: float,
     return nx / norm, ny / norm, nz / norm
 
 
-def trace_packet(cfg: TransportConfig, packet_index: int) -> tuple[str, float]:
-    """Trace one packet to termination; returns (fate, receiver contribution).
+def trace_packet(cfg: TransportConfig,
+                 packet_index: int) -> tuple[str, float, int]:
+    """Trace one packet to termination.
 
-    Pure function of (cfg.seed, packet_index). This is the scalar
-    reference for the wave kernel behind ``estimate_transmittance``: it
-    consumes the same substream draws in the same order, so the kernel
-    gives the packet an equal fate and a contribution within rtol 1e-12.
+    Returns (fate, receiver contribution, scattering events). Pure function
+    of (cfg.seed, packet_index). This is the scalar reference for the wave
+    kernel behind ``estimate_batch``: it consumes the same substream draws
+    in the same order, so the kernel gives the packet an equal fate and
+    event count and a contribution within rtol 1e-12.
     """
     if packet_index >= cfg.packet_count:
         raise DomainError("packet index beyond configured packet count")
-    fate, contribution, _ = _trace(cfg, packet_index)
-    return fate, contribution
-
-
-def _trace(cfg: TransportConfig, packet_index: int) -> tuple[str, float, int]:
     cext = cfg.extinction_per_m
     if cext == 0.0:
         return "reached", 1.0, 0
@@ -368,28 +368,30 @@ class _WaveDraws:
         return u
 
     def keep(self, live) -> None:
-        """Keep the live rows selected by a boolean mask or a slice."""
+        """Keep the live rows selected by a boolean mask."""
         self.slot = self.slot[live]
         self.block = self.block[live]
         self.col = self.col[live]
 
 
-def _trace_packets(cfgs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
     """Trace every packet of each run ``cfgs[r]``.
 
-    The runs share their asymmetry, weight threshold and event guard;
-    extinction, distance and seed are per packet. Packets are admitted in
-    order, at most ``_WAVE_ROWS`` live at a time: whenever half the rows
-    have ended, new packets take their place, so a batch has one tail of
-    waves with few live rows, not one per ``_WAVE_ROWS`` packets. Each
-    wave applies ``_trace``'s loop body to every live packet, in the same
-    branch order and floating-point operations, and drops the packets it
-    ends. Returns the contributions and fate codes of the packets, run
-    after run, and each run's event total.
+    The runs share their asymmetry, weight threshold and event guard. A
+    live packet is (pos, run, born, x, mx, w): its output index, run, wave
+    of first event, X, X cosine and weight; each wave reads extinction and
+    distance by run. Packets are admitted in order, at most ``_WAVE_ROWS``
+    live at a time: whenever half the rows have ended, new packets take
+    their place, so a batch has one tail of waves with few live rows, not
+    one per ``_WAVE_ROWS`` packets. Each wave takes every live packet
+    through one pass of ``trace_packet``'s loop, with the same
+    floating-point operations, sets the fates from masks in its order
+    (crossing, backscatter, event guard, weight threshold) and compacts
+    once. Returns each run's contributions and fate codes, in packet
+    order, and each run's event total.
     """
     head = cfgs[0]
     asym = head.asymmetry
-    eps_t = head.weight_threshold
     two_pi = 2.0 * math.pi
     run_cext = np.array([cfg.extinction_per_m for cfg in cfgs])
     run_dist = np.array([cfg.distance_m for cfg in cfgs])
@@ -402,9 +404,8 @@ def _trace_packets(cfgs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     events = np.zeros(len(cfgs), dtype=np.int64)
     rows = min(_WAVE_ROWS, total)
     draws = _WaveDraws(rows)
-    # per live packet: output index, run, wave of its first event, state
     pos, run, born = (np.empty(0, dtype=np.int64) for _ in range(3))
-    x, mx, w, cext, dist = (np.empty(0) for _ in range(5))
+    x, mx, w = (np.empty(0) for _ in range(3))
     admitted = 0
     wave = 0
     while admitted < total or pos.size:
@@ -414,60 +415,40 @@ def _trace_packets(cfgs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             admitted += new.size
             r = np.searchsorted(offsets, new, side="right") - 1
             flight = run_cext[r] == 0.0
-            if flight.any():
-                contributions[new[flight]] = 1.0   # free flight: every packet reaches
-                new, r = new[~flight], r[~flight]
+            contributions[new[flight]] = 1.0   # free flight: every packet reaches
+            new, r = new[~flight], r[~flight]
             draws.admit(run_seeds[r], new - offsets[r])
             pos = np.concatenate((pos, new))
             run = np.concatenate((run, r))
             born = np.concatenate((born, np.full(new.size, wave)))
             x = np.concatenate((x, np.zeros(new.size)))
             mx, w = (np.concatenate((a, np.ones(new.size))) for a in (mx, w))
-            cext = np.concatenate((cext, run_cext[r]))
-            dist = np.concatenate((dist, run_dist[r]))
-            if not pos.size:
-                continue
 
+        cext = run_cext[run]
+        dist = run_dist[run]
         draws.reserve()
         # a subnormal extinction gives an infinite step: the packet crosses
         with np.errstate(over="ignore"):
             step = -np.log(draws.draw()) / cext
         x_next = x + step * mx
         ended = (x_next >= dist) & (mx > 0.0)
-        live = ~ended
-        if ended.any():
-            # crossing: residual Beer-Lambert factor from the last scatter site
-            contributions[pos[ended]] = w[ended] * np.exp(
-                -cext[ended] * (dist[ended] - x[ended]) / mx[ended])
+        # crossing: residual Beer-Lambert factor from the last scatter site
+        contributions[pos[ended]] = w[ended] * np.exp(
+            -cext[ended] * (dist[ended] - x[ended]) / mx[ended])
         x = x_next
         out = x < 0.0
-        if out.any():
-            fates[pos[out]] = _FATE_INDEX["backscatter_exit"]
-            live &= ~out
-        if not live.all():
-            x, mx, w, step, cext, dist, pos, run, born = (
-                a[live] for a in (x, mx, w, step, cext, dist, pos, run, born))
-            draws.keep(live)
-        events += np.bincount(run, minlength=len(cfgs))
-        if pos.size and wave - born[0] + 1 >= head.max_events:
-            # rows are in admission order, so the guarded ones lead
-            guarded = slice(np.searchsorted(born, wave + 1 - head.max_events,
-                                            side="right"), None)
-            fates[pos[:guarded.start]] = _FATE_INDEX["guard_killed"]
-            x, mx, w, step, cext, dist, pos, run, born = (
-                a[guarded] for a in (x, mx, w, step, cext, dist, pos, run, born))
-            draws.keep(guarded)
+        scattered = ~ended & ~out
+        events += np.bincount(run[scattered], minlength=len(cfgs))
+        guarded = scattered & (wave - born + 1 >= head.max_events)
         # Beer-Lambert decay; dx/mx telescopes to the step length
         w = w * np.exp(-cext * step)
-        killed = w < eps_t
-        if killed.any():
-            fates[pos[killed]] = _FATE_INDEX["weight_killed"]
-            live = ~killed
-            x, mx, w, cext, dist, pos, run, born = (
-                a[live] for a in (x, mx, w, cext, dist, pos, run, born))
-            draws.keep(live)
-        if not pos.size:
-            continue
+        killed = scattered & ~guarded & (w < head.weight_threshold)
+        fates[pos[out]] = _FATE_INDEX["backscatter_exit"]
+        fates[pos[guarded]] = _FATE_INDEX["guard_killed"]
+        fates[pos[killed]] = _FATE_INDEX["weight_killed"]
+        keep = scattered & ~guarded & ~killed
+        pos, run, born, x, mx, w = (a[keep] for a in (pos, run, born, x, mx, w))
+        draws.keep(keep)
 
         if isinstance(asym, FixedAsymmetry):
             g = asym.g
@@ -475,40 +456,20 @@ def _trace_packets(cfgs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             g = asym.lo + (asym.hi - asym.lo) * draws.draw()
         ct = _hg_cosine(g, draws.draw())
         mx = _rotate(mx, ct, two_pi * draws.draw())
-    return contributions, fates, events
+    ends = offsets[1:-1]
+    return np.split(contributions, ends), np.split(fates, ends), events
 
 
 def _rotate(mx, ct, phi):
     """The x cosine after scattering at polar cosine ``ct`` and azimuth
-    ``phi``, with ``_trace``'s arithmetic. The MCML update of the x cosine
-    needs only the old x cosine, ``ct`` and ``phi``; it is not
+    ``phi``, in ``trace_packet``'s arithmetic. The MCML update of the x
+    cosine needs only the old x cosine, ``ct`` and ``phi``; it is not
     renormalized. Its temporaries end with the call.
     """
     polar = np.abs(mx) > 0.99999
     root = np.sqrt(np.where(polar, 1.0, 1.0 - mx * mx))
     turned = -np.sqrt(1.0 - ct * ct) * np.cos(phi) * root + mx * ct
     return np.where(polar, np.where(mx > 0.0, ct, -ct), turned)
-
-
-def _estimate_group(cfgs) -> list[TransportResult]:
-    """Results of runs that share the kernel settings, traced together."""
-    starts = np.cumsum([0, *(cfg.packet_count for cfg in cfgs)])
-    contributions, fates, events = _trace_packets(cfgs)
-    results = []
-    for r, cfg in enumerate(cfgs):
-        m = cfg.packet_count
-        part = slice(starts[r], starts[r + 1])
-        transmittance = min(float(np.sum(contributions[part])) / m, 1.0)
-        fate_counts = np.bincount(fates[part], minlength=len(FATES))
-        results.append(TransportResult(
-            transmittance=transmittance,
-            attenuation_db_per_m=db_from_transmittance(transmittance,
-                                                       cfg.distance_m),
-            fates=FateCounts(*(int(c) for c in fate_counts)),
-            mean_events=int(events[r]) / m,
-            seed=cfg.seed,
-        ))
-    return results
 
 
 def estimate_batch(cfgs: Sequence[TransportConfig]) -> list[TransportResult]:
@@ -527,8 +488,20 @@ def estimate_batch(cfgs: Sequence[TransportConfig]) -> list[TransportResult]:
         groups.setdefault(key, []).append(i)
     results: list[TransportResult] = [None] * len(cfgs)
     for members in groups.values():
-        for i, result in zip(members, _estimate_group([cfgs[i] for i in members])):
-            results[i] = result
+        runs = [cfgs[i] for i in members]
+        for i, cfg, contributions, fates, events in zip(
+                members, runs, *_trace_packets(runs)):
+            m = cfg.packet_count
+            transmittance = min(float(np.sum(contributions)) / m, 1.0)
+            fate_counts = np.bincount(fates, minlength=len(FATES))
+            results[i] = TransportResult(
+                transmittance=transmittance,
+                attenuation_db_per_m=db_from_transmittance(transmittance,
+                                                           cfg.distance_m),
+                fates=FateCounts(*(int(c) for c in fate_counts)),
+                mean_events=int(events) / m,
+                seed=cfg.seed,
+            )
     return results
 
 

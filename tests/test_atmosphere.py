@@ -592,6 +592,13 @@ class TestGasMixture:
         with pytest.raises(DomainError):
             atm.GasMixture((("N2", 0.9), ("O2", 0.2)), 288.0, 1.0)
 
+    @pytest.mark.parametrize("ratio", [1.0005, 1.001, -0.01])
+    def test_ratio_outside_unit_interval_rejected(self, ratio):
+        # a single ratio in (1, 1.001] is within the sum guard's slack,
+        # but its partial pressure would exceed the total
+        with pytest.raises(DomainError, match="mixing ratio"):
+            atm.GasMixture((("CO2", ratio),), 210.0, 0.006)
+
     def test_unknown_gas(self):
         with pytest.raises(DomainError):
             atm.GasMixture((("XE", 0.1),), 288.0, 1.0)

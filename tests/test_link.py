@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from dustlink.cli import (CONFIG_KEYS, _TRANSPORT_KEYS, ExperimentConfig,
                           _transport)
-from dustlink.constants import SPEED_OF_LIGHT, dbm_to_watts
+from dustlink.constants import (SPEED_OF_LIGHT, db_from_transmittance,
+                                dbm_to_watts)
 from dustlink.errors import DomainError
 from dustlink.link import (DROP_WINDOWS_S, LinkConfig, capacity, channel_gain,
                            default_time_counts, h_absorption, h_dust,
@@ -46,6 +47,12 @@ class TestSpreading:
         rhs = 20.0 * math.log10(4 * math.pi * d * f / SPEED_OF_LIGHT)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    @pytest.mark.parametrize("f_hz, distance_m", [(math.nan, 10.0),
+                                                  (0.24e12, math.nan)])
+    def test_nan_rejected(self, f_hz, distance_m):
+        with pytest.raises(DomainError):
+            h_spreading(f_hz, distance_m)
+
 
 class TestAbsorptionGain:
     def test_transparent(self):
@@ -58,6 +65,12 @@ class TestAbsorptionGain:
         k, d = 0.037, 55.0
         assert h_absorption(k, d) ** 2 * math.exp(k * d) == pytest.approx(
             1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("k_per_m, distance_m", [(math.nan, 10.0),
+                                                     (0.1, math.nan)])
+    def test_nan_rejected(self, k_per_m, distance_m):
+        with pytest.raises(DomainError):
+            h_absorption(k_per_m, distance_m)
 
 
 class TestDustGain:
@@ -134,9 +147,22 @@ class TestCapacity:
             c2 = capacity(link_config(tx_power_w=p2), 1e-5).capacity_bps
             assert c2 > c1
 
+    def test_nan_gain_rejected(self):
+        with pytest.raises(DomainError):
+            capacity(link_config(), math.nan)
+
     def test_exact_dbm_conversion(self):
         assert dbm_to_watts(10.0) == pytest.approx(0.01, rel=1e-15)
         assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
+
+
+class TestDbFromTransmittance:
+    @pytest.mark.parametrize("transmittance, distance_m", [
+        (0.5, 0.0), (0.5, -1.0), (0.5, math.inf), (math.nan, 1.0),
+        (1.5, 1.0), (-0.1, 1.0)])
+    def test_bad_input_rejected(self, transmittance, distance_m):
+        with pytest.raises(DomainError):
+            db_from_transmittance(transmittance, distance_m)
 
 
 class TestLinkConfig:
@@ -153,6 +179,14 @@ class TestLinkConfig:
     def test_zero_noise_rejected(self):
         with pytest.raises(DomainError, match="noise"):
             LinkConfig.for_preset(EARTH, noise_psd_w_hz=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("tx_power_w", math.nan), ("distance_m", math.nan),
+        ("band_hi_hz", math.inf), ("center_hz", math.nan),
+        ("noise_psd_w_hz", math.inf)])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            link_config(**{name: value})
 
 
 class TestTransportTemplate:
@@ -262,6 +296,14 @@ class TestDistanceSweep:
     def test_unordered_distances_rejected(self):
         with pytest.raises(DomainError):
             run_distance_sweep(link_config(), EARTH, [10.0, 5.0], (0.0, 0.0),
+                               seed=1, k_per_m=0.0)
+
+    @pytest.mark.parametrize("density_range", [(math.nan, math.nan),
+                                               (1.0, math.inf)])
+    def test_non_finite_density_range_rejected(self, density_range):
+        # a nan range would draw no density, and an infinite one overflows
+        with pytest.raises(DomainError, match="density range"):
+            run_distance_sweep(link_config(), EARTH, [5.0], density_range,
                                seed=1, k_per_m=0.0)
 
     def test_gain_columns_consistent(self):

@@ -81,6 +81,27 @@ class TestStepField:
         assert np.all(fld.radii_m <= 3e-6)
 
 
+class TestStormConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("timestep_s", math.nan), ("wind_speed_m_s", math.nan),
+        ("ramp_length_m", math.inf), ("vortex_center_m", (math.nan, 0.0, 0.0)),
+        ("domain_m", (0.0, math.inf, -60.0, 60.0, 0.0, 120.0))])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            StormConfig(**{name: value})
+
+    @pytest.mark.parametrize("ramp", [0.0, -5.0])
+    def test_non_positive_ramp_rejected(self, ramp):
+        # the advection velocity divides by the ramp length
+        with pytest.raises(DomainError, match="ramp"):
+            StormConfig(ramp_length_m=ramp)
+
+    @pytest.mark.parametrize("rate", [2.5, 3.0, "3", True, -1])
+    def test_non_int_emission_rate_rejected(self, rate):
+        with pytest.raises(DomainError, match="emission_rate"):
+            StormConfig(emission_rate=rate)
+
+
 class TestBeamCone:
     def test_paper_scale_geometry(self):
         cone = build_beam_cone((0.0, 0.0, 50.0), (10_000.0, 0.0, 50.0),
@@ -91,6 +112,21 @@ class TestBeamCone:
     def test_degenerate_geometry_rejected(self):
         with pytest.raises(DomainError):
             build_beam_cone((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 0.01, 0.01)
+
+    @pytest.mark.parametrize("half_angle", [math.nan, math.pi / 2, 2.0, 0.0])
+    def test_bad_half_angle_rejected(self, half_angle):
+        with pytest.raises(DomainError, match="half angle"):
+            build_beam_cone((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), half_angle, 0.1)
+
+    @pytest.mark.parametrize("spacing", [math.inf, math.nan, 0.0])
+    def test_bad_disk_spacing_rejected(self, spacing):
+        with pytest.raises(DomainError, match="disk spacing"):
+            build_beam_cone((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), 0.01, spacing)
+
+    @pytest.mark.parametrize("rx", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0)])
+    def test_non_finite_endpoint_rejected(self, rx):
+        with pytest.raises(DomainError, match="finite"):
+            build_beam_cone((0.0, 0.0, 0.0), rx, 0.01, 0.1)
 
     def test_radius_linear_from_apex(self):
         cone = build_beam_cone((0.0, 0.0, 0.0), (100.0, 0.0, 0.0), 0.02, 0.05)

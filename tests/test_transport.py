@@ -125,14 +125,12 @@ class TestUpdateDirection:
 
 class TestTracePacket:
     def test_free_flight(self):
-        fate, contribution = trace_packet(config(extinction_per_m=0.0), 0)
-        assert fate == "reached"
-        assert contribution == 1.0
+        assert trace_packet(config(extinction_per_m=0.0), 0) == ("reached", 1.0, 0)
 
     def test_forward_scattering_telescopes_to_beer_lambert(self):
         cfg = config(extinction_per_m=0.3, asymmetry=FixedAsymmetry(1.0))
         for i in range(50):
-            fate, contribution = trace_packet(cfg, i)
+            fate, contribution, _ = trace_packet(cfg, i)
             assert fate == "reached"
             assert contribution == pytest.approx(math.exp(-3.0), abs=1e-12)
 
@@ -143,7 +141,7 @@ class TestTracePacket:
     def test_contribution_in_unit_interval(self):
         cfg = config(extinction_per_m=1.0)
         for i in range(200):
-            _, contribution = trace_packet(cfg, i)
+            _, contribution, _ = trace_packet(cfg, i)
             assert 0.0 <= contribution <= 1.0
 
     def test_index_beyond_count_rejected(self):
@@ -177,7 +175,8 @@ class TestEstimateTransmittance:
 
     @pytest.mark.filterwarnings("error")
     def test_subnormal_extinction_crosses(self):
-        # the free path overflows to inf, and every packet crosses, as in _trace
+        # the free path overflows to inf, and every packet crosses, as in
+        # trace_packet
         result = estimate_transmittance(TransportConfig(10.0, 5, 1e-310))
         assert result.transmittance == 1.0
         assert result.fates.reached == 5
@@ -208,7 +207,8 @@ class TestEstimateTransmittance:
 
 
 class TestWaveKernel:
-    """The wave kernel against the scalar reference ``_trace``, packet by packet.
+    """The wave kernel against the scalar reference ``trace_packet``, packet
+    by packet.
 
     ``np.exp``/``np.log`` may differ from ``math`` in the last bit, so
     contributions agree within float64 eps times the event bound; fates and
@@ -217,8 +217,8 @@ class TestWaveKernel:
 
     @staticmethod
     def assert_matches_reference(cfg):
-        contributions, fates, events = transport._trace_packets([cfg])
-        reference = [transport._trace(cfg, i) for i in range(cfg.packet_count)]
+        (contributions,), (fates,), events = transport._trace_packets([cfg])
+        reference = [trace_packet(cfg, i) for i in range(cfg.packet_count)]
         assert [FATES[f] for f in fates] == [fate for fate, _, _ in reference]
         assert events[0] == sum(n for _, _, n in reference)
         np.testing.assert_allclose(
@@ -330,7 +330,7 @@ class TestEstimateBatch:
     def test_matches_scalar_reference(self):
         cfgs = self.mixed_configs()
         for cfg, result in zip(cfgs, estimate_batch(cfgs)):
-            reference = [transport._trace(cfg, i) for i in range(cfg.packet_count)]
+            reference = [trace_packet(cfg, i) for i in range(cfg.packet_count)]
             counts = [sum(fate == name for fate, _, _ in reference) for name in FATES]
             assert list(vars(result.fates).values()) == counts
             assert result.mean_events == sum(n for _, _, n in reference) / cfg.packet_count
