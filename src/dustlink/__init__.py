@@ -26,8 +26,8 @@ from .scatter import (DustPermittivity, ExtinctionResult, LinearDensity,
                       MediumSpec, SizeDistribution, Visibility,
                       VolumetricDensity, dust_permittivity,
                       ensemble_extinction, extinction_efficiency,
-                      linear_density_to_volumetric, mie_cext,
-                      number_density_from_visibility, rayleigh_cext, size_pdf)
+                      mie_cext, number_density_from_visibility,
+                      rayleigh_cext)
 from .storm import (BeamCone, ParticleField, StormConfig, build_beam_cone,
                     count_in_beam, density_time_series, empty_field,
                     step_field)

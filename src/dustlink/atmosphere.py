@@ -5,8 +5,10 @@ number, isotopologue number, line center (1/cm), reference intensity at
 296 K, air- and self-broadened half widths, lower-state energy,
 temperature exponent and pressure shift, parsed at exact column offsets.
 A catalog is held as a ``LineTable``, one numpy column per field in record
-order; the loaders cast the fields of all records together, and fall back
-to ``parse_par_record`` only to report a bad record.
+order. The loaders cast the fields of all records together through one
+structured record dtype. The cast declines every batch with a bad record,
+and may decline a valid one (a non-ASCII character or a NUL anywhere);
+``parse_par_record`` then parses every record of the batch, and decides.
 
 The absorption coefficient k(f) sums, over species and lines,
 (number density) * S(T) * F(f) with a Lorentz (pressure-broadened) or
@@ -94,30 +96,11 @@ _FIELDS = (
 _FLOAT_FIELDS = tuple(name for name, _, _, conv in _FIELDS if conv is float) \
     + ("molar_mass_kg_mol",)
 
-# ``_cast_records`` reads every field right-aligned in a cell of _CELL
-# characters, blanked left of the field (int() and float() skip leading
-# blanks): _CELL_COLUMNS holds each cell's record columns (0-based) and
-# _CELL_PAD its blanked positions. The integer fields come first, as in
-# SpectralLine.
-_CELL = max(width for _, _, width, _ in _FIELDS)
-_CELL_COLUMNS = np.array([[max(start - 1 + width - _CELL + i, 0) for i in range(_CELL)]
-                          for _, start, width, _ in _FIELDS])
-_CELL_PAD = np.array([[i < _CELL - width for i in range(_CELL)]
-                      for _, _, width, _ in _FIELDS])
-_INT_CELLS = [i for i, (_, _, _, conv) in enumerate(_FIELDS) if conv is int]
-_FLOAT_CELLS = [i for i, (_, _, _, conv) in enumerate(_FIELDS) if conv is float]
-
-
-def _mass_key(molecule_id, isotopologue_id):
-    # a 2-character molecule number lies in [-9, 99] and a 1-character
-    # isotopologue number in [0, 9]
-    return 10 * (molecule_id + 9) + isotopologue_id
-
-
-# Molar masses by _mass_key, NaN for a pair without one.
-_MASS_BY_KEY = np.full(_mass_key(100, 0), np.nan)
-_MASS_BY_KEY[[_mass_key(*pair) for pair in _MOLAR_MASS_KG_MOL]] = list(
-    _MOLAR_MASS_KG_MOL.values())
+# A record's fields as byte strings at their columns, for ``_cast_records``.
+_RECORD = np.dtype({"names": [name for name, _, _, _ in _FIELDS],
+                    "formats": [f"S{width}" for _, _, width, _ in _FIELDS],
+                    "offsets": [start - 1 for _, start, _, _ in _FIELDS],
+                    "itemsize": RECORD_LENGTH})
 
 # (field, test, message): the range checks on a line. Each test takes a
 # value or a column; a value must also be finite.
@@ -288,28 +271,33 @@ def render_par_record(line: SpectralLine) -> str:
 
 
 def _cast_records(records: list[str]) -> LineTable:
-    """The records' fields as columns; ValueError if any record is bad.
+    """The records' fields as columns, or ValueError to decline the batch.
 
-    numpy casts text to int and float by Python's own rules, except that
-    it drops trailing NULs, so a field holding a NUL counts as bad.
+    The cast declines every batch that holds a record ``parse_par_record``
+    rejects, and a batch it accepts gets the values that parser gives. It
+    may also decline a valid batch: one with a non-ASCII character or a NUL
+    anywhere in a record (numpy casts bytes by Python's int() and float(),
+    but drops a field's trailing NULs, which those reject).
     """
     if not set(map(len, records)) <= {RECORD_LENGTH}:
         raise ValueError("record length")
-    try:    # one byte per character, which numpy casts faster
-        kind, chars = "S", np.array(records, dtype=f"S{RECORD_LENGTH}").view(np.uint8)
+    try:
+        chars = np.array(records, dtype=f"S{RECORD_LENGTH}")
     except UnicodeEncodeError:
-        kind, chars = "U", np.array(records, dtype=f"U{RECORD_LENGTH}").view(np.uint32)
-    cells = np.take(chars.reshape(len(records), RECORD_LENGTH), _CELL_COLUMNS, axis=1)
-    cells[:, _CELL_PAD] = ord(" ")
-    if not cells.all():
-        raise ValueError("NUL in a field")
-    values = cells.view(f"{kind}{_CELL}").reshape(len(records), len(_FIELDS))
-    ints = values[:, _INT_CELLS].T.astype(int, order="C")
-    floats = values[:, _FLOAT_CELLS].T.astype(float, order="C")
-    if not np.isfinite(floats).all():
-        raise ValueError("non-finite value")
-    # an unknown pair gets a NaN mass, which fails its range check
-    table = LineTable(*ints, *floats, _MASS_BY_KEY[_mass_key(*ints)])
+        raise ValueError("non-ASCII character") from None
+    if not chars.view(np.uint8).all():
+        raise ValueError("NUL in a record")
+    cells = chars.view(_RECORD)
+    columns = {name: cells[name].astype(conv) for name, _, _, conv in _FIELDS}
+    keys = (10 * columns["molecule_id"] + columns["isotopologue_id"]).tolist()
+    # divmod(key, 10) is the pair (an isotopologue number is one digit); an
+    # unknown pair's NaN mass declines. np.unique would add ~0.4 MiB peak RSS.
+    masses = {key: _MOLAR_MASS_KG_MOL.get(divmod(key, 10), math.nan) for key in set(keys)}
+    table = LineTable(**columns, molar_mass_kg_mol=np.fromiter(map(masses.get, keys), float,
+                                                               len(keys)))
+    for name in _FLOAT_FIELDS:
+        if not np.isfinite(getattr(table, name)).all():
+            raise ValueError(f"{name} not finite")
     for name, test, _ in _RANGE_CHECKS:
         if not test(getattr(table, name)).all():
             raise ValueError(f"{name} out of range")
@@ -319,19 +307,18 @@ def _cast_records(records: list[str]) -> LineTable:
 def _parse_texts(texts: list[str]) -> list[LineTable]:
     """One table per catalog text; the records of all texts are cast at once.
 
-    A bad record raises the FormatError that ``parse_par_record`` gives it,
-    numbered by its line in its text; the first bad record wins.
+    If the cast declines, ``parse_par_record`` parses every record: a bad
+    record raises the FormatError it gives, numbered by its line in its
+    text, and the first bad record wins.
     """
     lines = [text.splitlines() for text in texts]
     records = [[raw for raw in text_lines if raw.strip()] for text_lines in lines]
     try:
         table = _cast_records([record for text_records in records for record in text_records])
     except ValueError:
-        for text_lines in lines:
-            for number, raw in enumerate(text_lines, start=1):
-                if raw.strip():
-                    parse_par_record(raw, record_number=number)
-        raise RuntimeError("parse_par_record accepts every record the column cast rejected")
+        return [LineTable.from_lines(parse_par_record(raw, number)
+                                     for number, raw in enumerate(text_lines, 1) if raw.strip())
+                for text_lines in lines]
     ends = np.cumsum([len(text_records) for text_records in records]).tolist()
     return [table[start:end] for start, end in zip([0] + ends, ends)]
 
@@ -374,6 +361,9 @@ class GasMixture:
             raise DomainError("temperature and pressure must be finite")
         if self.temperature_k <= 0 or self.pressure_atm <= 0:
             raise DomainError("temperature and pressure must be positive")
+        names = [name for name, _ in self.species]
+        if len(set(names)) < len(names):
+            raise DomainError(f"each gas may be listed once, got {names}")
         total = 0.0
         for name, ratio in self.species:
             if name not in MOLECULE_IDS:
@@ -393,10 +383,7 @@ class GasMixture:
         return self.mixing_ratio(gas) * self.total_number_density_m3()
 
     def mixing_ratio(self, gas: str) -> float:
-        for name, ratio in self.species:
-            if name == gas:
-                return ratio
-        return 0.0
+        return dict(self.species).get(gas, 0.0)
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,8 @@ class LinkConfig:
                 raise DomainError(f"{name} must be finite, got {value!r}")
         if self.band_lo_hz >= self.band_hi_hz:
             raise DomainError("band must satisfy f_lo < f_hi")
+        if not self.band_lo_hz <= self.center_hz <= self.band_hi_hz:
+            raise DomainError("center frequency must lie in [f_lo, f_hi]")
         if self.tx_power_w <= 0 or self.noise_psd_w_hz <= 0:
             raise DomainError("power and noise density must be positive")
         if self.distance_m <= 0:

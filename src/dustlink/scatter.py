@@ -46,7 +46,6 @@ __all__ = [
     "LinearDensity",
     "MediumSpec",
     "ExtinctionResult",
-    "size_pdf",
     "dust_permittivity",
     "mie_coefficients",
     "mie_cext",
@@ -54,7 +53,6 @@ __all__ = [
     "extinction_efficiency",
     "physical_cross_section",
     "number_density_from_visibility",
-    "linear_density_to_volumetric",
     "ensemble_extinction",
 ]
 
@@ -162,11 +160,6 @@ class SizeDistribution:
         s = math.log(self.geometric_sigma)
         return (self.median_radius_m ** order * math.exp(0.5 * (order * s) ** 2)
                 * self._tilted_mass(order) / self._norm)
-
-
-def size_pdf(dist: SizeDistribution, r: float) -> float:
-    """Truncated-renormalized size density at radius ``r``."""
-    return dist.pdf(r)
 
 
 @dataclass(frozen=True)
@@ -424,15 +417,6 @@ def number_density_from_visibility(dist: SizeDistribution, visibility_m: float) 
     return 15.0 / (VISIBILITY_LAW_CONSTANT * visibility_m * math.pi * dist.moment(2))
 
 
-def linear_density_to_volumetric(count_per_m: float, beam_area_m2: float) -> float:
-    """Per-meter beam counts to particles per cubic meter."""
-    if count_per_m < 0:
-        raise DomainError("count per meter must be >= 0")
-    if beam_area_m2 <= 0:
-        raise DomainError("beam area must be positive")
-    return count_per_m / beam_area_m2
-
-
 def ensemble_extinction(medium: MediumSpec, f_hz: float) -> ExtinctionResult:
     """Per-meter extinction rate of a dust population at one frequency.
 
@@ -448,7 +432,7 @@ def ensemble_extinction(medium: MediumSpec, f_hz: float) -> ExtinctionResult:
 
     if isinstance(density, LinearDensity):
         coupling = "beam-blockage"
-        n0 = linear_density_to_volumetric(density.count_per_m, density.beam_area_m2)
+        n0 = density.count_per_m / density.beam_area_m2
         rate = density.count_per_m * _population_mean(_efficiency(terms), dist)
     else:
         coupling = "volumetric"

@@ -218,6 +218,26 @@ class TestParser:
             assert column.tobytes() == np.array(
                 [getattr(line, name) for line in expected], dtype=column.dtype).tobytes()
 
+    @pytest.mark.parametrize("declined", [
+        replace_field(CRAFTED, "line_center_invcm", "\u06612.500000"),  # float() reads 12.5
+        CRAFTED[:25] + "\xe9" + CRAFTED[26:],
+        CRAFTED[:159] + "\x00",
+    ], ids=["arabic-indic numeral", "non-ASCII in column 26", "NUL in column 160"])
+    def test_declined_batch_parsed_record_by_record(self, tmp_path, declined):
+        # test_catalog_parse_matches_record_parser draws such records too:
+        # GARBAGE holds the numeral, and "unparsed" damage the other two
+        texts = {"H2O": CRAFTED + "\n",
+                 "CO2": "\n".join([atm.render_par_record(make_line(line_center_invcm=9.0)),
+                                   "", declined]) + "\n"}
+        for gas, text in texts.items():
+            (tmp_path / f"{gas}.par").write_text(text)
+        with pytest.raises(ValueError):
+            atm._cast_records([declined])
+        catalog = atm.load_catalog_dir(tmp_path, list(texts))
+        for gas, text in texts.items():
+            assert catalog[gas] == atm.LineTable.from_lines(
+                atm.parse_par_record(r) for r in text.splitlines() if r.strip())
+
     def test_bundled_catalog_loads(self):
         catalog = atm.load_catalog_dir(bundled_catalog_dir(),
                                        [g for g, _ in EARTH.gases])
@@ -598,6 +618,14 @@ class TestGasMixture:
         # but its partial pressure would exceed the total
         with pytest.raises(DomainError, match="mixing ratio"):
             atm.GasMixture((("CO2", ratio),), 210.0, 0.006)
+
+    @pytest.mark.parametrize("species", [(("H2O", 0.01), ("H2O", 0.0)),
+                                         (("N2", 0.5), ("O2", 0.2), ("N2", 0.1))])
+    def test_repeated_gas_rejected(self, species):
+        # absorption_coefficient summed every entry, so a repeated gas
+        # counted its lines twice at the first entry's ratio
+        with pytest.raises(DomainError, match="listed once"):
+            atm.GasMixture(species, 288.0, 1.0)
 
     def test_unknown_gas(self):
         with pytest.raises(DomainError):

@@ -180,6 +180,19 @@ class TestLinkConfig:
         with pytest.raises(DomainError, match="noise"):
             LinkConfig.for_preset(EARTH, noise_psd_w_hz=0.0)
 
+    @pytest.mark.parametrize("center_hz", [-5.0, 5e11])
+    def test_center_outside_band_rejected(self, center_hz):
+        with pytest.raises(DomainError, match="center frequency"):
+            LinkConfig(band_lo_hz=1e11, band_hi_hz=2e11, center_hz=center_hz,
+                       distance_m=10.0)
+
+    @pytest.mark.parametrize("center_hz", [1e11, 2e11])
+    def test_band_edges_accepted(self, center_hz):
+        # Earth's centre is its band top and Mars's its band bottom
+        cfg = LinkConfig(band_lo_hz=1e11, band_hi_hz=2e11, center_hz=center_hz,
+                         distance_m=10.0)
+        assert cfg.center_hz == center_hz
+
     @pytest.mark.parametrize("name, value", [
         ("tx_power_w", math.nan), ("distance_m", math.nan),
         ("band_hi_hz", math.inf), ("center_hz", math.nan),

@@ -20,9 +20,9 @@ from dustlink.scatter import (DustPermittivity, LinearDensity, MediumSpec,
                               SizeDistribution, VolumetricDensity,
                               Visibility, dust_permittivity,
                               ensemble_extinction, extinction_efficiency,
-                              linear_density_to_volumetric, mie_cext,
-                              mie_coefficients, number_density_from_visibility,
-                              physical_cross_section, rayleigh_cext, size_pdf)
+                              mie_cext, mie_coefficients,
+                              number_density_from_visibility,
+                              physical_cross_section, rayleigh_cext)
 
 EARTH_DIST = SizeDistribution.log_normal(10e-6, 2.0, 1e-6, 150e-6)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -48,7 +48,7 @@ class TestSizeDistribution:
     def test_point_mass_unit_mass(self):
         dist = SizeDistribution.point_mass(50e-6)
         assert dist.moment(0) == 1.0
-        assert size_pdf(dist, 50e-6) == math.inf
+        assert dist.pdf(50e-6) == math.inf
 
     def test_lognormal_normalization(self):
         dist = SizeDistribution.log_normal(10e-6, 2.0, 1e-6, 150e-6)
@@ -70,9 +70,9 @@ class TestSizeDistribution:
     def test_pdf_outside_bounds_rejected(self):
         dist = SizeDistribution.log_normal(10e-6, 2.0, 1e-6, 150e-6)
         with pytest.raises(DomainError):
-            size_pdf(dist, 0.5e-6)
+            dist.pdf(0.5e-6)
         with pytest.raises(DomainError):
-            size_pdf(dist, 200e-6)
+            dist.pdf(200e-6)
 
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
@@ -327,20 +327,27 @@ class TestVisibilityLaw:
         assert product == pytest.approx(reference, rel=1e-12)
 
 
+def volumetric(density: LinearDensity) -> float:
+    """The number density ``ensemble_extinction`` records for beam counts."""
+    medium = MediumSpec(EARTH_DIST, dust_permittivity("earth-frequency-dependent", 0.24e12),
+                        density)
+    return ensemble_extinction(medium, 0.24e12).number_density_per_m3
+
+
 class TestLinearDensity:
     def test_paper_beam_counts(self):
-        assert linear_density_to_volumetric(10.0, 1e-6) == pytest.approx(1e7)
+        assert volumetric(LinearDensity(10.0, 1e-6)) == pytest.approx(1e7)
 
     def test_zero_counts(self):
-        assert linear_density_to_volumetric(0.0, 1e-6) == 0.0
+        assert volumetric(LinearDensity(0.0, 1e-6)) == 0.0
 
     def test_unit_conversion_oracle(self):
         # 100 particles per 10 m at 0.01 cm^2 face -> 1e7 per m^3
-        assert linear_density_to_volumetric(100.0 / 10.0, 1e-6) == pytest.approx(1e7)
+        assert volumetric(LinearDensity(100.0 / 10.0)) == pytest.approx(1e7)
 
     def test_bad_beam_area(self):
-        with pytest.raises(DomainError):
-            linear_density_to_volumetric(1.0, 0.0)
+        with pytest.raises(DomainError, match="beam area"):
+            LinearDensity(1.0, beam_area_m2=0.0)
 
     @given(st.sampled_from(["count_per_m", "beam_area_m2"]), NON_FINITE)
     def test_non_finite_field_rejected(self, name, value):
