@@ -8,8 +8,8 @@ become a per-meter extinction rate.
 
 import numpy as np
 
-from dustlink import (EARTH, MARS, SizeDistribution, dust_permittivity,
-                      ensemble_extinction, extinction_efficiency, mie_cext,
+from dustlink import (EARTH, MARS, LinearDensity, SizeDistribution,
+                      dust_permittivity, extinction_efficiency, mie_cext,
                       number_density_from_visibility, rayleigh_cext)
 
 # --- permittivities ---------------------------------------------------------
@@ -49,15 +49,13 @@ print(f"  point-mass 50 um, V = 1000 m -> N0 = "
 # --- ensemble extinction ----------------------------------------------------
 print("\nEnsemble extinction at the preset defaults")
 for planet, count in ((EARTH, 10.0), (MARS, 1000.0)):
-    medium = planet.medium_from_count(count)
-    res = ensemble_extinction(medium, planet.frequency_hz)
+    res = planet.extinction(LinearDensity(count))
     print(f"  {planet.name}: {count:g} particles/m of beam -> "
           f"C_ext = {res.extinction_per_m:.4f} per m ({res.coupling} coupling)")
 
 print("\nEarth extinction rate vs frequency (fixed default dust)")
 for f in np.geomspace(0.1e12, 4e12, 6):
-    medium = EARTH.medium_from_count(EARTH.dust_count_per_m, f)
-    res = ensemble_extinction(medium, f)
+    res = EARTH.extinction(LinearDensity(EARTH.dust_count_per_m), f)
     q = extinction_efficiency(f, 10e-6, dust_permittivity(
         "earth-frequency-dependent", f))
     print(f"  f = {f / 1e12:5.2f} THz: C_ext = {res.extinction_per_m:9.4f} per m"

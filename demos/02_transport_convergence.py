@@ -7,9 +7,8 @@ their lives (receiver, weight threshold, backscatter).
 
 import math
 
-from dustlink import (EARTH, FixedAsymmetry, TransportConfig,
-                      ensemble_extinction, estimate_batch,
-                      estimate_transmittance)
+from dustlink import (EARTH, FixedAsymmetry, LinearDensity, TransportConfig,
+                      estimate_batch, estimate_transmittance)
 
 # --- analytic check: pure forward scattering telescopes to Beer-Lambert ------
 cfg = TransportConfig(distance_m=10.0, packet_count=10_000,
@@ -22,8 +21,7 @@ print(f"  e^-3 = {math.exp(-3):.12f}")
 print(f"  |difference| = {abs(result.transmittance - math.exp(-3)):.2e}\n")
 
 # --- convergence in the packet count -----------------------------------------
-medium = EARTH.medium_from_count(EARTH.dust_count_per_m)
-cext = ensemble_extinction(medium, EARTH.frequency_hz).extinction_per_m
+cext = EARTH.extinction(LinearDensity(EARTH.dust_count_per_m)).extinction_per_m
 print(f"Earth default dust: C_ext = {cext:.4f} per m over 10 m")
 print(f"{'packets':>8} {'T_MS':>12} {'A (dB/m)':>10} {'mean events':>12}")
 for m in (10, 100, 1000, 10_000, 100_000):

@@ -29,8 +29,7 @@ from .errors import (CatalogError, ConfigError, DomainError, DustlinkError,
 from .output import write_csv, write_svg_line
 from .presets import PLANETS, PlanetPreset, bundled_catalog_dir, preset
 from .rng import derive_seed
-from .scatter import (LinearDensity, Visibility, VolumetricDensity,
-                      ensemble_extinction)
+from .scatter import LinearDensity, Visibility, VolumetricDensity
 # estimate_transmittance stays bound here although unused:
 # bench/test_bench.py checks that the benchmark's span recorder rebinds it
 from .transport import (FixedAsymmetry, TransportConfig, UniformAsymmetry,
@@ -261,11 +260,6 @@ def _density(cfg: ExperimentConfig, planet: PlanetPreset):
                                            planet.dust_count_per_m))
 
 
-def _medium(cfg: ExperimentConfig, planet: PlanetPreset, f_hz: float):
-    """The fixed dust population of a scenario at ``f_hz``."""
-    return planet.medium(_density(cfg, planet), f_hz)
-
-
 def _sweep(cfg: ExperimentConfig, values: list[float],
            runs: list[TransportConfig]) -> list[tuple]:
     """Trace ``replicates`` seeded copies of each value's run.
@@ -321,8 +315,7 @@ def _runs_at(cfg: ExperimentConfig, planet: PlanetPreset,
 
 
 def _fixed_medium_run(cfg: ExperimentConfig, planet: PlanetPreset) -> TransportConfig:
-    f_hz = planet.frequency_hz
-    cext = ensemble_extinction(_medium(cfg, planet, f_hz), f_hz).extinction_per_m
+    cext = planet.extinction(_density(cfg, planet)).extinction_per_m
     return replace(_transport(cfg, planet), extinction_per_m=cext)
 
 
@@ -335,9 +328,7 @@ def _mcp_sweep(cfg, planet, grid):
 
 
 def _visibility_sweep(cfg, planet, grid):
-    f_hz = planet.frequency_hz
-    cexts = [ensemble_extinction(planet.medium_from_visibility(v), f_hz).extinction_per_m
-             for v in grid]
+    cexts = [planet.extinction(Visibility(v)).extinction_per_m for v in grid]
     return _sweep(cfg, grid, _runs_at(cfg, planet, cexts))
 
 
@@ -345,9 +336,8 @@ def _particle_sweep(cfg, planet, grid):
     # sweep value is the particle count on the whole path
     values = [float(round(v)) for v in grid]
     distance_m = _transport(cfg, planet).distance_m
-    f_hz = planet.frequency_hz
-    cexts = [ensemble_extinction(planet.medium_from_count(v / distance_m),
-                                 f_hz).extinction_per_m for v in values]
+    cexts = [planet.extinction(LinearDensity(v / distance_m)).extinction_per_m
+             for v in values]
     return _sweep(cfg, values, _runs_at(cfg, planet, cexts))
 
 
@@ -357,8 +347,8 @@ def _distance_sweep(cfg, planet, grid):
 
 
 def _frequency_sweep(cfg, planet, grid):
-    cexts = [ensemble_extinction(_medium(cfg, planet, f), f).extinction_per_m
-             for f in grid]
+    density = _density(cfg, planet)
+    cexts = [planet.extinction(density, f).extinction_per_m for f in grid]
     return _sweep(cfg, grid, _runs_at(cfg, planet, cexts))
 
 
@@ -407,9 +397,10 @@ def _storm_density(cfg, planet, grid):
 
 
 def _extinction_table(cfg, planet, grid):
+    density = _density(cfg, planet)
     rows = []
     for f in grid:
-        result = ensemble_extinction(_medium(cfg, planet, f), f)
+        result = planet.extinction(density, f)
         rows.append((f, result.extinction_per_m, result.number_density_per_m3,
                      result.wavelength_m))
     return rows

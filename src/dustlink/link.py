@@ -16,7 +16,7 @@ from .constants import SPEED_OF_LIGHT, dbm_to_watts
 from .errors import DomainError
 from .presets import DEFAULT_NOISE_PSD_W_HZ, DEFAULT_TX_POWER_W, PlanetPreset
 from .rng import derive_seed, substream
-from .scatter import ensemble_extinction
+from .scatter import LinearDensity
 # estimate_transmittance stays bound here although unused:
 # bench/test_bench.py checks that the benchmark's span recorder rebinds it
 from .transport import (TransportConfig, estimate_batch,
@@ -254,9 +254,8 @@ def time_scenario_points(cfg: LinkConfig, planet: PlanetPreset,
     """
     if any(c < 0 for c in counts):
         raise DomainError("dust counts must be >= 0")
-    rates = [ensemble_extinction(
-        planet.medium_from_count(count / cfg.distance_m, cfg.center_hz),
-        cfg.center_hz).extinction_per_m for count in counts]
+    rates = [planet.extinction(LinearDensity(count / cfg.distance_m),
+                               cfg.center_hz).extinction_per_m for count in counts]
     results = estimate_batch([
         replace(transport, extinction_per_m=cext, distance_m=cfg.distance_m,
                 seed=derive_seed(seed, "time", t))
@@ -293,27 +292,21 @@ def distance_sweep_points(cfg: LinkConfig, planet: PlanetPreset,
     if not 0 <= lo <= hi < math.inf:
         raise DomainError("density range must be ordered, finite and >= 0")
     rng = substream(derive_seed(seed, "distance-densities"), 0)
-    densities = [float(rng.uniform(lo, hi)) if hi > 0 else 0.0
-                 for _ in distances_m]
-    dusty = [i for i, density in enumerate(densities) if density > 0]
-    rates = [ensemble_extinction(planet.medium_from_count(densities[i], cfg.center_hz),
-                                 cfg.center_hz).extinction_per_m for i in dusty]
+    densities = [float(rng.uniform(lo, hi)) for _ in distances_m]
+    rates = [planet.extinction(LinearDensity(density), cfg.center_hz).extinction_per_m
+             for density in densities]
     results = estimate_batch([
-        replace(transport, extinction_per_m=cext, distance_m=distances_m[i],
+        replace(transport, extinction_per_m=cext, distance_m=distance,
                 seed=derive_seed(seed, "distance", i))
-        for i, cext in zip(dusty, rates)])
-    transmittances = [1.0] * len(distances_m)
-    for i, result in zip(dusty, results):
-        transmittances[i] = result.transmittance
+        for i, (distance, cext) in enumerate(zip(distances_m, rates))])
     points = []
-    for distance, density, transmittance in zip(distances_m, densities,
-                                                transmittances):
-        gains = channel_gain(cfg.center_hz, distance, k_per_m, transmittance)
+    for distance, density, result in zip(distances_m, densities, results):
+        gains = channel_gain(cfg.center_hz, distance, k_per_m, result.transmittance)
         points.append(DistancePoint(
             distance_m=float(distance),
             density_per_m=density,
             k_per_m=k_per_m,
-            transmittance=transmittance,
+            transmittance=result.transmittance,
             h_spreading=gains.h_spreading,
             h_absorption=gains.h_absorption,
             h_dust=gains.h_dust,

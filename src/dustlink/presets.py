@@ -5,7 +5,8 @@ Earth runs 0.24 THz links through 1-150 micron dust under a 288 K /
 210 K / 6.1 mb, both with 10^4 photon packets over a 10 m link. The
 log-normal shape parameters (Earth: median 10 um, sigma 2.0; Mars:
 median 1.5 um, sigma 1.5) are modeling choices and overridable
-everywhere.
+everywhere. ``PlanetPreset.extinction`` takes a dust extinction's
+permittivity and wavenumber at one and the same frequency.
 
 A preset holds only what a planet or its scenario table sets. The Monte
 Carlo settings both planets share (the 0.5-1 asymmetry range, the 1e-5
@@ -20,9 +21,9 @@ from importlib import resources
 from .atmosphere import GasMixture
 from .constants import BOLTZMANN, MB_PER_ATM, dbm_to_watts
 from .errors import DomainError
-from .scatter import (DustPermittivity, LinearDensity, MediumSpec,
-                      SizeDistribution, Visibility, VolumetricDensity,
-                      dust_permittivity)
+from .scatter import (DustPermittivity, ExtinctionResult, LinearDensity,
+                      MediumSpec, SizeDistribution, Visibility,
+                      VolumetricDensity, dust_permittivity, ensemble_extinction)
 
 __all__ = ["PlanetPreset", "EARTH", "MARS", "PLANETS", "preset",
            "bundled_catalog_dir", "DEFAULT_NOISE_PSD_W_HZ", "DEFAULT_TX_POWER_W"]
@@ -64,21 +65,13 @@ class PlanetPreset:
     def mixture(self) -> GasMixture:
         return GasMixture(self.gases, self.temperature_k, self.pressure_atm)
 
-    def medium(self, density: LinearDensity | Visibility | VolumetricDensity,
-               f_hz: float | None = None) -> MediumSpec:
-        return MediumSpec(self.size_distribution, self.permittivity(f_hz), density)
-
-    def medium_from_count(self, count_per_m: float,
-                          f_hz: float | None = None) -> MediumSpec:
-        return self.medium(LinearDensity(count_per_m), f_hz)
-
-    def medium_from_visibility(self, visibility_m: float,
-                               f_hz: float | None = None) -> MediumSpec:
-        return self.medium(Visibility(visibility_m), f_hz)
-
-    def medium_volumetric(self, per_m3: float,
-                          f_hz: float | None = None) -> MediumSpec:
-        return self.medium(VolumetricDensity(per_m3), f_hz)
+    def extinction(self, density: LinearDensity | Visibility | VolumetricDensity,
+                   f_hz: float | None = None) -> ExtinctionResult:
+        """Dust extinction at ``density``, with the permittivity and the
+        wavenumber both at ``f_hz`` (default: the carrier)."""
+        f = f_hz if f_hz is not None else self.frequency_hz
+        medium = MediumSpec(self.size_distribution, self.permittivity(f), density)
+        return ensemble_extinction(medium, f)
 
 
 EARTH = PlanetPreset(

@@ -1,14 +1,17 @@
 """Dust particle populations and their ensemble extinction.
 
 Single-particle extinction uses the small-particle Mie series for Earth
-dust and the Rayleigh approximation for Mars dust. Each model is written
-once, as a short sum of terms ``coefficient * r**n`` in the particle
-radius. Populations are truncated log-normal (or degenerate point-mass)
-size distributions whose moments ``E[r**n]`` have a closed form, so the
-population mean of a model is the same sum with ``r**n`` replaced by
-``E[r**n]``: no numerical quadrature is involved. The medium density can
-be given as meteorological visibility, a volumetric number density, or a
-per-meter count of particles inside the beam tube.
+dust and the Rayleigh approximation for Mars dust; a ``DustPermittivity``
+names the one that reads it. Each model is written once, as a short sum
+of terms ``coefficient * r**n`` in the particle radius. Populations are
+truncated log-normal (or degenerate point-mass) size distributions whose
+moments ``E[r**n]`` have a closed form, so the population mean of a model
+is the same sum with ``r**n`` replaced by ``E[r**n]``: no numerical
+quadrature is involved. The medium density can be given as
+meteorological visibility, a volumetric number density, or a per-meter
+count of particles inside the beam tube. An extinction call works at one
+frequency, which must be the one its permittivity was taken at;
+``PlanetPreset.extinction`` passes the same frequency to both.
 
 Units and coupling conventions
 ------------------------------
@@ -164,33 +167,27 @@ class SizeDistribution:
 
 @dataclass(frozen=True)
 class DustPermittivity:
-    """Complex relative permittivity of dust grains plus charge parameters.
+    """Complex relative permittivity of dust grains, the approximation
+    that reads it ("mie" or "rayleigh"), and charge parameters.
 
     ``charge_density`` (C/m**2) and ``field_scale`` (V/m) feed the charge
-    term of the Rayleigh cross section; the defaults disable it.
-    ``approximation`` selects the single-particle model for ``model="user"``
-    permittivities ("mie" or "rayleigh"); the built-in models imply one.
-    Every numeric field must be finite.
+    term of the Rayleigh cross section; the defaults disable it. Every
+    numeric field must be finite.
     """
 
-    model: str
+    approximation: str
     eps_real: float
     eps_imag: float
     charge_density: float = 0.0
     field_scale: float = 1.0
-    vacuum_permittivity: float = VACUUM_PERMITTIVITY
-    approximation: str | None = None
 
     def __post_init__(self):
         _require_finite(eps_real=self.eps_real, eps_imag=self.eps_imag,
                         charge_density=self.charge_density,
-                        field_scale=self.field_scale,
-                        vacuum_permittivity=self.vacuum_permittivity)
+                        field_scale=self.field_scale)
         if self.eps_imag < 0:
             raise DomainError("imaginary permittivity must be >= 0")
-        if self.model not in ("earth-frequency-dependent", "mars-constant", "user"):
-            raise DomainError(f"unknown permittivity model {self.model!r}")
-        if self.approximation not in (None, "mie", "rayleigh"):
+        if self.approximation not in ("mie", "rayleigh"):
             raise DomainError(f"unknown approximation {self.approximation!r}; "
                               "expected 'mie' or 'rayleigh'")
 
@@ -198,36 +195,28 @@ class DustPermittivity:
     def eps(self) -> complex:
         return complex(self.eps_real, self.eps_imag)
 
-    def resolved_approximation(self) -> str:
-        if self.approximation is not None:
-            return self.approximation
-        if self.model == "earth-frequency-dependent":
-            return "mie"
-        if self.model == "mars-constant":
-            return "rayleigh"
-        raise DomainError("user permittivity needs an explicit approximation")
-
 
 # Refractive index of Mars dust; permittivity is its square.
 MARS_REFRACTIVE_INDEX = complex(1.52, 0.01)
 
 
 def dust_permittivity(model: str, f_hz: float = 0.0) -> DustPermittivity:
-    """Built-in permittivity models.
+    """Built-in permittivity models, each with its approximation.
 
-    Earth dust is dispersive, eps = 3 + i*18.256/f_GHz (the square of
-    the refractive index sqrt(3 + i*18.256/f_GHz)); Mars dust is the
-    constant (1.52 + 0.01i)**2. ``f_hz`` must be finite.
+    Earth dust ("earth-frequency-dependent", Mie) is dispersive,
+    eps = 3 + i*18.256/f_GHz (the square of the refractive index
+    sqrt(3 + i*18.256/f_GHz)); Mars dust ("mars-constant", Rayleigh) is
+    the constant (1.52 + 0.01i)**2. ``f_hz`` must be finite.
     """
     _require_finite(f_hz=f_hz)
     if model == "earth-frequency-dependent":
         if f_hz <= 0:
             raise DomainError("earth permittivity needs a positive frequency")
         f_ghz = f_hz / EARTH_PERMITTIVITY_FREQ_UNIT_HZ
-        return DustPermittivity(model, 3.0, 18.256 / f_ghz)
+        return DustPermittivity("mie", 3.0, 18.256 / f_ghz)
     if model == "mars-constant":
         eps = MARS_REFRACTIVE_INDEX ** 2
-        return DustPermittivity(model, eps.real, eps.imag)
+        return DustPermittivity("rayleigh", eps.real, eps.imag)
     raise DomainError(f"unknown permittivity model {model!r}")
 
 
@@ -343,12 +332,12 @@ def _rayleigh_terms(f_hz: float, eps: DustPermittivity) -> _Terms:
             raise DomainError("charge term singular: field scale E0 is zero")
         terms.append((6, (math.pi / 6.0) * k ** 4 * eps.charge_density ** 2
                       * abs(er - 1.0) ** 2
-                      / (eps.field_scale ** 2 * eps.vacuum_permittivity ** 2)))
+                      / (eps.field_scale ** 2 * VACUUM_PERMITTIVITY ** 2)))
     return tuple(terms)
 
 
 def _cross_section_terms(f_hz: float, eps: DustPermittivity) -> _Terms:
-    if eps.resolved_approximation() == "mie":
+    if eps.approximation == "mie":
         return _mie_terms(f_hz, eps)
     return _rayleigh_terms(f_hz, eps)
 

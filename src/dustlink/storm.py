@@ -57,6 +57,8 @@ class StormConfig:
         if not (_is_int(self.emission_rate) and self.emission_rate >= 0):
             raise DomainError(
                 f"emission_rate must be an int >= 0, got {self.emission_rate!r}")
+        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 128):
+            raise DomainError(f"seed must be an int in [0, 2**128), got {self.seed!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name not in ("emission_rate", "seed") and not np.isfinite(value).all():

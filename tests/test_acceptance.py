@@ -52,7 +52,7 @@ from dustlink.link import (DROP_WINDOWS_S, LinkConfig, capacity, channel_gain,
                            run_time_scenario, transport_template)
 from dustlink.presets import EARTH, MARS
 from dustlink.rng import substream
-from dustlink.scatter import (SizeDistribution, ensemble_extinction,
+from dustlink.scatter import (LinearDensity, SizeDistribution,
                               number_density_from_visibility)
 from dustlink.storm import ParticleField, build_beam_cone, count_in_beam
 from dustlink.transport import (FixedAsymmetry, estimate_transmittance,
@@ -71,9 +71,8 @@ def check(criterion: str, ok: bool, detail: str) -> None:
 def default_run(planet, seed: int, extinction_per_m: float | None = None,
                 **kwargs):
     if extinction_per_m is None:
-        medium = planet.medium_from_count(planet.dust_count_per_m)
-        extinction_per_m = ensemble_extinction(
-            medium, planet.frequency_hz).extinction_per_m
+        extinction_per_m = planet.extinction(
+            LinearDensity(planet.dust_count_per_m)).extinction_per_m
     return estimate_transmittance(replace(
         transport_template(planet), extinction_per_m=extinction_per_m,
         seed=seed, **kwargs))
@@ -332,8 +331,8 @@ def test_criterion_11d_earth_cutoff_distance():
     # to rounding in the per-step Beer-Lambert products
     violations = []
     for d in dusty:
-        medium = EARTH.medium_from_count(d.density_per_m, cfg.center_hz)
-        cext = ensemble_extinction(medium, cfg.center_hz).extinction_per_m
+        cext = EARTH.extinction(LinearDensity(d.density_per_m),
+                                cfg.center_hz).extinction_per_m
         if d.transmittance > math.exp(-cext * d.distance_m) * (1.0 + 1e-9):
             violations.append(d.distance_m)
     cutoff = None

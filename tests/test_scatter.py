@@ -125,7 +125,7 @@ class TestClosedFormMoments:
          681292069057.9622),
         (MARS.size_distribution, MARS.permittivity(), MARS.frequency_hz),
         (MARS.size_distribution,
-         DustPermittivity("mars-constant", MARS.permittivity().eps_real,
+         DustPermittivity("rayleigh", MARS.permittivity().eps_real,
                           MARS.permittivity().eps_imag, charge_density=1e-5,
                           field_scale=1.0), MARS.frequency_hz),
     ], ids=["earth-mie", "earth-mie-0.68THz", "mars-rayleigh", "charged-rayleigh"])
@@ -165,14 +165,14 @@ class TestPermittivity:
 
     def test_negative_imaginary_rejected(self):
         with pytest.raises(DomainError):
-            DustPermittivity("user", 3.0, -0.1)
+            DustPermittivity("mie", 3.0, -0.1)
 
     @given(st.sampled_from(["eps_real", "eps_imag", "charge_density",
-                            "field_scale", "vacuum_permittivity"]), NON_FINITE)
+                            "field_scale"]), NON_FINITE)
     def test_non_finite_field_rejected(self, name, value):
         params = {"eps_real": 3.0, "eps_imag": 0.1, name: value}
         with pytest.raises(DomainError, match=f"{name} must be finite"):
-            DustPermittivity("user", approximation="mie", **params)
+            DustPermittivity("mie", **params)
 
     @given(st.sampled_from(["earth-frequency-dependent", "mars-constant"]),
            NON_FINITE)
@@ -183,10 +183,13 @@ class TestPermittivity:
 
     @given(st.text().filter(lambda text: text not in ("mie", "rayleigh")))
     @example("Mie")
+    @example("mars-constant")
+    @example("user")
     def test_unknown_approximation_rejected(self, approximation):
-        # "Mie" once fell through to the Rayleigh model
+        # "Mie" once fell through to the Rayleigh model; a permittivity
+        # model name is not an approximation
         with pytest.raises(DomainError, match="unknown approximation"):
-            DustPermittivity("user", 3.0, 0.1, approximation=approximation)
+            DustPermittivity(approximation, 3.0, 0.1)
 
 
 class TestMie:
@@ -256,14 +259,14 @@ class TestRayleigh:
         assert val == pytest.approx(9.246e-2, rel=1e-3)
 
     def test_scattering_term_radius_scaling(self):
-        eps = DustPermittivity("user", 2.3103, 0.0, approximation="rayleigh")
+        eps = DustPermittivity("rayleigh", 2.3103, 0.0)
         # pure scattering (eps''=0): doubling r multiplies by 64
         small = rayleigh_cext(1.64e12, 1e-6, eps)
         large = rayleigh_cext(1.64e12, 2e-6, eps)
         assert large == pytest.approx(64 * small, rel=1e-12)
 
     def test_charged_grain_needs_field_scale(self):
-        eps = DustPermittivity("mars-constant", 2.3103, 0.0304,
+        eps = DustPermittivity("rayleigh", 2.3103, 0.0304,
                                charge_density=1e-6, field_scale=0.0)
         with pytest.raises(DomainError):
             rayleigh_cext(1.64e12, 1e-6, eps)
@@ -271,7 +274,7 @@ class TestRayleigh:
     def test_charge_term_oracle(self):
         # oracle: the charge term written out, added to the neutral sum
         neutral = dust_permittivity("mars-constant")
-        charged = DustPermittivity("mars-constant", neutral.eps_real,
+        charged = DustPermittivity("rayleigh", neutral.eps_real,
                                    neutral.eps_imag, charge_density=1e-5,
                                    field_scale=2.0)
         k = 2 * math.pi * 1.64e12 / 2.99792458e8
@@ -283,7 +286,7 @@ class TestRayleigh:
 
     def test_charge_term_increases_extinction(self):
         neutral = dust_permittivity("mars-constant")
-        charged = DustPermittivity("mars-constant", neutral.eps_real,
+        charged = DustPermittivity("rayleigh", neutral.eps_real,
                                    neutral.eps_imag, charge_density=1e-5,
                                    field_scale=1.0)
         assert rayleigh_cext(1.64e12, 1e-6, charged) > rayleigh_cext(
@@ -393,7 +396,8 @@ class TestEnsembleExtinction:
 
     def test_earth_preset_against_simpson_oracle(self):
         # dual-quadrature: adaptive (module) vs 1e4-node fixed-grid Simpson
-        medium = EARTH.medium_from_count(10.0)
+        medium = MediumSpec(EARTH.size_distribution, EARTH.permittivity(),
+                            LinearDensity(10.0))
         result = ensemble_extinction(medium, 0.24e12)
         dist = medium.distribution
         grid = np.linspace(dist.r_min_m, dist.r_max_m, 10_001)
@@ -403,7 +407,8 @@ class TestEnsembleExtinction:
         assert result.extinction_per_m == pytest.approx(oracle, rel=1e-6)
 
     def test_mars_preset_against_simpson_oracle(self):
-        medium = MARS.medium_from_count(1000.0)
+        medium = MediumSpec(MARS.size_distribution, MARS.permittivity(),
+                            LinearDensity(1000.0))
         result = ensemble_extinction(medium, 1.64e12)
         dist = medium.distribution
         grid = np.linspace(dist.r_min_m, dist.r_max_m, 10_001)
@@ -420,29 +425,27 @@ class TestEnsembleExtinction:
         assert values == sorted(values)
 
     def test_wavenumber_wavelength_identity(self):
-        medium = EARTH.medium_from_count(10.0)
-        result = ensemble_extinction(medium, 0.24e12)
+        result = EARTH.extinction(LinearDensity(10.0), 0.24e12)
         assert result.wavenumber_per_m * result.wavelength_m == pytest.approx(
             2 * math.pi, abs=1e-12)
 
     def test_visibility_spec_uses_physical_cross_sections(self):
-        medium = EARTH.medium_from_visibility(1000.0)
-        result = ensemble_extinction(medium, 0.24e12)
+        result = EARTH.extinction(Visibility(1000.0), 0.24e12)
         assert result.coupling == "volumetric"
-        n0 = number_density_from_visibility(medium.distribution, 1000.0)
+        n0 = number_density_from_visibility(EARTH.size_distribution, 1000.0)
         assert result.number_density_per_m3 == pytest.approx(n0, rel=1e-12)
 
     def test_beam_count_spec_uses_blockage_coupling(self):
-        result = ensemble_extinction(EARTH.medium_from_count(10.0), 0.24e12)
+        result = EARTH.extinction(LinearDensity(10.0), 0.24e12)
         assert result.coupling == "beam-blockage"
         assert result.number_density_per_m3 == pytest.approx(1e7)
 
     def test_sample_cross_sections_nonnegative(self):
-        for medium, f in ((EARTH.medium_from_count(10.0), 0.24e12),
-                          (MARS.medium_from_visibility(500.0), 1.64e12)):
-            dist = medium.distribution
+        for planet in (EARTH, MARS):
+            dist = planet.size_distribution
             radii = np.geomspace(dist.r_min_m, dist.r_max_m, 33)
-            assert np.all(physical_cross_section(f, radii, medium.permittivity) >= 0)
+            eps = planet.permittivity()
+            assert np.all(physical_cross_section(planet.frequency_hz, radii, eps) >= 0)
 
 
 class TestExtinctionRates:
@@ -450,24 +453,28 @@ class TestExtinctionRates:
 
     @staticmethod
     def media():
-        # the Mars time-scenario counts and Earth storm densities, visibility
-        # and volumetric specs, and a second population mixed in
-        out = [MARS.medium_from_count(c / 10.0, 1.64e12)
+        # (medium, frequency) pairs: the Mars time-scenario counts and Earth
+        # storm densities, visibility and volumetric specs, and a second
+        # population mixed in
+        def at(planet, density):
+            return (MediumSpec(planet.size_distribution, planet.permittivity(),
+                               density), planet.frequency_hz)
+        out = [at(MARS, LinearDensity(c / 10.0))
                for c in (*range(0, 27_000, 1000), 50, 299, 12_345, 19_999)]
-        out += [EARTH.medium_from_count(c, 0.24e12)
+        out += [at(EARTH, LinearDensity(c))
                 for c in (0, 5, 30, 100, 101, 150, 199, 200, 10.0, 1.0)]
-        out += [EARTH.medium_from_visibility(v, 0.24e12) for v in (10.0, 316.2, 1e4)]
-        out += [EARTH.medium_volumetric(n0, 0.24e12) for n0 in (0.0, 1e7)]
-        out += [MediumSpec(SizeDistribution.point_mass(20e-6), EARTH.permittivity(),
-                           density) for density in (LinearDensity(3.0), Visibility(50.0))]
+        out += [at(EARTH, Visibility(v)) for v in (10.0, 316.2, 1e4)]
+        out += [at(EARTH, VolumetricDensity(n0)) for n0 in (0.0, 1e7)]
+        out += [(MediumSpec(SizeDistribution.point_mass(20e-6), EARTH.permittivity(),
+                            density), 0.24e12)
+                for density in (LinearDensity(3.0), Visibility(50.0))]
         return out
 
     def test_equal_to_the_integral_per_medium(self):
         means = {}
-        for medium in self.media():
+        for medium, f in self.media():
             dist, eps, density = (medium.distribution, medium.permittivity,
                                   medium.density)
-            f = 1.64e12 if eps.model == "mars-constant" else 0.24e12
             blockage = isinstance(density, LinearDensity)
             key = (dist, eps, blockage)
             if key not in means:
@@ -485,7 +492,31 @@ class TestExtinctionRates:
     def test_bad_frequency(self):
         for f_hz in (0.0, -1e12, math.nan, math.inf):
             with pytest.raises(DomainError):
-                ensemble_extinction(EARTH.medium_from_count(10.0), f_hz)
+                ensemble_extinction(MediumSpec(EARTH.size_distribution,
+                                               EARTH.permittivity(),
+                                               LinearDensity(10.0)), f_hz)
+
+
+class TestPresetExtinction:
+    """``PlanetPreset.extinction`` takes the permittivity and the wavenumber
+    at one frequency."""
+
+    @pytest.mark.parametrize("planet, density, model", [
+        (EARTH, LinearDensity(10.0), "earth-frequency-dependent"),
+        (MARS, Visibility(500.0), "mars-constant"),
+    ], ids=["earth", "mars"])
+    def test_equal_to_the_medium_built_by_hand(self, planet, density, model):
+        # 1 THz is off both carriers; the Earth permittivity follows f
+        medium = MediumSpec(planet.size_distribution, dust_permittivity(model, 1e12),
+                            density)
+        assert planet.extinction(density, 1e12) == ensemble_extinction(medium, 1e12)
+
+    @pytest.mark.parametrize("planet, density", [
+        (EARTH, LinearDensity(10.0)), (MARS, Visibility(500.0))],
+        ids=["earth", "mars"])
+    def test_frequency_defaults_to_the_carrier(self, planet, density):
+        assert planet.extinction(density) == planet.extinction(
+            density, planet.frequency_hz)
 
 
 def test_import_loads_no_scipy():

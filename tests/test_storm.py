@@ -101,6 +101,12 @@ class TestStormConfig:
         with pytest.raises(DomainError, match="emission_rate"):
             StormConfig(emission_rate=rate)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3", -1, 2 ** 128])
+    def test_bad_seed_rejected(self, seed):
+        # these once constructed; the last two failed only inside numpy
+        with pytest.raises(DomainError, match="seed must be an int"):
+            StormConfig(seed=seed)
+
 
 class TestBeamCone:
     def test_paper_scale_geometry(self):
