@@ -31,8 +31,8 @@ from .scatter import (DustPermittivity, ExtinctionResult, LinearDensity,
 from .storm import (BeamCone, ParticleField, StormConfig, build_beam_cone,
                     count_in_beam, density_time_series, empty_field,
                     step_field)
-from .transport import (FateCounts, FixedAsymmetry, TransportConfig,
-                        TransportResult, UniformAsymmetry, estimate_batch,
+from .transport import (FateCounts, TransportConfig, TransportResult,
+                        UniformAsymmetry, estimate_batch,
                         estimate_transmittance, sample_scatter_angles,
                         trace_packet, update_direction)
 

@@ -32,9 +32,8 @@ from .rng import derive_seed
 from .scatter import LinearDensity, Visibility, VolumetricDensity
 # estimate_transmittance stays bound here although unused:
 # bench/test_bench.py checks that the benchmark's span recorder rebinds it
-from .transport import (FixedAsymmetry, TransportConfig, UniformAsymmetry,
-                        _is_int, estimate_batch,
-                        estimate_transmittance)  # noqa: F401
+from .transport import (TransportConfig, UniformAsymmetry, _is_int,
+                        estimate_batch, estimate_transmittance)  # noqa: F401
 
 __all__ = ["ExperimentConfig", "ScenarioResult", "parse_config",
            "run_scenario", "write_outputs", "main", "SCENARIOS"]
@@ -83,8 +82,8 @@ CONFIG_KEYS = {
 _OVERRIDE_PREFIXES = ("transport.", "medium.", "link.", "storm.")
 
 # config key -> the field it overrides in the transport template: a
-# TransportConfig field, a UniformAsymmetry bound ("lo", "hi"), or the "g"
-# of a FixedAsymmetry, which wins over the bounds
+# TransportConfig field, a UniformAsymmetry bound ("lo", "hi"), or a fixed
+# "g", the zero-width range (g, g), which wins over the bounds
 _TRANSPORT_KEYS = {
     "transport.packets": "packet_count",
     "transport.distance_m": "distance_m",
@@ -224,7 +223,8 @@ def _transport(cfg: ExperimentConfig, planet: PlanetPreset) -> TransportConfig:
               if key in cfg.overrides}
     bounds = {name: fields.pop(name) for name in ("lo", "hi") if name in fields}
     if "g" in fields:
-        fields["asymmetry"] = FixedAsymmetry(fields.pop("g"))
+        g = fields.pop("g")
+        fields["asymmetry"] = UniformAsymmetry(g, g)
     elif bounds:
         fields["asymmetry"] = UniformAsymmetry(**bounds)
     return replace(link.transport_template(planet), **fields)
@@ -237,6 +237,8 @@ def _grid(cfg: ExperimentConfig, start: float, stop: float, steps: int,
     stop = stop if cfg.range_stop is None else cfg.range_stop
     steps = steps if cfg.range_steps is None else cfg.range_steps
     scale = cfg.range_scale or scale
+    if start > stop:
+        raise ConfigError("range.start must not exceed range.stop")
     if steps == 1:
         return [float(start)]
     if scale == "log":

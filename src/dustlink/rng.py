@@ -6,19 +6,25 @@ are obtained by placing a stream index in the third word of the 256-bit
 counter, which separates streams by 2**128 blocks. Results are therefore
 identical no matter how work is split across workers or batches.
 
-Substream contract: draw ``j`` of substream ``i`` (counting every raw
-word, zeros included) is word ``j % 4`` of the Philox4x64-10 block with
-counter ``(1 + j // 4, 0, i, 0)`` under key ``(seed, 0)``, mapped to
-``(x >> 11) * 2**-53``. ``substream`` + ``UniformStream`` consume it one
-draw at a time; ``substream_uniforms`` computes any blocks of many
-substreams, of one run seed or of one seed per row, at once in numpy
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+Substream contract: draw ``j`` of substream ``i`` is word ``j % 4`` of
+the Philox4x64-10 block with counter ``(1 + j // 4, 0, i, 0)`` under key
+``(seed, 0)``, mapped to ``(x >> 11) * 2**-53``; a word that maps to 0
+(probability 2**-53) reads as ``ZERO_DRAW`` = 2**-54, so every draw lies
+in (0, 1) and ``log(u)`` is finite. ``substream`` + ``UniformStream``
+consume it one draw at a time; ``substream_uniforms`` computes any blocks
+of many substreams, of one run seed or of one seed per row, at once in
+numpy (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11).
 """
 
 import numpy as np
 
 __all__ = ["substream", "derive_seed", "UniformStream", "philox4x64",
-           "substream_uniforms"]
+           "substream_uniforms", "ZERO_DRAW"]
+
+# What a draw that maps to 0 reads as; it stays below every other draw
+# (the least is 2**-53), so draws keep the order of their words.
+ZERO_DRAW = 2.0 ** -54
 
 # Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11).
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -117,9 +123,9 @@ def substream_uniforms(seeds, streams, first_blocks, blocks: int) -> np.ndarray:
     Row ``r`` holds draws ``4 * (first_blocks[r] - 1)`` onward of substream
     ``streams[r]`` of run seed ``seeds[r]`` (or of the one run ``seeds``),
     that is the ``4 * blocks`` values ``substream(seed, stream).random()``
-    returns from that point, zeros included. The Philox temporaries hold
-    a few words per block computed, so callers bound them by the rows they
-    ask for at once.
+    returns from that point, with a zero read as ``ZERO_DRAW``. The Philox
+    temporaries hold a few words per block computed, so callers bound them
+    by the rows they ask for at once.
     """
     seeds, streams, first_blocks = np.broadcast_arrays(
         np.asarray(seeds), np.asarray(streams), np.asarray(first_blocks))
@@ -127,7 +133,8 @@ def substream_uniforms(seeds, streams, first_blocks, blocks: int) -> np.ndarray:
                        first_blocks[..., None].astype(np.uint64)
                        + np.arange(blocks, dtype=np.uint64))
     words >>= np.uint64(11)
-    return words.reshape(words.shape[:-2] + (-1,)) * 2.0 ** -53
+    draws = words.reshape(words.shape[:-2] + (4 * blocks,)) * 2.0 ** -53
+    return np.maximum(draws, ZERO_DRAW, out=draws)
 
 
 def derive_seed(*parts: int | str) -> int:
@@ -148,9 +155,9 @@ def derive_seed(*parts: int | str) -> int:
 class UniformStream:
     """Buffered scalar draws on the open interval (0, 1).
 
-    Zero draws (probability 2**-53 per draw) are skipped so that log(u)
-    is always finite. Buffering is per-stream with a fixed chunk size,
-    which keeps the draw sequence a pure function of (seed, stream index).
+    A zero draw reads as ``ZERO_DRAW``, so that log(u) is always finite.
+    Buffering is per-stream with a fixed chunk size, which keeps the draw
+    sequence a pure function of (seed, stream index).
     """
 
     _CHUNK = 128
@@ -159,18 +166,17 @@ class UniformStream:
 
     def __init__(self, generator: np.random.Generator):
         self._random = generator.random
-        self._buf = self._random(self._CHUNK)
+        self._buf = self._chunk()
         self._pos = 0
 
+    def _chunk(self) -> np.ndarray:
+        draws = self._random(self._CHUNK)
+        return np.maximum(draws, ZERO_DRAW, out=draws)
+
     def next(self) -> float:
-        buf = self._buf
         pos = self._pos
-        while True:
-            if pos >= buf.shape[0]:
-                buf = self._buf = self._random(self._CHUNK)
-                pos = 0
-            u = buf[pos]
-            pos += 1
-            if u > 0.0:
-                self._pos = pos
-                return float(u)
+        if pos >= self._CHUNK:
+            self._buf = self._chunk()
+            pos = 0
+        self._pos = pos + 1
+        return float(self._buf[pos])

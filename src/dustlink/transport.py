@@ -15,20 +15,27 @@ Receiver contributions are only ever evaluated at an actual boundary
 crossing, where the step direction necessarily has a positive X
 component, so the residual Beer-Lambert factor is always finite.
 
+Draw contract: event n (n = 1, 2, ...) of packet i of a run with seed s
+reads the four words of Philox block n of substream i, that is
+``substream_uniforms(s, i, n, 1)``, in the order step, g, nu, chi; a
+packet that ends on its step ignores the other three. A fixed asymmetry g
+is ``UniformAsymmetry(g, g)``, whose g word is read and multiplied by 0.
+A word that maps to 0 reads as ``dustlink.rng.ZERO_DRAW`` (2**-54).
+
 Two implementations share these rules. ``estimate_batch`` (and
 ``estimate_transmittance``, a batch of one) runs a wave kernel: packets
 are held as arrays, and each wave advances every live packet by one event
-in numpy, drawing from four buffered Philox blocks per packet computed by
-``dustlink.rng.substream_uniforms``. The packets of many runs share the
-kernel; a packet's state is its output index, run, first wave, X, X cosine
-and weight, and it reads its run's extinction and distance each wave. A
-wave sets every fate from masks, in the order crossing, backscatter, event
-guard, weight threshold, and drops the ended packets in one pass.
-``trace_packet`` is the scalar reference, one packet in plain Python. The
-kernel keeps the reference's branch order and floating-point operations,
-so each packet has the same fate and event count; its contribution agrees
-within rtol 1e-12, because ``np.exp``/``np.log`` may differ from ``math``
-in the last bit.
+in numpy, with one Philox call for the wave's blocks. The packets of many
+runs share the kernel; a packet's state is its output index, run, first
+wave, X, X cosine and weight, and it reads its run's extinction and
+distance each wave. A wave sets every fate from masks, in the order
+crossing, backscatter, event guard, weight threshold, and drops the ended
+packets in one pass. ``trace_packet`` is the scalar reference, one packet
+in plain Python, reading the same draws one at a time. The kernel keeps
+the reference's branch order and floating-point operations, so each
+packet has the same fate and event count; its contribution agrees within
+rtol 1e-12, because ``np.exp``/``np.log`` may differ from ``math`` in the
+last bit.
 
 Determinism: every packet draws from its own counter-based substream of
 its run's seed (see ``dustlink.rng``), and each run's contributions are
@@ -49,7 +56,6 @@ from .errors import DomainError
 from .rng import UniformStream, substream, substream_uniforms
 
 __all__ = [
-    "FixedAsymmetry",
     "UniformAsymmetry",
     "TransportConfig",
     "FateCounts",
@@ -64,18 +70,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FixedAsymmetry:
-    """Scattering asymmetry held constant for every event."""
-    g: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.g <= 1.0):
-            raise DomainError("asymmetry must be in [0, 1]")
-
-
-@dataclass(frozen=True)
 class UniformAsymmetry:
-    """Scattering asymmetry redrawn uniformly in [lo, hi] per event."""
+    """Scattering asymmetry redrawn uniformly in [lo, hi] per event.
+
+    A fixed asymmetry g is the range (g, g): ``lo + 0.0 * u == lo``.
+    """
     lo: float = 0.5
     hi: float = 1.0
 
@@ -95,7 +94,7 @@ class TransportConfig:
     distance_m: float
     packet_count: int
     extinction_per_m: float
-    asymmetry: FixedAsymmetry | UniformAsymmetry = UniformAsymmetry()
+    asymmetry: UniformAsymmetry = UniformAsymmetry()
     weight_threshold: float = 1e-5
     seed: int = 0
     max_events: int = 10 ** 6
@@ -217,8 +216,8 @@ def trace_packet(cfg: TransportConfig,
     Returns (fate, receiver contribution, scattering events). Pure function
     of (cfg.seed, packet_index). This is the scalar reference for the wave
     kernel behind ``estimate_batch``: it consumes the same substream draws
-    in the same order, so the kernel gives the packet an equal fate and
-    event count and a contribution within rtol 1e-12.
+    in the same order, four per event, so the kernel gives the packet an
+    equal fate and event count and a contribution within rtol 1e-12.
     """
     if packet_index >= cfg.packet_count:
         raise DomainError("packet index beyond configured packet count")
@@ -229,12 +228,8 @@ def trace_packet(cfg: TransportConfig,
     dist = cfg.distance_m
     eps_t = cfg.weight_threshold
     max_events = cfg.max_events
-    asym = cfg.asymmetry
-    fixed_g = asym.g if isinstance(asym, FixedAsymmetry) else None
-    g_lo = g_span = 0.0
-    if fixed_g is None:
-        g_lo = asym.lo
-        g_span = asym.hi - asym.lo
+    g_lo = cfg.asymmetry.lo
+    g_span = cfg.asymmetry.hi - g_lo
 
     stream = UniformStream(substream(cfg.seed, packet_index))
     draw = stream.next
@@ -266,7 +261,7 @@ def trace_packet(cfg: TransportConfig,
         if w < eps_t:
             return "weight_killed", 0.0, events
 
-        g = fixed_g if fixed_g is not None else g_lo + g_span * draw()
+        g = g_lo + g_span * draw()
         nu = draw()
         chi = draw()
         if g == 0.0:
@@ -288,90 +283,7 @@ def trace_packet(cfg: TransportConfig,
                   + mx * ct)
 
 
-_WAVE_ROWS = 8192        # live packets at most; bounds the kernel's memory
-_FILL_BLOCKS = 8192      # Philox blocks per call; bounds its temporaries
-_BLOCKS = 4              # Philox blocks of every fill, the buffer width
-_DRAWS_PER_EVENT = 4     # step, g, nu, chi
-
-
-class _WaveDraws:
-    """Substreams of the live packets of a wave kernel, ``_BLOCKS`` blocks per row.
-
-    Buffer row ``i`` holds draws of substream ``streams[i]`` of 64-bit run
-    seed ``seeds[i]``; an admitted packet takes a free row. Row ``r`` of
-    ``slot``, ``block`` and ``col`` belongs to the r-th live packet:
-    ``slot`` is its buffer row, ``block`` the Philox block in that row's
-    first column and ``col`` the column of its next draw. Every fill, on
-    admission and on each refill, writes the full ``_BLOCKS`` blocks, so
-    a row's refills are one Philox call whatever its age.
-    """
-
-    def __init__(self, rows: int):
-        self.width = 4 * _BLOCKS
-        self.buf = np.empty((rows, self.width))
-        self.flat = self.buf.reshape(-1)
-        self.seeds = np.empty(rows, dtype=np.uint64)
-        self.streams = np.empty(rows, dtype=np.int64)
-        self.slot, self.block, self.col = (np.empty(0, dtype=np.int64)
-                                           for _ in range(3))
-
-    def admit(self, seeds: np.ndarray, streams: np.ndarray) -> None:
-        """Give new packets free buffer rows and their first fill.
-
-        They become the last live rows, in the order given.
-        """
-        used = np.zeros(self.seeds.size, dtype=bool)
-        used[self.slot] = True
-        slots = np.flatnonzero(~used)[:streams.size]
-        self.seeds[slots] = seeds
-        self.streams[slots] = streams
-        ones = np.ones(slots.size, dtype=np.int64)
-        self._fill(slots, ones)
-        self.slot = np.concatenate((self.slot, slots))
-        self.block = np.concatenate((self.block, ones))
-        self.col = np.concatenate((self.col, np.zeros(slots.size, dtype=np.int64)))
-
-    def _refill(self, rows: np.ndarray) -> None:
-        """Restart the buffer of ``rows`` at the block of their next draw."""
-        self.block[rows] += self.col[rows] // 4
-        self.col[rows] %= 4
-        self._fill(self.slot[rows], self.block[rows])
-
-    def _fill(self, slots: np.ndarray, first_blocks: np.ndarray) -> None:
-        """Write ``_BLOCKS`` Philox blocks, from ``first_blocks`` on, into
-        buffer rows ``slots``. At most ``_FILL_BLOCKS`` blocks per call bound
-        the Philox temporaries and the copy into the buffer.
-        """
-        step = max(1, _FILL_BLOCKS // _BLOCKS)
-        for lo in range(0, slots.size, step):
-            part = slots[lo:lo + step]
-            self.buf[part] = substream_uniforms(
-                self.seeds[part], self.streams[part], first_blocks[lo:lo + step],
-                _BLOCKS)
-
-    def reserve(self) -> None:
-        """Make room for one event's draws in every live row."""
-        low = np.flatnonzero(self.col > self.width - _DRAWS_PER_EVENT)
-        if low.size:
-            self._refill(low)
-
-    def draw(self) -> np.ndarray:
-        """Next draw of every live packet; zero draws are skipped per row."""
-        u = self.flat[self.slot * self.width + self.col]
-        self.col += 1
-        while not u.all():
-            rows = np.flatnonzero(u == 0.0)
-            # restarting the buffer keeps room for the rest of the event
-            self._refill(rows)
-            u[rows] = self.flat[self.slot[rows] * self.width + self.col[rows]]
-            self.col[rows] += 1
-        return u
-
-    def keep(self, live) -> None:
-        """Keep the live rows selected by a boolean mask."""
-        self.slot = self.slot[live]
-        self.block = self.block[live]
-        self.col = self.col[live]
+_WAVE_ROWS = 8192   # live packets, so Philox blocks of a wave, at most
 
 
 def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
@@ -383,7 +295,8 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
     distance by run. Packets are admitted in order, at most ``_WAVE_ROWS``
     live at a time: whenever half the rows have ended, new packets take
     their place, so a batch has one tail of waves with few live rows, not
-    one per ``_WAVE_ROWS`` packets. Each wave takes every live packet
+    one per ``_WAVE_ROWS`` packets. Each wave computes the next Philox
+    block of every live packet in one call and takes every live packet
     through one pass of ``trace_packet``'s loop, with the same
     floating-point operations, sets the fates from masks in its order
     (crossing, backscatter, event guard, weight threshold) and compacts
@@ -403,7 +316,6 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
     fates = np.zeros(total, dtype=np.uint8)   # fate 0 is "reached"
     events = np.zeros(len(cfgs), dtype=np.int64)
     rows = min(_WAVE_ROWS, total)
-    draws = _WaveDraws(rows)
     pos, run, born = (np.empty(0, dtype=np.int64) for _ in range(3))
     x, mx, w = (np.empty(0) for _ in range(3))
     admitted = 0
@@ -417,7 +329,6 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
             flight = run_cext[r] == 0.0
             contributions[new[flight]] = 1.0   # free flight: every packet reaches
             new, r = new[~flight], r[~flight]
-            draws.admit(run_seeds[r], new - offsets[r])
             pos = np.concatenate((pos, new))
             run = np.concatenate((run, r))
             born = np.concatenate((born, np.full(new.size, wave)))
@@ -426,10 +337,12 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
 
         cext = run_cext[run]
         dist = run_dist[run]
-        draws.reserve()
+        event = wave - born + 1
+        # event n reads block n of the packet's substream: step, g, nu, chi
+        u = substream_uniforms(run_seeds[run], pos - offsets[run], event, 1)
         # a subnormal extinction gives an infinite step: the packet crosses
         with np.errstate(over="ignore"):
-            step = -np.log(draws.draw()) / cext
+            step = -np.log(u[:, 0]) / cext
         x_next = x + step * mx
         ended = (x_next >= dist) & (mx > 0.0)
         # crossing: residual Beer-Lambert factor from the last scatter site
@@ -439,7 +352,7 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
         out = x < 0.0
         scattered = ~ended & ~out
         events += np.bincount(run[scattered], minlength=len(cfgs))
-        guarded = scattered & (wave - born + 1 >= head.max_events)
+        guarded = scattered & (event >= head.max_events)
         # Beer-Lambert decay; dx/mx telescopes to the step length
         w = w * np.exp(-cext * step)
         killed = scattered & ~guarded & (w < head.weight_threshold)
@@ -447,15 +360,12 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
         fates[pos[guarded]] = _FATE_INDEX["guard_killed"]
         fates[pos[killed]] = _FATE_INDEX["weight_killed"]
         keep = scattered & ~guarded & ~killed
-        pos, run, born, x, mx, w = (a[keep] for a in (pos, run, born, x, mx, w))
-        draws.keep(keep)
+        # compress, as boolean indexing copies the 2-D draws ~5x slower
+        pos, run, born, x, mx, w, u = (a.compress(keep, axis=0)
+                                       for a in (pos, run, born, x, mx, w, u))
 
-        if isinstance(asym, FixedAsymmetry):
-            g = asym.g
-        else:
-            g = asym.lo + (asym.hi - asym.lo) * draws.draw()
-        ct = _hg_cosine(g, draws.draw())
-        mx = _rotate(mx, ct, two_pi * draws.draw())
+        g = asym.lo + (asym.hi - asym.lo) * u[:, 1]
+        mx = _rotate(mx, _hg_cosine(g, u[:, 2]), two_pi * u[:, 3])
     ends = offsets[1:-1]
     return np.split(contributions, ends), np.split(fates, ends), events
 

@@ -177,6 +177,19 @@ class TestRunScenario:
         assert result.rows[0][3] == 1.0     # T_MS
         assert result.rows[0][4] == 0.0     # A_dB_per_m
 
+    @pytest.mark.parametrize("scenario, bound", [
+        ("visibility_sweep", {"range_start": 20000.0}),
+        ("extinction_table", {"range_stop": 0.05e12}),
+        ("absorption_spectrum", {"range_start": 1e12}),
+    ])
+    def test_one_sided_range_past_default_rejected(self, scenario, bound):
+        # each bound passes the scenario's other default; once a reversed
+        # grid (10000, 14142, 20000 m; 1e11, 7.07e10, 5e10 Hz) or an
+        # atmosphere error about the frequency grid
+        with pytest.raises(ConfigError,
+                           match="range.start must not exceed range.stop"):
+            run_scenario(small_config(scenario, replicates=1, **bound))
+
     def test_frequency_sweep_caps_at_preset_limit(self):
         cfg = small_config("frequency_sweep", replicates=1)
         result = run_scenario(cfg)
@@ -344,6 +357,21 @@ class TestMain:
         config.write_text("range.start = nan\n")
         assert main(["mcp_sweep", "--config", str(config)]) == 2
         assert "range.start must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, line", [
+        ("visibility_sweep", "range.start = 20000"),
+        ("extinction_table", "range.stop = 0.05e12"),
+        ("absorption_spectrum", "range.start = 1e12"),
+    ])
+    def test_one_sided_range_past_default_exit_code(self, scenario, line,
+                                                    tmp_path, capsys):
+        config = tmp_path / "range.cfg"
+        config.write_text(f"replicates = 1\n{line}\n")
+        code = main([scenario, "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert ("config error: range.start must not exceed range.stop"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("scenario, line", [
         ("mcp_sweep", "transport.weight_threshold = 2"),

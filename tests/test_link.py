@@ -19,7 +19,7 @@ from dustlink.link import (DROP_WINDOWS_S, LinkConfig, capacity, channel_gain,
                            transport_template)
 from dustlink.presets import (DEFAULT_NOISE_PSD_W_HZ, DEFAULT_TX_POWER_W, EARTH,
                               MARS)
-from dustlink.transport import FixedAsymmetry, TransportConfig, UniformAsymmetry
+from dustlink.transport import TransportConfig, UniformAsymmetry
 
 
 def link_config(**kwargs) -> LinkConfig:
@@ -223,9 +223,9 @@ class TestTransportTemplate:
         ({"transport.g_hi": 0.7}, "asymmetry", UniformAsymmetry(hi=0.7)),
         ({"transport.g_lo": 0.1, "transport.g_hi": 0.3}, "asymmetry",
          UniformAsymmetry(0.1, 0.3)),
-        ({"transport.g_fixed": 0.3}, "asymmetry", FixedAsymmetry(0.3)),
+        ({"transport.g_fixed": 0.3}, "asymmetry", UniformAsymmetry(0.3, 0.3)),
         ({"transport.g_fixed": 0.3, "transport.g_lo": 0.2}, "asymmetry",
-         FixedAsymmetry(0.3)),
+         UniformAsymmetry(0.3, 0.3)),
     ], ids=["unset", "packets", "distance_m", "weight_threshold", "max_events", "g_lo", "g_hi", "g_lo_hi",
             "g_fixed", "g_fixed_wins"])
     def test_cli_key_sets_field(self, overrides, field, value):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dustlink.rng import UniformStream, philox4x64, substream, substream_uniforms
+from dustlink.rng import (ZERO_DRAW, UniformStream, philox4x64, substream,
+                          substream_uniforms)
 
 seeds = st.integers(0, 2 ** 64 - 1)
 streams = st.integers(0, 2 ** 63)
@@ -57,6 +58,13 @@ class TestPhilox:
             expected = substream(seed, stream).random(4 * (block + 2))
             assert np.array_equal(row, expected[4 * (block - 1):])
 
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_uniforms_of_no_rows(self, blocks):
+        empty = np.empty(0, dtype=np.uint64)
+        draws = substream_uniforms(empty, np.empty(0, dtype=np.int64),
+                                   np.empty(0, dtype=np.int64), blocks)
+        assert draws.shape == (0, 4 * blocks)
+
     def test_known_words(self):
         # oracle: the ROADMAP check, seed 123456789, packet 17, draws 0-3
         raw = np.random.Philox(key=123456789, counter=(0, 0, 17, 0)).random_raw(4)
@@ -77,7 +85,7 @@ class TestPhilox:
 
 
 class TestUniformStream:
-    def test_zero_draws_skipped(self):
+    def test_zero_draws_read_as_zero_draw(self):
         class Crafted:
             """Generator stand-in whose draws hold zeros at chosen places."""
 
@@ -88,4 +96,6 @@ class TestUniformStream:
                 return np.array([next(self.values) for _ in range(n)])
 
         stream = UniformStream(Crafted())
-        assert [stream.next() for _ in range(3)] == [0.25, 0.5, 0.75]
+        assert ZERO_DRAW == 2.0 ** -54
+        assert [stream.next() for _ in range(6)] == [
+            ZERO_DRAW, 0.25, ZERO_DRAW, ZERO_DRAW, 0.5, 0.75]

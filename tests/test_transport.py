@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dustlink.rng as rng
 import dustlink.transport as transport
 from dustlink.errors import DomainError
-from dustlink.rng import UniformStream, substream, substream_uniforms
-from dustlink.transport import (FATES, FixedAsymmetry, TransportConfig,
-                                UniformAsymmetry, estimate_batch,
-                                estimate_transmittance, sample_scatter_angles,
-                                trace_packet, update_direction)
+from dustlink.rng import ZERO_DRAW, philox4x64, substream, substream_uniforms
+from dustlink.transport import (FATES, TransportConfig, UniformAsymmetry,
+                                estimate_batch, estimate_transmittance,
+                                sample_scatter_angles, trace_packet,
+                                update_direction)
 
 
 def config(**kwargs) -> TransportConfig:
@@ -128,7 +129,7 @@ class TestTracePacket:
         assert trace_packet(config(extinction_per_m=0.0), 0) == ("reached", 1.0, 0)
 
     def test_forward_scattering_telescopes_to_beer_lambert(self):
-        cfg = config(extinction_per_m=0.3, asymmetry=FixedAsymmetry(1.0))
+        cfg = config(extinction_per_m=0.3, asymmetry=UniformAsymmetry(1.0, 1.0))
         for i in range(50):
             fate, contribution, _ = trace_packet(cfg, i)
             assert fate == "reached"
@@ -157,7 +158,7 @@ class TestEstimateTransmittance:
 
     def test_forward_limit(self):
         result = estimate_transmittance(config(
-            extinction_per_m=0.3, asymmetry=FixedAsymmetry(1.0)))
+            extinction_per_m=0.3, asymmetry=UniformAsymmetry(1.0, 1.0)))
         assert result.transmittance == pytest.approx(math.exp(-3.0), abs=1e-9)
         assert result.attenuation_db_per_m == pytest.approx(1.3029, abs=1e-4)
         # attenuation identity recomputed along the same path
@@ -227,7 +228,8 @@ class TestWaveKernel:
     @pytest.mark.parametrize("asymmetry", [
         UniformAsymmetry(), UniformAsymmetry(0.0, 1.0), UniformAsymmetry(0.0, 0.0),
         UniformAsymmetry(0.7, 0.7), UniformAsymmetry(1.0, 1.0),
-        FixedAsymmetry(0.0), FixedAsymmetry(0.7), FixedAsymmetry(1.0)])
+        UniformAsymmetry(0.3, 0.3), UniformAsymmetry(0.6, 0.6),
+        UniformAsymmetry(0.9, 0.9)])
     @pytest.mark.parametrize("cext", [0.05, 0.25, 2.5, 50.0])
     def test_matches_reference(self, asymmetry, cext):
         self.assert_matches_reference(config(
@@ -247,49 +249,49 @@ class TestWaveKernel:
         monkeypatch.setattr(transport, "_WAVE_ROWS", 7)
         assert estimate_transmittance(cfg) == whole
 
-    def test_zero_draws_skipped_like_uniform_stream(self, monkeypatch):
-        # Raw draws that are exactly 0.0 are vanishingly rare (2**-53), so
-        # zeros are planted: as the first draw, three in a row, across a
-        # refill, and as the first draw of an event that starts with
-        # exactly one event's draws left in the buffer.
-        # Without zeros, UniformAsymmetry events read draws 0-15 from the
-        # first fill (4 blocks, the buffer width), the event at draw 12
-        # taking the last four, and draws 16-31 from the first refill.
-        width = 4 * transport._BLOCKS
-        zeros = {0: [0], 1: [15, 16], 2: [14, 15, 16], 3: [12, 31, 32],
-                 4: [2, 3, 4]}
+    def test_zero_words_read_as_zero_draw(self, monkeypatch):
+        # Words that map to draw 0 (probability 2**-53) are planted below
+        # the zero rule, as Philox words (0 and 2047 >> 11 are both 0), at
+        # each of an event's step, g, nu and chi words. Event n reads
+        # block n; ``zeros`` maps (stream, block) to {word index: word}.
+        zeros = {(0, 1): {0: 0}, (1, 1): {1: 2047}, (2, 2): {2: 0},
+                 (3, 1): {3: 0}, (3, 3): {3: 2047}, (4, 2): {1: 0, 2: 0, 3: 0}}
 
-        def planted(seeds, streams, first_blocks, blocks):
-            draws = substream_uniforms(seeds, streams, first_blocks, blocks)
-            streams, first_blocks = np.broadcast_arrays(streams, first_blocks)
-            for row, (stream, first) in enumerate(zip(streams, first_blocks)):
-                for j in zeros.get(int(stream), ()):
-                    col = j - 4 * (int(first) - 1)
-                    if 0 <= col < draws.shape[1]:
-                        draws[row, col] = 0.0
-            return draws
+        def planted(seeds, streams, blocks):
+            words = philox4x64(seeds, streams, blocks)
+            streams, blocks = (np.broadcast_to(a, words.shape[:-1])
+                               for a in (streams, blocks))
+            for (stream, block), cols in zeros.items():
+                hit = (streams == stream) & (blocks == block)
+                for col, word in cols.items():
+                    words[hit, col] = word
+            return words
 
         class PlantedGenerator:
+            """``substream`` stand-in: raw draws, zeros and all."""
+
             def __init__(self, seed, stream):
                 self.seed, self.stream, self.block = seed, stream, 1
 
             def random(self, n):
-                out = planted(self.seed, [self.stream], [self.block], n // 4)[0]
+                blocks = np.arange(self.block, self.block + n // 4)
                 self.block += n // 4
-                return out
+                words = planted(self.seed, self.stream, blocks)
+                return (words >> np.uint64(11)).reshape(-1) * 2.0 ** -53
 
-        monkeypatch.setattr(transport, "substream_uniforms", planted)
+        monkeypatch.setattr(rng, "philox4x64", planted)
         monkeypatch.setattr(transport, "substream", PlantedGenerator)
-        for g in (FixedAsymmetry(0.7), UniformAsymmetry()):
+        draws = substream_uniforms(11, np.arange(6), np.ones(6, dtype=int), 3)
+        planted_at = [(stream, 4 * (block - 1) + col)
+                      for (stream, block), cols in zeros.items() for col in cols]
+        for stream, j in planted_at:
+            assert draws[stream, j] == ZERO_DRAW
+        assert np.count_nonzero(draws == ZERO_DRAW) == len(planted_at)
+        for g in (UniformAsymmetry(0.7, 0.7), UniformAsymmetry()):
             cfg = config(packet_count=6, extinction_per_m=2.5, asymmetry=g)
             self.assert_matches_reference(cfg)
-        draws = transport._WaveDraws(5)
-        draws.admit(np.full(5, 5, dtype=np.uint64), np.arange(5))
-        streams = [UniformStream(PlantedGenerator(5, i)) for i in range(5)]
-        for _ in range(2 * width):
-            draws.reserve()
-            for _ in range(transport._DRAWS_PER_EVENT):
-                assert np.array_equal(draws.draw(), [s.next() for s in streams])
+            # a zero step word is a free path of 54 ln 2 / C = 15 m > D
+            assert trace_packet(cfg, 0) == ("reached", math.exp(-25.0), 0)
 
 
 class TestEstimateBatch:
@@ -311,7 +313,7 @@ class TestEstimateBatch:
             (dict(seed=5, extinction_per_m=0.0), dict(max_events=6)),
         ]
         out = []
-        for asymmetry in (UniformAsymmetry(0.0, 1.0), FixedAsymmetry(0.6)):
+        for asymmetry in (UniformAsymmetry(0.0, 1.0), UniformAsymmetry(0.6, 0.6)):
             for run, kernel in rows:
                 out.append(config(**{"packet_count": 120, "asymmetry": asymmetry,
                                      **run, **kernel}))
@@ -338,12 +340,10 @@ class TestEstimateBatch:
                 sum(c for _, c, _ in reference) / cfg.packet_count, rel=1e-12, abs=0.0)
 
     def test_row_cap_crosses_runs(self, monkeypatch):
-        # 7 live rows admit packets of several runs together, and fills of
-        # at most 4 blocks per Philox call split every fill into slices
+        # 7 live rows admit packets of several runs together
         cfgs = self.mixed_configs()
         whole = estimate_batch(cfgs)
         monkeypatch.setattr(transport, "_WAVE_ROWS", 7)
-        monkeypatch.setattr(transport, "_FILL_BLOCKS", 4)
         assert estimate_batch(cfgs) == whole
 
     def test_empty_batch(self):
@@ -353,7 +353,7 @@ class TestEstimateBatch:
                                    st.floats(0.0, 50.0, exclude_min=True)),
                          min_size=1, max_size=4),
            asymmetry=st.one_of(
-               st.floats(0.0, 1.0).map(FixedAsymmetry),
+               st.floats(0.0, 1.0).map(lambda g: UniformAsymmetry(g, g)),
                st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
                    lambda bounds: UniformAsymmetry(*sorted(bounds)))),
            threshold=st.floats(1e-9, 0.9),
@@ -374,6 +374,23 @@ class TestEstimateBatch:
             assert result.transmittance <= bound * (1 + 1e-9)
             if cfg.extinction_per_m == 0.0:
                 assert result.transmittance == 1.0
+
+
+    @pytest.mark.parametrize("asymmetry", [
+        UniformAsymmetry(), UniformAsymmetry(0.0, 1.0), UniformAsymmetry(0.0, 0.0)])
+    def test_mean_above_unscattered_bound(self, asymmetry):
+        # a packet that never scatters (probability exp(-C*D)) contributes
+        # exp(-C*D) and no contribution is negative, so E[T] >= exp(-2*C*D);
+        # the sample mean holds it within 3 standard errors. C*D stays
+        # <= 2.5: an opaque run's T = 0 has a standard error of 0.
+        for cext in (0.05, 0.25, 2.5, 13.8):
+            for depth in (0.5, 2.5):
+                for seed in (1, 2, 3):
+                    cfg = config(extinction_per_m=cext, distance_m=depth / cext,
+                                 asymmetry=asymmetry, seed=seed)
+                    (contributions,), _, _ = transport._trace_packets([cfg])
+                    se = contributions.std(ddof=1) / math.sqrt(cfg.packet_count)
+                    assert contributions.mean() + 3 * se >= math.exp(-2 * depth)
 
 
 class TestConfigValidation:
@@ -415,6 +432,6 @@ class TestConfigValidation:
 
     def test_bad_asymmetry(self):
         with pytest.raises(DomainError):
-            FixedAsymmetry(1.5)
+            UniformAsymmetry(1.5, 1.5)
         with pytest.raises(DomainError):
             UniformAsymmetry(0.8, 0.2)
