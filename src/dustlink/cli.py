@@ -394,8 +394,7 @@ def _storm_config(cfg: ExperimentConfig, planet: PlanetPreset) -> storm.StormCon
 def _storm_density(cfg, planet, grid):
     series = storm.density_time_series(_storm_config(cfg, planet), _STORM_CONE,
                                        cfg.overrides.get("storm.steps", 120))
-    return [(t, count) + tuple(float(v) for v in profile)
-            for t, count, profile in series]
+    return [(t, count, *profile.tolist()) for t, count, profile in series]
 
 
 def _extinction_table(cfg, planet, grid):

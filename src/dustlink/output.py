@@ -30,7 +30,9 @@ def write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> Path:
         if len(row) != len(header):
             raise DustlinkError(
                 f"row width {len(row)} does not match header width {len(header)}")
-        lines.append(",".join(format_cell(v) for v in row))
+        # a builtin float's cell is its repr: skip the call for those
+        lines.append(",".join([repr(v) if type(v) is float else format_cell(v)
+                               for v in row]))
     try:
         path.write_text("\n".join(lines) + "\n", newline="\n")
     except OSError as exc:

@@ -59,6 +59,11 @@ class StormConfig:
                 f"emission_rate must be an int >= 0, got {self.emission_rate!r}")
         if not (_is_int(self.seed) and 0 <= self.seed < 1 << 128):
             raise DomainError(f"seed must be an int in [0, 2**128), got {self.seed!r}")
+        for name, size in (("vortex_center_m", 3), ("domain_m", 6),
+                           ("radius_range_m", 2)):
+            if np.shape(getattr(self, name)) != (size,):
+                raise DomainError(f"{name} must have {size} entries, "
+                                  f"got {getattr(self, name)!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name not in ("emission_rate", "seed") and not np.isfinite(value).all():
@@ -70,9 +75,11 @@ class StormConfig:
         x0, x1, y0, y1, z0, z1 = self.domain_m
         if not (x0 < x1 and y0 < y1 and z0 < z1):
             raise DomainError("domain bounds must be well ordered")
-        if min(self.wind_speed_m_s, self.vortex_strength_rad_s,
-               self.updraft_m_s, self.settling_m_s, self.turbulence_m_s) < 0:
-            raise DomainError("rates must be >= 0")
+        for name in ("wind_speed_m_s", "vortex_strength_rad_s", "updraft_m_s",
+                     "settling_m_s", "turbulence_m_s", "source_y_half_span_m",
+                     "vortex_core_radius_m"):
+            if getattr(self, name) < 0:
+                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if not (0 < self.radius_range_m[0] <= self.radius_range_m[1]):
             raise DomainError("radius range must be positive and ordered")
 
@@ -100,59 +107,67 @@ def empty_field() -> ParticleField:
     return ParticleField(np.zeros((0, 3)), np.zeros(0))
 
 
-def _velocities(positions: np.ndarray, cfg: StormConfig) -> np.ndarray:
-    v = np.zeros_like(positions)
-    x = positions[:, 0]
-    y = positions[:, 1]
-    # horizontal advection with exponential downstream ramp
-    v[:, 0] = cfg.wind_speed_m_s * np.exp(x / cfg.ramp_length_m)
-    # solid-body swirl about the vertical axis through the vortex center
-    if cfg.vortex_strength_rad_s > 0.0:
-        dx = x - cfg.vortex_center_m[0]
-        dy = y - cfg.vortex_center_m[1]
-        inside = dx * dx + dy * dy <= cfg.vortex_core_radius_m ** 2
-        v[inside, 0] += -cfg.vortex_strength_rad_s * dy[inside]
-        v[inside, 1] += cfg.vortex_strength_rad_s * dx[inside]
-    v[:, 2] = cfg.updraft_m_s - cfg.settling_m_s
-    return v
+def _in_box(points: np.ndarray, lo, hi) -> np.ndarray:
+    """Mask of the rows of ``points`` (N x 3) inside the box [lo, hi]."""
+    (x0, y0, z0), (x1, y1, z1) = lo, hi
+    return ((points[:, 0] >= x0) & (points[:, 0] <= x1)
+            & (points[:, 1] >= y0) & (points[:, 1] <= y1)
+            & (points[:, 2] >= z0) & (points[:, 2] <= z1))
 
 
 def step_field(fld: ParticleField, cfg: StormConfig) -> ParticleField:
     """Advance every particle one timestep, emit new ones, drop escapees.
 
     Deterministic for a fixed (cfg.seed, step index): emission and
-    turbulence randomness come from a per-step substream.
+    turbulence randomness come from a per-step substream. Old and new
+    particles share one (N_old + N_new, 3) buffer: the top rows hold the
+    velocities (turbulent jitter plus the wind, swirl and vertical
+    terms), then the displacement and the old positions; the bottom rows
+    hold the emitted particles.
     """
     rng = substream(cfg.seed, fld.step_index)
-    velocities = _velocities(fld.positions_m, cfg)
-    if cfg.turbulence_m_s > 0.0 and fld.count() > 0:
-        velocities = velocities + rng.normal(
-            0.0, cfg.turbulence_m_s, fld.positions_m.shape)
-    positions = fld.positions_m + velocities * cfg.timestep_s
-
+    old = fld.positions_m
+    n_old = fld.count()
     n_new = cfg.emission_rate
-    new_positions = np.zeros((n_new, 3))
-    new_positions[:, 1] = rng.uniform(-cfg.source_y_half_span_m,
-                                      cfg.source_y_half_span_m, n_new)
-    r_lo, r_hi = cfg.radius_range_m
-    new_radii = rng.uniform(r_lo, r_hi, n_new)
+    positions = np.zeros((n_old + n_new, 3))
+    moved = positions[:n_old]
+    if cfg.turbulence_m_s > 0.0 and n_old > 0:
+        # the draws of rng.normal(0, turbulence, (n_old, 3)), without a copy
+        rng.standard_normal(out=moved)
+        moved *= cfg.turbulence_m_s
+    x = old[:, 0]
+    y = old[:, 1]
+    # horizontal advection with exponential downstream ramp
+    wind = cfg.wind_speed_m_s * np.exp(x / cfg.ramp_length_m)
+    # solid-body swirl about the vertical axis through the vortex center;
+    # it joins the wind before the jitter, so x sums (wind + swirl) + jitter
+    if cfg.vortex_strength_rad_s > 0.0:
+        dx = x - cfg.vortex_center_m[0]
+        dy = y - cfg.vortex_center_m[1]
+        core = np.flatnonzero(dx * dx + dy * dy <= cfg.vortex_core_radius_m ** 2)
+        wind[core] += -cfg.vortex_strength_rad_s * dy[core]
+        moved[core, 1] += cfg.vortex_strength_rad_s * dx[core]
+    moved[:, 0] += wind
+    moved[:, 2] += cfg.updraft_m_s - cfg.settling_m_s
+    moved *= cfg.timestep_s
+    moved += old
 
-    positions = np.vstack([positions, new_positions])
-    radii = np.concatenate([fld.radii_m, new_radii])
+    positions[n_old:, 1] = rng.uniform(-cfg.source_y_half_span_m,
+                                       cfg.source_y_half_span_m, n_new)
+    radii = np.empty(n_old + n_new)
+    radii[:n_old] = fld.radii_m
+    radii[n_old:] = rng.uniform(*cfg.radius_range_m, n_new)
 
-    x0, x1, y0, y1, z0, z1 = cfg.domain_m
-    keep = ((positions[:, 0] >= x0) & (positions[:, 0] <= x1)
-            & (positions[:, 1] >= y0) & (positions[:, 1] <= y1)
-            & (positions[:, 2] >= z0) & (positions[:, 2] <= z1))
-    removed = int(np.count_nonzero(~keep))
+    keep = _in_box(positions, cfg.domain_m[0::2], cfg.domain_m[1::2])
+    kept = int(np.count_nonzero(keep))
 
     return ParticleField(
-        positions_m=positions[keep],
-        radii_m=radii[keep],
+        positions_m=positions.compress(keep, axis=0),
+        radii_m=radii.compress(keep),
         timestamp_s=fld.timestamp_s + cfg.timestep_s,
         step_index=fld.step_index + 1,
         emitted=n_new,
-        removed=removed,
+        removed=n_old + n_new - kept,
     )
 
 
@@ -177,6 +192,9 @@ class BeamCone:
         if length == 0.0:
             raise DomainError("transmitter and receiver coincide")
         object.__setattr__(self, "length_m", length)
+        if self.disk_count() == 0:
+            raise DomainError(f"disk spacing {self.disk_spacing_m!r} m leaves no "
+                              f"disk on a {length!r} m beam")
 
     def disk_count(self) -> int:
         return int(math.floor(self.length_m / self.disk_spacing_m + 1e-9))
@@ -212,22 +230,30 @@ def count_in_beam(fld: ParticleField, cone: BeamCone) -> tuple[int, np.ndarray]:
     """
     n_bins = cone.bin_count()
     profile = np.zeros(n_bins)
-    if fld.count() == 0:
-        return 0, profile
-
     tx = np.asarray(cone.tx_m)
     axis = cone.axis_unit()
-    rel = fld.positions_m - tx
+    spacing = cone.disk_spacing_m
+    n_disks = cone.disk_count()
+    # A counted particle lies within the far disk's radius of the axis
+    # segment, so only the particles in the segment's bounding box, padded
+    # by that radius (plus a margin for rounding), are tested.
+    far = tx + (cone.length_m + spacing) * axis
+    pad = float(cone.disk_radius(n_disks * spacing)) + spacing + 1.0
+    lo = np.minimum(tx, far) - pad
+    hi = np.maximum(tx, far) + pad
+    in_box = _in_box(fld.positions_m, lo, hi)
+    if not in_box.any():
+        return 0, profile
+
+    rel = fld.positions_m.compress(in_box, axis=0) - tx
     s = rel @ axis                                  # axial coordinate
     radial2 = np.einsum("ij,ij->i", rel, rel) - s * s
     radial2 = np.maximum(radial2, 0.0)
 
-    spacing = cone.disk_spacing_m
-    n_disks = cone.disk_count()
     # nearest two disk indices (disks sit at i*spacing, i = 1..n_disks)
     lower = np.clip(np.floor(s / spacing).astype(np.int64), 1, n_disks)
     upper = np.clip(lower + 1, 1, n_disks)
-    inside = np.zeros(fld.count(), dtype=bool)
+    inside = np.zeros(s.shape[0], dtype=bool)
     for idx in (lower, upper):
         centers = idx * spacing
         dist2 = (s - centers) ** 2 + radial2
@@ -247,8 +273,8 @@ def density_time_series(cfg: StormConfig, cone: BeamCone,
     Returns (time, in-beam count, per-meter profile) per step;
     deterministic per seed.
     """
-    if steps < 1:
-        raise DomainError("need at least one step")
+    if not (_is_int(steps) and steps >= 1):
+        raise DomainError(f"steps must be an int >= 1, got {steps!r}")
     fld = empty_field()
     series = []
     for _ in range(steps):
