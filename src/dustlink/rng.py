@@ -11,16 +11,28 @@ the Philox4x64-10 block with counter ``(1 + j // 4, 0, i, 0)`` under key
 ``(seed, 0)``, mapped to ``(x >> 11) * 2**-53``; a word that maps to 0
 (probability 2**-53) reads as ``ZERO_DRAW`` = 2**-54, so every draw lies
 in (0, 1) and ``log(u)`` is finite. ``substream`` + ``UniformStream``
-consume it one draw at a time; ``substream_uniforms`` computes any blocks
-of many substreams, of one run seed or of one seed per row, at once in
-numpy (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11).
+consume it one draw at a time. ``philox4x64`` computes the words of any
+blocks of many substreams, of one run seed or of one seed per row, at once
+in numpy (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11); ``word_uniforms`` maps words to draws, and ``substream_uniforms``
+is the two together, whole blocks per row.
+
+Kernel layout: ``philox4x64`` ravels its broadcast inputs to 1-D lanes of
+n counters and runs the ten rounds on ``(2, n)`` uint64 buffers, counter
+words 0 and 2 (multiplied) as one pair of rows and words 1 and 3 (XORed
+in) as another. It returns the ``(n, 4)`` transpose of one contiguous
+``(4, n)`` block, so word ``j`` of every row is the contiguous ``words.T[j]``
+and a caller can turn one word into draws without touching the others.
 """
+
+import math
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["substream", "derive_seed", "UniformStream", "philox4x64",
-           "substream_uniforms", "ZERO_DRAW"]
+           "word_uniforms", "substream_uniforms", "ZERO_DRAW"]
 
 # What a draw that maps to 0 reads as; it stays below every other draw
 # (the least is 2**-53), so draws keep the order of their words.
@@ -31,13 +43,25 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _MASK64 = (1 << 64) - 1
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-_M = np.array(_PHILOX_M, dtype=np.uint64)
+
+
+def _word(value: int) -> np.ndarray:
+    """A 64-bit constant as a 0-d uint64 array. numpy runs its vector
+    loops for a 0-d array operand but not for a numpy scalar: with numpy
+    2.4 on an AVX-512 Xeon, a shift of 4096 words by ``_word(32)`` takes
+    about a third of the time of one by ``np.uint64(32)``."""
+    return np.array(value, dtype=np.uint64)
+
+
+_LOW32, _SHIFT32, _DRAW_SHIFT = _word(0xFFFFFFFF), _word(32), _word(11)
+# one row per lane (counter word 0, then word 2)
+_M = np.array(_PHILOX_M, dtype=np.uint64).reshape(2, 1)
 _M_LO = _M & _LOW32
 _M_HI = _M >> _SHIFT32
-_BUMPS = np.array([[r * w & _MASK64 for w in _PHILOX_W]
-                   for r in range(_PHILOX_ROUNDS)], dtype=np.uint64)
+# round r's key is (seed + r * W0, r * W1) modulo 2**64: the bump lane 0
+# adds to the seed, and lane 1's whole key word
+_BUMPS = [tuple(_word(r * w & _MASK64) for w in _PHILOX_W)
+          for r in range(_PHILOX_ROUNDS)]
 
 
 def substream(seed: int, stream_index: int) -> np.random.Generator:
@@ -50,19 +74,36 @@ def substream(seed: int, stream_index: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def _key_words(seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 64-bit key words of run seeds in [0, 2**64), as uint64 arrays.
+def _checked(values, least: int, name: str) -> np.ndarray:
+    """``values`` as an integer array whose entries lie in [least, 2**64).
 
-    An unsigned 64-bit array passes through; any other integers are
-    checked against the range. The high key word is 0.
+    An integer array costs at most one ``min`` reduction (none for an
+    unsigned one when ``least`` is 0); only an object array of Python
+    ints is checked entry by entry. Raises ``ValueError`` otherwise.
     """
-    seeds = np.asarray(seeds)
-    if seeds.dtype != np.uint64:
-        seeds = seeds.astype(object)
-        if not all(isinstance(s, int) and 0 <= s < 1 << 64 for s in seeds.flat):
-            raise ValueError("key must be an int in [0, 2**64).")
-        seeds = seeds.astype(np.uint64)
-    return seeds, np.zeros_like(seeds)
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if kind in "iu":
+        ok = (kind == "u" and least == 0) or not values.size or values.min() >= least
+    else:
+        ok = kind == "O" and all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            and least <= v <= _MASK64 for v in values.flat)
+    if not ok:
+        raise ValueError(f"{name} must be an int in [{least}, 2**64).")
+    return values
+
+
+def _lane(values: np.ndarray, shape: tuple, n: int) -> np.ndarray:
+    """``values`` broadcast to ``shape`` as ``n`` uint64 words, or as one
+    word when it holds only one; copied only where it must be."""
+    if values.size == 1:
+        return values.astype(np.uint64).reshape(1)
+    if values.shape == shape and values.dtype == np.uint64:
+        return values.reshape(n)
+    lane = np.empty(n, dtype=np.uint64)
+    lane.reshape(shape)[...] = values
+    return lane
 
 
 def philox4x64(seeds, streams, blocks) -> np.ndarray:
@@ -71,50 +112,82 @@ def philox4x64(seeds, streams, blocks) -> np.ndarray:
     ``seeds``, ``streams`` and ``blocks`` broadcast against each other; the
     result has their broadcast shape plus a trailing axis of the 4 output
     words, which equal ``Philox(key=seed, counter=(block - 1, 0, stream,
-    0)).random_raw(4)`` bit for bit. Seeds are 64-bit run seeds, so the
-    high key word is 0.
+    0)).random_raw(4)`` bit for bit. Seeds and streams must be ints in
+    [0, 2**64) and blocks ints in [1, 2**64), or ``ValueError`` is
+    raised. Seeds are 64-bit run seeds, so the high key word is 0.
+
+    Lane layout: the n = prod(shape) counters are raveled into 1-D lanes.
+    Counter words 0 and 2, the ones a round multiplies, are the rows of
+    one ``(2, n)`` uint64 buffer; words 1 and 3, the ones it XORs in, are
+    rows of the buffer of the previous round's low products. The limb
+    arithmetic runs on ``(2, n)`` buffers allocated here, a ufunc that
+    treats both lanes alike on their flat ``(2n,)`` views. Since the high
+    key word is 0, lane 1's round key is a constant and only lane 0 adds
+    the Weyl bump to the seed. The result is the ``(n, 4)`` transpose of
+    one contiguous ``(4, n)`` block, so each output word is a contiguous
+    row (``words.T[j]``), reshaped to the broadcast shape.
     """
-    k0, k1 = _key_words(seeds)
-    block, stream = np.broadcast_arrays(
-        np.asarray(blocks, dtype=np.uint64), np.asarray(streams, dtype=np.uint64))
-    shape = np.broadcast_shapes(block.shape, k0.shape)
-    block, stream = (np.broadcast_to(a, shape) for a in (block, stream))
-    lanes = (2,) + (1,) * len(shape)
-    m, m_lo, m_hi = (c.reshape(lanes) for c in (_M, _M_LO, _M_HI))
-    key0 = np.stack((k0, k1)).reshape(
-        (2,) + (1,) * (len(shape) - k0.ndim) + k0.shape)
-    key = np.empty_like(key0)
-    # Counter words 0 and 2 are multiplied, words 1 and 3 mixed in by XOR;
-    # each pair is held as one array so a round costs one set of ufuncs,
-    # all writing into buffers allocated here.
-    mul = np.stack((block, stream))
-    mix, lo = np.zeros_like(mul), np.empty_like(mul)
-    a_lo, a_hi, mid, t = (np.empty_like(mul) for _ in range(4))
-    for bump in _BUMPS:
-        # the round key: the key bumped by the Weyl increments (uint64
-        # addition wraps modulo 2**64)
-        np.add(key0, bump.reshape(lanes), out=key)
+    seeds = _checked(seeds, 0, "key")
+    streams = _checked(streams, 0, "stream")
+    blocks = _checked(blocks, 1, "block")
+    shape = np.broadcast_shapes(seeds.shape, streams.shape, blocks.shape)
+    n = math.prod(shape)
+    seed = _lane(seeds, shape, n)
+    key = np.empty_like(seed)
+    words = np.empty((4, n), dtype=np.uint64)
+    mul, lo, spare, a_lo, a_hi, mid, t = (
+        np.empty((2, n), dtype=np.uint64) for _ in range(7))
+    mul[0].reshape(shape)[...] = blocks
+    mul[1].reshape(shape)[...] = streams
+    f_mul, f_lo, f_hi, f_mid, f_t = (
+        a.reshape(-1) for a in (mul, a_lo, a_hi, mid, t))
+    for r, (bump0, bump1) in enumerate(_BUMPS):
+        last = r == _PHILOX_ROUNDS - 1
+        if last:
+            # lo0 and lo1 are output words 3 and 1
+            lo = words[3::-2]
         # 128-bit products mul * m from 32-bit limbs: lo, and hi in a_hi
-        np.multiply(mul, m, out=lo)
-        np.bitwise_and(mul, _LOW32, out=a_lo)
-        np.right_shift(mul, _SHIFT32, out=a_hi)
-        np.multiply(a_lo, m_lo, out=t)
-        t >>= _SHIFT32
-        np.multiply(a_hi, m_lo, out=mid)
-        mid += t
-        np.multiply(a_lo, m_hi, out=t)
-        np.bitwise_and(mid, _LOW32, out=a_lo)
-        t += a_lo
-        a_hi *= m_hi
-        mid >>= _SHIFT32
-        a_hi += mid
-        t >>= _SHIFT32
-        a_hi += t
-        # (c0, c1, c2, c3) -> (hi2 ^ c1 ^ k0, lo2, hi0 ^ c3 ^ k1, lo0)
-        np.bitwise_xor(a_hi[::-1], mix, out=mul)
-        mul ^= key
-        mix, lo = lo[::-1], mix[::-1]
-    return np.stack((mul[0], mix[0], mul[1], mix[1]), axis=-1)
+        np.multiply(mul, _M, out=lo)
+        np.bitwise_and(f_mul, _LOW32, out=f_lo)
+        np.right_shift(f_mul, _SHIFT32, out=f_hi)
+        np.multiply(a_lo, _M_LO, out=t)
+        f_t >>= _SHIFT32
+        np.multiply(a_hi, _M_LO, out=mid)
+        f_mid += f_t
+        np.multiply(a_lo, _M_HI, out=t)
+        np.bitwise_and(f_mid, _LOW32, out=f_lo)
+        f_t += f_lo
+        a_hi *= _M_HI
+        f_mid >>= _SHIFT32
+        f_hi += f_mid
+        f_t >>= _SHIFT32
+        f_hi += f_t
+        # (c0, c1, c2, c3) -> (hi2 ^ c1 ^ k0, lo2, hi0 ^ c3 ^ k1, lo0);
+        # in round 0, c1, c3 and k1 are 0 and k0 is the seed
+        if last:
+            mul = words[0::2]
+        if r == 0:
+            np.bitwise_xor(a_hi[1], seed, out=mul[0])
+            mul[1] = a_hi[0]
+        else:
+            np.bitwise_xor(a_hi[1], c1, out=mul[0])
+            np.add(seed, bump0, out=key)
+            mul[0] ^= key
+            np.bitwise_xor(a_hi[0], c3, out=mul[1])
+            mul[1] ^= bump1
+        c1, c3 = lo[1], lo[0]
+        lo, spare = spare, lo
+    return words.T.reshape(shape + (4,))
+
+
+def word_uniforms(words: np.ndarray) -> np.ndarray:
+    """Draws of Philox words: ``(w >> 11) * 2**-53``, a 0 read as ``ZERO_DRAW``.
+
+    The mapping of every draw the package computes from Philox words; a
+    new float array of the words' shape.
+    """
+    draws = (words >> _DRAW_SHIFT) * 2.0 ** -53
+    return np.maximum(draws, ZERO_DRAW, out=draws)
 
 
 def substream_uniforms(seeds, streams, first_blocks, blocks: int) -> np.ndarray:
@@ -123,32 +196,39 @@ def substream_uniforms(seeds, streams, first_blocks, blocks: int) -> np.ndarray:
     Row ``r`` holds draws ``4 * (first_blocks[r] - 1)`` onward of substream
     ``streams[r]`` of run seed ``seeds[r]`` (or of the one run ``seeds``),
     that is the ``4 * blocks`` values ``substream(seed, stream).random()``
-    returns from that point, with a zero read as ``ZERO_DRAW``. The Philox
-    temporaries hold a few words per block computed, so callers bound them
-    by the rows they ask for at once.
+    returns from that point, with a zero read as ``ZERO_DRAW``. First
+    blocks are ints >= 1, and a row may not run past block 2**64 - 1. The
+    Philox temporaries hold a few words per block computed, so callers
+    bound them by the rows they ask for at once.
     """
     seeds, streams, first_blocks = np.broadcast_arrays(
         np.asarray(seeds), np.asarray(streams), np.asarray(first_blocks))
+    # a row run past block 2**64 - 1 wraps through block 0, which
+    # ``philox4x64`` rejects
+    first_blocks = _checked(first_blocks, 1, "block").astype(np.uint64)
     words = philox4x64(seeds[..., None], streams[..., None],
-                       first_blocks[..., None].astype(np.uint64)
-                       + np.arange(blocks, dtype=np.uint64))
-    words >>= np.uint64(11)
-    draws = words.reshape(words.shape[:-2] + (4 * blocks,)) * 2.0 ** -53
-    return np.maximum(draws, ZERO_DRAW, out=draws)
+                       first_blocks[..., None] + np.arange(blocks, dtype=np.uint64))
+    return word_uniforms(words).reshape(words.shape[:-2] + (4 * blocks,))
 
 
 def derive_seed(*parts: int | str) -> int:
     """Hash a tuple of labels/indices into a 64-bit run seed.
 
-    String parts are folded in as UTF-8 bytes so call sites can namespace
-    streams ("time", second) without colliding with plain indices.
+    Parts are ints >= 0 (numpy integers included, bools not) or strs;
+    anything else raises ``DomainError``. String parts are folded in as
+    UTF-8 bytes so call sites can namespace streams ("time", second)
+    without colliding with plain indices.
     """
     entropy: list[int] = []
     for part in parts:
         if isinstance(part, str):
             entropy.extend(part.encode("utf-8"))
-        else:
+        elif isinstance(part, (int, np.integer)) and not isinstance(part, bool) \
+                and part >= 0:
             entropy.append(int(part))
+        else:
+            raise DomainError(
+                f"seed part must be an int >= 0 or a str, got {part!r}")
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 

@@ -33,6 +33,14 @@ __all__ = [
 ]
 
 
+_VECTOR_SIZES = {"vortex_center_m": 3, "domain_m": 6, "radius_range_m": 2}
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class StormConfig:
     """Wind-field parameters and particle bookkeeping for one storm run."""
@@ -59,14 +67,19 @@ class StormConfig:
                 f"emission_rate must be an int >= 0, got {self.emission_rate!r}")
         if not (_is_int(self.seed) and 0 <= self.seed < 1 << 128):
             raise DomainError(f"seed must be an int in [0, 2**128), got {self.seed!r}")
-        for name, size in (("vortex_center_m", 3), ("domain_m", 6),
-                           ("radius_range_m", 2)):
+        for name, size in _VECTOR_SIZES.items():
             if np.shape(getattr(self, name)) != (size,):
                 raise DomainError(f"{name} must have {size} entries, "
                                   f"got {getattr(self, name)!r}")
         for f in fields(self):
+            if f.name in ("emission_rate", "seed"):
+                continue
             value = getattr(self, f.name)
-            if f.name not in ("emission_rate", "seed") and not np.isfinite(value).all():
+            entries = value if f.name in _VECTOR_SIZES else (value,)
+            # checked before np.isfinite, which raises TypeError on the rest
+            if not all(_is_real(v) for v in entries):
+                raise DomainError(f"{f.name} must be real, got {value!r}")
+            if not np.isfinite(value).all():
                 raise DomainError(f"{f.name} must be finite, got {value!r}")
         if self.timestep_s <= 0:
             raise DomainError("timestep must be positive")

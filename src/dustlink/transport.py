@@ -25,7 +25,11 @@ A word that maps to 0 reads as ``dustlink.rng.ZERO_DRAW`` (2**-54).
 Two implementations share these rules. ``estimate_batch`` (and
 ``estimate_transmittance``, a batch of one) runs a wave kernel: packets
 are held as arrays, and each wave advances every live packet by one event
-in numpy, with one Philox call for the wave's blocks. The packets of many
+in numpy, with one ``dustlink.rng.philox4x64`` call for the wave's blocks.
+That call returns each word as a contiguous row; the wave turns the step
+word of every live packet into a draw, and the g, nu and chi words only
+of the packets that scatter on, with ``dustlink.rng.word_uniforms``, the
+arithmetic of ``substream_uniforms``. The packets of many
 runs share the kernel; a packet's state is its output index, run, first
 wave, X, X cosine and weight, and it reads its run's extinction and
 distance each wave. A wave sets every fate from masks, in the order
@@ -53,7 +57,8 @@ import numpy as np
 
 from .constants import db_from_transmittance
 from .errors import DomainError
-from .rng import UniformStream, substream, substream_uniforms
+from . import rng
+from .rng import UniformStream, substream, word_uniforms
 
 __all__ = [
     "UniformAsymmetry",
@@ -296,7 +301,8 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
     live at a time: whenever half the rows have ended, new packets take
     their place, so a batch has one tail of waves with few live rows, not
     one per ``_WAVE_ROWS`` packets. Each wave computes the next Philox
-    block of every live packet in one call and takes every live packet
+    block of every live packet in one call, turns only the words a
+    packet reads into draws, and takes every live packet
     through one pass of ``trace_packet``'s loop, with the same
     floating-point operations, sets the fates from masks in its order
     (crossing, backscatter, event guard, weight threshold) and compacts
@@ -338,11 +344,12 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
         cext = run_cext[run]
         dist = run_dist[run]
         event = wave - born + 1
-        # event n reads block n of the packet's substream: step, g, nu, chi
-        u = substream_uniforms(run_seeds[run], pos - offsets[run], event, 1)
+        # event n reads block n of the packet's substream, one word per
+        # row: step, g, nu, chi (through the module, so it can be patched)
+        words = rng.philox4x64(run_seeds[run], pos - offsets[run], event).T
         # a subnormal extinction gives an infinite step: the packet crosses
         with np.errstate(over="ignore"):
-            step = -np.log(u[:, 0]) / cext
+            step = -np.log(word_uniforms(words[0])) / cext
         x_next = x + step * mx
         ended = (x_next >= dist) & (mx > 0.0)
         # crossing: residual Beer-Lambert factor from the last scatter site
@@ -360,12 +367,13 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
         fates[pos[guarded]] = _FATE_INDEX["guard_killed"]
         fates[pos[killed]] = _FATE_INDEX["weight_killed"]
         keep = scattered & ~guarded & ~killed
-        # compress, as boolean indexing copies the 2-D draws ~5x slower
-        pos, run, born, x, mx, w, u = (a.compress(keep, axis=0)
-                                       for a in (pos, run, born, x, mx, w, u))
-
-        g = asym.lo + (asym.hi - asym.lo) * u[:, 1]
-        mx = _rotate(mx, _hg_cosine(g, u[:, 2]), two_pi * u[:, 3])
+        pos, run, born, x, mx, w = (a.compress(keep)
+                                    for a in (pos, run, born, x, mx, w))
+        # only the packets that scatter on turn their g, nu, chi words
+        # into draws
+        g, nu, chi = word_uniforms(words[1:].compress(keep, axis=1))
+        g = asym.lo + (asym.hi - asym.lo) * g
+        mx = _rotate(mx, _hg_cosine(g, nu), two_pi * chi)
     ends = offsets[1:-1]
     return np.split(contributions, ends), np.split(fates, ends), events
 

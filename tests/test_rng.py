@@ -5,13 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dustlink.rng import (ZERO_DRAW, UniformStream, philox4x64, substream,
-                          substream_uniforms)
+from dustlink.errors import DomainError
+from dustlink.rng import (ZERO_DRAW, UniformStream, derive_seed, philox4x64,
+                          substream, substream_uniforms, word_uniforms)
 
 seeds = st.integers(0, 2 ** 64 - 1)
 streams = st.integers(0, 2 ** 63)
 # block 33 onward lies past UniformStream's first 128-draw chunk
 blocks = st.integers(1, 200)
+
+
+def numpy_words(seed, stream, block):
+    """The oracle: numpy's Philox at counter ``(block - 1, 0, stream, 0)``.
+
+    The counter is a uint64 array, as numpy reads a tuple of Python ints
+    holding one >= 2**63 as float64 and rounds it.
+    """
+    counter = np.array([block - 1, 0, stream, 0], dtype=np.uint64)
+    return np.random.Philox(key=seed, counter=counter).random_raw(4)
 
 
 class TestPhilox:
@@ -82,6 +93,109 @@ class TestPhilox:
     def test_key_range(self, seed):
         with pytest.raises(ValueError):
             philox4x64(seed, 0, 1)
+
+    @pytest.mark.parametrize("stream", [
+        -1, np.array([-1]), np.array([0, -5], dtype=np.int32), 2 ** 64,
+        np.array([1, 2 ** 64], dtype=object), 1.5, np.array([0.0]), True])
+    def test_stream_range(self, stream):
+        # an int64 -1 once read as stream 2**64 - 1
+        with pytest.raises(ValueError, match="stream must be an int"):
+            philox4x64(3, stream, 1)
+
+    @pytest.mark.parametrize("block", [
+        0, -1, np.array([1, 0]), np.array([3, 0], dtype=np.uint64), 2 ** 64,
+        np.array([1, 2 ** 64], dtype=object), 2.0, np.array([True])])
+    def test_block_range(self, block):
+        # block 0 once read counter 2**64 - 1
+        with pytest.raises(ValueError, match="block must be an int"):
+            philox4x64(3, 0, block)
+
+    @pytest.mark.parametrize("first, count", [
+        (0, 1), (-1, 3), (np.array([2 ** 64 - 2], dtype=np.uint64), 3),
+        (np.array([2 ** 64 - 1], dtype=object), 2)])
+    def test_uniforms_block_range(self, first, count):
+        # each read, wrapped or not, a block outside [1, 2**64)
+        with pytest.raises(ValueError, match="block must be an int"):
+            substream_uniforms(3, [0], first, count)
+
+    def test_range_ends_accepted(self):
+        top = 2 ** 64 - 1
+        assert np.array_equal(philox4x64(top, top, top),
+                              numpy_words(top, top, top))
+        for first in (np.array([top - 1], dtype=np.uint64),
+                      np.array([2 ** 63 - 1])):
+            draws = substream_uniforms(3, 4, first, 2)
+            words = np.concatenate([numpy_words(3, 4, int(first[0]) + k)
+                                    for k in range(2)])
+            assert np.array_equal(draws[0], word_uniforms(words))
+
+    @given(st.lists(st.tuples(seeds, st.integers(0, 2 ** 64 - 1),
+                              st.integers(1, 2 ** 64 - 1)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_full_range_rows_match_numpy(self, rows):
+        seed_list, stream_list, block_list = (
+            np.array(col, dtype=np.uint64) for col in zip(*rows))
+        words = philox4x64(seed_list, stream_list, block_list)
+        assert words.shape == (len(rows), 4)
+        for row, (seed, stream, block) in zip(words, rows):
+            assert np.array_equal(row, numpy_words(seed, stream, block))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 8193])
+    def test_row_counts(self, n):
+        rows = np.random.default_rng(n)
+        seed_list = rows.integers(0, 2 ** 64, n, dtype=np.uint64)
+        stream_list = rows.integers(0, 2 ** 64, n, dtype=np.uint64)
+        block_list = rows.integers(1, 2 ** 64, n, dtype=np.uint64)
+        words = philox4x64(seed_list, stream_list, block_list)
+        assert words.shape == (n, 4) and words.dtype == np.uint64
+        for i in {0, n // 2, n - 1} if n else ():
+            assert np.array_equal(words[i], numpy_words(
+                int(seed_list[i]), int(stream_list[i]), int(block_list[i])))
+
+    def test_word_order(self):
+        # column j of the (n, 4) result is word j of each row's block
+        words = philox4x64(7, np.arange(3), np.array([1, 9, 2 ** 40]))
+        for j in range(4):
+            assert np.array_equal(words[:, j], [
+                numpy_words(7, stream, block)[j]
+                for stream, block in ((0, 1), (1, 9), (2, 2 ** 40))])
+
+    def test_nd_broadcast_of_all_inputs(self):
+        seed_grid = np.array([[1], [2 ** 64 - 1]], dtype=np.uint64)[:, :, None]
+        stream_grid = np.array([0, 2 ** 63 + 1], dtype=np.uint64)[None, :, None]
+        block_grid = np.array([1, 5, 2 ** 64 - 1], dtype=np.uint64)
+        words = philox4x64(seed_grid, stream_grid, block_grid)
+        assert words.shape == (2, 2, 3, 4)
+        for i, j, k in np.ndindex(2, 2, 3):
+            assert np.array_equal(words[i, j, k], numpy_words(
+                int(seed_grid[i, 0, 0]), int(stream_grid[0, j, 0]),
+                int(block_grid[k])))
+
+    def test_scalar_inputs_give_one_block(self):
+        assert philox4x64(5, 6, 7).shape == (4,)
+
+    def test_word_uniforms(self):
+        words = np.array([0, 2047, 2048, 2 ** 64 - 1], dtype=np.uint64)
+        draws = word_uniforms(words)
+        assert draws.tolist() == [ZERO_DRAW, ZERO_DRAW, 2.0 ** -53,
+                                  1.0 - 2.0 ** -53]
+        assert words.tolist() == [0, 2047, 2048, 2 ** 64 - 1]
+
+
+class TestDeriveSeed:
+    def test_numpy_integers_equal_ints(self):
+        assert derive_seed(np.int64(5), "time", np.uint8(3)) == derive_seed(5, "time", 3)
+
+    def test_large_ints_accepted(self):
+        assert derive_seed(2 ** 128 - 1, 0) != derive_seed(0, 0)
+
+    @pytest.mark.parametrize("part", [1.5, 1.0, True, np.bool_(False), -1,
+                                      np.int64(-2), None, b"time"])
+    def test_bad_part_rejected(self, part):
+        # 1.5 and True once hashed as 1; -1 leaked numpy's ValueError
+        with pytest.raises(DomainError, match="seed part"):
+            derive_seed(3, part)
 
 
 class TestUniformStream:

@@ -92,6 +92,17 @@ class TestStormConfig:
         with pytest.raises(DomainError, match=name):
             StormConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("wind_speed_m_s", "8"), ("timestep_s", None), ("updraft_m_s", True),
+        ("turbulence_m_s", np.bool_(True)), ("ramp_length_m", 1j),
+        ("domain_m", (0.0, "7000", -60.0, 60.0, 0.0, 120.0)),
+        ("vortex_center_m", (6000.0, None, 0.0)),
+        ("radius_range_m", (0.5e-6, False))])
+    def test_non_real_rejected(self, name, value):
+        # numpy's isfinite once raised TypeError on these
+        with pytest.raises(DomainError, match=f"{name} must be real"):
+            StormConfig(**{name: value})
+
     @pytest.mark.parametrize("ramp", [0.0, -5.0])
     def test_non_positive_ramp_rejected(self, ramp):
         # the advection velocity divides by the ramp length

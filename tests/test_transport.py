@@ -294,6 +294,37 @@ class TestWaveKernel:
             assert trace_packet(cfg, 0) == ("reached", math.exp(-25.0), 0)
 
 
+    def test_zero_turn_words_read_as_zero_draw(self, monkeypatch):
+        # Zero g, nu and chi words in every packet's first block. At g in
+        # [0, 1] a g draw of ZERO_DRAW takes the Henyey-Greenstein branch
+        # (cosine 0 at nu = ZERO_DRAW) and a raw 0 the isotropic one
+        # (cosine -1), so a kernel that skips the zero rule on these words
+        # leaves the reference's path.
+        def planted(seeds, streams, blocks):
+            words = philox4x64(seeds, streams, blocks)
+            first = np.broadcast_to(blocks, words.shape[:-1]) == 1
+            words[first, 1:] = 0
+            return words
+
+        class PlantedGenerator:
+            """``substream`` stand-in: raw draws, zeros and all."""
+
+            def __init__(self, seed, stream):
+                self.seed, self.stream, self.block = seed, stream, 1
+
+            def random(self, n):
+                blocks = np.arange(self.block, self.block + n // 4)
+                self.block += n // 4
+                words = planted(self.seed, self.stream, blocks)
+                return (words >> np.uint64(11)).reshape(-1) * 2.0 ** -53
+
+        monkeypatch.setattr(rng, "philox4x64", planted)
+        monkeypatch.setattr(transport, "substream", PlantedGenerator)
+        self.assert_matches_reference(config(
+            packet_count=50, extinction_per_m=2.5,
+            asymmetry=UniformAsymmetry(0.0, 1.0)))
+
+
 class TestEstimateBatch:
     """A batch of runs against each run alone and against the scalar reference."""
 
