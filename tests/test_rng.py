@@ -13,6 +13,9 @@ seeds = st.integers(0, 2 ** 64 - 1)
 streams = st.integers(0, 2 ** 63)
 # block 33 onward lies past UniformStream's first 128-draw chunk
 blocks = st.integers(1, 200)
+# the whole counter range philox4x64 takes
+all_streams = st.integers(0, 2 ** 64 - 1)
+all_blocks = st.integers(1, 2 ** 64 - 1)
 
 
 def numpy_words(seed, stream, block):
@@ -26,12 +29,11 @@ def numpy_words(seed, stream, block):
 
 
 class TestPhilox:
-    @given(seeds, streams, blocks)
+    @given(seeds, all_streams, all_blocks)
     @settings(max_examples=200, deadline=None)
     def test_words_match_numpy(self, seed, stream, block):
-        expected = np.random.Philox(
-            key=seed, counter=(block - 1, 0, stream, 0)).random_raw(4)
-        assert np.array_equal(philox4x64(seed, stream, block), expected)
+        assert np.array_equal(philox4x64(seed, stream, block),
+                              numpy_words(seed, stream, block))
 
     @given(seeds, st.lists(streams, min_size=1, max_size=5), blocks,
            st.integers(1, 6))
@@ -44,20 +46,20 @@ class TestPhilox:
             expected = substream(seed, stream).random(4 * (first - 1 + count))
             assert np.array_equal(row, expected[4 * (first - 1):])
 
-    @given(st.lists(st.tuples(seeds, streams, blocks), min_size=1, max_size=6))
-    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(seeds, all_streams, all_blocks),
+                    min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
     def test_per_row_keys_match_numpy(self, rows):
         seed_list, stream_list, block_list = zip(*rows)
         words = philox4x64(np.array(seed_list, dtype=object),
                            np.array(stream_list, dtype=np.uint64),
-                           np.array(block_list))
+                           np.array(block_list, dtype=object))
+        assert words.shape == (len(rows), 4)
         for row, (seed, stream, block) in zip(words, rows):
-            expected = np.random.Philox(
-                key=seed, counter=(block - 1, 0, stream, 0)).random_raw(4)
-            assert np.array_equal(row, expected)
+            assert np.array_equal(row, numpy_words(seed, stream, block))
         as_words = philox4x64(np.array(seed_list, dtype=np.uint64),
                               np.array(stream_list, dtype=np.uint64),
-                              np.array(block_list))
+                              np.array(block_list, dtype=np.uint64))
         assert np.array_equal(as_words, words)
 
     def test_uniforms_of_per_row_seeds(self):
@@ -129,18 +131,6 @@ class TestPhilox:
                                     for k in range(2)])
             assert np.array_equal(draws[0], word_uniforms(words))
 
-    @given(st.lists(st.tuples(seeds, st.integers(0, 2 ** 64 - 1),
-                              st.integers(1, 2 ** 64 - 1)),
-                    min_size=1, max_size=6))
-    @settings(max_examples=200, deadline=None)
-    def test_full_range_rows_match_numpy(self, rows):
-        seed_list, stream_list, block_list = (
-            np.array(col, dtype=np.uint64) for col in zip(*rows))
-        words = philox4x64(seed_list, stream_list, block_list)
-        assert words.shape == (len(rows), 4)
-        for row, (seed, stream, block) in zip(words, rows):
-            assert np.array_equal(row, numpy_words(seed, stream, block))
-
     @pytest.mark.parametrize("n", [0, 1, 2, 8193])
     def test_row_counts(self, n):
         rows = np.random.default_rng(n)
@@ -171,9 +161,6 @@ class TestPhilox:
             assert np.array_equal(words[i, j, k], numpy_words(
                 int(seed_grid[i, 0, 0]), int(stream_grid[0, j, 0]),
                 int(block_grid[k])))
-
-    def test_scalar_inputs_give_one_block(self):
-        assert philox4x64(5, 6, 7).shape == (4,)
 
     def test_word_uniforms(self):
         words = np.array([0, 2047, 2048, 2 ** 64 - 1], dtype=np.uint64)
