@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import AVOGADRO, ATM_PA, BOLTZMANN, C2_CM_K, HZ_PER_INVCM, LN2, SPEED_OF_LIGHT
-from .errors import CatalogError, DomainError, FormatError
+from .errors import CatalogError, DomainError, FormatError, is_int, require_finite
 
 __all__ = [
     "SpectralLine",
@@ -135,9 +135,11 @@ class SpectralLine:
     molar_mass_kg_mol: float
 
     def __post_init__(self):
-        for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        for name in ("molecule_id", "isotopologue_id"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise DomainError(f"{name} must be an int, got {value!r}")
+        require_finite(**{name: getattr(self, name) for name in _FLOAT_FIELDS})
         for name, test, message in _RANGE_CHECKS:
             if not test(getattr(self, name)):
                 raise DomainError(message)
@@ -357,8 +359,7 @@ class GasMixture:
     pressure_atm: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.temperature_k) and math.isfinite(self.pressure_atm)):
-            raise DomainError("temperature and pressure must be finite")
+        require_finite(temperature_k=self.temperature_k, pressure_atm=self.pressure_atm)
         if self.temperature_k <= 0 or self.pressure_atm <= 0:
             raise DomainError("temperature and pressure must be positive")
         names = [name for name, _ in self.species]
@@ -368,8 +369,7 @@ class GasMixture:
         for name, ratio in self.species:
             if name not in MOLECULE_IDS:
                 raise DomainError(f"unknown gas {name!r}")
-            if not math.isfinite(ratio):
-                raise DomainError(f"non-finite mixing ratio for {name}")
+            require_finite(**{f"mixing ratio for {name}": ratio})
             if not 0 <= ratio <= 1:
                 raise DomainError(f"mixing ratio for {name} outside [0, 1]")
             total += ratio

@@ -25,15 +25,15 @@ import numpy as np
 
 from . import atmosphere, link, storm
 from .errors import (CatalogError, ConfigError, DomainError, DustlinkError,
-                     FormatError)
+                     FormatError, is_int, require_finite)
 from .output import write_csv, write_svg_line
 from .presets import PLANETS, PlanetPreset, bundled_catalog_dir, preset
 from .rng import derive_seed
 from .scatter import LinearDensity, Visibility, VolumetricDensity
 # estimate_transmittance stays bound here although unused:
 # bench/test_bench.py checks that the benchmark's span recorder rebinds it
-from .transport import (TransportConfig, UniformAsymmetry, _is_int,
-                        estimate_batch, estimate_transmittance)  # noqa: F401
+from .transport import (TransportConfig, UniformAsymmetry, estimate_batch,
+                        estimate_transmittance)  # noqa: F401
 
 __all__ = ["ExperimentConfig", "ScenarioResult", "parse_config",
            "run_scenario", "write_outputs", "main", "SCENARIOS"]
@@ -135,19 +135,15 @@ class ExperimentConfig:
         for key, value in self.overrides.items():
             if key not in CONFIG_KEYS or not key.startswith(_OVERRIDE_PREFIXES):
                 raise ConfigError(f"unknown override key {key!r}")
-            # an int fits either kind of key; a float only a finite float key
-            if CONFIG_KEYS[key] is int and not _is_int(value):
+            # an int fits either kind of key, a float only a float key
+            if CONFIG_KEYS[key] is int and not is_int(value):
                 raise ConfigError(f"override {key} must be an int, got {value!r}")
-            if not (_is_int(value)
-                    or isinstance(value, float) and math.isfinite(value)):
-                raise ConfigError(
-                    f"override {key} must be a finite number, got {value!r}")
         ints = {"seed": self.seed, "replicates": self.replicates,
                 "workers": self.workers}
         if self.range_steps is not None:
             ints["range_steps"] = self.range_steps
         for name, value in ints.items():
-            if not _is_int(value):
+            if not is_int(value):
                 raise ConfigError(f"{name} must be an int, got {value!r}")
         if not 0 <= self.seed < 1 << 128:
             raise ConfigError(f"seed must be in [0, 2**128), got {self.seed!r}")
@@ -155,11 +151,15 @@ class ExperimentConfig:
             raise ConfigError("replicates and workers must be >= 1")
         if self.range_scale not in (None, "log", "linear"):
             raise ConfigError(f"unknown range scale {self.range_scale!r}")
+        reals = {f"override {key}": value for key, value in self.overrides.items()}
         for name in ("range_start", "range_stop", "density_lo_per_m",
                      "density_hi_per_m"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+            if getattr(self, name) is not None:
+                reals[name] = getattr(self, name)
+        try:
+            require_finite(**reals)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
         if (self.density_lo_per_m is None) != (self.density_hi_per_m is None):
             raise ConfigError(
                 "density.lo_per_m and density.hi_per_m must be set together")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import SPEED_OF_LIGHT, dbm_to_watts
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .presets import DEFAULT_NOISE_PSD_W_HZ, DEFAULT_TX_POWER_W, PlanetPreset
 from .rng import derive_seed, substream
 from .scatter import LinearDensity
@@ -57,11 +57,9 @@ class LinkConfig:
     noise_psd_w_hz: float = DEFAULT_NOISE_PSD_W_HZ
 
     def __post_init__(self):
-        for name in ("band_lo_hz", "band_hi_hz", "center_hz", "distance_m",
-                     "tx_power_w", "noise_psd_w_hz"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
+        require_finite(band_lo_hz=self.band_lo_hz, band_hi_hz=self.band_hi_hz,
+                       center_hz=self.center_hz, distance_m=self.distance_m,
+                       tx_power_w=self.tx_power_w, noise_psd_w_hz=self.noise_psd_w_hz)
         if self.band_lo_hz >= self.band_hi_hz:
             raise DomainError("band must satisfy f_lo < f_hi")
         if not self.band_lo_hz <= self.center_hz <= self.band_hi_hz:

@@ -14,8 +14,8 @@ in (0, 1) and ``log(u)`` is finite. ``substream`` + ``UniformStream``
 consume it one draw at a time. ``philox4x64`` computes the words of any
 blocks of many substreams, of one run seed or of one seed per row, at once
 in numpy (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11); ``word_uniforms`` maps words to draws, and ``substream_uniforms``
-is the two together, whole blocks per row.
+SC'11), and ``word_uniforms`` maps words to draws: the four draws of block
+``n`` of substream ``i`` are ``word_uniforms(philox4x64(seed, i, n))``.
 
 Kernel layout: ``philox4x64`` ravels its broadcast inputs to 1-D lanes of
 n counters and runs the ten rounds on ``(2, n)`` uint64 buffers, counter
@@ -29,10 +29,10 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_int
 
 __all__ = ["substream", "derive_seed", "UniformStream", "philox4x64",
-           "word_uniforms", "substream_uniforms", "ZERO_DRAW"]
+           "word_uniforms", "ZERO_DRAW"]
 
 # What a draw that maps to 0 reads as; it stays below every other draw
 # (the least is 2**-53), so draws keep the order of their words.
@@ -68,10 +68,14 @@ def substream(seed: int, stream_index: int) -> np.random.Generator:
     """Generator for one independent substream of a seeded run.
 
     Equivalent to ``Philox(key=seed).jumped(stream_index)`` but cheaper to
-    construct.
+    construct. The stream index is an int in [0, 2**64).
     """
-    bitgen = np.random.Philox(key=seed, counter=(0, 0, stream_index, 0))
-    return np.random.Generator(bitgen)
+    if not (is_int(stream_index) and 0 <= stream_index <= _MASK64):
+        raise DomainError(
+            f"stream index must be an int in [0, 2**64), got {stream_index!r}")
+    # a uint64 array: numpy reads a tuple holding an int >= 2**63 as float64
+    counter = np.array([0, 0, stream_index, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 def _checked(values, least: int, name: str) -> np.ndarray:
@@ -87,8 +91,7 @@ def _checked(values, least: int, name: str) -> np.ndarray:
         ok = (kind == "u" and least == 0) or not values.size or values.min() >= least
     else:
         ok = kind == "O" and all(
-            isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-            and least <= v <= _MASK64 for v in values.flat)
+            is_int(v) and least <= v <= _MASK64 for v in values.flat)
     if not ok:
         raise ValueError(f"{name} must be an int in [{least}, 2**64).")
     return values
@@ -190,27 +193,6 @@ def word_uniforms(words: np.ndarray) -> np.ndarray:
     return np.maximum(draws, ZERO_DRAW, out=draws)
 
 
-def substream_uniforms(seeds, streams, first_blocks, blocks: int) -> np.ndarray:
-    """Raw draws of many substreams: ``blocks`` Philox blocks each, as doubles.
-
-    Row ``r`` holds draws ``4 * (first_blocks[r] - 1)`` onward of substream
-    ``streams[r]`` of run seed ``seeds[r]`` (or of the one run ``seeds``),
-    that is the ``4 * blocks`` values ``substream(seed, stream).random()``
-    returns from that point, with a zero read as ``ZERO_DRAW``. First
-    blocks are ints >= 1, and a row may not run past block 2**64 - 1. The
-    Philox temporaries hold a few words per block computed, so callers
-    bound them by the rows they ask for at once.
-    """
-    seeds, streams, first_blocks = np.broadcast_arrays(
-        np.asarray(seeds), np.asarray(streams), np.asarray(first_blocks))
-    # a row run past block 2**64 - 1 wraps through block 0, which
-    # ``philox4x64`` rejects
-    first_blocks = _checked(first_blocks, 1, "block").astype(np.uint64)
-    words = philox4x64(seeds[..., None], streams[..., None],
-                       first_blocks[..., None] + np.arange(blocks, dtype=np.uint64))
-    return word_uniforms(words).reshape(words.shape[:-2] + (4 * blocks,))
-
-
 def derive_seed(*parts: int | str) -> int:
     """Hash a tuple of labels/indices into a 64-bit run seed.
 
@@ -223,8 +205,7 @@ def derive_seed(*parts: int | str) -> int:
     for part in parts:
         if isinstance(part, str):
             entropy.extend(part.encode("utf-8"))
-        elif isinstance(part, (int, np.integer)) and not isinstance(part, bool) \
-                and part >= 0:
+        elif is_int(part) and part >= 0:
             entropy.append(int(part))
         else:
             raise DomainError(

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 __all__ = [
     "SizeDistribution",
@@ -65,12 +65,6 @@ EARTH_PERMITTIVITY_FREQ_UNIT_HZ = 1e9
 VISIBILITY_LAW_CONSTANT = 0.034744
 
 
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 def _phi(z: float) -> float:
     """Standard normal cumulative distribution function."""
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
@@ -94,9 +88,9 @@ class SizeDistribution:
     def __post_init__(self):
         if self.kind not in ("log-normal", "point-mass"):
             raise DomainError(f"unknown size distribution kind {self.kind!r}")
-        _require_finite(median_radius_m=self.median_radius_m,
-                        geometric_sigma=self.geometric_sigma,
-                        r_min_m=self.r_min_m, r_max_m=self.r_max_m)
+        require_finite(median_radius_m=self.median_radius_m,
+                       geometric_sigma=self.geometric_sigma,
+                       r_min_m=self.r_min_m, r_max_m=self.r_max_m)
         if self.kind == "point-mass":
             if self.median_radius_m <= 0:
                 raise DomainError("point-mass radius must be positive")
@@ -182,9 +176,9 @@ class DustPermittivity:
     field_scale: float = 1.0
 
     def __post_init__(self):
-        _require_finite(eps_real=self.eps_real, eps_imag=self.eps_imag,
-                        charge_density=self.charge_density,
-                        field_scale=self.field_scale)
+        require_finite(eps_real=self.eps_real, eps_imag=self.eps_imag,
+                       charge_density=self.charge_density,
+                       field_scale=self.field_scale)
         if self.eps_imag < 0:
             raise DomainError("imaginary permittivity must be >= 0")
         if self.approximation not in ("mie", "rayleigh"):
@@ -208,7 +202,7 @@ def dust_permittivity(model: str, f_hz: float = 0.0) -> DustPermittivity:
     sqrt(3 + i*18.256/f_GHz)); Mars dust ("mars-constant", Rayleigh) is
     the constant (1.52 + 0.01i)**2. ``f_hz`` must be finite.
     """
-    _require_finite(f_hz=f_hz)
+    require_finite(f_hz=f_hz)
     if model == "earth-frequency-dependent":
         if f_hz <= 0:
             raise DomainError("earth permittivity needs a positive frequency")
@@ -226,7 +220,7 @@ class Visibility:
     meters: float
 
     def __post_init__(self):
-        _require_finite(meters=self.meters)
+        require_finite(meters=self.meters)
         if self.meters <= 0:
             raise DomainError("visibility must be positive")
 
@@ -237,7 +231,7 @@ class VolumetricDensity:
     per_m3: float
 
     def __post_init__(self):
-        _require_finite(per_m3=self.per_m3)
+        require_finite(per_m3=self.per_m3)
         if self.per_m3 < 0:
             raise DomainError("number density must be >= 0")
 
@@ -250,8 +244,8 @@ class LinearDensity:
     beam_area_m2: float = 1e-6   # 0.01 cm**2 beam face
 
     def __post_init__(self):
-        _require_finite(count_per_m=self.count_per_m,
-                        beam_area_m2=self.beam_area_m2)
+        require_finite(count_per_m=self.count_per_m,
+                       beam_area_m2=self.beam_area_m2)
         if self.count_per_m < 0:
             raise DomainError("linear particle density must be >= 0")
         if self.beam_area_m2 <= 0:

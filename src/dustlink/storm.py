@@ -17,9 +17,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_int, require_finite
 from .rng import substream
-from .transport import _is_int
 
 __all__ = [
     "StormConfig",
@@ -34,11 +33,6 @@ __all__ = [
 
 
 _VECTOR_SIZES = {"vortex_center_m": 3, "domain_m": 6, "radius_range_m": 2}
-
-
-def _is_real(value) -> bool:
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -62,10 +56,10 @@ class StormConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (_is_int(self.emission_rate) and self.emission_rate >= 0):
+        if not (is_int(self.emission_rate) and self.emission_rate >= 0):
             raise DomainError(
                 f"emission_rate must be an int >= 0, got {self.emission_rate!r}")
-        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 128):
+        if not (is_int(self.seed) and 0 <= self.seed < 1 << 128):
             raise DomainError(f"seed must be an int in [0, 2**128), got {self.seed!r}")
         for name, size in _VECTOR_SIZES.items():
             if np.shape(getattr(self, name)) != (size,):
@@ -75,12 +69,8 @@ class StormConfig:
             if f.name in ("emission_rate", "seed"):
                 continue
             value = getattr(self, f.name)
-            entries = value if f.name in _VECTOR_SIZES else (value,)
-            # checked before np.isfinite, which raises TypeError on the rest
-            if not all(_is_real(v) for v in entries):
-                raise DomainError(f"{f.name} must be real, got {value!r}")
-            if not np.isfinite(value).all():
-                raise DomainError(f"{f.name} must be finite, got {value!r}")
+            for entry in value if f.name in _VECTOR_SIZES else (value,):
+                require_finite(**{f.name: entry})
         if self.timestep_s <= 0:
             raise DomainError("timestep must be positive")
         if self.ramp_length_m <= 0:
@@ -195,12 +185,20 @@ class BeamCone:
     length_m: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("tx_m", "rx_m"):
+            point = getattr(self, name)
+            if np.shape(point) != (3,):
+                raise DomainError(f"{name} must have 3 entries, got {point!r}")
+            for entry in point:
+                require_finite(**{name: entry})
+            object.__setattr__(self, name, tuple(map(float, point)))
+        # named as the range checks below name them
+        require_finite(**{"half angle": self.half_angle_rad,
+                          "disk spacing": self.disk_spacing_m})
         if not 0 < self.half_angle_rad < math.pi / 2:
             raise DomainError("half angle must lie in (0, pi/2)")
-        if not 0 < self.disk_spacing_m < math.inf:
-            raise DomainError("disk spacing must be positive and finite")
-        if not all(map(math.isfinite, (*self.tx_m, *self.rx_m))):
-            raise DomainError("transmitter and receiver must be finite points")
+        if self.disk_spacing_m <= 0:
+            raise DomainError("disk spacing must be positive")
         length = math.dist(self.tx_m, self.rx_m)
         if length == 0.0:
             raise DomainError("transmitter and receiver coincide")
@@ -229,8 +227,7 @@ class BeamCone:
 def build_beam_cone(tx_m, rx_m, half_angle_rad: float,
                     disk_spacing_m: float) -> BeamCone:
     """Cone with disks at every ``disk_spacing_m`` along the axis."""
-    return BeamCone(tuple(map(float, tx_m)), tuple(map(float, rx_m)),
-                    half_angle_rad, disk_spacing_m)
+    return BeamCone(tx_m, rx_m, half_angle_rad, disk_spacing_m)
 
 
 def count_in_beam(fld: ParticleField, cone: BeamCone) -> tuple[int, np.ndarray]:
@@ -286,7 +283,7 @@ def density_time_series(cfg: StormConfig, cone: BeamCone,
     Returns (time, in-beam count, per-meter profile) per step;
     deterministic per seed.
     """
-    if not (_is_int(steps) and steps >= 1):
+    if not (is_int(steps) and steps >= 1):
         raise DomainError(f"steps must be an int >= 1, got {steps!r}")
     fld = empty_field()
     series = []

@@ -16,8 +16,8 @@ crossing, where the step direction necessarily has a positive X
 component, so the residual Beer-Lambert factor is always finite.
 
 Draw contract: event n (n = 1, 2, ...) of packet i of a run with seed s
-reads the four words of Philox block n of substream i, that is
-``substream_uniforms(s, i, n, 1)``, in the order step, g, nu, chi; a
+reads the four draws of Philox block n of substream i, that is
+``word_uniforms(philox4x64(s, i, n))``, in the order step, g, nu, chi; a
 packet that ends on its step ignores the other three. A fixed asymmetry g
 is ``UniformAsymmetry(g, g)``, whose g word is read and multiplied by 0.
 A word that maps to 0 reads as ``dustlink.rng.ZERO_DRAW`` (2**-54).
@@ -28,11 +28,10 @@ are held as arrays, and each wave advances every live packet by one event
 in numpy, with one ``dustlink.rng.philox4x64`` call for the wave's blocks.
 That call returns each word as a contiguous row; the wave turns the step
 word of every live packet into a draw, and the g, nu and chi words only
-of the packets that scatter on, with ``dustlink.rng.word_uniforms``, the
-arithmetic of ``substream_uniforms``. The packets of many
-runs share the kernel; a packet's state is its output index, run, first
-wave, X, X cosine and weight, and it reads its run's extinction and
-distance each wave. A wave sets every fate from masks, in the order
+of the packets that scatter on, with ``dustlink.rng.word_uniforms``. The
+packets of many runs share the kernel; a packet's state is its output
+index, run, first wave, X, X cosine and weight, and it reads its run's
+extinction and distance each wave. A wave sets every fate from masks, in the order
 crossing, backscatter, event guard, weight threshold, and drops the ended
 packets in one pass. ``trace_packet`` is the scalar reference, one packet
 in plain Python, reading the same draws one at a time. The kernel keeps
@@ -56,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import db_from_transmittance
-from .errors import DomainError
+from .errors import DomainError, is_int, require_finite
 from . import rng
 from .rng import UniformStream, substream, word_uniforms
 
@@ -84,12 +83,9 @@ class UniformAsymmetry:
     hi: float = 1.0
 
     def __post_init__(self):
+        require_finite(lo=self.lo, hi=self.hi)
         if not (0.0 <= self.lo <= self.hi <= 1.0):
             raise DomainError("need 0 <= lo <= hi <= 1")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -105,22 +101,21 @@ class TransportConfig:
     max_events: int = 10 ** 6
 
     def __post_init__(self):
-        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 64):
+        if not (is_int(self.seed) and 0 <= self.seed < 1 << 64):
             raise DomainError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
-        if not (_is_int(self.packet_count) and self.packet_count >= 1):
+        if not (is_int(self.packet_count) and self.packet_count >= 1):
             raise DomainError(
                 f"packet_count must be an int >= 1, got {self.packet_count!r}")
-        for name, value in (("distance_m", self.distance_m),
-                            ("extinction_per_m", self.extinction_per_m)):
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
+        require_finite(distance_m=self.distance_m,
+                       extinction_per_m=self.extinction_per_m,
+                       weight_threshold=self.weight_threshold)
         if self.distance_m <= 0:
             raise DomainError("distance must be positive")
         if self.extinction_per_m < 0:
             raise DomainError("extinction rate must be >= 0")
         if not (0.0 < self.weight_threshold < 1.0):
             raise DomainError("weight threshold must be in (0, 1)")
-        if not (_is_int(self.max_events) and self.max_events >= 1):
+        if not (is_int(self.max_events) and self.max_events >= 1):
             raise DomainError(
                 f"event guard max_events must be an int >= 1, got {self.max_events!r}")
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dustlink.errors import DomainError
 from dustlink.rng import (ZERO_DRAW, UniformStream, derive_seed, philox4x64,
-                          substream, substream_uniforms, word_uniforms)
+                          substream, word_uniforms)
 
 seeds = st.integers(0, 2 ** 64 - 1)
 streams = st.integers(0, 2 ** 63)
@@ -39,9 +39,10 @@ class TestPhilox:
            st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
     def test_uniforms_match_substream_draws(self, seed, stream_list, first, count):
-        draws = substream_uniforms(seed, np.array(stream_list, dtype=np.uint64),
-                                   np.full(len(stream_list), first), count)
-        assert draws.shape == (len(stream_list), 4 * count)
+        words = philox4x64(seed, np.array(stream_list, dtype=np.uint64)[:, None],
+                           first + np.arange(count))
+        assert words.shape == (len(stream_list), count, 4)
+        draws = word_uniforms(words).reshape(len(stream_list), 4 * count)
         for row, stream in zip(draws, stream_list):
             expected = substream(seed, stream).random(4 * (first - 1 + count))
             assert np.array_equal(row, expected[4 * (first - 1):])
@@ -66,17 +67,17 @@ class TestPhilox:
         seed_array = np.array([3, 2 ** 64 - 1, 2 ** 63 + 5, 11, 0], dtype=object)
         stream_array = np.array([0, 5, 2 ** 40, 7, 9])
         first = np.array([1, 3, 2, 40, 1])
-        draws = substream_uniforms(seed_array, stream_array, first, 3)
+        draws = word_uniforms(philox4x64(seed_array[:, None], stream_array[:, None],
+                                         first[:, None] + np.arange(3))).reshape(5, 12)
         for row, seed, stream, block in zip(draws, seed_array, stream_array, first):
             expected = substream(seed, stream).random(4 * (block + 2))
             assert np.array_equal(row, expected[4 * (block - 1):])
 
     @pytest.mark.parametrize("blocks", [1, 3])
     def test_uniforms_of_no_rows(self, blocks):
-        empty = np.empty(0, dtype=np.uint64)
-        draws = substream_uniforms(empty, np.empty(0, dtype=np.int64),
-                                   np.empty(0, dtype=np.int64), blocks)
-        assert draws.shape == (0, 4 * blocks)
+        words = philox4x64(np.empty((0, 1), dtype=np.uint64),
+                           np.empty((0, 1), dtype=np.int64), np.arange(1, blocks + 1))
+        assert word_uniforms(words).shape == (0, blocks, 4)
 
     def test_known_words(self):
         # oracle: the ROADMAP check, seed 123456789, packet 17, draws 0-3
@@ -112,24 +113,15 @@ class TestPhilox:
         with pytest.raises(ValueError, match="block must be an int"):
             philox4x64(3, 0, block)
 
-    @pytest.mark.parametrize("first, count", [
-        (0, 1), (-1, 3), (np.array([2 ** 64 - 2], dtype=np.uint64), 3),
-        (np.array([2 ** 64 - 1], dtype=object), 2)])
-    def test_uniforms_block_range(self, first, count):
-        # each read, wrapped or not, a block outside [1, 2**64)
-        with pytest.raises(ValueError, match="block must be an int"):
-            substream_uniforms(3, [0], first, count)
-
     def test_range_ends_accepted(self):
         top = 2 ** 64 - 1
         assert np.array_equal(philox4x64(top, top, top),
                               numpy_words(top, top, top))
-        for first in (np.array([top - 1], dtype=np.uint64),
-                      np.array([2 ** 63 - 1])):
-            draws = substream_uniforms(3, 4, first, 2)
-            words = np.concatenate([numpy_words(3, 4, int(first[0]) + k)
-                                    for k in range(2)])
-            assert np.array_equal(draws[0], word_uniforms(words))
+        for first in (top - 1, 2 ** 63 - 1):
+            blocks = np.array([first, first + 1], dtype=np.uint64)
+            draws = word_uniforms(philox4x64(3, 4, blocks)).reshape(-1)
+            words = np.concatenate([numpy_words(3, 4, first + k) for k in range(2)])
+            assert np.array_equal(draws, word_uniforms(words))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 8193])
     def test_row_counts(self, n):
@@ -168,6 +160,21 @@ class TestPhilox:
         assert draws.tolist() == [ZERO_DRAW, ZERO_DRAW, 2.0 ** -53,
                                   1.0 - 2.0 ** -53]
         assert words.tolist() == [0, 2047, 2048, 2 ** 64 - 1]
+
+
+class TestSubstream:
+    @pytest.mark.parametrize("stream", [0, 17, 2 ** 63 + 1, 2 ** 64 - 1,
+                                        np.uint64(2 ** 64 - 1)])
+    def test_words_match_philox(self, stream):
+        # a tuple counter read an index >= 2**63 as float64 and rounded it,
+        # and 2**64 - 1 warned of an invalid cast
+        raw = substream(1, stream).bit_generator.random_raw(4)
+        assert np.array_equal(raw, philox4x64(1, int(stream), 1))
+
+    @pytest.mark.parametrize("stream", [-1, 2 ** 64, 1.0, True, "3", None])
+    def test_bad_index_rejected(self, stream):
+        with pytest.raises(DomainError, match="stream index must be an int"):
+            substream(1, stream)
 
 
 class TestDeriveSeed:

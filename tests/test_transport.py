@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import dustlink.rng as rng
 import dustlink.transport as transport
 from dustlink.errors import DomainError
-from dustlink.rng import ZERO_DRAW, philox4x64, substream, substream_uniforms
+from dustlink.rng import ZERO_DRAW, philox4x64, substream, word_uniforms
 from dustlink.transport import (FATES, TransportConfig, UniformAsymmetry,
                                 estimate_batch, estimate_transmittance,
                                 sample_scatter_angles, trace_packet,
@@ -281,7 +281,8 @@ class TestWaveKernel:
 
         monkeypatch.setattr(rng, "philox4x64", planted)
         monkeypatch.setattr(transport, "substream", PlantedGenerator)
-        draws = substream_uniforms(11, np.arange(6), np.ones(6, dtype=int), 3)
+        draws = word_uniforms(rng.philox4x64(11, np.arange(6)[:, None],
+                                             np.arange(1, 4))).reshape(6, 12)
         planted_at = [(stream, 4 * (block - 1) + col)
                       for (stream, block), cols in zeros.items() for col in cols]
         for stream, j in planted_at:
