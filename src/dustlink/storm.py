@@ -35,6 +35,15 @@ __all__ = [
 _VECTOR_SIZES = {"vortex_center_m": 3, "domain_m": 6, "radius_range_m": 2}
 
 
+def _entries(value) -> tuple:
+    """The entries of a vector field, or ``(value,)`` if it has none. A
+    nested entry stays one entry, for the finite check to reject."""
+    try:
+        return tuple(value)
+    except TypeError:
+        return (value,)
+
+
 @dataclass(frozen=True)
 class StormConfig:
     """Wind-field parameters and particle bookkeeping for one storm run."""
@@ -62,7 +71,7 @@ class StormConfig:
         if not (is_int(self.seed) and 0 <= self.seed < 1 << 128):
             raise DomainError(f"seed must be an int in [0, 2**128), got {self.seed!r}")
         for name, size in _VECTOR_SIZES.items():
-            if np.shape(getattr(self, name)) != (size,):
+            if len(_entries(getattr(self, name))) != size:
                 raise DomainError(f"{name} must have {size} entries, "
                                   f"got {getattr(self, name)!r}")
         for f in fields(self):
@@ -186,9 +195,10 @@ class BeamCone:
 
     def __post_init__(self):
         for name in ("tx_m", "rx_m"):
-            point = getattr(self, name)
-            if np.shape(point) != (3,):
-                raise DomainError(f"{name} must have 3 entries, got {point!r}")
+            point = _entries(getattr(self, name))
+            if len(point) != 3:
+                raise DomainError(f"{name} must have 3 entries, "
+                                  f"got {getattr(self, name)!r}")
             for entry in point:
                 require_finite(**{name: entry})
             object.__setattr__(self, name, tuple(map(float, point)))

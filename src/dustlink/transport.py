@@ -25,15 +25,21 @@ A word that maps to 0 reads as ``dustlink.rng.ZERO_DRAW`` (2**-54).
 Two implementations share these rules. ``estimate_batch`` (and
 ``estimate_transmittance``, a batch of one) runs a wave kernel: packets
 are held as arrays, and each wave advances every live packet by one event
-in numpy, with one ``dustlink.rng.philox4x64`` call for the wave's blocks.
-That call returns each word as a contiguous row; the wave turns the step
-word of every live packet into a draw, and the g, nu and chi words only
-of the packets that scatter on, with ``dustlink.rng.word_uniforms``. The
+in numpy. While packets are still being admitted, each wave makes one
+``dustlink.rng.philox4x64`` call for the next block of every live packet;
+once all are admitted, one call computes the next ``_WAVE_ROWS // live``
+blocks of each, and the following waves read them row by row, so the
+tail of waves with few live packets shares a few calls. The blocks come
+back with each word as a contiguous row; the wave turns the step word of
+every live packet into a draw, and the g, nu and chi words only of the
+packets that scatter on, with ``dustlink.rng.word_uniforms``. The
 packets of many runs share the kernel; a packet's state is its output
-index, run, first wave, X, X cosine and weight, and it reads its run's
-extinction and distance each wave. A wave sets every fate from masks, in the order
-crossing, backscatter, event guard, weight threshold, and drops the ended
-packets in one pass. ``trace_packet`` is the scalar reference, one packet
+index, run, first wave, X, X cosine, weight and column in the blocks,
+and it reads its run's extinction and distance each wave. A wave sets
+every fate from masks, in the order crossing, backscatter, event guard,
+weight threshold, and drops the ended packets in one pass; the masks are
+turned into indices once, and the wave reads and writes through them.
+``trace_packet`` is the scalar reference, one packet
 in plain Python, reading the same draws one at a time. The kernel keeps
 the reference's branch order and floating-point operations, so each
 packet has the same fate and event count; its contribution agrees within
@@ -177,8 +183,9 @@ def _hg_cosine(g, nu):
     inversion clipped to [-1, 1] otherwise. ``g`` and ``nu`` broadcast.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        frac = (1.0 - g * g) / (1.0 - g + 2.0 * g * nu)
-        hg = np.clip((1.0 + g * g - frac * frac) / (2.0 * g), -1.0, 1.0)
+        g2, twice_g = g * g, 2.0 * g
+        frac = (1.0 - g2) / (1.0 - g + twice_g * nu)
+        hg = np.clip((1.0 + g2 - frac * frac) / twice_g, -1.0, 1.0)
     return np.where(g == 0.0, 2.0 * nu - 1.0, np.where(g == 1.0, 1.0, hg))
 
 
@@ -283,26 +290,31 @@ def trace_packet(cfg: TransportConfig,
                   + mx * ct)
 
 
-_WAVE_ROWS = 8192   # live packets, so Philox blocks of a wave, at most
+_WAVE_ROWS = 8192   # live packets, and Philox blocks of one call, at most
 
 
 def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
     """Trace every packet of each run ``cfgs[r]``.
 
     The runs share their asymmetry, weight threshold and event guard. A
-    live packet is (pos, run, born, x, mx, w): its output index, run, wave
-    of first event, X, X cosine and weight; each wave reads extinction and
-    distance by run. Packets are admitted in order, at most ``_WAVE_ROWS``
-    live at a time: whenever half the rows have ended, new packets take
-    their place, so a batch has one tail of waves with few live rows, not
-    one per ``_WAVE_ROWS`` packets. Each wave computes the next Philox
-    block of every live packet in one call, turns only the words a
-    packet reads into draws, and takes every live packet
-    through one pass of ``trace_packet``'s loop, with the same
+    live packet is (pos, run, born, col, x, mx, w): its output index, run,
+    wave of first event, column in the Philox blocks, X, X cosine and
+    weight; each wave reads extinction and distance by run. Packets are
+    admitted in order, at most ``_WAVE_ROWS`` live at a time: whenever half
+    the rows have ended, new packets take their place, so a batch has one
+    tail of waves with few live rows, not one per ``_WAVE_ROWS`` packets.
+    Event n reads block n. When the blocks of the last call are used up,
+    the next call computes, for every live packet, the block of its next
+    event, or, once every packet is admitted, the blocks of its next
+    ``_WAVE_ROWS // live`` events; so no call exceeds ``_WAVE_ROWS`` blocks,
+    and a packet that ends early leaves its later blocks unread. Each wave
+    turns only the words a packet reads into draws, takes every live
+    packet through one pass of ``trace_packet``'s loop, with the same
     floating-point operations, sets the fates from masks in its order
-    (crossing, backscatter, event guard, weight threshold) and compacts
-    once. Returns each run's contributions and fate codes, in packet
-    order, and each run's event total.
+    (crossing, backscatter, event guard, weight threshold), reading and
+    writing through the masks' indices, and compacts once. Returns each
+    run's contributions and fate codes, in packet order, and each run's
+    event total.
     """
     head = cfgs[0]
     asym = head.asymmetry
@@ -317,10 +329,11 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
     fates = np.zeros(total, dtype=np.uint8)   # fate 0 is "reached"
     events = np.zeros(len(cfgs), dtype=np.int64)
     rows = min(_WAVE_ROWS, total)
-    pos, run, born = (np.empty(0, dtype=np.int64) for _ in range(3))
+    pos, run, born, col = (np.empty(0, dtype=np.int64) for _ in range(4))
     x, mx, w = (np.empty(0) for _ in range(3))
     admitted = 0
     wave = 0
+    ahead = read = 0   # blocks computed ahead per packet, and read
     while admitted < total or pos.size:
         wave += 1
         if admitted < total and pos.size <= rows // 2:
@@ -336,37 +349,50 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
             x = np.concatenate((x, np.zeros(new.size)))
             mx, w = (np.concatenate((a, np.ones(new.size))) for a in (mx, w))
 
+        event = wave - born + 1
+        if read == ahead:
+            # event n reads block n of the packet's substream: the next block
+            # of each live packet while packets are admitted, then its next
+            # _WAVE_ROWS // live (through the module, so it can be patched).
+            # ``col`` is each live packet's column in these blocks.
+            ahead = (1 if admitted < total or not pos.size
+                     else _WAVE_ROWS // pos.size)
+            blocks = rng.philox4x64(run_seeds[run], pos - offsets[run],
+                                    event + np.arange(ahead)[:, None])
+            col = np.arange(pos.size)
+            read = 0
+        # one contiguous row per word: step, g, nu, chi
+        words = blocks[read].T
+        read += 1
         cext = run_cext[run]
         dist = run_dist[run]
-        event = wave - born + 1
-        # event n reads block n of the packet's substream, one word per
-        # row: step, g, nu, chi (through the module, so it can be patched)
-        words = rng.philox4x64(run_seeds[run], pos - offsets[run], event).T
         # a subnormal extinction gives an infinite step: the packet crosses
         with np.errstate(over="ignore"):
-            step = -np.log(word_uniforms(words[0])) / cext
+            step = -np.log(word_uniforms(words[0].take(col))) / cext
         x_next = x + step * mx
         ended = (x_next >= dist) & (mx > 0.0)
         # crossing: residual Beer-Lambert factor from the last scatter site
-        contributions[pos[ended]] = w[ended] * np.exp(
-            -cext[ended] * (dist[ended] - x[ended]) / mx[ended])
+        hit = np.flatnonzero(ended)
+        contributions[pos.take(hit)] = w.take(hit) * np.exp(
+            -cext.take(hit) * (dist.take(hit) - x.take(hit)) / mx.take(hit))
         x = x_next
         out = x < 0.0
         scattered = ~ended & ~out
-        events += np.bincount(run[scattered], minlength=len(cfgs))
+        events += np.bincount(run.compress(scattered), minlength=len(cfgs))
         guarded = scattered & (event >= head.max_events)
         # Beer-Lambert decay; dx/mx telescopes to the step length
         w = w * np.exp(-cext * step)
         killed = scattered & ~guarded & (w < head.weight_threshold)
-        fates[pos[out]] = _FATE_INDEX["backscatter_exit"]
-        fates[pos[guarded]] = _FATE_INDEX["guard_killed"]
-        fates[pos[killed]] = _FATE_INDEX["weight_killed"]
+        for mask, fate in ((out, "backscatter_exit"), (guarded, "guard_killed"),
+                           (killed, "weight_killed")):
+            fates[pos.take(np.flatnonzero(mask))] = _FATE_INDEX[fate]
         keep = scattered & ~guarded & ~killed
-        pos, run, born, x, mx, w = (a.compress(keep)
-                                    for a in (pos, run, born, x, mx, w))
+        kept = np.flatnonzero(keep)
+        pos, run, born, col, x, mx, w = (a.take(kept)
+                                         for a in (pos, run, born, col, x, mx, w))
         # only the packets that scatter on turn their g, nu, chi words
         # into draws
-        g, nu, chi = word_uniforms(words[1:].compress(keep, axis=1))
+        g, nu, chi = word_uniforms(words[1:].take(col, axis=1))
         g = asym.lo + (asym.hi - asym.lo) * g
         mx = _rotate(mx, _hg_cosine(g, nu), two_pi * chi)
     ends = offsets[1:-1]

@@ -128,6 +128,15 @@ class TestStormConfig:
         with pytest.raises(DomainError, match=name):
             StormConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value, message", [
+        # numpy's shape check raised "inhomogeneous shape" on these
+        ("vortex_center_m", (1.0, (2.0, 3.0), 0.0), "must be real"),
+        ("radius_range_m", ([0.5e-6], 4e-6), "must be real"),
+        ("domain_m", 5.0, "must have 6 entries")])
+    def test_ragged_or_scalar_vector_rejected(self, name, value, message):
+        with pytest.raises(DomainError, match=f"{name} {message}"):
+            StormConfig(**{name: value})
+
     @pytest.mark.parametrize("seed", [1.5, True, "3", -1, 2 ** 128])
     def test_bad_seed_rejected(self, seed):
         # these once constructed; the last two failed only inside numpy
@@ -160,6 +169,14 @@ class TestBeamCone:
     def test_non_finite_endpoint_rejected(self, rx):
         with pytest.raises(DomainError, match="finite"):
             build_beam_cone((0.0, 0.0, 0.0), rx, 0.01, 0.1)
+
+    @pytest.mark.parametrize("tx, message", [
+        # numpy's shape check raised "inhomogeneous shape" on the first
+        ((0.0, [1.0, 2.0], 0.0), "tx_m must be real"),
+        (5.0, "tx_m must have 3 entries")])
+    def test_ragged_or_scalar_point_rejected(self, tx, message):
+        with pytest.raises(DomainError, match=message):
+            build_beam_cone(tx, (1.0, 0.0, 0.0), 0.1, 0.1)
 
     def test_cone_without_disks_rejected(self):
         # the first disk sits one spacing from the apex, past this 5 mm beam

@@ -378,6 +378,37 @@ class TestEstimateBatch:
         monkeypatch.setattr(transport, "_WAVE_ROWS", 7)
         assert estimate_batch(cfgs) == whole
 
+    def test_blocks_read_ahead_keep_every_result(self, monkeypatch):
+        # An opaque run and a thin one whose tail spans many waves with few
+        # live packets. However many blocks a call computes ahead, every
+        # result is that of any other row cap, and no call exceeds the cap.
+        cfgs = [config(packet_count=150, extinction_per_m=40.0, seed=3),
+                config(packet_count=150, extinction_per_m=0.1, distance_m=30.0,
+                       seed=4)]
+        shapes = []
+
+        def counting(seeds, streams, blocks):
+            words = philox4x64(seeds, streams, blocks)
+            shapes.append(words.shape[:-1])   # (blocks ahead, live packets)
+            return words
+
+        monkeypatch.setattr(rng, "philox4x64", counting)
+        whole = estimate_batch(cfgs)
+        assert max(math.prod(shape) for shape in shapes) <= transport._WAVE_ROWS
+        # every packet is admitted in wave 1, and a packet reads one block a
+        # wave: n + 1 if it ends on its step after n events, else n
+        waves = max(n + (fate in ("reached", "backscatter_exit"))
+                    for cfg in cfgs for fate, _, n in (
+                        trace_packet(cfg, i) for i in range(cfg.packet_count)))
+        assert len(shapes) < waves
+        for rows in (1, 3, 64):
+            shapes.clear()
+            monkeypatch.setattr(transport, "_WAVE_ROWS", rows)
+            assert estimate_batch(cfgs) == whole
+            assert max(math.prod(shape) for shape in shapes) <= rows
+            if rows == 64:
+                assert max(ahead for ahead, _ in shapes) > 1
+
     def test_empty_batch(self):
         assert estimate_batch([]) == []
 

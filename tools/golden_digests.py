@@ -15,9 +15,10 @@ With two trees, runs the same set once per tree, each in its own
 subprocess, and prints, for each CSV whose digest differs, its header, its
 row count and the largest relative change of each column that changed. It
 exits 1 if a run or a header is missing or differs, a row count differs, a
-column outside ``bench/verify.py``'s ``MC_COLUMNS`` changes, or a cell
-flips between finite and non-finite or between zero and non-zero: a
-deliberate change of the Monte Carlo draws passes, anything else fails.
+column outside ``bench/verify.py``'s ``MC_COLUMNS`` changes, or a changed
+cell flips kind: it is not a finite number on both sides (text, nan or
+an infinity on either), or it is zero on one side only. A deliberate
+change of the Monte Carlo draws passes, anything else fails.
 """
 
 import hashlib
@@ -121,9 +122,18 @@ def _cells(path: Path) -> list[list[str]]:
     return [line.split(",") for line in path.read_text().splitlines()]
 
 
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def _changes(old: list[list[str]], new: list[list[str]]) -> tuple[dict, list[str]]:
     """Largest relative change per changed column of two CSVs with one
-    header and row count, and the cells that flip kind."""
+    header and row count, and the cells that flip kind: a changed cell is
+    a flip unless it is a finite number on both sides, zero on both or on
+    neither."""
     header = old[0]
     largest: dict[str, float] = {}
     flips = []
@@ -131,14 +141,12 @@ def _changes(old: list[list[str]], new: list[list[str]]) -> tuple[dict, list[str
         for column, a, b in zip(header, old_row, new_row):
             if a == b:
                 continue
-            try:
-                x, y = float(a), float(b)
-            except ValueError:
-                x, y = math.nan, math.nan   # text changed: no number to compare
-            if math.isfinite(x) != math.isfinite(y) or (x == 0.0) != (y == 0.0):
+            x, y = _number(a), _number(b)
+            if (x is None or y is None or not (math.isfinite(x) and math.isfinite(y))
+                    or (x == 0.0) != (y == 0.0)):
                 flips.append(f"{column}[{i}] {a} -> {b}")
-            change = (abs(x - y) / max(abs(x), abs(y))
-                      if math.isfinite(x) and math.isfinite(y) else math.inf)
+                continue
+            change = abs(x - y) / max(abs(x), abs(y))
             largest[column] = max(largest.get(column, 0.0), change)
     return largest, flips
 
