@@ -52,6 +52,11 @@ def test_text_change_is_a_flip():
     assert (largest, flips) == ({}, ["label[0] a -> b"])
 
 
-def test_same_number_other_text_is_no_change():
-    largest, flips = golden_digests._changes(OLD, changed(1, "range_value", "10.0"))
-    assert (largest, flips) == ({"range_value": 0.0}, [])
+@pytest.mark.parametrize("row, column, cell", [
+    (1, "range_value", "10.0"),
+    (2, "T_MS", "0"),     # 0/0 once raised ZeroDivisionError
+    (2, "T_MS", "-0.0"),
+])
+def test_same_number_other_text_is_no_change(row, column, cell):
+    largest, flips = golden_digests._changes(OLD, changed(row, column, cell))
+    assert (largest, flips) == ({column: 0.0}, [])

@@ -122,13 +122,6 @@ def _cells(path: Path) -> list[list[str]]:
     return [line.split(",") for line in path.read_text().splitlines()]
 
 
-def _number(cell: str) -> float | None:
-    try:
-        return float(cell)
-    except ValueError:
-        return None
-
-
 def _changes(old: list[list[str]], new: list[list[str]]) -> tuple[dict, list[str]]:
     """Largest relative change per changed column of two CSVs with one
     header and row count, and the cells that flip kind: a changed cell is
@@ -141,12 +134,14 @@ def _changes(old: list[list[str]], new: list[list[str]]) -> tuple[dict, list[str
         for column, a, b in zip(header, old_row, new_row):
             if a == b:
                 continue
-            x, y = _number(a), _number(b)
-            if (x is None or y is None or not (math.isfinite(x) and math.isfinite(y))
-                    or (x == 0.0) != (y == 0.0)):
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                x = y = math.nan   # text on either side: no number to compare
+            if not (math.isfinite(x) and math.isfinite(y)) or (x == 0.0) != (y == 0.0):
                 flips.append(f"{column}[{i}] {a} -> {b}")
                 continue
-            change = abs(x - y) / max(abs(x), abs(y))
+            change = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
             largest[column] = max(largest.get(column, 0.0), change)
     return largest, flips
 
