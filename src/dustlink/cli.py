@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
@@ -151,6 +150,14 @@ class ExperimentConfig:
             raise ConfigError("replicates and workers must be >= 1")
         if self.range_scale not in (None, "log", "linear"):
             raise ConfigError(f"unknown range scale {self.range_scale!r}")
+        if not isinstance(self.plot, bool):
+            raise ConfigError(f"plot must be a bool, got {self.plot!r}")
+        paths = {"output": self.output}
+        if self.catalog_dir is not None:
+            paths["catalog_dir"] = self.catalog_dir
+        for name, value in paths.items():
+            if not isinstance(value, (str, os.PathLike)):
+                raise ConfigError(f"{name} must be a str or path, got {value!r}")
         reals = {f"override {key}": value for key, value in self.overrides.items()}
         for name in ("range_start", "range_stop", "density_lo_per_m",
                      "density_hi_per_m"):
@@ -173,11 +180,12 @@ class ExperimentConfig:
 def parse_config(text: str, override_scenario: str | None = None) -> ExperimentConfig:
     """Parse a key-value config.
 
-    Unknown keys and unparsable or non-finite numbers are errors. Only the
-    keys that are set are passed on, so unset fields keep the defaults of
-    ``ExperimentConfig``.
+    Unknown or repeated keys and unparsable or non-finite numbers are
+    errors. Only the keys that are set are passed on, so unset fields keep
+    the defaults of ``ExperimentConfig``.
     """
     values: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -189,6 +197,10 @@ def parse_config(text: str, override_scenario: str | None = None) -> ExperimentC
         value = value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: {key} is already set on line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
         conv = CONFIG_KEYS[key]
         if conv == "bool":
             if value.lower() not in ("true", "false"):
@@ -274,6 +286,8 @@ def _sweep(cfg: ExperimentConfig, values: list[float],
     transports = [replace(run, seed=derive_seed(cfg.seed, cfg.scenario, vi, rep))
                   for vi, run in enumerate(runs) for rep in range(cfg.replicates)]
     if cfg.workers > 1:
+        # here, so one-worker runs and API imports never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         bounds = np.linspace(0, len(transports), cfg.workers + 1, dtype=int)
         slices = [transports[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
                   if hi > lo]

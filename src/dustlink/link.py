@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import SPEED_OF_LIGHT, dbm_to_watts
-from .errors import DomainError, require_finite
+from .errors import DomainError, is_int, require_finite
 from .presets import DEFAULT_NOISE_PSD_W_HZ, DEFAULT_TX_POWER_W, PlanetPreset
 from .rng import derive_seed, substream
 from .scatter import LinearDensity
@@ -114,22 +114,25 @@ class CapacityResult:
 
 def h_spreading(f_hz: float, distance_m: float) -> float:
     """Free-space spreading amplitude c/(4*pi*D*f)."""
-    if not (0 < f_hz < math.inf and 0 < distance_m < math.inf):
-        raise DomainError("frequency and distance must be positive and finite")
+    require_finite(f_hz=f_hz, distance_m=distance_m)
+    if not (f_hz > 0 and distance_m > 0):
+        raise DomainError("frequency and distance must be positive")
     return SPEED_OF_LIGHT / (4.0 * math.pi * distance_m * f_hz)
 
 
 def h_absorption(k_per_m: float, distance_m: float) -> float:
     """Molecular absorption amplitude exp(-k*D/2)."""
-    if not 0 <= k_per_m < math.inf:
-        raise DomainError("absorption coefficient must be finite and >= 0")
-    if not 0 < distance_m < math.inf:
-        raise DomainError("distance must be positive and finite")
+    require_finite(k_per_m=k_per_m, distance_m=distance_m)
+    if k_per_m < 0:
+        raise DomainError("absorption coefficient must be >= 0")
+    if distance_m <= 0:
+        raise DomainError("distance must be positive")
     return math.exp(-0.5 * k_per_m * distance_m)
 
 
 def h_dust(transmittance: float) -> float:
     """Dust transfer amplitude; exactly sqrt(T)."""
+    require_finite(transmittance=transmittance)
     if not (0.0 <= transmittance <= 1.0):
         raise DomainError("transmittance must be in [0, 1]")
     return math.sqrt(transmittance)
@@ -154,8 +157,9 @@ def channel_gain(f_hz: float, distance_m: float, k_per_m: float,
 
 def capacity(cfg: LinkConfig, h_los: float) -> CapacityResult:
     """Shannon capacity of the single sub-band at amplitude ``h_los``."""
-    if not 0 <= h_los < math.inf:
-        raise DomainError("channel amplitude must be finite and >= 0")
+    require_finite(h_los=h_los)
+    if h_los < 0:
+        raise DomainError("channel amplitude must be >= 0")
     bw = cfg.bandwidth_hz
     snr = h_los * h_los * cfg.tx_power_w / (bw * cfg.noise_psd_w_hz)
     return CapacityResult(capacity_bps=bw * math.log2(1.0 + snr), snr=snr)
@@ -187,8 +191,11 @@ def default_time_counts(planet: PlanetPreset, seed: int,
     """Per-second dust counts with low-dust drop windows.
 
     Each second draws uniformly from the planet's ``storm_count_range``,
-    or from its ``drop_count_range`` inside the drop windows.
+    or from its ``drop_count_range`` inside the drop windows. ``seconds``
+    must be an int >= 1.
     """
+    if not (is_int(seconds) and seconds >= 1):
+        raise DomainError(f"seconds must be an int >= 1, got {seconds!r}")
     rng = substream(derive_seed(seed, "time-counts"), 0)
     counts = []
     for t in range(seconds):

@@ -164,9 +164,11 @@ def sample_scatter_angles(nu, chi, g):
     nu_arr = np.asarray(nu, dtype=float)
     chi_arr = np.asarray(chi, dtype=float)
     g_arr = np.asarray(g, dtype=float)
-    if np.any((nu_arr < 0) | (nu_arr > 1)) or np.any((chi_arr < 0) | (chi_arr > 1)):
+    # written so that NaN fails the test
+    if not (np.all((0 <= nu_arr) & (nu_arr <= 1))
+            and np.all((0 <= chi_arr) & (chi_arr <= 1))):
         raise DomainError("variates must lie in [0, 1]")
-    if np.any((g_arr < 0) | (g_arr > 1)):
+    if not np.all((0 <= g_arr) & (g_arr <= 1)):
         raise DomainError("asymmetry must lie in [0, 1]")
 
     theta = np.arccos(_hg_cosine(g_arr, nu_arr))

@@ -1,8 +1,12 @@
 """Tests for config parsing, scenario runs and output emission."""
 
 import math
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from dustlink.cli import (CONFIG_KEYS, ExperimentConfig, SCENARIOS,
 from dustlink.errors import ConfigError
 from dustlink.presets import bundled_catalog_dir
 
+REPO = Path(__file__).resolve().parents[1]
 FLOAT_KEYS = [key for key, conv in CONFIG_KEYS.items() if conv is float]
 FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
 
@@ -80,6 +85,18 @@ class TestParseConfig:
     def test_scenario_alone_keeps_dataclass_defaults(self):
         assert parse_config("scenario = mcp_sweep") == ExperimentConfig("mcp_sweep")
 
+    @pytest.mark.parametrize("text, message", [
+        ("scenario = mcp_sweep\nseed = 1\nseed = 2",
+         "line 3: seed is already set on line 2"),
+        ("scenario = mcp_sweep\ntransport.packets = 100\n# again\n"
+         "transport.packets = 200\n",
+         "line 4: transport.packets is already set on line 2"),
+    ], ids=["seed", "transport.packets"])
+    def test_repeated_key_rejected(self, text, message):
+        # the later line once silently won
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_module_overrides_collected(self):
         cfg = parse_config("scenario = mcp_sweep\ntransport.packets = 100\n"
                            "link.tx_power_dbm = 5\n")
@@ -134,6 +151,21 @@ class TestExperimentConfig:
         # TypeError, or ran on a bool or a NaN
         with pytest.raises(ConfigError, match="override"):
             ExperimentConfig(scenario=scenario, overrides=overrides)
+
+    @pytest.mark.parametrize("name, value", [
+        ("plot", "no"), ("plot", 1), ("plot", None), ("output", 5),
+        ("output", None), ("catalog_dir", 5), ("catalog_dir", b"catalog"),
+    ])
+    def test_non_number_field_type_rejected(self, name, value):
+        # plot = "no" once wrote an SVG, and output = 5 leaked a TypeError
+        # from Path
+        with pytest.raises(ConfigError, match=f"{name} must be a"):
+            ExperimentConfig(scenario="mcp_sweep", **{name: value})
+
+    def test_path_fields_take_paths(self, tmp_path):
+        cfg = small_config("mcp_sweep", output=tmp_path / "out",
+                           catalog_dir=Path(bundled_catalog_dir()))
+        assert write_outputs(run_scenario(cfg), cfg)[0].parent == tmp_path / "out"
 
     @pytest.mark.parametrize("key", ["density.lo_per_m", "density.hi_per_m"])
     def test_half_set_density_range_rejected(self, key):
@@ -344,6 +376,13 @@ class TestMain:
         config.write_text("scenari = oops\n")
         assert main(["mcp_sweep", "--config", str(config)]) == 2
 
+    def test_repeated_key_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "twice.cfg"
+        config.write_text("seed = 1\nreplicates = 1\nseed = 2\n")
+        assert main(["mcp_sweep", "--config", str(config)]) == 2
+        assert ("config error: line 3: seed is already set on line 1"
+                in capsys.readouterr().err)
+
     def test_missing_config_file(self, capsys):
         assert main(["mcp_sweep", "--config", "/nonexistent/x.cfg"]) == 2
 
@@ -448,3 +487,20 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "mcp_sweep_mars.csv" in out
+
+
+def test_one_worker_run_loads_no_process_pool():
+    # only _sweep with workers > 1 needs multiprocessing, so neither an
+    # import of the CLI nor a one-worker run may load it
+    code = ("import sys\n"
+            "from dustlink.cli import ExperimentConfig, run_scenario\n"
+            "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+            "print(sorted(m for m in pool if m in sys.modules))\n"
+            "run_scenario(ExperimentConfig('mcp_sweep', replicates=1,\n"
+            "    range_steps=2, overrides={'transport.packets': 50}))\n"
+            "print(sorted(m for m in pool if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "[]"]

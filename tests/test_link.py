@@ -156,6 +156,28 @@ class TestCapacity:
         assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: h_spreading("1e11", 10.0),
+    lambda: h_spreading(1e11, None),
+    lambda: h_spreading(math.inf, 10.0),
+    lambda: h_absorption("0.1", 10.0),
+    lambda: h_absorption(0.1, "10"),
+    lambda: h_dust("0.5"),
+    lambda: h_dust(True),
+    lambda: capacity(link_config(), "1"),
+    lambda: default_time_counts(EARTH, 1, seconds="3"),
+    lambda: default_time_counts(EARTH, 1, seconds=2.0),
+    lambda: default_time_counts(EARTH, 1, seconds=True),
+    lambda: default_time_counts(EARTH, 1, seconds=0),
+], ids=["spreading_str", "spreading_none", "spreading_inf", "absorption_str",
+        "absorption_distance_str", "dust_str", "dust_bool", "capacity_str",
+        "seconds_str", "seconds_float", "seconds_bool", "seconds_zero"])
+def test_non_number_argument_raises_domain_error(call):
+    # these once leaked TypeError, and seconds = 0 returned []
+    with pytest.raises(DomainError):
+        call()
+
+
 class TestDbFromTransmittance:
     @pytest.mark.parametrize("transmittance, distance_m", [
         (0.5, 0.0), (0.5, -1.0), (0.5, math.inf), (math.nan, 1.0),

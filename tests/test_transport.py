@@ -59,6 +59,16 @@ class TestScatterAngles:
         se = cos.std(ddof=1) / math.sqrt(n)
         assert abs(cos.mean() - 0.6) < 3 * se
 
+    @pytest.mark.parametrize("nu, chi, g", [
+        (0.5, 0.5, math.nan), (math.nan, 0.5, 0.5), (0.5, math.nan, 0.5),
+        (np.array([0.5, math.nan]), np.array([0.5, 0.5]), 0.5),
+        (np.array([0.5, 0.5]), np.array([0.5, 0.5]), np.array([0.5, math.nan])),
+    ], ids=["g", "nu", "chi", "nu_array", "g_array"])
+    def test_nan_rejected(self, nu, chi, g):
+        # a NaN once passed the range checks and came back as theta or phi
+        with pytest.raises(DomainError):
+            sample_scatter_angles(nu, chi, g)
+
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=200, deadline=None)
     def test_angles_always_in_range(self, nu, chi, g):
