@@ -7,8 +7,9 @@ counter, and extinction/absorption table dumps. Every sweep point runs
 (config bytes, seed), for any worker count.
 
 Config files are UTF-8 ``key = value`` lines ('#' comments). Unknown keys
-are rejected; see ``CONFIG_KEYS`` for the schema. Exit codes: 0 success,
-2 config error, 3 data/catalog error, 4 runtime error.
+are rejected, and so is a key that the scenario does not read; see
+``CONFIG_KEYS`` for the schema. Exit codes: 0 success, 2 config error,
+3 data/catalog error, 4 runtime error.
 """
 
 import argparse
@@ -16,9 +17,10 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from statistics import median
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,63 +37,12 @@ from .transport import (TransportConfig, UniformAsymmetry, estimate_batch,
                         estimate_transmittance)  # noqa: F401
 
 __all__ = ["ExperimentConfig", "ScenarioResult", "parse_config",
-           "run_scenario", "write_outputs", "main", "SCENARIOS"]
+           "run_scenario", "check_read", "write_outputs", "main", "SCENARIOS",
+           "CONFIG_KEYS"]
 
 CATALOG_ENV_VAR = "DUSTLINK_CATALOG_DIR"
-
-# key -> converter; the complete config schema. A key under one of
-# _OVERRIDE_PREFIXES goes to ``ExperimentConfig.overrides``; any other key
-# sets the ExperimentConfig field named by the key with "." replaced by "_".
-CONFIG_KEYS = {
-    "scenario": str,
-    "planet": str,
-    "seed": int,
-    "replicates": int,
-    "workers": int,
-    "output": str,
-    "plot": "bool",
-    "catalog_dir": str,
-    "range.start": float,
-    "range.stop": float,
-    "range.steps": int,
-    "range.scale": str,
-    "density.lo_per_m": float,
-    "density.hi_per_m": float,
-    "transport.packets": int,
-    "transport.weight_threshold": float,
-    "transport.g_lo": float,
-    "transport.g_hi": float,
-    "transport.g_fixed": float,
-    "transport.max_events": int,
-    "transport.distance_m": float,
-    "medium.count_per_m": float,
-    "medium.visibility_m": float,
-    "medium.n0_per_m3": float,
-    "link.tx_power_dbm": float,
-    "link.noise_psd_w_hz": float,
-    "storm.emission_rate": int,
-    "storm.steps": int,
-    "storm.timestep_s": float,
-    "storm.updraft_m_s": float,
-    "storm.settling_m_s": float,
-    "storm.wind_speed_m_s": float,
-    "storm.vortex_strength_rad_s": float,
-}
-
-_OVERRIDE_PREFIXES = ("transport.", "medium.", "link.", "storm.")
-
-# config key -> the field it overrides in the transport template: a
-# TransportConfig field, a UniformAsymmetry bound ("lo", "hi"), or a fixed
-# "g", the zero-width range (g, g), which wins over the bounds
-_TRANSPORT_KEYS = {
-    "transport.packets": "packet_count",
-    "transport.distance_m": "distance_m",
-    "transport.weight_threshold": "weight_threshold",
-    "transport.max_events": "max_events",
-    "transport.g_lo": "lo",
-    "transport.g_hi": "hi",
-    "transport.g_fixed": "g",
-}
+DEFAULT_REPLICATES = 10
+_MEDIA = (Visibility, VolumetricDensity, LinearDensity)
 
 
 @dataclass(frozen=True)
@@ -111,7 +62,7 @@ class ExperimentConfig:
     scenario: str
     planet: str = "earth"
     seed: int = 1
-    replicates: int = 10
+    replicates: int | None = None      # None: DEFAULT_REPLICATES
     workers: int = 1
     output: str = "out"
     plot: bool = False
@@ -131,42 +82,34 @@ class ExperimentConfig:
                 + ", ".join(SCENARIOS))
         if self.planet not in PLANETS:
             raise ConfigError(f"unknown planet {self.planet!r}")
-        for key, value in self.overrides.items():
-            if key not in CONFIG_KEYS or not key.startswith(_OVERRIDE_PREFIXES):
-                raise ConfigError(f"unknown override key {key!r}")
-            # an int fits either kind of key, a float only a float key
-            if CONFIG_KEYS[key] is int and not is_int(value):
-                raise ConfigError(f"override {key} must be an int, got {value!r}")
-        ints = {"seed": self.seed, "replicates": self.replicates,
-                "workers": self.workers}
-        if self.range_steps is not None:
-            ints["range_steps"] = self.range_steps
-        for name, value in ints.items():
-            if not is_int(value):
+        reals = {}
+        for key, value in self.given().items():
+            spec = CONFIG_KEYS.get(key)
+            if key in self.overrides:
+                if spec is None or spec.owner is ExperimentConfig:
+                    raise ConfigError(f"unknown override key {key!r}")
+                name = f"override {key}"
+            else:
+                name = spec.field
+            # an int fits either kind of number, a float only a float key
+            if spec.kind is int and not is_int(value):
                 raise ConfigError(f"{name} must be an int, got {value!r}")
-        if not 0 <= self.seed < 1 << 128:
-            raise ConfigError(f"seed must be in [0, 2**128), got {self.seed!r}")
-        if self.replicates < 1 or self.workers < 1:
-            raise ConfigError("replicates and workers must be >= 1")
-        if self.range_scale not in (None, "log", "linear"):
-            raise ConfigError(f"unknown range scale {self.range_scale!r}")
-        if not isinstance(self.plot, bool):
-            raise ConfigError(f"plot must be a bool, got {self.plot!r}")
-        paths = {"output": self.output}
-        if self.catalog_dir is not None:
-            paths["catalog_dir"] = self.catalog_dir
-        for name, value in paths.items():
-            if not isinstance(value, (str, os.PathLike)):
+            if spec.kind is float:
+                reals[name] = value
+            if spec.kind is bool and not isinstance(value, bool):
+                raise ConfigError(f"{name} must be a bool, got {value!r}")
+            if spec.kind is os.PathLike and not isinstance(value, (str, os.PathLike)):
                 raise ConfigError(f"{name} must be a str or path, got {value!r}")
-        reals = {f"override {key}": value for key, value in self.overrides.items()}
-        for name in ("range_start", "range_stop", "density_lo_per_m",
-                     "density_hi_per_m"):
-            if getattr(self, name) is not None:
-                reals[name] = getattr(self, name)
         try:
             require_finite(**reals)
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
+        if not 0 <= self.seed < 1 << 128:
+            raise ConfigError(f"seed must be in [0, 2**128), got {self.seed!r}")
+        if (self.replicates is not None and self.replicates < 1) or self.workers < 1:
+            raise ConfigError("replicates and workers must be >= 1")
+        if self.range_scale not in (None, "log", "linear"):
+            raise ConfigError(f"unknown range scale {self.range_scale!r}")
         if (self.density_lo_per_m is None) != (self.density_hi_per_m is None):
             raise ConfigError(
                 "density.lo_per_m and density.hi_per_m must be set together")
@@ -175,6 +118,21 @@ class ExperimentConfig:
             raise ConfigError("range.start must not exceed range.stop")
         if self.range_steps is not None and self.range_steps < 1:
             raise ConfigError("range.steps must be >= 1")
+        # keys of which one would win over the other
+        media = [k for k in self.overrides if CONFIG_KEYS[k].owner in _MEDIA]
+        bounds = [k for k in self.overrides if CONFIG_KEYS[k].owner is UniformAsymmetry]
+        for clash in (media, bounds if "transport.g_fixed" in bounds else ()):
+            if len(clash) > 1:
+                raise ConfigError(" and ".join(clash) + " cannot be set together")
+
+    def given(self) -> dict:
+        """Config key -> value of every key set here: each override, and
+        each field but the ones left at a default of None."""
+        unset = {f.name for f in fields(self)
+                 if f.default is None and getattr(self, f.name) is None}
+        return {**{key: getattr(self, spec.field) for key, spec in CONFIG_KEYS.items()
+                   if spec.owner is ExperimentConfig and spec.field not in unset},
+                **self.overrides}
 
 
 def parse_config(text: str, override_scenario: str | None = None) -> ExperimentConfig:
@@ -201,18 +159,18 @@ def parse_config(text: str, override_scenario: str | None = None) -> ExperimentC
             raise ConfigError(f"line {lineno}: {key} is already set on line "
                               f"{first_line[key]}")
         first_line[key] = lineno
-        conv = CONFIG_KEYS[key]
-        if conv == "bool":
+        kind = CONFIG_KEYS[key].kind
+        if kind is bool:
             if value.lower() not in ("true", "false"):
                 raise ConfigError(f"line {lineno}: {key} must be true or false")
             values[key] = value.lower() == "true"
-        elif conv in (int, float):
+        elif kind in (int, float):
             try:
-                values[key] = conv(value)
+                values[key] = kind(value)
             except ValueError:
                 raise ConfigError(
                     f"line {lineno}: cannot parse {key}={value!r} as "
-                    f"{conv.__name__}") from None
+                    f"{kind.__name__}") from None
             if not math.isfinite(values[key]):
                 raise ConfigError(f"line {lineno}: {key} must be finite, "
                                   f"got {value!r}")
@@ -224,22 +182,27 @@ def parse_config(text: str, override_scenario: str | None = None) -> ExperimentC
     if "scenario" not in values:
         raise ConfigError("missing scenario")
 
-    overrides = {k: v for k, v in values.items() if k.startswith(_OVERRIDE_PREFIXES)}
-    fields = {k.replace(".", "_"): v for k, v in values.items() if k not in overrides}
-    return ExperimentConfig(**fields, overrides=overrides)
+    overrides = {k: v for k, v in values.items()
+                 if CONFIG_KEYS[k].owner is not ExperimentConfig}
+    return ExperimentConfig(**{CONFIG_KEYS[k].field: v for k, v in values.items()
+                               if k not in overrides}, overrides=overrides)
+
+
+def _set_fields(cfg: ExperimentConfig, owner) -> dict:
+    """Field -> value of each override that sets a field of ``owner``."""
+    return {CONFIG_KEYS[key].field: value for key, value in cfg.overrides.items()
+            if CONFIG_KEYS[key].owner == owner}
 
 
 def _transport(cfg: ExperimentConfig, planet: PlanetPreset) -> TransportConfig:
     """The transport template of every run a scenario traces."""
-    fields = {name: cfg.overrides[key] for key, name in _TRANSPORT_KEYS.items()
-              if key in cfg.overrides}
-    bounds = {name: fields.pop(name) for name in ("lo", "hi") if name in fields}
-    if "g" in fields:
-        g = fields.pop("g")
-        fields["asymmetry"] = UniformAsymmetry(g, g)
-    elif bounds:
-        fields["asymmetry"] = UniformAsymmetry(**bounds)
-    return replace(link.transport_template(planet), **fields)
+    values = _set_fields(cfg, TransportConfig)
+    bounds = _set_fields(cfg, UniformAsymmetry)
+    if "g" in bounds:      # transport.g_fixed, never set with a bound
+        bounds = {"lo": bounds["g"], "hi": bounds["g"]}
+    if bounds:
+        values["asymmetry"] = UniformAsymmetry(**bounds)
+    return replace(link.transport_template(planet), **values)
 
 
 def _grid(cfg: ExperimentConfig, start: float, stop: float, steps: int,
@@ -261,30 +224,28 @@ def _grid(cfg: ExperimentConfig, start: float, stop: float, steps: int,
 
 
 def _density(cfg: ExperimentConfig, planet: PlanetPreset):
-    """The density of a scenario's fixed dust population.
-
-    An explicit visibility or volumetric density override wins over the
-    per-meter beam count, ``medium.count_per_m`` or the preset's.
-    """
-    if "medium.visibility_m" in cfg.overrides:
-        return Visibility(cfg.overrides["medium.visibility_m"])
-    if "medium.n0_per_m3" in cfg.overrides:
-        return VolumetricDensity(cfg.overrides["medium.n0_per_m3"])
-    return LinearDensity(cfg.overrides.get("medium.count_per_m",
-                                           planet.dust_count_per_m))
+    """The density of a scenario's fixed dust population: the one
+    ``medium.*`` key set, or else the preset's per-meter beam count."""
+    for key, value in cfg.overrides.items():
+        spec = CONFIG_KEYS[key]
+        if spec.owner in _MEDIA:
+            return spec.owner(**{spec.field: value})
+    return LinearDensity(planet.dust_count_per_m)
 
 
 def _sweep(cfg: ExperimentConfig, values: list[float],
            runs: list[TransportConfig]) -> list[tuple]:
-    """Trace ``replicates`` seeded copies of each value's run.
+    """Trace ``replicates`` (default ``DEFAULT_REPLICATES``) seeded copies
+    of each value's run.
 
     All runs go in one batch, or with ``workers > 1`` one contiguous slice
     per worker; results do not depend on how the runs are split. Rows are
     ``(value, replicate, seed, T, A)``, sorted by value and replicate.
     """
-    keys = [(value, rep) for value in values for rep in range(cfg.replicates)]
+    replicates = cfg.replicates or DEFAULT_REPLICATES
+    keys = [(value, rep) for value in values for rep in range(replicates)]
     transports = [replace(run, seed=derive_seed(cfg.seed, cfg.scenario, vi, rep))
-                  for vi, run in enumerate(runs) for rep in range(cfg.replicates)]
+                  for vi, run in enumerate(runs) for rep in range(replicates)]
     if cfg.workers > 1:
         # here, so one-worker runs and API imports never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -318,10 +279,7 @@ def _link_config(cfg: ExperimentConfig, planet: PlanetPreset,
                  distance_m: float | None = None) -> link.LinkConfig:
     return link.LinkConfig.for_preset(
         planet,
-        distance_m=distance_m,
-        tx_power_dbm=cfg.overrides.get("link.tx_power_dbm"),
-        noise_psd_w_hz=cfg.overrides.get("link.noise_psd_w_hz"),
-    )
+        distance_m=distance_m, **_set_fields(cfg, link.LinkConfig.for_preset))
 
 
 def _runs_at(cfg: ExperimentConfig, planet: PlanetPreset,
@@ -395,14 +353,10 @@ _STORM_CONE = storm.build_beam_cone((5500.0, 0.0, 50.0), (6500.0, 0.0, 50.0),
 
 
 def _storm_config(cfg: ExperimentConfig, planet: PlanetPreset) -> storm.StormConfig:
-    # every storm.* key but storm.steps names a StormConfig field
     return storm.StormConfig(
         radius_range_m=(planet.size_distribution.r_min_m,
                         planet.size_distribution.r_max_m),
-        seed=cfg.seed,
-        **{key.removeprefix("storm."): value
-           for key, value in cfg.overrides.items()
-           if key.startswith("storm.") and key != "storm.steps"})
+        seed=cfg.seed, **_set_fields(cfg, storm.StormConfig))
 
 
 def _storm_density(cfg, planet, grid):
@@ -484,8 +438,94 @@ _SCENARIO_TABLE = {
 SCENARIOS = tuple(_SCENARIO_TABLE)
 
 
+class ConfigKey(NamedTuple):
+    """What one config key takes, sets and is read by."""
+
+    kind: type     # int, float, bool, str, or os.PathLike for a str or path
+    # ExperimentConfig, whose field the key sets; or else the class or
+    # function whose field or argument it sets as an override
+    owner: object
+    field: str
+    read_by: tuple[str, ...]    # the scenarios that read the key
+
+
+_SWEEPS = tuple(name for name, entry in _SCENARIO_TABLE.items()
+                if entry.header == _SWEEP_HEADER)
+_LINKS = ("time_scenario", "capacity_distance")
+_TRACED = _SWEEPS + _LINKS
+_GRIDDED = tuple(name for name, entry in _SCENARIO_TABLE.items()
+                 if entry.default_range is not None)
+_FIXED_MEDIUM = ("mcp_sweep", "distance_sweep", "frequency_sweep",
+                 "extinction_table")
+_STORM = ("storm_density",)
+
+
+# config key -> ConfigKey; the complete config schema. A key whose owner is
+# ExperimentConfig sets that field, any other goes to
+# ExperimentConfig.overrides. run_scenario rejects a key that its scenario
+# does not read. The MCP sweep's packet count is its sweep value, and the
+# link scenarios and the distance sweep set their own distance.
+CONFIG_KEYS = {key: ConfigKey(kind, owner, name, read_by)
+               for key, kind, owner, name, read_by in (
+    ("scenario", str, ExperimentConfig, "scenario", SCENARIOS),
+    ("planet", str, ExperimentConfig, "planet", SCENARIOS),
+    ("seed", int, ExperimentConfig, "seed", SCENARIOS),
+    ("workers", int, ExperimentConfig, "workers", SCENARIOS),
+    ("output", os.PathLike, ExperimentConfig, "output", SCENARIOS),
+    ("plot", bool, ExperimentConfig, "plot", SCENARIOS),
+    ("replicates", int, ExperimentConfig, "replicates", _SWEEPS),
+    ("catalog_dir", os.PathLike, ExperimentConfig, "catalog_dir",
+     ("absorption_spectrum", "time_scenario", "capacity_distance")),
+    ("range.start", float, ExperimentConfig, "range_start", _GRIDDED),
+    ("range.stop", float, ExperimentConfig, "range_stop", _GRIDDED),
+    ("range.steps", int, ExperimentConfig, "range_steps", _GRIDDED),
+    ("range.scale", str, ExperimentConfig, "range_scale", _GRIDDED),
+    ("density.lo_per_m", float, ExperimentConfig, "density_lo_per_m",
+     ("capacity_distance",)),
+    ("density.hi_per_m", float, ExperimentConfig, "density_hi_per_m",
+     ("capacity_distance",)),
+    ("transport.packets", int, TransportConfig, "packet_count",
+     tuple(s for s in _TRACED if s != "mcp_sweep")),
+    ("transport.distance_m", float, TransportConfig, "distance_m",
+     ("mcp_sweep", "visibility_sweep", "particle_sweep", "frequency_sweep")),
+    ("transport.weight_threshold", float, TransportConfig, "weight_threshold",
+     _TRACED),
+    ("transport.max_events", int, TransportConfig, "max_events", _TRACED),
+    ("transport.g_lo", float, UniformAsymmetry, "lo", _TRACED),
+    ("transport.g_hi", float, UniformAsymmetry, "hi", _TRACED),
+    # the zero-width range (g, g)
+    ("transport.g_fixed", float, UniformAsymmetry, "g", _TRACED),
+    ("medium.count_per_m", float, LinearDensity, "count_per_m", _FIXED_MEDIUM),
+    ("medium.visibility_m", float, Visibility, "meters", _FIXED_MEDIUM),
+    ("medium.n0_per_m3", float, VolumetricDensity, "per_m3", _FIXED_MEDIUM),
+    ("link.tx_power_dbm", float, link.LinkConfig.for_preset, "tx_power_dbm",
+     _LINKS),
+    ("link.noise_psd_w_hz", float, link.LinkConfig.for_preset, "noise_psd_w_hz",
+     _LINKS),
+    ("storm.emission_rate", int, storm.StormConfig, "emission_rate", _STORM),
+    ("storm.steps", int, storm.density_time_series, "steps", _STORM),
+    ("storm.timestep_s", float, storm.StormConfig, "timestep_s", _STORM),
+    ("storm.updraft_m_s", float, storm.StormConfig, "updraft_m_s", _STORM),
+    ("storm.settling_m_s", float, storm.StormConfig, "settling_m_s", _STORM),
+    ("storm.wind_speed_m_s", float, storm.StormConfig, "wind_speed_m_s", _STORM),
+    ("storm.vortex_strength_rad_s", float, storm.StormConfig,
+     "vortex_strength_rad_s", _STORM),
+)}
+
+
+def check_read(cfg: ExperimentConfig) -> None:
+    """Raise ``ConfigError`` naming each key set in ``cfg`` that its
+    scenario does not read."""
+    unread = [key for key in cfg.given()
+              if cfg.scenario not in CONFIG_KEYS[key].read_by]
+    if unread:
+        raise ConfigError(f"{cfg.scenario} does not read " + ", ".join(unread))
+
+
 def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
-    """Run one scenario; deterministic per (config, seed)."""
+    """Run one scenario; deterministic per (config, seed). A key that the
+    scenario does not read is a config error (``check_read``)."""
+    check_read(cfg)
     scenario = _SCENARIO_TABLE[cfg.scenario]
     planet = preset(cfg.planet)
     grid = (_grid(cfg, *scenario.default_range(planet))

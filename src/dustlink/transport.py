@@ -161,6 +161,11 @@ def sample_scatter_angles(nu, chi, g):
     forward-delta limit (theta = 0). Accepts scalars or arrays; returns
     (theta, phi) with theta in [0, pi] and phi in [0, 2*pi).
     """
+    # real kinds only, as in errors.require_finite: a str or a bool once
+    # converted to a variate
+    for name, value in (("variates", nu), ("variates", chi), ("asymmetry", g)):
+        if np.asarray(value).dtype.kind not in "iuf":
+            raise DomainError(f"{name} must be real, got {value!r}")
     nu_arr = np.asarray(nu, dtype=float)
     chi_arr = np.asarray(chi, dtype=float)
     g_arr = np.asarray(g, dtype=float)

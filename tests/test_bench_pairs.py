@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import json
+import platform
 from pathlib import Path
 
 import pytest
@@ -111,3 +112,30 @@ def test_failed_runs_are_recorded():
     run = bench_pairs.record(0, "child", canned_stdout(1.0, failed=2))
     assert run["correct"] is False
     assert run["failed"] == 2
+
+
+def test_numpy_facts_name_the_dispatched_features():
+    import numpy
+    facts = bench_pairs.numpy_facts()
+    assert facts["numpy"] == numpy.__version__
+    features = facts["numpy_cpu_features"]
+    assert features and features == sorted(features)
+    if platform.machine() in ("x86_64", "AMD64"):
+        assert "SSE2" in features     # the x86-64 baseline
+
+
+def test_written_file_records_numpy_facts(tmp_path, monkeypatch):
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "w"}]}))
+    monkeypatch.setattr(bench_pairs, "copy_tree", lambda src, dest: dest)
+    monkeypatch.setattr(bench_pairs, "compile_tree", lambda root: None)
+    run_pairs = bench_pairs.run_pairs
+    monkeypatch.setattr(bench_pairs, "run_pairs", lambda *args, **kwargs: run_pairs(
+        *args, **kwargs, runner=lambda *run: canned_stdout(1.0)))
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([str(root), str(root), "--tag", "t", "--pairs", "1"]) == 0
+    machine = json.loads((tmp_path / "BENCH_t.json").read_text())["machine"]
+    assert {key: machine[key] for key in MACHINE} == MACHINE
+    assert {key: machine[key] for key in ("numpy", "numpy_cpu_features")} == \
+        bench_pairs.numpy_facts()

@@ -1,5 +1,6 @@
 """Tests for config parsing, scenario runs and output emission."""
 
+import inspect
 import math
 import os
 import shutil
@@ -12,22 +13,27 @@ import numpy as np
 import pytest
 
 from dustlink.cli import (CONFIG_KEYS, ExperimentConfig, SCENARIOS,
-                          _OVERRIDE_PREFIXES, _SCENARIO_TABLE, _build_parser,
-                          main, parse_config, run_scenario, write_outputs)
+                          _SCENARIO_TABLE, _build_parser, main, parse_config,
+                          run_scenario, write_outputs)
 from dustlink.errors import ConfigError
 from dustlink.presets import bundled_catalog_dir
 
 REPO = Path(__file__).resolve().parents[1]
-FLOAT_KEYS = [key for key, conv in CONFIG_KEYS.items() if conv is float]
+FLOAT_KEYS = [key for key, spec in CONFIG_KEYS.items() if spec.kind is float]
 FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
+SMALL = {"replicates": 2, "range.steps": 3, "transport.packets": 400}
 
 
-def small_config(scenario: str, **kwargs) -> ExperimentConfig:
-    base = dict(scenario=scenario, planet="earth", seed=42, replicates=2,
-                overrides={"transport.packets": 400},
-                range_steps=3)
-    base.update(kwargs)
-    return ExperimentConfig(**base)
+def size_lines(scenario: str, sizes: dict = SMALL) -> str:
+    """Config lines of each of ``sizes`` that ``scenario`` reads."""
+    return "".join(f"{key} = {value}\n" for key, value in sizes.items()
+                   if scenario in CONFIG_KEYS[key].read_by)
+
+
+def small_config(scenario: str, sizes: dict = SMALL, **kwargs) -> ExperimentConfig:
+    cfg = parse_config(f"planet = earth\nseed = 42\n{size_lines(scenario, sizes)}",
+                       override_scenario=scenario)
+    return replace(cfg, **kwargs)
 
 
 class TestParseConfig:
@@ -36,7 +42,7 @@ class TestParseConfig:
         assert cfg.scenario == "visibility_sweep"
         assert cfg.planet == "earth"
         assert cfg.seed == 1
-        assert cfg.replicates == 10
+        assert cfg.replicates is None     # DEFAULT_REPLICATES where read
         assert cfg.workers == 1
         assert cfg.plot is False
 
@@ -78,9 +84,11 @@ class TestParseConfig:
 
     def test_every_plain_key_names_a_field(self):
         # parse_config passes a non-override key on as this field name
-        plain = [key for key in CONFIG_KEYS if not key.startswith(_OVERRIDE_PREFIXES)]
+        plain = [key for key, spec in CONFIG_KEYS.items()
+                 if spec.owner is ExperimentConfig]
         assert plain
-        assert all(key.replace(".", "_") in FIELD_NAMES for key in plain)
+        assert all(CONFIG_KEYS[key].field == key.replace(".", "_") in FIELD_NAMES
+                   for key in plain)
 
     def test_scenario_alone_keeps_dataclass_defaults(self):
         assert parse_config("scenario = mcp_sweep") == ExperimentConfig("mcp_sweep")
@@ -163,7 +171,7 @@ class TestExperimentConfig:
             ExperimentConfig(scenario="mcp_sweep", **{name: value})
 
     def test_path_fields_take_paths(self, tmp_path):
-        cfg = small_config("mcp_sweep", output=tmp_path / "out",
+        cfg = small_config("absorption_spectrum", output=tmp_path / "out",
                            catalog_dir=Path(bundled_catalog_dir()))
         assert write_outputs(run_scenario(cfg), cfg)[0].parent == tmp_path / "out"
 
@@ -220,7 +228,7 @@ class TestRunScenario:
         # atmosphere error about the frequency grid
         with pytest.raises(ConfigError,
                            match="range.start must not exceed range.stop"):
-            run_scenario(small_config(scenario, replicates=1, **bound))
+            run_scenario(small_config(scenario, **bound))
 
     def test_frequency_sweep_caps_at_preset_limit(self):
         cfg = small_config("frequency_sweep", replicates=1)
@@ -228,16 +236,15 @@ class TestRunScenario:
         assert max(row[0] for row in result.rows) <= 4e12
 
     def test_extinction_table_columns(self):
-        cfg = small_config("extinction_table", replicates=1)
+        cfg = small_config("extinction_table")
         result = run_scenario(cfg)
         assert result.header[:2] == ("f_hz", "C_ext_per_m")
         assert all(row[1] >= 0 for row in result.rows)
 
     def test_medium_override_changes_density(self):
-        counts = small_config("extinction_table", replicates=1)
+        counts = small_config("extinction_table")
         by_visibility = small_config(
-            "extinction_table", replicates=1,
-            overrides={"medium.visibility_m": 1000.0})
+            "extinction_table", overrides={"medium.visibility_m": 1000.0})
         a = run_scenario(counts).rows
         b = run_scenario(by_visibility).rows
         assert a != b
@@ -334,10 +341,10 @@ class TestWriteOutputs:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_every_scenario_writes_its_table_schema(self, scenario, planet,
                                                      tmp_path):
-        cfg = small_config(scenario, planet=planet, replicates=1, range_steps=2,
-                           output=str(tmp_path), plot=True,
-                           overrides={"transport.packets": 50,
-                                      "storm.steps": 2})
+        sizes = {"replicates": 1, "range.steps": 2, "transport.packets": 50,
+                 "storm.steps": 2}
+        cfg = small_config(scenario, sizes, planet=planet, output=str(tmp_path),
+                           plot=True)
         entry = _SCENARIO_TABLE[scenario]
         result = run_scenario(cfg)
         assert (result.header, result.x_column, result.y_column) == (
@@ -360,11 +367,100 @@ class TestWriteOutputs:
             write_csv(tmp_path / "ragged.csv", ["a", "b"], [(1,)])
 
 
+SWEEPS = ("mcp_sweep", "visibility_sweep", "particle_sweep", "distance_sweep",
+          "frequency_sweep")
+LINKS = ("time_scenario", "capacity_distance")
+# one class of keys a line: the config lines that set one key of it, and
+# the scenarios that read the class
+READERS = {
+    "replicates = 2": SWEEPS,
+    "range.steps = 2": SWEEPS + ("capacity_distance", "extinction_table",
+                                 "absorption_spectrum"),
+    "density.lo_per_m = 5\ndensity.hi_per_m = 6": ("capacity_distance",),
+    "catalog_dir = catalog": ("absorption_spectrum", "time_scenario",
+                              "capacity_distance"),
+    "transport.packets = 50": SWEEPS[1:] + LINKS,
+    "transport.distance_m = 5": ("mcp_sweep", "visibility_sweep",
+                                 "particle_sweep", "frequency_sweep"),
+    "transport.weight_threshold = 0.05": SWEEPS + LINKS,
+    "transport.g_fixed = 0.7": SWEEPS + LINKS,
+    "medium.visibility_m = 500": ("mcp_sweep", "distance_sweep",
+                                  "frequency_sweep", "extinction_table"),
+    "link.tx_power_dbm = 5": LINKS,
+    "storm.steps = 2": ("storm_density",),
+}
+UNREAD = [pytest.param(scenario, line, id=f"{scenario}-{line.split()[0]}")
+          for line, readers in READERS.items() for scenario in SCENARIOS
+          if scenario not in readers]
+
+
+class TestKeysRead:
+    @pytest.mark.parametrize("line, readers", READERS.items(),
+                             ids=[line.split()[0] for line in READERS])
+    def test_table_names_the_readers(self, line, readers):
+        key = line.split()[0]
+        assert sorted(CONFIG_KEYS[key].read_by) == sorted(readers)
+
+    @pytest.mark.parametrize("key, spec", CONFIG_KEYS.items())
+    def test_universal_keys_are_the_run_settings(self, key, spec):
+        universal = {"scenario", "planet", "seed", "workers", "output", "plot"}
+        assert (set(spec.read_by) == set(SCENARIOS)) == (key in universal)
+        assert set(spec.read_by) <= set(SCENARIOS)
+
+    @pytest.mark.parametrize("scenario, line", UNREAD)
+    def test_unread_key_exit_code(self, scenario, line, tmp_path, capsys):
+        # each key once ran and changed nothing
+        config = tmp_path / "unread.cfg"
+        config.write_text(f"{line}\n")
+        code = main([scenario, "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"config error: {scenario} does not read {line.split()[0]}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [["--replicates", "3"], ["--catalog", "c"]])
+    def test_unread_flag_exit_code(self, flag, tmp_path, capsys):
+        code = main(["storm_density", *flag, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "storm_density does not read " in capsys.readouterr().err
+
+    def test_every_unread_key_named(self):
+        cfg = ExperimentConfig("extinction_table", replicates=2,
+                               overrides={"transport.packets": 9,
+                                          "storm.steps": 2})
+        with pytest.raises(ConfigError, match="^extinction_table does not read "
+                           "replicates, transport.packets, storm.steps$"):
+            run_scenario(cfg)
+
+    @pytest.mark.parametrize("lines", [
+        "transport.g_fixed = 0.7\ntransport.g_lo = 0.2",
+        "transport.g_fixed = 0.7\ntransport.g_hi = 0.9",
+        "medium.visibility_m = 500\nmedium.n0_per_m3 = 1e7",
+        "medium.visibility_m = 500\nmedium.count_per_m = 50",
+        "medium.n0_per_m3 = 1e7\nmedium.count_per_m = 50",
+    ])
+    def test_competing_keys_exit_code(self, lines, tmp_path, capsys):
+        # the first once silently won over the second
+        config = tmp_path / "pair.cfg"
+        config.write_text(f"{lines}\n")
+        assert main(["mcp_sweep", "--config", str(config)]) == 2
+        first, second = (line.split()[0] for line in lines.splitlines())
+        assert (f"config error: {first} and {second} cannot be set together"
+                in capsys.readouterr().err)
+
+    def test_every_override_sets_a_field_of_its_owner(self):
+        for key, spec in CONFIG_KEYS.items():
+            if spec.owner is ExperimentConfig or spec.field == "g":
+                continue
+            assert spec.field in inspect.signature(spec.owner).parameters, key
+
+
 class TestMain:
     def test_smoke_run(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("planet = earth\nseed = 5\nreplicates = 1\n"
-                          "transport.packets = 200\nrange.steps = 2\n")
+                          "range.steps = 2\n")
         code = main(["mcp_sweep", "--config", str(config),
                      "--out", str(tmp_path / "out")])
         assert code == 0
@@ -405,7 +501,7 @@ class TestMain:
     def test_one_sided_range_past_default_exit_code(self, scenario, line,
                                                     tmp_path, capsys):
         config = tmp_path / "range.cfg"
-        config.write_text(f"replicates = 1\n{line}\n")
+        config.write_text(f"{line}\n")
         code = main([scenario, "--config", str(config),
                      "--out", str(tmp_path / "out")])
         assert code == 2
@@ -426,7 +522,8 @@ class TestMain:
     def test_bad_override_value_exit_code(self, scenario, line, tmp_path, capsys):
         # each once a runtime error (exit 4) from the object the value builds
         config = tmp_path / "bad.cfg"
-        config.write_text(f"replicates = 1\nrange.steps = 2\n{line}\n")
+        sizes = {"replicates": 1, "range.steps": 2}
+        config.write_text(f"{size_lines(scenario, sizes)}{line}\n")
         code = main([scenario, "--config", str(config),
                      "--out", str(tmp_path / "out")])
         assert code == 2
@@ -471,8 +568,7 @@ class TestMain:
 
     def test_config_plot_holds_without_flag(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        config.write_text("plot = true\nreplicates = 1\n"
-                          "transport.packets = 200\nrange.steps = 2\n")
+        config.write_text("plot = true\nreplicates = 1\nrange.steps = 2\n")
         code = main(["mcp_sweep", "--config", str(config),
                      "--out", str(tmp_path / "out")])
         assert code == 0
@@ -480,8 +576,7 @@ class TestMain:
 
     def test_cli_flags_override_config(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        config.write_text("planet = earth\nreplicates = 1\n"
-                          "transport.packets = 200\nrange.steps = 2\n")
+        config.write_text("planet = earth\nreplicates = 1\nrange.steps = 2\n")
         code = main(["mcp_sweep", "--config", str(config), "--planet", "mars",
                      "--out", str(tmp_path / "out"), "--seed", "9"])
         assert code == 0
@@ -497,7 +592,7 @@ def test_one_worker_run_loads_no_process_pool():
             "pool = ('concurrent.futures.process', 'multiprocessing')\n"
             "print(sorted(m for m in pool if m in sys.modules))\n"
             "run_scenario(ExperimentConfig('mcp_sweep', replicates=1,\n"
-            "    range_steps=2, overrides={'transport.packets': 50}))\n"
+            "    range_steps=2, range_stop=100))\n"
             "print(sorted(m for m in pool if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env,

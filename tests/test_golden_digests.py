@@ -60,3 +60,27 @@ def test_text_change_is_a_flip():
 def test_same_number_other_text_is_no_change(row, column, cell):
     largest, flips = golden_digests._changes(OLD, changed(row, column, cell))
     assert (largest, flips) == ({column: 0.0}, [])
+
+
+def tree(digests, rejected=(), without=None):
+    return {"digests": digests, "rejected": dict(rejected), "without": without or {}}
+
+
+def test_rejected_run_passes_when_its_override_was_unread():
+    old = tree({"a": "1", "b": "2"}, without={"b": "2"})
+    new = tree({"a": "1"}, rejected={"b": "link.tx_power_dbm"})
+    assert golden_digests.rejection_failures(old, new) == []
+    # a run both trees reject needs no comparison
+    assert golden_digests.rejection_failures(
+        tree({}, rejected={"b": "k"}), tree({}, rejected={"b": "k"})) == []
+
+
+@pytest.mark.parametrize("old", [
+    tree({"b": "2"}, without={"b": "3"}),   # the key changed the old CSV
+    tree({"b": "2"}),                        # no run without the key
+    tree({}, without={"b": "3"}),            # no run with it
+], ids=["changed", "no_without", "no_digest"])
+def test_rejected_run_fails_unless_shown_unread(old):
+    new = tree({}, rejected={"b": "transport.distance_m"})
+    assert golden_digests.rejection_failures(old, new) == [
+        "b: rejected, but transport.distance_m changes the old tree's CSV"]

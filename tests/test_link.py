@@ -1,18 +1,17 @@
 """Tests for channel gain composition, capacity, and the link scenarios."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dustlink.cli import (CONFIG_KEYS, _TRANSPORT_KEYS, ExperimentConfig,
-                          _transport)
+from dustlink.cli import CONFIG_KEYS, ExperimentConfig, _transport
 from dustlink.constants import (SPEED_OF_LIGHT, db_from_transmittance,
                                 dbm_to_watts)
-from dustlink.errors import DomainError
+from dustlink.errors import ConfigError, DomainError
 from dustlink.link import (DROP_WINDOWS_S, LinkConfig, capacity, channel_gain,
                            default_time_counts, h_absorption, h_dust,
                            h_spreading, run_distance_sweep, run_time_scenario,
@@ -232,8 +231,14 @@ class TestTransportTemplate:
         assert template.seed == 0
 
     def test_every_transport_key_routed_once(self):
-        keys = [key for key in CONFIG_KEYS if key.startswith("transport.")]
-        assert sorted(keys) == sorted(_TRANSPORT_KEYS)
+        # each sets one TransportConfig field or asymmetry bound; "g" both
+        transport_fields = {f.name for f in fields(TransportConfig)}
+        targets = {key: (spec.owner, spec.field) for key, spec in CONFIG_KEYS.items()
+                   if key.startswith("transport.")}
+        assert len(set(targets.values())) == len(targets) == 7
+        assert all(name in transport_fields if owner is TransportConfig
+                   else owner is UniformAsymmetry and name in ("lo", "hi", "g")
+                   for owner, name in targets.values())
 
     @pytest.mark.parametrize("overrides, field, value", [
         ({}, "asymmetry", UniformAsymmetry()),
@@ -246,14 +251,21 @@ class TestTransportTemplate:
         ({"transport.g_lo": 0.1, "transport.g_hi": 0.3}, "asymmetry",
          UniformAsymmetry(0.1, 0.3)),
         ({"transport.g_fixed": 0.3}, "asymmetry", UniformAsymmetry(0.3, 0.3)),
-        ({"transport.g_fixed": 0.3, "transport.g_lo": 0.2}, "asymmetry",
-         UniformAsymmetry(0.3, 0.3)),
     ], ids=["unset", "packets", "distance_m", "weight_threshold", "max_events", "g_lo", "g_hi", "g_lo_hi",
-            "g_fixed", "g_fixed_wins"])
+            "g_fixed"])
     def test_cli_key_sets_field(self, overrides, field, value):
         cfg = ExperimentConfig("mcp_sweep", planet="mars", overrides=overrides)
         assert _transport(cfg, MARS) == replace(transport_template(MARS),
                                                 **{field: value})
+
+    @pytest.mark.parametrize("bounds", [{"transport.g_lo": 0.2},
+                                        {"transport.g_hi": 0.8},
+                                        {"transport.g_lo": 0.2, "transport.g_hi": 0.8}])
+    def test_g_fixed_with_a_bound_rejected(self, bounds):
+        # g_fixed once silently won over the bounds
+        with pytest.raises(ConfigError, match="transport.g_fixed and transport.g_"):
+            ExperimentConfig("mcp_sweep", overrides={"transport.g_fixed": 0.3,
+                                                     **bounds})
 
 
 class TestTimeScenario:

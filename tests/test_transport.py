@@ -11,10 +11,10 @@ import dustlink.rng as rng
 import dustlink.transport as transport
 from dustlink.errors import DomainError
 from dustlink.rng import ZERO_DRAW, philox4x64, substream, word_uniforms
-from dustlink.transport import (FATES, TransportConfig, UniformAsymmetry,
-                                estimate_batch, estimate_transmittance,
-                                sample_scatter_angles, trace_packet,
-                                update_direction)
+from dustlink.transport import (FATES, FateCounts, TransportConfig,
+                                UniformAsymmetry, estimate_batch,
+                                estimate_transmittance, sample_scatter_angles,
+                                trace_packet, update_direction)
 
 
 def config(**kwargs) -> TransportConfig:
@@ -67,6 +67,19 @@ class TestScatterAngles:
     def test_nan_rejected(self, nu, chi, g):
         # a NaN once passed the range checks and came back as theta or phi
         with pytest.raises(DomainError):
+            sample_scatter_angles(nu, chi, g)
+
+    @pytest.mark.parametrize("nu, chi, g", [
+        ("0.5", 0.5, 0.5), (0.5, "0.5", 0.5), (0.5, 0.5, "0.5"),
+        (True, 0.5, 0.5), (0.5, False, 0.5), (0.5, 0.5, True),
+        (np.array([0.5, 0.5]), np.array([True, False]), 0.5),
+        (np.array(["0.5"]), np.array([0.5]), 0.5),
+        (0.5, 0.5, None),
+    ], ids=["str_nu", "str_chi", "str_g", "bool_nu", "bool_chi", "bool_g",
+            "bool_array", "str_array", "none_g"])
+    def test_non_real_kind_rejected(self, nu, chi, g):
+        # ("0.5", 0.5, 0.5) once gave (0.813, pi), (True, 0.5, 0.5) (0, pi)
+        with pytest.raises(DomainError, match="must be real"):
             sample_scatter_angles(nu, chi, g)
 
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
@@ -464,6 +477,21 @@ class TestEstimateBatch:
                     (contributions,), _, _ = transport._trace_packets([cfg])
                     se = contributions.std(ddof=1) / math.sqrt(cfg.packet_count)
                     assert contributions.mean() + 3 * se >= math.exp(-2 * depth)
+
+
+class TestScaleInvariance:
+    def test_power_of_two_rescaling_is_exact(self):
+        # (C*2^k, D*2^-k) scales every length, step and quotient by a power
+        # of two and leaves each extinction product alone, so the kernel
+        # gives bit-identical results; a length that is not homogeneous in
+        # the rules breaks this
+        results = estimate_batch([config(extinction_per_m=0.25 * 2.0 ** k,
+                                         distance_m=10.0 * 2.0 ** -k, seed=5)
+                                  for k in (-3, 0, 1, 4)])
+        for result in results:
+            assert result.transmittance == 0.0439394702220736
+            assert result.fates == FateCounts(1577, 60, 363, 0)
+            assert result.mean_events == 3.9085
 
 
 class TestConfigValidation:

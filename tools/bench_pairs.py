@@ -12,10 +12,11 @@ named in NEW_ROOT's ``BENCHMARK.json``, both copies run their own
 first in even pairs, the child (NEW) first in odd ones.
 
 Writes ``BENCH_<tag>.json`` to the current directory with both trees'
-commits, the machine facts, every run's ``correct``/``attempted``/
-``failed`` and metrics, and per workload and metric: the parent's and the
-child's median and quartiles, the relative change of the medians, and how
-many pairs the child read lower. It imports no ``dustlink`` and applies
+commits, the machine facts (numpy's version and the CPU features it
+dispatches on among them), every run's ``correct``/``attempted``/``failed``
+and metrics, and per workload and metric: the parent's and the child's
+median and quartiles, the relative change of the medians, and how many
+pairs the child read lower. It imports no ``dustlink`` and applies
 no gate; the bounds live in ``BENCHMARK.json``.
 """
 
@@ -78,6 +79,18 @@ def parse_result(stdout: str) -> dict:
     if not isinstance(result, dict) or "metrics" not in result:
         raise ValueError(f"last line is not a benchmark result: {lines[-1]!r}")
     return result
+
+
+def numpy_facts() -> dict:
+    """numpy's version and the CPU features it dispatches on here. CSV
+    bytes depend on both: some ufuncs round differently per SIMD target."""
+    import numpy
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:     # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {"numpy": numpy.__version__,
+            "numpy_cpu_features": sorted(k for k, on in __cpu_features__.items() if on)}
 
 
 def parse_machine(stdout: str) -> dict | None:
@@ -183,7 +196,8 @@ def main(argv=None) -> int:
         "tag": args.tag,
         "parent": git_state(sources["parent"]),
         "child": git_state(sources["child"]),
-        "machine": {**(machine or {}), "platform": platform.platform()},
+        "machine": {**(machine or {}), "platform": platform.platform(),
+                    **numpy_facts()},
         "protocol": {"pairs": args.pairs, "seconds": args.seconds,
                      "seed": args.seed, "order": "parent first in even pairs",
                      "bytecode": "fresh copies compiled with compileall"},

@@ -8,8 +8,11 @@ that maps each run to the SHA-256 of its CSV. The runs are every scenario
 x planet at small sizes, alone and with one override set per
 ``transport.*``, ``link.*`` and ``medium.*`` key (and, for
 ``storm_density``, per ``storm.*`` key), at 1 and 3 workers, plus every
-``bench/jobs.py`` job of every input set. A refactor that keeps the output
-gives the same JSON on the source trees before and after it.
+``bench/jobs.py`` job of every input set. A tree whose ``CONFIG_KEYS``
+names the scenarios that read each key gets each size in ``BASE`` only
+where it is read, and a run whose override its scenario does not read is
+left out: the tree rejects it. A refactor that keeps the output gives the
+same JSON on the source trees before and after it.
 
 With two trees, runs the same set once per tree, each in its own
 subprocess, and prints, for each CSV whose digest differs, its header, its
@@ -18,7 +21,9 @@ exits 1 if a run or a header is missing or differs, a row count differs, a
 column outside ``bench/verify.py``'s ``MC_COLUMNS`` changes, or a changed
 cell flips kind: it is not a finite number on both sides (text, nan or
 an infinity on either), or it is zero on one side only. A deliberate
-change of the Monte Carlo draws passes, anything else fails.
+change of the Monte Carlo draws passes, anything else fails. A run that
+NEW_SRC rejects passes only if it is no bench job and OLD_SRC's CSV of it
+is the same without the rejected override.
 """
 
 import hashlib
@@ -29,10 +34,15 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections.abc import Collection
+from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
-BASE = {"transport.packets": 400, "storm.steps": 5}
+# the sizes of every run; a tree that names its readers sets each where read
+BASE = {"replicates": 2, "range.steps": 3, "transport.packets": 400,
+        "storm.steps": 5}
 # one value per override key, each different from the preset's own
 OVERRIDES = {
     "transport.packets": 300,
@@ -63,56 +73,83 @@ STORM_OVERRIDES = {
 }
 
 
-def main(src_dir: str, keep_dir: str | None = None) -> dict:
-    """Digest of each run's CSV; with ``keep_dir``, a copy of each CSV there
-    too, at its run's name plus ".csv"."""
+def main(src_dir: str, keep_dir: str | None = None,
+         without: Collection[str] = ()) -> dict:
+    """The digest of each run's CSV, under "digests"; the override of each
+    run the tree rejects, under "rejected"; and, for each run named in
+    ``without``, the digest of its CSV with its override left out, under
+    "without". With ``keep_dir``, a copy of each digested CSV there too, at
+    its run's name plus ".csv"."""
     sys.path[:0] = [str(Path(src_dir).resolve()), str(BENCH_DIR)]
     os.environ.pop("DUSTLINK_CATALOG_DIR", None)
     import dustlink
-    from dustlink.cli import SCENARIOS, ExperimentConfig, run_scenario, write_outputs
+    from dustlink.cli import (CONFIG_KEYS, SCENARIOS, parse_config, run_scenario,
+                              write_outputs)
+    from dustlink.errors import ConfigError
     from dustlink.presets import PLANETS
     from jobs import CATALOG_LINES, INPUT_SETS, WORKLOADS, build_jobs
     from synthcat import generate_catalog
 
     if not Path(dustlink.__file__).resolve().is_relative_to(Path(src_dir).resolve()):
         raise SystemExit(f"imported dustlink from {dustlink.__file__}")
-    digests = {}
+
+    def reads(scenario: str, key: str) -> bool:
+        # a tree without reader sets reads, or at least takes, every key
+        return scenario in getattr(CONFIG_KEYS[key], "read_by", SCENARIOS)
+
+    out = {"digests": {}, "rejected": {}, "without": {}}
     with tempfile.TemporaryDirectory() as work:
-        def digest(name: str, cfg) -> None:
+        def digest(cfg, keep_as: str | None = None) -> str:
             path = write_outputs(run_scenario(cfg), cfg)[0]
-            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
-            if keep_dir is not None:
-                kept = Path(keep_dir, name + ".csv")
+            if keep_dir is not None and keep_as is not None:
+                kept = Path(keep_dir, keep_as + ".csv")
                 kept.parent.mkdir(parents=True, exist_ok=True)
                 shutil.copyfile(path, kept)
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        def config(scenario: str, keys: dict):
+            text = "\n".join(f"{k} = {v}" for k, v in keys.items())
+            return replace(parse_config(text, scenario), output=work)
 
         for scenario in SCENARIOS:
             overrides = {**OVERRIDES, **(STORM_OVERRIDES
                                          if scenario == "storm_density" else {})}
-            for planet in PLANETS:
-                for key in ("base", *overrides):
-                    extra = {key: overrides[key]} if key in overrides else {}
-                    for workers in (1, 3):
-                        digest(f"{scenario}/{planet}/{key}/w{workers}",
-                               ExperimentConfig(
-                                   scenario, planet, seed=7, replicates=2,
-                                   workers=workers, output=work, range_steps=3,
-                                   overrides={**BASE, **extra}))
+            sizes = {k: v for k, v in BASE.items() if reads(scenario, k)}
+            for planet, key, workers in product(PLANETS, ("base", *overrides),
+                                                (1, 3)):
+                name = f"{scenario}/{planet}/{key}/w{workers}"
+                keys = {"planet": planet, "seed": 7, "workers": workers, **sizes}
+                if name in without:
+                    out["without"][name] = digest(config(
+                        scenario, {k: v for k, v in keys.items() if k != key}))
+                if key in overrides:
+                    keys[key] = overrides[key]
+                cfg = config(scenario, keys)
+                if key == "base" or reads(scenario, key):
+                    out["digests"][name] = digest(cfg, name)
+                    continue
+                try:
+                    run_scenario(cfg)
+                except ConfigError:
+                    out["rejected"][name] = key
+                    continue
+                raise SystemExit(f"{name}: ran a key its scenario does not read")
         for set_index in range(INPUT_SETS):
             catalog_dir = f"{work}/catalog{set_index}"
             generate_catalog(catalog_dir, CATALOG_LINES, set_index)
             for workload in WORKLOADS:
                 for job in build_jobs(workload, set_index, work, catalog_dir):
-                    digest(f"bench/{workload}/set{set_index}/{job.name}", job.config)
-    return digests
+                    name = f"bench/{workload}/set{set_index}/{job.name}"
+                    out["digests"][name] = digest(job.config, name)
+    return out
 
 
-def _run_tree(src_dir: str, keep_dir: str) -> dict:
+def _run_tree(src_dir: str, keep_dir: str, without: Collection[str] = ()) -> dict:
     """``main`` on one tree in a fresh interpreter, so each tree imports its
     own ``dustlink``."""
     code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
-            f"import golden_digests; "
-            f"print(json.dumps(golden_digests.main({src_dir!r}, {keep_dir!r})))")
+            f"import golden_digests; print(json.dumps(golden_digests.main("
+            f"{src_dir!r}, {keep_dir!r}, {sorted(without)!r})))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out)
@@ -146,6 +183,16 @@ def _changes(old: list[list[str]], new: list[list[str]]) -> tuple[dict, list[str
     return largest, flips
 
 
+def rejection_failures(old: dict, new: dict) -> list[str]:
+    """Each run the new tree rejects whose override changes the old tree's
+    CSV, or that the old tree neither rejects nor digests without it;
+    ``old`` and ``new`` are each tree's ``main``."""
+    return [f"{name}: rejected, but {key} changes the old tree's CSV"
+            for name, key in sorted(new["rejected"].items())
+            if name not in old["rejected"]
+            and not old["digests"].get(name) == old["without"].get(name) is not None]
+
+
 def compare(old_src: str, new_src: str) -> int:
     """Print how each differing CSV of ``new_src`` differs from ``old_src``'s;
     0 if only Monte Carlo columns move, and only in value, else 1."""
@@ -154,11 +201,16 @@ def compare(old_src: str, new_src: str) -> int:
 
     with tempfile.TemporaryDirectory() as work:
         trees = [Path(work, "old"), Path(work, "new")]
-        old, new = (_run_tree(src, str(keep))
-                    for src, keep in zip((old_src, new_src), trees))
-        bad = sorted(set(old) ^ set(new))
+        new_out = _run_tree(new_src, str(trees[1]))
+        old_out = _run_tree(old_src, str(trees[0]), new_out["rejected"])
+        old, new = old_out["digests"], new_out["digests"]
+        rejected = new_out["rejected"]
+        bad = sorted(name for name in set(old) ^ set(new) if name not in rejected)
         for name in bad:
             print(f"{name}: only in {'old' if name in old else 'new'}")
+        for failure in rejection_failures(old_out, new_out):
+            print(failure)
+            bad.append(failure)
         differ = sorted(name for name in set(old) & set(new) if old[name] != new[name])
         overall: dict[str, float] = {}
         for name in differ:
@@ -176,7 +228,8 @@ def compare(old_src: str, new_src: str) -> int:
                 print(f"  flips {flip}")
             if flips or set(largest) - set(MC_COLUMNS):
                 bad.append(name)
-    print(f"{len(differ)} of {len(old)} CSVs differ; largest relative change "
+    print(f"{len(rejected)} runs rejected; {len(differ)} of {len(set(old) & set(new))} "
+          "CSVs differ; largest relative change "
           + (", ".join(f"{c} {v:.3g}" for c, v in sorted(overall.items())) or "none")
           + f"; {len(bad)} failing")
     return 1 if bad else 0
@@ -184,7 +237,7 @@ def compare(old_src: str, new_src: str) -> int:
 
 if __name__ == "__main__":
     if len(sys.argv) == 2:
-        print(json.dumps(main(sys.argv[1]), indent=1, sort_keys=True))
+        print(json.dumps(main(sys.argv[1])["digests"], indent=1, sort_keys=True))
     elif len(sys.argv) == 3:
         sys.exit(compare(sys.argv[1], sys.argv[2]))
     else:
