@@ -9,8 +9,8 @@ become a per-meter extinction rate.
 import numpy as np
 
 from dustlink import (EARTH, MARS, LinearDensity, SizeDistribution,
-                      dust_permittivity, extinction_efficiency, mie_cext,
-                      number_density_from_visibility, rayleigh_cext)
+                      dust_permittivity, extinction_efficiency,
+                      number_density_from_visibility, physical_cross_section)
 
 # --- permittivities ---------------------------------------------------------
 earth_eps = dust_permittivity("earth-frequency-dependent", 0.24e12)
@@ -22,8 +22,8 @@ print("Mars dust permittivity (constant):  ", mars_eps.eps)
 print("\nSingle-particle extinction at the preset carriers")
 print(f"{'radius':>10} {'Earth Mie (efficiency)':>24} {'Mars Rayleigh (m^2)':>22}")
 for r in (1e-6, 5e-6, 10e-6, 50e-6):
-    q = mie_cext(0.24e12, r, earth_eps)
-    sigma = rayleigh_cext(1.64e12, min(r, 4e-6), mars_eps)
+    q = extinction_efficiency(0.24e12, r, earth_eps)
+    sigma = physical_cross_section(1.64e12, min(r, 4e-6), mars_eps)
     print(f"{r * 1e6:8.1f} um {q:24.4e} {sigma:22.4e}")
 
 # --- populations ------------------------------------------------------------

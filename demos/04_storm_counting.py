@@ -9,13 +9,13 @@ import math
 
 import numpy as np
 
-from dustlink import StormConfig, build_beam_cone, count_in_beam
+from dustlink import BeamCone, StormConfig, count_in_beam
 from dustlink.rng import substream
 from dustlink.storm import ParticleField, empty_field, step_field
 
 # --- beam geometry: a 10 km cone subdivided into a million disks -------------
-cone = build_beam_cone((0.0, 0.0, 50.0), (10_000.0, 0.0, 50.0),
-                       half_angle_rad=1.5e-5, disk_spacing_m=0.01)
+cone = BeamCone((0.0, 0.0, 50.0), (10_000.0, 0.0, 50.0),
+                half_angle_rad=1.5e-5, disk_spacing_m=0.01)
 print(f"beam cone: {cone.disk_count():,} disks, end radius "
       f"{float(cone.disk_radius(cone.length_m)) * 100:.0f} cm")
 
@@ -44,8 +44,7 @@ print(" parametric field disperses dust widely, so only the order matters)")
 n = 300_000
 rng = substream(21, 0)
 length, half_angle, cyl_radius = 100.0, 0.02, 2.5
-oracle_cone = build_beam_cone((0.0, 0.0, 0.0), (length, 0.0, 0.0),
-                              half_angle, 0.05)
+oracle_cone = BeamCone((0.0, 0.0, 0.0), (length, 0.0, 0.0), half_angle, 0.05)
 xs = rng.uniform(0.0, length, n)
 rr = cyl_radius * np.sqrt(rng.random(n))
 az = rng.uniform(0.0, 2 * math.pi, n)

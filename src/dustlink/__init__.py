@@ -26,11 +26,9 @@ from .scatter import (DustPermittivity, ExtinctionResult, LinearDensity,
                       MediumSpec, SizeDistribution, Visibility,
                       VolumetricDensity, dust_permittivity,
                       ensemble_extinction, extinction_efficiency,
-                      mie_cext, number_density_from_visibility,
-                      rayleigh_cext)
-from .storm import (BeamCone, ParticleField, StormConfig, build_beam_cone,
-                    count_in_beam, density_time_series, empty_field,
-                    step_field)
+                      number_density_from_visibility, physical_cross_section)
+from .storm import (BeamCone, ParticleField, StormConfig, count_in_beam,
+                    density_time_series, empty_field, step_field)
 from .transport import (FateCounts, TransportConfig, TransportResult,
                         UniformAsymmetry, estimate_batch,
                         estimate_transmittance, sample_scatter_angles,

@@ -98,8 +98,11 @@ class ExperimentConfig:
                 reals[name] = value
             if spec.kind is bool and not isinstance(value, bool):
                 raise ConfigError(f"{name} must be a bool, got {value!r}")
-            if spec.kind is os.PathLike and not isinstance(value, (str, os.PathLike)):
-                raise ConfigError(f"{name} must be a str or path, got {value!r}")
+            # "" would fall back to the working directory or the next catalog
+            if spec.kind is os.PathLike and (
+                    value == "" or not isinstance(value, (str, os.PathLike))):
+                raise ConfigError(f"{name} must be a non-empty str or path, "
+                                  f"got {value!r}")
         try:
             require_finite(**reals)
         except DomainError as exc:
@@ -120,10 +123,8 @@ class ExperimentConfig:
             raise ConfigError("range.steps must be >= 1")
         # keys of which one would win over the other
         media = [k for k in self.overrides if CONFIG_KEYS[k].owner in _MEDIA]
-        bounds = [k for k in self.overrides if CONFIG_KEYS[k].owner is UniformAsymmetry]
-        for clash in (media, bounds if "transport.g_fixed" in bounds else ()):
-            if len(clash) > 1:
-                raise ConfigError(" and ".join(clash) + " cannot be set together")
+        if len(media) > 1:
+            raise ConfigError(" and ".join(media) + " cannot be set together")
 
     def given(self) -> dict:
         """Config key -> value of every key set here: each override, and
@@ -198,8 +199,6 @@ def _transport(cfg: ExperimentConfig, planet: PlanetPreset) -> TransportConfig:
     """The transport template of every run a scenario traces."""
     values = _set_fields(cfg, TransportConfig)
     bounds = _set_fields(cfg, UniformAsymmetry)
-    if "g" in bounds:      # transport.g_fixed, never set with a bound
-        bounds = {"lo": bounds["g"], "hi": bounds["g"]}
     if bounds:
         values["asymmetry"] = UniformAsymmetry(**bounds)
     return replace(link.transport_template(planet), **values)
@@ -252,7 +251,7 @@ def _sweep(cfg: ExperimentConfig, values: list[float],
         bounds = np.linspace(0, len(transports), cfg.workers + 1, dtype=int)
         slices = [transports[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
                   if hi > lo]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
             results = [r for part in pool.map(estimate_batch, slices) for r in part]
     else:
         results = estimate_batch(transports)
@@ -348,8 +347,8 @@ def _capacity_distance(cfg, planet, grid):
             for p in points]
 
 
-_STORM_CONE = storm.build_beam_cone((5500.0, 0.0, 50.0), (6500.0, 0.0, 50.0),
-                                    half_angle_rad=1.5e-5, disk_spacing_m=0.01)
+_STORM_CONE = storm.BeamCone((5500.0, 0.0, 50.0), (6500.0, 0.0, 50.0),
+                             half_angle_rad=1.5e-5, disk_spacing_m=0.01)
 
 
 def _storm_config(cfg: ExperimentConfig, planet: PlanetPreset) -> storm.StormConfig:
@@ -493,8 +492,6 @@ CONFIG_KEYS = {key: ConfigKey(kind, owner, name, read_by)
     ("transport.max_events", int, TransportConfig, "max_events", _TRACED),
     ("transport.g_lo", float, UniformAsymmetry, "lo", _TRACED),
     ("transport.g_hi", float, UniformAsymmetry, "hi", _TRACED),
-    # the zero-width range (g, g)
-    ("transport.g_fixed", float, UniformAsymmetry, "g", _TRACED),
     ("medium.count_per_m", float, LinearDensity, "count_per_m", _FIXED_MEDIUM),
     ("medium.visibility_m", float, Visibility, "meters", _FIXED_MEDIUM),
     ("medium.n0_per_m3", float, VolumetricDensity, "per_m3", _FIXED_MEDIUM),

@@ -16,8 +16,10 @@ frequency, which must be the one its permittivity was taken at;
 Units and coupling conventions
 ------------------------------
 The Mie series is evaluated exactly as its source prints it, in which
-form it is dimensionless (an extinction efficiency); ``normalized=True``
-multiplies by the geometric cross section ``pi*r**2`` to obtain m**2.
+form it is dimensionless (an extinction efficiency).
+``extinction_efficiency`` and ``physical_cross_section`` each follow
+``DustPermittivity.approximation``; the cross section is the efficiency
+times the geometric cross section ``pi*r**2``.
 ``ensemble_extinction`` produces a per-meter extinction rate through one
 of two documented couplings:
 
@@ -51,8 +53,6 @@ __all__ = [
     "ExtinctionResult",
     "dust_permittivity",
     "mie_coefficients",
-    "mie_cext",
-    "rayleigh_cext",
     "extinction_efficiency",
     "physical_cross_section",
     "number_density_from_visibility",
@@ -353,39 +353,22 @@ def _population_mean(terms: _Terms, dist: SizeDistribution) -> float:
     return sum(c * dist.moment(n) for n, c in terms)
 
 
-def mie_cext(f_hz: float, r_m, eps: DustPermittivity, normalized: bool = False):
-    """Small-particle Mie extinction, as printed in its source form.
-
-    The printed leading factor ``k**3 * r * lambda**2 / 2`` makes the raw
-    value dimensionless; it is consumed directly as an extinction
-    efficiency. ``normalized=True`` returns ``pi*r**2`` times the raw
-    value, i.e. a cross section in m**2. Accepts scalar or array radii.
-    """
-    terms = _mie_terms(f_hz, eps)
-    return _at_radius(terms if normalized else _efficiency(terms), r_m)
-
-
-def rayleigh_cext(f_hz: float, r_m, eps: DustPermittivity):
-    """Rayleigh extinction cross section in m**2.
-
-    Sum of the dipole scattering term, the absorption term and, for
-    charged grains, a charge term scaling with (sigma_q / (E0*eps0))**2.
-    Accepts scalar or array radii.
-    """
-    return _at_radius(_rayleigh_terms(f_hz, eps), r_m)
-
-
 def extinction_efficiency(f_hz: float, r_m, eps: DustPermittivity):
-    """Dimensionless extinction efficiency for the particle's model.
+    """Dimensionless extinction efficiency under ``eps.approximation``.
 
     The Mie series is already an efficiency in its printed form; the
     Rayleigh cross section is divided by the geometric cross section.
+    Accepts scalar or array radii.
     """
     return _at_radius(_efficiency(_cross_section_terms(f_hz, eps)), r_m)
 
 
 def physical_cross_section(f_hz: float, r_m, eps: DustPermittivity):
-    """Per-particle extinction cross section in m**2 for the particle's model."""
+    """Per-particle extinction cross section in m**2 under
+    ``eps.approximation``: ``pi*r**2`` times the printed Mie efficiency,
+    or the Rayleigh sum of absorption, dipole scattering and charge
+    terms. Accepts scalar or array radii.
+    """
     return _at_radius(_cross_section_terms(f_hz, eps), r_m)
 
 

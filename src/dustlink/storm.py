@@ -26,7 +26,6 @@ __all__ = [
     "BeamCone",
     "empty_field",
     "step_field",
-    "build_beam_cone",
     "count_in_beam",
     "density_time_series",
 ]
@@ -185,7 +184,8 @@ def step_field(fld: ParticleField, cfg: StormConfig) -> ParticleField:
 
 @dataclass(frozen=True)
 class BeamCone:
-    """Cone-shaped beam subdivided into disks along the tx->rx axis."""
+    """Cone-shaped beam with a disk every ``disk_spacing_m`` along the
+    tx->rx axis."""
 
     tx_m: tuple[float, float, float]
     rx_m: tuple[float, float, float]
@@ -232,12 +232,6 @@ class BeamCone:
         tx = np.asarray(self.tx_m)
         rx = np.asarray(self.rx_m)
         return (rx - tx) / self.length_m
-
-
-def build_beam_cone(tx_m, rx_m, half_angle_rad: float,
-                    disk_spacing_m: float) -> BeamCone:
-    """Cone with disks at every ``disk_spacing_m`` along the axis."""
-    return BeamCone(tx_m, rx_m, half_angle_rad, disk_spacing_m)
 
 
 def count_in_beam(fld: ParticleField, cone: BeamCone) -> tuple[int, np.ndarray]:

@@ -54,7 +54,7 @@ from dustlink.presets import EARTH, MARS
 from dustlink.rng import substream
 from dustlink.scatter import (LinearDensity, SizeDistribution,
                               number_density_from_visibility)
-from dustlink.storm import ParticleField, build_beam_cone, count_in_beam
+from dustlink.storm import BeamCone, ParticleField, count_in_beam
 from dustlink.transport import (UniformAsymmetry, estimate_transmittance,
                                 sample_scatter_angles, update_direction)
 
@@ -370,8 +370,7 @@ def test_criterion_13_storm_counting_oracle():
     n = 1_000_000
     rng = substream(777, 0)
     length, half_angle, cyl_radius = 100.0, 0.02, 2.5
-    cone = build_beam_cone((0.0, 0.0, 0.0), (length, 0.0, 0.0),
-                           half_angle, 0.05)
+    cone = BeamCone((0.0, 0.0, 0.0), (length, 0.0, 0.0), half_angle, 0.05)
     xs = rng.uniform(0.0, length, n)
     rr = cyl_radius * np.sqrt(rng.random(n))
     az = rng.uniform(0.0, 2 * math.pi, n)

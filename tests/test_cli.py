@@ -175,6 +175,13 @@ class TestExperimentConfig:
                            catalog_dir=Path(bundled_catalog_dir()))
         assert write_outputs(run_scenario(cfg), cfg)[0].parent == tmp_path / "out"
 
+    @pytest.mark.parametrize("key", ["output", "catalog_dir"])
+    def test_empty_path_rejected(self, key):
+        # catalog_dir = "" once fell back to the next catalog in line, and
+        # output = "" wrote into the working directory
+        with pytest.raises(ConfigError, match=f"{key} must be a non-empty str"):
+            parse_config(f"scenario = absorption_spectrum\n{key} =\n")
+
     @pytest.mark.parametrize("key", ["density.lo_per_m", "density.hi_per_m"])
     def test_half_set_density_range_rejected(self, key):
         # one end alone was silently replaced by the planet's default range
@@ -267,7 +274,8 @@ class TestRunScenario:
         assert [row[0] for row in result.rows] == [
             float(f) for f in np.geomspace(0.22e12, 0.24e12, 5)]
 
-    @pytest.mark.parametrize("override", [{"transport.g_fixed": 0.0},
+    @pytest.mark.parametrize("override", [{"transport.g_lo": 0.0,
+                                           "transport.g_hi": 0.0},
                                           {"transport.max_events": 1},
                                           {"transport.g_lo": 0.9},
                                           {"transport.g_hi": 0.6},
@@ -383,7 +391,6 @@ READERS = {
     "transport.distance_m = 5": ("mcp_sweep", "visibility_sweep",
                                  "particle_sweep", "frequency_sweep"),
     "transport.weight_threshold = 0.05": SWEEPS + LINKS,
-    "transport.g_fixed = 0.7": SWEEPS + LINKS,
     "medium.visibility_m = 500": ("mcp_sweep", "distance_sweep",
                                   "frequency_sweep", "extinction_table"),
     "link.tx_power_dbm = 5": LINKS,
@@ -434,8 +441,6 @@ class TestKeysRead:
             run_scenario(cfg)
 
     @pytest.mark.parametrize("lines", [
-        "transport.g_fixed = 0.7\ntransport.g_lo = 0.2",
-        "transport.g_fixed = 0.7\ntransport.g_hi = 0.9",
         "medium.visibility_m = 500\nmedium.n0_per_m3 = 1e7",
         "medium.visibility_m = 500\nmedium.count_per_m = 50",
         "medium.n0_per_m3 = 1e7\nmedium.count_per_m = 50",
@@ -451,12 +456,18 @@ class TestKeysRead:
 
     def test_every_override_sets_a_field_of_its_owner(self):
         for key, spec in CONFIG_KEYS.items():
-            if spec.owner is ExperimentConfig or spec.field == "g":
+            if spec.owner is ExperimentConfig:
                 continue
             assert spec.field in inspect.signature(spec.owner).parameters, key
 
 
 class TestMain:
+    def test_empty_output_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["absorption_spectrum", "--out", ""]) == 2
+        assert "config error: output must be a non-empty str" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_smoke_run(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("planet = earth\nseed = 5\nreplicates = 1\n"
@@ -599,3 +610,29 @@ def test_one_worker_run_loads_no_process_pool():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_pool_opens_one_worker_per_slice(monkeypatch):
+    # workers = 8 once opened a pool of 8 processes for a 2-run sweep
+    import concurrent.futures
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfg = ExperimentConfig("mcp_sweep", replicates=1, range_steps=2,
+                           range_stop=100)
+    rows = run_scenario(replace(cfg, workers=8)).rows
+    assert sizes == [2]
+    assert rows == run_scenario(cfg).rows

@@ -1,6 +1,7 @@
 """Tests for the CSV comparison of tools/golden_digests.py on canned rows."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,14 @@ def test_rejected_run_fails_unless_shown_unread(old):
     new = tree({}, rejected={"b": "transport.distance_m"})
     assert golden_digests.rejection_failures(old, new) == [
         "b: rejected, but transport.distance_m changes the old tree's CSV"]
+
+
+def test_tree_facts_are_the_bench_facts():
+    # imported from tools/bench_pairs.py, so the digest JSON and the BENCH
+    # files record numpy the same way
+    assert golden_digests.numpy_facts is sys.modules["bench_pairs"].numpy_facts
+    facts = golden_digests.numpy_facts()
+    assert golden_digests.FACTS == tuple(facts)
+    assert golden_digests.facts_line("old", {**facts, "digests": {}}) == (
+        f"old: numpy {facts['numpy']}; CPU features "
+        + " ".join(facts["numpy_cpu_features"]))

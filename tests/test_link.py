@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dustlink.cli import CONFIG_KEYS, ExperimentConfig, _transport
 from dustlink.constants import (SPEED_OF_LIGHT, db_from_transmittance,
                                 dbm_to_watts)
-from dustlink.errors import ConfigError, DomainError
+from dustlink.errors import DomainError
 from dustlink.link import (DROP_WINDOWS_S, LinkConfig, capacity, channel_gain,
                            default_time_counts, h_absorption, h_dust,
                            h_spreading, run_distance_sweep, run_time_scenario,
@@ -231,13 +231,13 @@ class TestTransportTemplate:
         assert template.seed == 0
 
     def test_every_transport_key_routed_once(self):
-        # each sets one TransportConfig field or asymmetry bound; "g" both
+        # each sets one TransportConfig field or asymmetry bound
         transport_fields = {f.name for f in fields(TransportConfig)}
         targets = {key: (spec.owner, spec.field) for key, spec in CONFIG_KEYS.items()
                    if key.startswith("transport.")}
-        assert len(set(targets.values())) == len(targets) == 7
+        assert len(set(targets.values())) == len(targets) == 6
         assert all(name in transport_fields if owner is TransportConfig
-                   else owner is UniformAsymmetry and name in ("lo", "hi", "g")
+                   else owner is UniformAsymmetry and name in ("lo", "hi")
                    for owner, name in targets.values())
 
     @pytest.mark.parametrize("overrides, field, value", [
@@ -250,22 +250,14 @@ class TestTransportTemplate:
         ({"transport.g_hi": 0.7}, "asymmetry", UniformAsymmetry(hi=0.7)),
         ({"transport.g_lo": 0.1, "transport.g_hi": 0.3}, "asymmetry",
          UniformAsymmetry(0.1, 0.3)),
-        ({"transport.g_fixed": 0.3}, "asymmetry", UniformAsymmetry(0.3, 0.3)),
+        ({"transport.g_lo": 0.3, "transport.g_hi": 0.3}, "asymmetry",
+         UniformAsymmetry(0.3, 0.3)),
     ], ids=["unset", "packets", "distance_m", "weight_threshold", "max_events", "g_lo", "g_hi", "g_lo_hi",
             "g_fixed"])
     def test_cli_key_sets_field(self, overrides, field, value):
         cfg = ExperimentConfig("mcp_sweep", planet="mars", overrides=overrides)
         assert _transport(cfg, MARS) == replace(transport_template(MARS),
                                                 **{field: value})
-
-    @pytest.mark.parametrize("bounds", [{"transport.g_lo": 0.2},
-                                        {"transport.g_hi": 0.8},
-                                        {"transport.g_lo": 0.2, "transport.g_hi": 0.8}])
-    def test_g_fixed_with_a_bound_rejected(self, bounds):
-        # g_fixed once silently won over the bounds
-        with pytest.raises(ConfigError, match="transport.g_fixed and transport.g_"):
-            ExperimentConfig("mcp_sweep", overrides={"transport.g_fixed": 0.3,
-                                                     **bounds})
 
 
 class TestTimeScenario:

@@ -20,9 +20,8 @@ from dustlink.scatter import (DustPermittivity, LinearDensity, MediumSpec,
                               SizeDistribution, VolumetricDensity,
                               Visibility, dust_permittivity,
                               ensemble_extinction, extinction_efficiency,
-                              mie_cext, mie_coefficients,
-                              number_density_from_visibility,
-                              physical_cross_section, rayleigh_cext)
+                              mie_coefficients, number_density_from_visibility,
+                              physical_cross_section)
 
 EARTH_DIST = SizeDistribution.log_normal(10e-6, 2.0, 1e-6, 150e-6)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -217,8 +216,8 @@ class TestMie:
 
     def test_printed_form_and_normalized_form(self):
         eps = dust_permittivity("earth-frequency-dependent", 0.24e12)
-        raw = mie_cext(0.24e12, 10e-6, eps)
-        norm = mie_cext(0.24e12, 10e-6, eps, normalized=True)
+        raw = extinction_efficiency(0.24e12, 10e-6, eps)
+        norm = physical_cross_section(0.24e12, 10e-6, eps)
         assert norm == pytest.approx(raw * math.pi * (10e-6) ** 2, rel=1e-12)
         assert raw > 0
 
@@ -232,8 +231,10 @@ class TestMie:
         radii = np.array([1e-6, 10e-6, 150e-6])
         printed = (k ** 3 * radii * lam ** 2 / 2) * (
             c1 + c2 * (k * radii) ** 2 + c3 * (k * radii) ** 3)
-        np.testing.assert_allclose(mie_cext(f, radii, eps), printed, rtol=1e-12)
-        assert mie_cext(f, 10e-6, eps) == pytest.approx(printed[1], rel=1e-12)
+        np.testing.assert_allclose(extinction_efficiency(f, radii, eps), printed,
+                                   rtol=1e-12)
+        assert extinction_efficiency(f, 10e-6, eps) == pytest.approx(printed[1],
+                                                                     rel=1e-12)
 
     def test_c1_nonnegative_for_physical_permittivity(self):
         for epp in (0.0, 0.01, 1.0, 20.0):
@@ -241,10 +242,33 @@ class TestMie:
             assert c1 >= 0
 
 
+class TestApproximation:
+    def test_kept_functions_follow_the_label(self):
+        # oracle: the printed Mie efficiency and the two-term Rayleigh cross
+        # section, each written out, for one permittivity under both labels
+        f, r = 1.64e12, 1.5e-6
+        mie = DustPermittivity("mie", 2.3103, 0.0304)
+        rayleigh = DustPermittivity("rayleigh", 2.3103, 0.0304)
+        lam = 2.99792458e8 / f
+        k = 2 * math.pi / lam
+        c1, c2, c3 = mie_coefficients(mie.eps)
+        printed = (k ** 3 * r * lam ** 2 / 2) * (c1 + c2 * (k * r) ** 2
+                                                 + c3 * (k * r) ** 3)
+        er = rayleigh.eps
+        two_term = (12 * math.pi * k * er.imag * r ** 3 / abs(er + 2) ** 2
+                    + (8 / 3) * math.pi * k ** 4 * r ** 6
+                    * abs((er - 1) / (er + 2)) ** 2)
+        assert extinction_efficiency(f, r, mie) == pytest.approx(printed, rel=1e-12)
+        assert physical_cross_section(f, r, rayleigh) == pytest.approx(two_term,
+                                                                       rel=1e-12)
+        assert extinction_efficiency(f, r, mie) != pytest.approx(
+            extinction_efficiency(f, r, rayleigh), rel=1e-3)
+
+
 class TestRayleigh:
     def test_zero_charge_term(self):
         eps = dust_permittivity("mars-constant")
-        total = rayleigh_cext(1.64e12, 1.5e-6, eps)
+        total = physical_cross_section(1.64e12, 1.5e-6, eps)
         # oracle: explicit two-term sum
         k = 2 * math.pi * 1.64e12 / 2.99792458e8
         er = eps.eps
@@ -261,15 +285,15 @@ class TestRayleigh:
     def test_scattering_term_radius_scaling(self):
         eps = DustPermittivity("rayleigh", 2.3103, 0.0)
         # pure scattering (eps''=0): doubling r multiplies by 64
-        small = rayleigh_cext(1.64e12, 1e-6, eps)
-        large = rayleigh_cext(1.64e12, 2e-6, eps)
+        small = physical_cross_section(1.64e12, 1e-6, eps)
+        large = physical_cross_section(1.64e12, 2e-6, eps)
         assert large == pytest.approx(64 * small, rel=1e-12)
 
     def test_charged_grain_needs_field_scale(self):
         eps = DustPermittivity("rayleigh", 2.3103, 0.0304,
                                charge_density=1e-6, field_scale=0.0)
         with pytest.raises(DomainError):
-            rayleigh_cext(1.64e12, 1e-6, eps)
+            physical_cross_section(1.64e12, 1e-6, eps)
 
     def test_charge_term_oracle(self):
         # oracle: the charge term written out, added to the neutral sum
@@ -281,16 +305,16 @@ class TestRayleigh:
         r = 1.5e-6
         charge = ((math.pi / 6) * k ** 4 * r ** 6 * 1e-10 * abs(neutral.eps - 1) ** 2
                   / (4.0 * VACUUM_PERMITTIVITY ** 2))
-        assert rayleigh_cext(1.64e12, r, charged) == pytest.approx(
-            rayleigh_cext(1.64e12, r, neutral) + charge, rel=1e-12)
+        assert physical_cross_section(1.64e12, r, charged) == pytest.approx(
+            physical_cross_section(1.64e12, r, neutral) + charge, rel=1e-12)
 
     def test_charge_term_increases_extinction(self):
         neutral = dust_permittivity("mars-constant")
         charged = DustPermittivity("rayleigh", neutral.eps_real,
                                    neutral.eps_imag, charge_density=1e-5,
                                    field_scale=1.0)
-        assert rayleigh_cext(1.64e12, 1e-6, charged) > rayleigh_cext(
-            1.64e12, 1e-6, neutral)
+        assert (physical_cross_section(1.64e12, 1e-6, charged)
+                > physical_cross_section(1.64e12, 1e-6, neutral))
 
 
 class TestVisibilityLaw:

@@ -11,8 +11,8 @@ from dustlink.output import write_csv
 from dustlink.presets import EARTH
 from dustlink.rng import substream
 from dustlink.storm import (BeamCone, ParticleField, StormConfig,
-                            build_beam_cone, count_in_beam,
-                            density_time_series, empty_field, step_field)
+                            count_in_beam, density_time_series, empty_field,
+                            step_field)
 
 
 def quiet_config(**kwargs) -> StormConfig:
@@ -146,29 +146,29 @@ class TestStormConfig:
 
 class TestBeamCone:
     def test_paper_scale_geometry(self):
-        cone = build_beam_cone((0.0, 0.0, 50.0), (10_000.0, 0.0, 50.0),
-                               half_angle_rad=1.5e-5, disk_spacing_m=0.01)
+        cone = BeamCone((0.0, 0.0, 50.0), (10_000.0, 0.0, 50.0),
+                        half_angle_rad=1.5e-5, disk_spacing_m=0.01)
         assert cone.disk_count() == 1_000_000
         assert float(cone.disk_radius(10_000.0)) == pytest.approx(0.15, rel=1e-3)
 
     def test_degenerate_geometry_rejected(self):
         with pytest.raises(DomainError):
-            build_beam_cone((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 0.01, 0.01)
+            BeamCone((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 0.01, 0.01)
 
     @pytest.mark.parametrize("half_angle", [math.nan, math.pi / 2, 2.0, 0.0])
     def test_bad_half_angle_rejected(self, half_angle):
         with pytest.raises(DomainError, match="half angle"):
-            build_beam_cone((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), half_angle, 0.1)
+            BeamCone((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), half_angle, 0.1)
 
     @pytest.mark.parametrize("spacing", [math.inf, math.nan, 0.0])
     def test_bad_disk_spacing_rejected(self, spacing):
         with pytest.raises(DomainError, match="disk spacing"):
-            build_beam_cone((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), 0.01, spacing)
+            BeamCone((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), 0.01, spacing)
 
     @pytest.mark.parametrize("rx", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0)])
     def test_non_finite_endpoint_rejected(self, rx):
         with pytest.raises(DomainError, match="finite"):
-            build_beam_cone((0.0, 0.0, 0.0), rx, 0.01, 0.1)
+            BeamCone((0.0, 0.0, 0.0), rx, 0.01, 0.1)
 
     @pytest.mark.parametrize("tx, message", [
         # numpy's shape check raised "inhomogeneous shape" on the first
@@ -176,15 +176,15 @@ class TestBeamCone:
         (5.0, "tx_m must have 3 entries")])
     def test_ragged_or_scalar_point_rejected(self, tx, message):
         with pytest.raises(DomainError, match=message):
-            build_beam_cone(tx, (1.0, 0.0, 0.0), 0.1, 0.1)
+            BeamCone(tx, (1.0, 0.0, 0.0), 0.1, 0.1)
 
     def test_cone_without_disks_rejected(self):
         # the first disk sits one spacing from the apex, past this 5 mm beam
         with pytest.raises(DomainError, match="no disk"):
-            build_beam_cone((0.0, 0.0, 0.0), (0.005, 0.0, 0.0), 0.5, 0.01)
+            BeamCone((0.0, 0.0, 0.0), (0.005, 0.0, 0.0), 0.5, 0.01)
 
     def test_radius_linear_from_apex(self):
-        cone = build_beam_cone((0.0, 0.0, 0.0), (100.0, 0.0, 0.0), 0.02, 0.05)
+        cone = BeamCone((0.0, 0.0, 0.0), (100.0, 0.0, 0.0), 0.02, 0.05)
         assert float(cone.disk_radius(50.0)) == pytest.approx(
             2 * float(cone.disk_radius(25.0)), rel=1e-12)
 
@@ -419,8 +419,8 @@ class TestDensityTimeSeries:
         # depend entirely on the wind model, so this pins the achievable
         # order (~1e-5) as a stability check, not a physical constant.
         cfg = StormConfig(seed=9)
-        cone = build_beam_cone((0.0, 0.0, 50.0), (10_000.0, 0.0, 50.0),
-                               half_angle_rad=1.5e-5, disk_spacing_m=0.01)
+        cone = BeamCone((0.0, 0.0, 50.0), (10_000.0, 0.0, 50.0),
+                        half_angle_rad=1.5e-5, disk_spacing_m=0.01)
         fld = empty_field()
         counts, totals = [], []
         for i in range(460):
@@ -444,8 +444,8 @@ class TestPinnedRuns:
     radii digests, emitted and removed totals, and the in-beam count on
     the 10 km demo cone every 20 steps."""
 
-    CONE = build_beam_cone((0.0, 0.0, 50.0), (10_000.0, 0.0, 50.0),
-                           half_angle_rad=1.5e-5, disk_spacing_m=0.01)
+    CONE = BeamCone((0.0, 0.0, 50.0), (10_000.0, 0.0, 50.0),
+                    half_angle_rad=1.5e-5, disk_spacing_m=0.01)
 
     @pytest.mark.parametrize("cfg, steps, positions, radii, emitted, removed, counts", [
         (StormConfig(seed=1003, radius_range_m=(EARTH.size_distribution.r_min_m,

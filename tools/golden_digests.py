@@ -4,7 +4,10 @@ Usage: python3 tools/golden_digests.py SRC_DIR > digests.json
        python3 tools/golden_digests.py OLD_SRC NEW_SRC
 
 With one tree, imports ``dustlink`` from SRC_DIR and prints a JSON object
-that maps each run to the SHA-256 of its CSV. The runs are every scenario
+with numpy's version ("numpy"), the CPU features numpy dispatches on
+("numpy_cpu_features"), both as ``tools/bench_pairs.py`` records them,
+and, under "digests", the SHA-256 of each run's CSV: some ufuncs round
+differently per numpy version and SIMD target. The runs are every scenario
 x planet at small sizes, alone and with one override set per
 ``transport.*``, ``link.*`` and ``medium.*`` key (and, for
 ``storm_density``, per ``storm.*`` key), at 1 and 3 workers, plus every
@@ -15,15 +18,16 @@ left out: the tree rejects it. A refactor that keeps the output gives the
 same JSON on the source trees before and after it.
 
 With two trees, runs the same set once per tree, each in its own
-subprocess, and prints, for each CSV whose digest differs, its header, its
-row count and the largest relative change of each column that changed. It
-exits 1 if a run or a header is missing or differs, a row count differs, a
-column outside ``bench/verify.py``'s ``MC_COLUMNS`` changes, or a changed
-cell flips kind: it is not a finite number on both sides (text, nan or
-an infinity on either), or it is zero on one side only. A deliberate
-change of the Monte Carlo draws passes, anything else fails. A run that
-NEW_SRC rejects passes only if it is no bench job and OLD_SRC's CSV of it
-is the same without the rejected override.
+subprocess, and prints each tree's numpy facts and, for each CSV whose
+digest differs, its header, its row count and the largest relative change
+of each column that changed. It exits 1 if a run or a header is missing or
+differs, a row count differs, a column outside ``bench/verify.py``'s
+``MC_COLUMNS`` changes, or a changed cell flips kind: it is not a finite
+number on both sides (text, nan or an infinity on either), or it is zero
+on one side only. A deliberate change of the Monte Carlo draws passes,
+anything else fails. A run that NEW_SRC rejects passes only if it is no
+bench job and OLD_SRC's CSV of it is the same without the rejected
+override.
 """
 
 import hashlib
@@ -39,7 +43,11 @@ from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import numpy_facts  # noqa: E402
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+FACTS = ("numpy", "numpy_cpu_features")
 # the sizes of every run; a tree that names its readers sets each where read
 BASE = {"replicates": 2, "range.steps": 3, "transport.packets": 400,
         "storm.steps": 5}
@@ -49,7 +57,6 @@ OVERRIDES = {
     "transport.weight_threshold": 0.05,
     "transport.g_lo": 0.2,
     "transport.g_hi": 0.8,
-    "transport.g_fixed": 0.7,
     "transport.max_events": 3,
     "transport.distance_m": 5.0,
     "medium.count_per_m": 50.0,
@@ -75,11 +82,11 @@ STORM_OVERRIDES = {
 
 def main(src_dir: str, keep_dir: str | None = None,
          without: Collection[str] = ()) -> dict:
-    """The digest of each run's CSV, under "digests"; the override of each
-    run the tree rejects, under "rejected"; and, for each run named in
-    ``without``, the digest of its CSV with its override left out, under
-    "without". With ``keep_dir``, a copy of each digested CSV there too, at
-    its run's name plus ".csv"."""
+    """``numpy_facts()``; the digest of each run's CSV, under "digests"; the
+    override of each run the tree rejects, under "rejected"; and, for each
+    run named in ``without``, the digest of its CSV with its override left
+    out, under "without". With ``keep_dir``, a copy of each digested CSV
+    there too, at its run's name plus ".csv"."""
     sys.path[:0] = [str(Path(src_dir).resolve()), str(BENCH_DIR)]
     os.environ.pop("DUSTLINK_CATALOG_DIR", None)
     import dustlink
@@ -97,7 +104,7 @@ def main(src_dir: str, keep_dir: str | None = None,
         # a tree without reader sets reads, or at least takes, every key
         return scenario in getattr(CONFIG_KEYS[key], "read_by", SCENARIOS)
 
-    out = {"digests": {}, "rejected": {}, "without": {}}
+    out = {**numpy_facts(), "digests": {}, "rejected": {}, "without": {}}
     with tempfile.TemporaryDirectory() as work:
         def digest(cfg, keep_as: str | None = None) -> str:
             path = write_outputs(run_scenario(cfg), cfg)[0]
@@ -183,6 +190,12 @@ def _changes(old: list[list[str]], new: list[list[str]]) -> tuple[dict, list[str
     return largest, flips
 
 
+def facts_line(tree: str, out: dict) -> str:
+    """A tree's numpy version and CPU features, from its ``main``."""
+    return (f"{tree}: numpy {out['numpy']}; CPU features "
+            + " ".join(out["numpy_cpu_features"]))
+
+
 def rejection_failures(old: dict, new: dict) -> list[str]:
     """Each run the new tree rejects whose override changes the old tree's
     CSV, or that the old tree neither rejects nor digests without it;
@@ -203,6 +216,8 @@ def compare(old_src: str, new_src: str) -> int:
         trees = [Path(work, "old"), Path(work, "new")]
         new_out = _run_tree(new_src, str(trees[1]))
         old_out = _run_tree(old_src, str(trees[0]), new_out["rejected"])
+        print(facts_line("old", old_out))
+        print(facts_line("new", new_out))
         old, new = old_out["digests"], new_out["digests"]
         rejected = new_out["rejected"]
         bad = sorted(name for name in set(old) ^ set(new) if name not in rejected)
@@ -237,7 +252,9 @@ def compare(old_src: str, new_src: str) -> int:
 
 if __name__ == "__main__":
     if len(sys.argv) == 2:
-        print(json.dumps(main(sys.argv[1])["digests"], indent=1, sort_keys=True))
+        out = main(sys.argv[1])
+        print(json.dumps({key: out[key] for key in (*FACTS, "digests")},
+                         indent=1, sort_keys=True))
     elif len(sys.argv) == 3:
         sys.exit(compare(sys.argv[1], sys.argv[2]))
     else:
