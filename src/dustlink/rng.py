@@ -20,12 +20,17 @@ SC'11), and ``word_uniforms`` maps words to draws: the four draws of block
 Kernel layout: ``philox4x64`` ravels its broadcast inputs to 1-D lanes of
 n counters and runs the ten rounds on ``(2, n)`` uint64 buffers, counter
 words 0 and 2 (multiplied) as one pair of rows and words 1 and 3 (XORed
-in) as another. It returns the ``(n, 4)`` transpose of one contiguous
-``(4, n)`` block, so word ``j`` of every row is the contiguous ``words.T[j]``
-and a caller can turn one word into draws without touching the others.
+in) as another. The buffers are views of one per-thread scratch array,
+kept between calls of up to ``_SCRATCH_LANES`` lanes, so a caller that
+refills blocks in a loop does not fault fresh pages in on every call. It
+returns the ``(n, 4)`` transpose of one contiguous ``(4, n)`` block,
+written into a caller's ``out`` buffer when one is given, so word ``j`` of
+every row is the contiguous ``words.T[j]`` and a caller can turn one word
+into draws without touching the others.
 """
 
 import math
+import threading
 
 import numpy as np
 
@@ -63,13 +68,24 @@ _M_HI = _M >> _SHIFT32
 _BUMPS = [tuple(_word(r * w & _MASK64) for w in _PHILOX_W)
           for r in range(_PHILOX_ROUNDS)]
 
+# The largest call whose limb scratch is kept per thread: the wave
+# kernel's (``transport._WAVE_ROWS``). A larger call allocates its own, so
+# a one-off call of many lanes does not pin its scratch.
+_SCRATCH_LANES = 8192
+# seven (2, n) limb buffers and the key lane
+_SCRATCH_ROWS = 15
+_kept = threading.local()
+
 
 def substream(seed: int, stream_index: int) -> np.random.Generator:
     """Generator for one independent substream of a seeded run.
 
     Equivalent to ``Philox(key=seed).jumped(stream_index)`` but cheaper to
-    construct. The stream index is an int in [0, 2**64).
+    construct. The seed is an int in [0, 2**128) and the stream index an
+    int in [0, 2**64); anything else raises ``DomainError``.
     """
+    if not (is_int(seed) and 0 <= seed < 1 << 128):
+        raise DomainError(f"seed must be an int in [0, 2**128), got {seed!r}")
     if not (is_int(stream_index) and 0 <= stream_index <= _MASK64):
         raise DomainError(
             f"stream index must be an int in [0, 2**64), got {stream_index!r}")
@@ -109,7 +125,19 @@ def _lane(values: np.ndarray, shape: tuple, n: int) -> np.ndarray:
     return lane
 
 
-def philox4x64(seeds, streams, blocks) -> np.ndarray:
+def _scratch(n: int) -> np.ndarray:
+    """A ``(_SCRATCH_ROWS, n)`` uint64 scratch array: a view of this
+    thread's kept array when ``n <= _SCRATCH_LANES``, else a new one."""
+    if n > _SCRATCH_LANES:
+        return np.empty((_SCRATCH_ROWS, n), dtype=np.uint64)
+    kept = getattr(_kept, "words", None)
+    if kept is None:
+        kept = _kept.words = np.empty(_SCRATCH_ROWS * _SCRATCH_LANES,
+                                      dtype=np.uint64)
+    return kept[:_SCRATCH_ROWS * n].reshape(_SCRATCH_ROWS, n)
+
+
+def philox4x64(seeds, streams, blocks, *, out=None) -> np.ndarray:
     """Philox4x64-10 words of counter ``(block, 0, stream, 0)``, key ``(seed, 0)``.
 
     ``seeds``, ``streams`` and ``blocks`` broadcast against each other; the
@@ -119,27 +147,42 @@ def philox4x64(seeds, streams, blocks) -> np.ndarray:
     [0, 2**64) and blocks ints in [1, 2**64), or ``ValueError`` is
     raised. Seeds are 64-bit run seeds, so the high key word is 0.
 
-    Lane layout: the n = prod(shape) counters are raveled into 1-D lanes.
-    Counter words 0 and 2, the ones a round multiplies, are the rows of
-    one ``(2, n)`` uint64 buffer; words 1 and 3, the ones it XORs in, are
-    rows of the buffer of the previous round's low products. The limb
-    arithmetic runs on ``(2, n)`` buffers allocated here, a ufunc that
-    treats both lanes alike on their flat ``(2n,)`` views. Since the high
-    key word is 0, lane 1's round key is a constant and only lane 0 adds
-    the Weyl bump to the seed. The result is the ``(n, 4)`` transpose of
-    one contiguous ``(4, n)`` block, so each output word is a contiguous
-    row (``words.T[j]``), reshaped to the broadcast shape.
+    ``out``, if given, must be a 1-D C-contiguous uint64 array of at least
+    4n words, n = prod(shape), or ``ValueError`` is raised; the words are
+    written into ``out[:4 * n]`` and the result is a view of it. Without
+    ``out`` the result is a new array.
+
+    Lane layout: the n counters are raveled into 1-D lanes. Counter words
+    0 and 2, the ones a round multiplies, are the rows of one ``(2, n)``
+    uint64 buffer; words 1 and 3, the ones it XORs in, are rows of the
+    buffer of the previous round's low products. The limb arithmetic runs
+    on seven ``(2, n)`` buffers, a ufunc that treats both lanes alike on
+    their flat ``(2n,)`` views. They and the round-key lane are views of
+    one scratch array, which each thread keeps for calls of up to
+    ``_SCRATCH_LANES`` lanes (about 960 KiB) and a larger call allocates
+    anew. Since the high key word is 0, lane 1's round key is a constant
+    and only lane 0 adds the Weyl bump to the seed. The result is the
+    ``(n, 4)`` transpose of one contiguous ``(4, n)`` block, so each output
+    word is a contiguous row (``words.T[j]``), reshaped to the broadcast
+    shape.
     """
     seeds = _checked(seeds, 0, "key")
     streams = _checked(streams, 0, "stream")
     blocks = _checked(blocks, 1, "block")
     shape = np.broadcast_shapes(seeds.shape, streams.shape, blocks.shape)
     n = math.prod(shape)
+    if out is None:
+        out = np.empty(4 * n, dtype=np.uint64)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.uint64
+              and out.ndim == 1 and out.flags.c_contiguous
+              and out.size >= 4 * n):
+        raise ValueError(
+            f"out must be a 1-D C-contiguous uint64 array of at least {4 * n} words.")
+    words = out[:4 * n].reshape(4, n)
     seed = _lane(seeds, shape, n)
-    key = np.empty_like(seed)
-    words = np.empty((4, n), dtype=np.uint64)
-    mul, lo, spare, a_lo, a_hi, mid, t = (
-        np.empty((2, n), dtype=np.uint64) for _ in range(7))
+    scratch = _scratch(n)
+    key = scratch[-1, :seed.size]
+    mul, lo, spare, a_lo, a_hi, mid, t = scratch[:-1].reshape(7, 2, n)
     mul[0].reshape(shape)[...] = blocks
     mul[1].reshape(shape)[...] = streams
     f_mul, f_lo, f_hi, f_mid, f_t = (

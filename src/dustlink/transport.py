@@ -29,10 +29,11 @@ in numpy. While packets are still being admitted, each wave makes one
 ``dustlink.rng.philox4x64`` call for the next block of every live packet;
 once all are admitted, one call computes the next ``_WAVE_ROWS // live``
 blocks of each, and the following waves read them row by row, so the
-tail of waves with few live packets shares a few calls. The blocks come
-back with each word as a contiguous row; the wave turns the step word of
-every live packet into a draw, and the g, nu and chi words only of the
-packets that scatter on, with ``dustlink.rng.word_uniforms``. The
+tail of waves with few live packets shares a few calls. Every call of a
+batch writes into one block buffer, and the blocks come back with each
+word as a contiguous row; the wave turns the step word of every live
+packet into a draw, and the g, nu and chi words, one row at a time, only
+of the packets that scatter on, with ``dustlink.rng.word_uniforms``. The
 packets of many runs share the kernel; a packet's state is its output
 index, run, first wave, X, X cosine, weight and column in the blocks,
 and it reads its run's extinction and distance each wave. A wave sets
@@ -297,7 +298,9 @@ def trace_packet(cfg: TransportConfig,
                   + mx * ct)
 
 
-_WAVE_ROWS = 8192   # live packets, and Philox blocks of one call, at most
+# live packets, and Philox blocks of one call, at most; Philox keeps its
+# scratch for calls of this size
+_WAVE_ROWS = rng._SCRATCH_LANES
 
 
 def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
@@ -314,7 +317,8 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
     the next call computes, for every live packet, the block of its next
     event, or, once every packet is admitted, the blocks of its next
     ``_WAVE_ROWS // live`` events; so no call exceeds ``_WAVE_ROWS`` blocks,
-    and a packet that ends early leaves its later blocks unread. Each wave
+    every call writes into one buffer of ``_WAVE_ROWS`` blocks, and a
+    packet that ends early leaves its later blocks unread. Each wave
     turns only the words a packet reads into draws, takes every live
     packet through one pass of ``trace_packet``'s loop, with the same
     floating-point operations, sets the fates from masks in its order
@@ -336,6 +340,10 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
     fates = np.zeros(total, dtype=np.uint8)   # fate 0 is "reached"
     events = np.zeros(len(cfgs), dtype=np.int64)
     rows = min(_WAVE_ROWS, total)
+    # every refill writes its blocks here: one comes only once the blocks in
+    # hand are all read, and none computes more than _WAVE_ROWS blocks, even
+    # for a batch of fewer packets
+    block_words = np.empty(4 * _WAVE_ROWS, dtype=np.uint64)
     pos, run, born, col = (np.empty(0, dtype=np.int64) for _ in range(4))
     x, mx, w = (np.empty(0) for _ in range(3))
     admitted = 0
@@ -365,7 +373,8 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
             ahead = (1 if admitted < total or not pos.size
                      else _WAVE_ROWS // pos.size)
             blocks = rng.philox4x64(run_seeds[run], pos - offsets[run],
-                                    event + np.arange(ahead)[:, None])
+                                    event + np.arange(ahead)[:, None],
+                                    out=block_words)
             col = np.arange(pos.size)
             read = 0
         # one contiguous row per word: step, g, nu, chi
@@ -399,7 +408,7 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
                                          for a in (pos, run, born, col, x, mx, w))
         # only the packets that scatter on turn their g, nu, chi words
         # into draws
-        g, nu, chi = word_uniforms(words[1:].take(col, axis=1))
+        g, nu, chi = (word_uniforms(words[j].take(col)) for j in (1, 2, 3))
         g = asym.lo + (asym.hi - asym.lo) * g
         mx = _rotate(mx, _hg_cosine(g, nu), two_pi * chi)
     ends = offsets[1:-1]

@@ -1,5 +1,9 @@
 """Tests for the counter-based random streams."""
 
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +158,73 @@ class TestPhilox:
                 int(seed_grid[i, 0, 0]), int(stream_grid[0, j, 0]),
                 int(block_grid[k])))
 
+    def test_out_buffer(self):
+        out = np.empty(70, dtype=np.uint64)
+        words = philox4x64(3, np.arange(5)[:, None], np.arange(1, 4), out=out)
+        assert words.shape == (5, 3, 4)
+        assert np.shares_memory(words, out)
+        assert np.array_equal(words, philox4x64(3, np.arange(5)[:, None],
+                                                np.arange(1, 4)))
+
+    def test_kept_scratch_over_lane_counts(self):
+        # a call of fewer lanes reuses the scratch of a larger one, and a
+        # call past the kept size allocates its own
+        lanes = np.random.default_rng(5)
+        out = np.empty(4 * 9000, dtype=np.uint64)
+        for n in (8192, 3, 9000, 1):
+            seed_list, stream_list = (lanes.integers(0, 2 ** 64, n, dtype=np.uint64)
+                                      for _ in range(2))
+            block_list = lanes.integers(1, 2 ** 64, n, dtype=np.uint64)
+            for given_out in (None, out):
+                words = philox4x64(seed_list, stream_list, block_list,
+                                   out=given_out)
+                expected = [numpy_words(int(seed), int(stream), int(block))
+                            for seed, stream, block
+                            in zip(seed_list, stream_list, block_list)]
+                assert np.array_equal(words, expected)
+
+    @pytest.mark.parametrize("out", [
+        np.empty(4 * 6 - 1, dtype=np.uint64), np.empty(4 * 6, dtype=np.int64),
+        np.empty(8 * 6, dtype=np.uint64)[::2],
+        np.empty((4, 6), dtype=np.uint64), list(range(4 * 6))])
+    def test_bad_out_rejected(self, out):
+        with pytest.raises(ValueError, match="out must be"):
+            philox4x64(3, np.arange(6), 1, out=out)
+
+    def test_threads_keep_their_scratch(self):
+        # two threads at once each get the words they get alone
+        calls = [(seed, np.arange(n, dtype=np.uint64), np.full(n, 7, dtype=np.uint64))
+                 for seed, n in ((11, 8192), (12, 5000))]
+        alone = [philox4x64(*call) for call in calls]
+
+        def repeat(i):
+            return all(np.array_equal(philox4x64(*calls[i]), alone[i])
+                       for _ in range(40))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(repeat, i) for i in (0, 1)]
+                assert [f.result(timeout=120) for f in futures] == [True, True]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_call_with_out_allocates_little(self):
+        n = 8192
+        seed_list, stream_list, block_list = (
+            np.arange(1, n + 1, dtype=np.uint64) * k for k in (3, 5, 7))
+        out = np.empty(4 * n, dtype=np.uint64)
+        philox4x64(seed_list, stream_list, block_list, out=out)   # warm-up
+        tracemalloc.start()
+        try:
+            philox4x64(seed_list, stream_list, block_list, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the limb scratch alone is 15 * 8192 words, 960 KiB
+        assert peak < 64 * 1024
+
     def test_word_uniforms(self):
         words = np.array([0, 2047, 2048, 2 ** 64 - 1], dtype=np.uint64)
         draws = word_uniforms(words)
@@ -175,6 +246,21 @@ class TestSubstream:
     def test_bad_index_rejected(self, stream):
         with pytest.raises(DomainError, match="stream index must be an int"):
             substream(1, stream)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 128 - 1, np.uint64(2 ** 64 - 1),
+                                      np.int8(5)])
+    def test_seed_range_ends_accepted(self, seed):
+        counter = np.array([0, 0, 3, 0], dtype=np.uint64)
+        raw = np.random.Philox(key=int(seed), counter=counter).random_raw(4)
+        assert np.array_equal(substream(seed, 3).bit_generator.random_raw(4), raw)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.bool_(True), "5", None,
+                                      -1, np.int64(-1), 2 ** 128])
+    def test_bad_seed_rejected(self, seed):
+        # 1.5 and True once read seed 1's stream, "5" seed 5's, None OS
+        # entropy, and 2**128 leaked numpy's ValueError
+        with pytest.raises(DomainError, match="seed must be an int"):
+            substream(seed, 0)
 
 
 class TestDeriveSeed:

@@ -280,8 +280,8 @@ class TestWaveKernel:
         zeros = {(0, 1): {0: 0}, (1, 1): {1: 2047}, (2, 2): {2: 0},
                  (3, 1): {3: 0}, (3, 3): {3: 2047}, (4, 2): {1: 0, 2: 0, 3: 0}}
 
-        def planted(seeds, streams, blocks):
-            words = philox4x64(seeds, streams, blocks)
+        def planted(seeds, streams, blocks, out=None):
+            words = philox4x64(seeds, streams, blocks, out=out)
             streams, blocks = (np.broadcast_to(a, words.shape[:-1])
                                for a in (streams, blocks))
             for (stream, block), cols in zeros.items():
@@ -324,8 +324,8 @@ class TestWaveKernel:
         # (cosine 0 at nu = ZERO_DRAW) and a raw 0 the isotropic one
         # (cosine -1), so a kernel that skips the zero rule on these words
         # leaves the reference's path.
-        def planted(seeds, streams, blocks):
-            words = philox4x64(seeds, streams, blocks)
+        def planted(seeds, streams, blocks, out=None):
+            words = philox4x64(seeds, streams, blocks, out=out)
             first = np.broadcast_to(blocks, words.shape[:-1]) == 1
             words[first, 1:] = 0
             return words
@@ -410,8 +410,8 @@ class TestEstimateBatch:
                        seed=4)]
         shapes = []
 
-        def counting(seeds, streams, blocks):
-            words = philox4x64(seeds, streams, blocks)
+        def counting(seeds, streams, blocks, out=None):
+            words = philox4x64(seeds, streams, blocks, out=out)
             shapes.append(words.shape[:-1])   # (blocks ahead, live packets)
             return words
 
@@ -431,6 +431,25 @@ class TestEstimateBatch:
             assert max(math.prod(shape) for shape in shapes) <= rows
             if rows == 64:
                 assert max(ahead for ahead, _ in shapes) > 1
+
+    @pytest.mark.parametrize("rows", [None, 64])
+    def test_refills_share_one_block_buffer(self, rows, monkeypatch):
+        # a row cap of 64 admits packets over many waves before the tail
+        cfgs = [config(packet_count=1000, extinction_per_m=1.0, seed=4)]
+        whole = estimate_batch(cfgs)
+        if rows:
+            monkeypatch.setattr(transport, "_WAVE_ROWS", rows)
+        outs = []
+
+        def counting(seeds, streams, blocks, out=None):
+            outs.append(out)
+            return philox4x64(seeds, streams, blocks, out=out)
+
+        monkeypatch.setattr(rng, "philox4x64", counting)
+        assert estimate_batch(cfgs) == whole
+        assert len(outs) > 1
+        assert all(np.shares_memory(out, outs[0]) for out in outs)
+        assert outs[0].size == 4 * transport._WAVE_ROWS
 
     def test_empty_batch(self):
         assert estimate_batch([]) == []
