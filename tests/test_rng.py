@@ -175,13 +175,13 @@ class TestPhilox:
             seed_list, stream_list = (lanes.integers(0, 2 ** 64, n, dtype=np.uint64)
                                       for _ in range(2))
             block_list = lanes.integers(1, 2 ** 64, n, dtype=np.uint64)
+            expected = [numpy_words(int(seed), int(stream), int(block))
+                        for seed, stream, block
+                        in zip(seed_list, stream_list, block_list)]
             for given_out in (None, out):
-                words = philox4x64(seed_list, stream_list, block_list,
-                                   out=given_out)
-                expected = [numpy_words(int(seed), int(stream), int(block))
-                            for seed, stream, block
-                            in zip(seed_list, stream_list, block_list)]
-                assert np.array_equal(words, expected)
+                assert np.array_equal(philox4x64(seed_list, stream_list,
+                                                 block_list, out=given_out),
+                                      expected)
 
     @pytest.mark.parametrize("out", [
         np.empty(4 * 6 - 1, dtype=np.uint64), np.empty(4 * 6, dtype=np.int64),
