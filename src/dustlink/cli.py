@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from statistics import median
 from typing import NamedTuple
@@ -331,8 +331,7 @@ def _time_scenario(cfg, planet, grid):
     counts = link.default_time_counts(planet, cfg.seed)
     points = link.time_scenario_points(link_cfg, planet, counts, cfg.seed, k,
                                        _transport(cfg, planet))
-    return [(p.t_s, p.count, p.transmittance, p.attenuation_db_per_m,
-             p.capacity_bps) for p in points]
+    return [astuple(p) for p in points]
 
 
 def _capacity_distance(cfg, planet, grid):
@@ -342,9 +341,7 @@ def _capacity_distance(cfg, planet, grid):
                  else (cfg.density_lo_per_m, cfg.density_hi_per_m))
     points = link.distance_sweep_points(link_cfg, planet, grid, densities,
                                         cfg.seed, k, _transport(cfg, planet))
-    return [(p.distance_m, p.density_per_m, p.k_per_m, p.transmittance,
-             p.h_spreading, p.h_absorption, p.h_dust, p.capacity_bps)
-            for p in points]
+    return [astuple(p) for p in points]
 
 
 _STORM_CONE = storm.BeamCone((5500.0, 0.0, 50.0), (6500.0, 0.0, 50.0),

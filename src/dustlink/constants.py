@@ -42,4 +42,7 @@ def db_from_transmittance(transmittance: float, distance_m: float) -> float:
 
 def dbm_to_watts(dbm: float) -> float:
     """Exact dBm -> W conversion."""
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise DomainError(f"power {dbm!r} dBm overflows in watts") from None

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import SPEED_OF_LIGHT, dbm_to_watts
-from .errors import DomainError, is_int, require_finite
+from .errors import DomainError, require_finite
 from .presets import DEFAULT_NOISE_PSD_W_HZ, DEFAULT_TX_POWER_W, PlanetPreset
 from .rng import derive_seed, substream
 from .scatter import LinearDensity
@@ -186,19 +186,15 @@ class DistancePoint:
     capacity_bps: float
 
 
-def default_time_counts(planet: PlanetPreset, seed: int,
-                        seconds: int = TIME_SCENARIO_SECONDS) -> list[int]:
-    """Per-second dust counts with low-dust drop windows.
+def default_time_counts(planet: PlanetPreset, seed: int) -> list[int]:
+    """Per-second dust counts at t = 0..20 s with low-dust drop windows.
 
     Each second draws uniformly from the planet's ``storm_count_range``,
-    or from its ``drop_count_range`` inside the drop windows. ``seconds``
-    must be an int >= 1.
+    or from its ``drop_count_range`` inside the drop windows.
     """
-    if not (is_int(seconds) and seconds >= 1):
-        raise DomainError(f"seconds must be an int >= 1, got {seconds!r}")
     rng = substream(derive_seed(seed, "time-counts"), 0)
     counts = []
-    for t in range(seconds):
+    for t in range(TIME_SCENARIO_SECONDS):
         in_window = any(lo <= t <= hi for lo, hi in DROP_WINDOWS_S)
         lo, hi = planet.drop_count_range if in_window else planet.storm_count_range
         counts.append(int(rng.integers(lo, hi + 1)))
@@ -246,37 +242,46 @@ def run_distance_sweep(cfg: LinkConfig, planet: PlanetPreset,
                                  seed, k_per_m, _template(planet, packet_count))
 
 
+def _link_points(cfg: LinkConfig, planet: PlanetPreset, transport: TransportConfig,
+                 seed: int, label: str, distances_m: list[float],
+                 densities_per_m: list[float], k_per_m: float) -> list[tuple]:
+    """The link budget of each (distance, dust density) point.
+
+    Point i reruns ``transport`` over its distance with the planet's dust
+    extinction at its density and the seed ``derive_seed(seed, label, i)``,
+    all points in one batch. Its dust amplitude composes with spreading
+    and the band-center absorption ``k_per_m``. Returns each point's
+    (transport result, channel gains, capacity in bit/s).
+    """
+    results = estimate_batch([
+        replace(transport, distance_m=distance, seed=derive_seed(seed, label, i),
+                extinction_per_m=planet.extinction(
+                    LinearDensity(density), cfg.center_hz).extinction_per_m)
+        for i, (distance, density) in enumerate(zip(distances_m, densities_per_m))])
+    points = []
+    for distance, result in zip(distances_m, results):
+        gains = channel_gain(cfg.center_hz, distance, k_per_m, result.transmittance)
+        points.append((result, gains, capacity(cfg, gains.h_los).capacity_bps))
+    return points
+
+
 def time_scenario_points(cfg: LinkConfig, planet: PlanetPreset,
                          counts: list[int], seed: int, k_per_m: float,
                          transport: TransportConfig) -> list[TimePoint]:
     """Per-second capacity under a time-varying dust count.
 
     Each second's count becomes a per-meter density over the link
-    distance, drives a seeded transport run derived from ``transport``
-    (all seconds are traced in one batch), and the resulting dust
-    amplitude composes with spreading and the fixed band-center
-    absorption ``k_per_m``. Deterministic per seed.
+    distance (``_link_points`` with label "time"). Deterministic per seed.
     """
     if any(c < 0 for c in counts):
         raise DomainError("dust counts must be >= 0")
-    rates = [planet.extinction(LinearDensity(count / cfg.distance_m),
-                               cfg.center_hz).extinction_per_m for count in counts]
-    results = estimate_batch([
-        replace(transport, extinction_per_m=cext, distance_m=cfg.distance_m,
-                seed=derive_seed(seed, "time", t))
-        for t, cext in enumerate(rates)])
-    points = []
-    for t, (count, result) in enumerate(zip(counts, results)):
-        gains = channel_gain(cfg.center_hz, cfg.distance_m, k_per_m,
-                             result.transmittance)
-        points.append(TimePoint(
-            t_s=float(t),
-            count=count,
-            transmittance=result.transmittance,
-            attenuation_db_per_m=result.attenuation_db_per_m,
-            capacity_bps=capacity(cfg, gains.h_los).capacity_bps,
-        ))
-    return points
+    points = _link_points(cfg, planet, transport, seed, "time",
+                          [cfg.distance_m] * len(counts),
+                          [count / cfg.distance_m for count in counts], k_per_m)
+    return [TimePoint(float(t), count, result.transmittance,
+                      result.attenuation_db_per_m, capacity_bps)
+            for t, (count, (result, _, capacity_bps))
+            in enumerate(zip(counts, points))]
 
 
 def distance_sweep_points(cfg: LinkConfig, planet: PlanetPreset,
@@ -287,9 +292,8 @@ def distance_sweep_points(cfg: LinkConfig, planet: PlanetPreset,
     """Capacity versus distance at a per-meter dust density range.
 
     The density at each distance is drawn uniformly from the range (a
-    (0, 0) range is clear sky); each distance reruns ``transport`` with
-    its own extinction and derived seed, all distances in one batch.
-    Distances must be increasing.
+    (0, 0) range is clear sky); each distance is one ``_link_points``
+    point with label "distance". Distances must be increasing.
     """
     if list(distances_m) != sorted(distances_m):
         raise DomainError("distances must be increasing")
@@ -298,23 +302,10 @@ def distance_sweep_points(cfg: LinkConfig, planet: PlanetPreset,
         raise DomainError("density range must be ordered, finite and >= 0")
     rng = substream(derive_seed(seed, "distance-densities"), 0)
     densities = [float(rng.uniform(lo, hi)) for _ in distances_m]
-    rates = [planet.extinction(LinearDensity(density), cfg.center_hz).extinction_per_m
-             for density in densities]
-    results = estimate_batch([
-        replace(transport, extinction_per_m=cext, distance_m=distance,
-                seed=derive_seed(seed, "distance", i))
-        for i, (distance, cext) in enumerate(zip(distances_m, rates))])
-    points = []
-    for distance, density, result in zip(distances_m, densities, results):
-        gains = channel_gain(cfg.center_hz, distance, k_per_m, result.transmittance)
-        points.append(DistancePoint(
-            distance_m=float(distance),
-            density_per_m=density,
-            k_per_m=k_per_m,
-            transmittance=result.transmittance,
-            h_spreading=gains.h_spreading,
-            h_absorption=gains.h_absorption,
-            h_dust=gains.h_dust,
-            capacity_bps=capacity(cfg, gains.h_los).capacity_bps,
-        ))
-    return points
+    points = _link_points(cfg, planet, transport, seed, "distance", distances_m,
+                          densities, k_per_m)
+    return [DistancePoint(float(distance), density, k_per_m, result.transmittance,
+                          gains.h_spreading, gains.h_absorption, gains.h_dust,
+                          capacity_bps)
+            for distance, density, (result, gains, capacity_bps)
+            in zip(distances_m, densities, points)]

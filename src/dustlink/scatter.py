@@ -331,9 +331,12 @@ def _rayleigh_terms(f_hz: float, eps: DustPermittivity) -> _Terms:
 
 
 def _cross_section_terms(f_hz: float, eps: DustPermittivity) -> _Terms:
-    if eps.approximation == "mie":
-        return _mie_terms(f_hz, eps)
-    return _rayleigh_terms(f_hz, eps)
+    terms = _mie_terms if eps.approximation == "mie" else _rayleigh_terms
+    try:
+        return terms(f_hz, eps)
+    except OverflowError:   # a power of the wavenumber
+        raise DomainError(f"frequency {f_hz!r} Hz overflows the "
+                          f"{eps.approximation} cross section") from None
 
 
 def _efficiency(terms: _Terms) -> _Terms:

@@ -139,3 +139,30 @@ def test_written_file_records_numpy_facts(tmp_path, monkeypatch):
     assert {key: machine[key] for key in MACHINE} == MACHINE
     assert {key: machine[key] for key in ("numpy", "numpy_cpu_features")} == \
         bench_pairs.numpy_facts()
+
+
+def test_copies_have_paths_of_equal_length(tmp_path, monkeypatch):
+    # a run's peak RSS follows its path's length: parent/ and child/ differ
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "w"}]}))
+    copies = {}
+    monkeypatch.setattr(bench_pairs, "copy_tree",
+                        lambda src, dest: copies.setdefault(str(dest), dest))
+    monkeypatch.setattr(bench_pairs, "compile_tree", lambda root: None)
+    ran = set()
+
+    def runner(root, workload, seed, seconds):
+        ran.add(str(root))
+        return canned_stdout(1.0)
+
+    run_pairs = bench_pairs.run_pairs
+    monkeypatch.setattr(bench_pairs, "run_pairs", lambda *args, **kwargs: run_pairs(
+        *args, **kwargs, runner=runner))
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([str(root), str(root), "--tag", "t", "--pairs", "2"]) == 0
+    assert ran == set(copies)
+    parent, child = copies.values()
+    assert parent != child
+    assert parent.parent == child.parent
+    assert len(str(parent)) == len(str(child))

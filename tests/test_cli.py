@@ -526,6 +526,7 @@ class TestMain:
         ("capacity_distance", "transport.max_events = 0"),
         ("extinction_table", "medium.visibility_m = -1"),
         ("capacity_distance", "link.noise_psd_w_hz = 0"),
+        ("capacity_distance", "link.tx_power_dbm = 4000"),
         ("storm_density", "storm.timestep_s = 0"),
         ("particle_sweep", "transport.distance_m = 0"),
         ("particle_sweep", "transport.distance_m = -1"),
@@ -539,6 +540,24 @@ class TestMain:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("planet, approximation", [("earth", "mie"),
+                                                       ("mars", "rayleigh")])
+    @pytest.mark.parametrize("scenario", ["extinction_table", "frequency_sweep"])
+    def test_overflowing_frequency_exit_code(self, scenario, planet, approximation,
+                                             tmp_path, capsys):
+        # a power of the wavenumber once raised OverflowError (exit 4)
+        config = tmp_path / "huge.cfg"
+        sizes = {"replicates": 1, "range.steps": 2}
+        config.write_text(f"{size_lines(scenario, sizes)}range.stop = 1e300\n")
+        code = main([scenario, "--planet", planet, "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: frequency 1e+300 Hz overflows the {approximation} "
+            "cross section\n")
+        assert not (tmp_path / "out").exists()
 
     def test_later_domain_error_exit_code(self, tmp_path, capsys):
         # a grid value the sweep rejects is a config value too; a negative

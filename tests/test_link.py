@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dustlink.cli import CONFIG_KEYS, ExperimentConfig, _transport
+from dustlink.cli import (CONFIG_KEYS, ExperimentConfig, _SCENARIO_TABLE,
+                          _transport)
 from dustlink.constants import (SPEED_OF_LIGHT, db_from_transmittance,
                                 dbm_to_watts)
 from dustlink.errors import DomainError
-from dustlink.link import (DROP_WINDOWS_S, LinkConfig, capacity, channel_gain,
-                           default_time_counts, h_absorption, h_dust,
-                           h_spreading, run_distance_sweep, run_time_scenario,
+from dustlink.link import (DROP_WINDOWS_S, DistancePoint, LinkConfig, TimePoint,
+                           capacity, channel_gain, default_time_counts,
+                           h_absorption, h_dust, h_spreading,
+                           run_distance_sweep, run_time_scenario,
                            transport_template)
 from dustlink.presets import (DEFAULT_NOISE_PSD_W_HZ, DEFAULT_TX_POWER_W, EARTH,
                               MARS)
@@ -154,6 +156,11 @@ class TestCapacity:
         assert dbm_to_watts(10.0) == pytest.approx(0.01, rel=1e-15)
         assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
 
+    def test_overflowing_dbm_rejected(self):
+        # 10.0 ** 397 once leaked OverflowError
+        with pytest.raises(DomainError, match="power 4000.0 dBm"):
+            dbm_to_watts(4000.0)
+
 
 @pytest.mark.parametrize("call", [
     lambda: h_spreading("1e11", 10.0),
@@ -164,15 +171,10 @@ class TestCapacity:
     lambda: h_dust("0.5"),
     lambda: h_dust(True),
     lambda: capacity(link_config(), "1"),
-    lambda: default_time_counts(EARTH, 1, seconds="3"),
-    lambda: default_time_counts(EARTH, 1, seconds=2.0),
-    lambda: default_time_counts(EARTH, 1, seconds=True),
-    lambda: default_time_counts(EARTH, 1, seconds=0),
 ], ids=["spreading_str", "spreading_none", "spreading_inf", "absorption_str",
-        "absorption_distance_str", "dust_str", "dust_bool", "capacity_str",
-        "seconds_str", "seconds_float", "seconds_bool", "seconds_zero"])
+        "absorption_distance_str", "dust_str", "dust_bool", "capacity_str"])
 def test_non_number_argument_raises_domain_error(call):
-    # these once leaked TypeError, and seconds = 0 returned []
+    # these once leaked TypeError
     with pytest.raises(DomainError):
         call()
 
@@ -355,6 +357,37 @@ class TestDistanceSweep:
                 h_spreading(cfg.center_hz, p.distance_m), rel=1e-12)
             assert p.h_absorption == pytest.approx(
                 h_absorption(0.01, p.distance_m), rel=1e-12)
+
+
+class TestLinkBudget:
+    """Both capacity scenarios compose a dusty point the same way."""
+
+    @pytest.mark.parametrize("planet", [EARTH, MARS], ids=["earth", "mars"])
+    def test_dusty_points_composed_alike(self, planet):
+        k = 0.004
+        time_cfg = LinkConfig.for_preset(planet, distance_m=1.0)
+        counts = default_time_counts(planet, seed=3)
+        time_points = run_time_scenario(time_cfg, planet, counts, seed=3,
+                                        k_per_m=k, packet_count=400)
+        distance_cfg = LinkConfig.for_preset(planet)
+        distance_points = run_distance_sweep(
+            distance_cfg, planet, [0.5, 1.0, 2.0, 4.0], (1.0, 20.0), seed=3,
+            k_per_m=k, packet_count=400)
+        cases = ([(time_cfg, time_cfg.distance_m, p) for p in time_points]
+                 + [(distance_cfg, p.distance_m, p) for p in distance_points])
+        assert any(0.0 < p.transmittance < 1.0 for _, _, p in cases)
+        for cfg, distance, p in cases:
+            gains = channel_gain(cfg.center_hz, distance, k, p.transmittance)
+            assert p.capacity_bps == capacity(cfg, gains.h_los).capacity_bps
+        for p in time_points:
+            assert p.attenuation_db_per_m == db_from_transmittance(
+                p.transmittance, time_cfg.distance_m)
+
+    @pytest.mark.parametrize("scenario, record", [
+        ("time_scenario", TimePoint), ("capacity_distance", DistancePoint)])
+    def test_csv_has_one_column_per_record_field(self, scenario, record):
+        # the CLI writes each record as ``dataclasses.astuple``
+        assert len(_SCENARIO_TABLE[scenario].header) == len(fields(record))
 
 
 class TestPlanetComparison:
