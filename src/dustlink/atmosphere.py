@@ -338,7 +338,8 @@ def load_catalog_dir(directory: str | Path,
                      gases: list[str]) -> dict[str, LineTable]:
     """Load ``<GAS>.par`` files for the requested gases from a directory.
 
-    Raises CatalogError listing every expected path that is missing, and
+    Raises CatalogError listing every expected path that is missing,
+    CatalogError for the first file that cannot be read or decoded, and
     FormatError for the first bad record of the first file that has one.
     """
     directory = Path(directory)
@@ -347,7 +348,15 @@ def load_catalog_dir(directory: str | Path,
     if missing:
         raise CatalogError(
             "missing catalog files: " + ", ".join(sorted(missing)))
-    return dict(zip(paths, _parse_texts([path.read_text() for path in paths.values()])))
+    return dict(zip(paths, _parse_texts([_read_catalog(path)
+                                         for path in paths.values()])))
+
+
+def _read_catalog(path: Path) -> str:
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CatalogError(f"cannot read catalog file {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,15 @@ explicit Euler, which is adequate for this purely kinematic model.
 The beam between transmitter and receiver is subdivided into disks at a
 fixed spacing; a particle is in the beam when its distance to either of
 its two nearest disk centers is within that disk's radius.
+
+A stepped field is held as one (4, N) float block, rows x, y, z and
+radius; ``ParticleField.positions_m`` and ``radii_m`` are (N, 3) and
+(N,) views of it, and a field built from a C-ordered (N, 3) array gives
+the same results bit for bit. Two exact pre-tests skip work that cannot
+change a result: the swirl gathers the vortex core only when some
+particle has dx*dx <= R**2, and the beam count stops when no particle's
+x lies in the beam's bounding box (see ``step_field`` and
+``count_in_beam``).
 """
 
 import math
@@ -97,7 +106,11 @@ class StormConfig:
 
 @dataclass(frozen=True)
 class ParticleField:
-    """Particle positions (N x 3) and radii (N) at one timestamp."""
+    """Particle positions (N x 3) and radii (N) at one timestamp.
+
+    ``step_field`` builds both as views of one (4, N) block, rows x, y, z
+    and radius; a field built from any (N, 3) array works the same.
+    """
 
     positions_m: np.ndarray
     radii_m: np.ndarray
@@ -118,67 +131,83 @@ def empty_field() -> ParticleField:
     return ParticleField(np.zeros((0, 3)), np.zeros(0))
 
 
-def _in_box(points: np.ndarray, lo, hi) -> np.ndarray:
-    """Mask of the rows of ``points`` (N x 3) inside the box [lo, hi]."""
-    (x0, y0, z0), (x1, y1, z1) = lo, hi
-    return ((points[:, 0] >= x0) & (points[:, 0] <= x1)
-            & (points[:, 1] >= y0) & (points[:, 1] <= y1)
-            & (points[:, 2] >= z0) & (points[:, 2] <= z1))
+def _within(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    return (values >= lo) & (values <= hi)
 
 
 def step_field(fld: ParticleField, cfg: StormConfig) -> ParticleField:
     """Advance every particle one timestep, emit new ones, drop escapees.
 
     Deterministic for a fixed (cfg.seed, step index): emission and
-    turbulence randomness come from a per-step substream. Old and new
-    particles share one (N_old + N_new, 3) buffer: the top rows hold the
-    velocities (turbulent jitter plus the wind, swirl and vertical
-    terms), then the displacement and the old positions; the bottom rows
-    hold the emitted particles.
+    turbulence randomness come from a per-step substream. The new field
+    is one (4, N_old + N_new) block, rows x, y, z and radius, so every
+    update runs on contiguous rows. The old particles' columns come first:
+    their turbulent jitter (drawn as an (N_old, 3) array, which fixes the
+    order of the draws) plus the wind, swirl and vertical terms, times the
+    timestep, plus the old positions; the emitted particles' columns
+    follow.
+
+    The swirl gathers the vortex core only when some particle has
+    dx*dx <= R**2: the core test dx*dx + dy*dy <= R**2 cannot pass
+    otherwise, since dy*dy >= 0 and rounded addition is monotone. The
+    kept columns are gathered in one ``take``, skipped when no particle
+    leaves the domain.
     """
     rng = substream(cfg.seed, fld.step_index)
-    old = fld.positions_m
+    old_x, old_y, _ = fld.positions_m.T
     n_old = fld.count()
     n_new = cfg.emission_rate
-    positions = np.zeros((n_old + n_new, 3))
-    moved = positions[:n_old]
+    block = np.empty((4, n_old + n_new))
+    moved = block[:3, :n_old]
     if cfg.turbulence_m_s > 0.0 and n_old > 0:
-        # the draws of rng.normal(0, turbulence, (n_old, 3)), without a copy
-        rng.standard_normal(out=moved)
-        moved *= cfg.turbulence_m_s
-    x = old[:, 0]
-    y = old[:, 1]
+        # the draws of rng.normal(0, turbulence, (n_old, 3)), laid out as rows
+        np.multiply(rng.standard_normal((n_old, 3)).T, cfg.turbulence_m_s,
+                    out=moved)
+    else:
+        moved.fill(0.0)
+    x, y, z = moved
     # horizontal advection with exponential downstream ramp
-    wind = cfg.wind_speed_m_s * np.exp(x / cfg.ramp_length_m)
+    wind = np.divide(old_x, cfg.ramp_length_m)
+    np.exp(wind, out=wind)
+    wind *= cfg.wind_speed_m_s
     # solid-body swirl about the vertical axis through the vortex center;
     # it joins the wind before the jitter, so x sums (wind + swirl) + jitter
     if cfg.vortex_strength_rad_s > 0.0:
-        dx = x - cfg.vortex_center_m[0]
-        dy = y - cfg.vortex_center_m[1]
-        core = np.flatnonzero(dx * dx + dy * dy <= cfg.vortex_core_radius_m ** 2)
-        wind[core] += -cfg.vortex_strength_rad_s * dy[core]
-        moved[core, 1] += cfg.vortex_strength_rad_s * dx[core]
-    moved[:, 0] += wind
-    moved[:, 2] += cfg.updraft_m_s - cfg.settling_m_s
+        core_r2 = cfg.vortex_core_radius_m ** 2
+        dx = old_x - cfg.vortex_center_m[0]
+        dx2 = dx * dx
+        if (dx2 <= core_r2).any():
+            dy = old_y - cfg.vortex_center_m[1]
+            core = np.flatnonzero(dx2 + dy * dy <= core_r2)
+            wind[core] += -cfg.vortex_strength_rad_s * dy[core]
+            y[core] += cfg.vortex_strength_rad_s * dx[core]
+    x += wind
+    z += cfg.updraft_m_s - cfg.settling_m_s
     moved *= cfg.timestep_s
-    moved += old
+    moved += fld.positions_m.T
 
-    positions[n_old:, 1] = rng.uniform(-cfg.source_y_half_span_m,
-                                       cfg.source_y_half_span_m, n_new)
-    radii = np.empty(n_old + n_new)
-    radii[:n_old] = fld.radii_m
-    radii[n_old:] = rng.uniform(*cfg.radius_range_m, n_new)
+    block[:3, n_old:] = 0.0
+    block[1, n_old:] = rng.uniform(-cfg.source_y_half_span_m,
+                                   cfg.source_y_half_span_m, n_new)
+    block[3, :n_old] = fld.radii_m
+    block[3, n_old:] = rng.uniform(*cfg.radius_range_m, n_new)
 
-    keep = _in_box(positions, cfg.domain_m[0::2], cfg.domain_m[1::2])
-    kept = int(np.count_nonzero(keep))
+    x0, x1, y0, y1, z0, z1 = cfg.domain_m
+    keep = _within(block[0], x0, x1)
+    keep &= _within(block[1], y0, y1)
+    keep &= _within(block[2], z0, z1)
+    kept = np.flatnonzero(keep)
+    if kept.size < block.shape[1]:
+        # a take of the kept columns runs faster than compress(axis=1)
+        block = block.take(kept, axis=1)
 
     return ParticleField(
-        positions_m=positions.compress(keep, axis=0),
-        radii_m=radii.compress(keep),
+        positions_m=block[:3].T,
+        radii_m=block[3],
         timestamp_s=fld.timestamp_s + cfg.timestep_s,
         step_index=fld.step_index + 1,
         emitted=n_new,
-        removed=n_old + n_new - kept,
+        removed=n_old + n_new - kept.size,
     )
 
 
@@ -241,6 +270,12 @@ def count_in_beam(fld: ParticleField, cone: BeamCone) -> tuple[int, np.ndarray]:
     beam (counted once) when its distance to either disk center is at
     most that disk's radius. The profile bins in-beam particles into 1 m
     axial slots.
+
+    Only the particles in the beam's padded bounding box are tested. The
+    box test reads the x, y and z rows of the field and stops at the x
+    range when no particle lies in it: such a field has no particle in
+    the box, so the count is 0 and the profile all zeros, as the full test
+    would give. The faces of the box count as inside.
     """
     n_bins = cone.bin_count()
     profile = np.zeros(n_bins)
@@ -255,7 +290,11 @@ def count_in_beam(fld: ParticleField, cone: BeamCone) -> tuple[int, np.ndarray]:
     pad = float(cone.disk_radius(n_disks * spacing)) + spacing + 1.0
     lo = np.minimum(tx, far) - pad
     hi = np.maximum(tx, far) + pad
-    in_box = _in_box(fld.positions_m, lo, hi)
+    x, y, z = fld.positions_m.T
+    in_box = _within(x, lo[0], hi[0])
+    if in_box.any():   # on most storm steps no particle is in the x range
+        in_box &= _within(y, lo[1], hi[1])
+        in_box &= _within(z, lo[2], hi[2])
     if not in_box.any():
         return 0, profile
 

@@ -1,6 +1,8 @@
 """Tests for catalog parsing, line shapes and the absorption coefficient."""
 
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +248,25 @@ class TestParser:
     def test_missing_files_listed(self, tmp_path):
         with pytest.raises(CatalogError, match="XY.par"):
             atm.load_catalog_dir(tmp_path, ["XY"])
+
+    def test_undecodable_file_named(self, tmp_path):
+        # a byte that is not UTF-8 once leaked a UnicodeDecodeError
+        shutil.copy(Path(bundled_catalog_dir()) / "CO2.par", tmp_path)
+        with open(tmp_path / "CO2.par", "ab") as f:
+            f.write(b"\xff\n")
+        with pytest.raises(CatalogError, match="cannot read catalog file .*CO2.par"):
+            atm.load_catalog_dir(tmp_path, ["CO2"])
+
+    def test_unreadable_file_named(self, tmp_path, monkeypatch):
+        # a bare OSError once left the loader
+        shutil.copy(Path(bundled_catalog_dir()) / "CO2.par", tmp_path)
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        with pytest.raises(CatalogError, match="cannot read catalog file .*CO2.par"):
+            atm.load_catalog_dir(tmp_path, ["CO2"])
 
 
 class TestLineIntensity:

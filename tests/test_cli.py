@@ -582,6 +582,17 @@ class TestMain:
         assert ("data error: record 1: line intensity must be >= 0"
                 in capsys.readouterr().err)
 
+    def test_undecodable_catalog_exit_code(self, tmp_path, capsys):
+        # a UnicodeDecodeError once exited 4, as a runtime error
+        catalog = tmp_path / "catalog"
+        shutil.copytree(bundled_catalog_dir(), catalog)
+        with open(catalog / "CO2.par", "ab") as f:
+            f.write(b"\xff\n")
+        code = main(["absorption_spectrum", "--catalog", str(catalog),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "data error: cannot read catalog file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scenario", ["mcp_sweep", "storm_density"])
     def test_negative_seed_exit_code(self, scenario, tmp_path, capsys):
         # once a runtime error (exit 4) from deep inside the random streams

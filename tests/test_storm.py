@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dustlink.errors import DomainError
-from dustlink.output import write_csv
+from dustlink.output import format_cell, write_csv
 from dustlink.presets import EARTH
 from dustlink.rng import substream
 from dustlink.storm import (BeamCone, ParticleField, StormConfig,
@@ -75,6 +75,40 @@ class TestStepField:
             counts.append(fld.count())
         assert counts == sorted(counts, reverse=True)
         assert counts[-1] == 0
+
+    @pytest.mark.parametrize("x, moved", [(120.0, True), (120.5, False)],
+                             ids=["core_edge", "past_core_edge"])
+    def test_swirl_at_the_core_edge(self, x, moved):
+        # dx = R, dy = 0 lies on the core's rim, where the dx*dx <= R**2
+        # pre-test and the full test dx*dx + dy*dy <= R**2 are both equal
+        cfg = quiet_config(vortex_strength_rad_s=0.5, vortex_center_m=(100.0, 0.0, 0.0),
+                           vortex_core_radius_m=20.0)
+        out = step_field(field_at([[x, 0.0, 5.0]]), cfg)
+        assert out.positions_m[0, 1] == (0.5 * 20.0 if moved else 0.0)
+
+    def test_layouts_step_and_count_alike(self):
+        # a slow vortex near the source, so the swirl terms run too
+        cfg = StormConfig(seed=11, vortex_center_m=(300.0, 0.0, 0.0),
+                          vortex_core_radius_m=150.0, vortex_strength_rad_s=0.05,
+                          domain_m=(0.0, 7000.0, -500.0, 500.0, 0.0, 120.0))
+        cone = BeamCone((0.0, 0.0, 5.0), (400.0, 0.0, 5.0), 0.05, 0.05)
+        columns = empty_field()
+        for _ in range(60):
+            columns = step_field(columns, cfg)
+        # step_field's fields are views of one (4, N) block
+        assert columns.positions_m.T.flags.c_contiguous
+        assert columns.positions_m.base is columns.radii_m.base
+        rows = field_at(np.ascontiguousarray(columns.positions_m),
+                        columns.radii_m.copy(), step_index=columns.step_index)
+        assert rows.positions_m.flags.c_contiguous
+        count, profile = count_in_beam(columns, cone)
+        count_rows, profile_rows = count_in_beam(rows, cone)
+        assert count > 100
+        assert (count, profile.tobytes()) == (count_rows, profile_rows.tobytes())
+        a, b = step_field(columns, cfg), step_field(rows, cfg)
+        assert a.positions_m.tobytes() == b.positions_m.tobytes()
+        assert a.radii_m.tobytes() == b.radii_m.tobytes()
+        assert (a.emitted, a.removed) == (b.emitted, b.removed)
 
     def test_radii_within_configured_range(self):
         cfg = quiet_config(emission_rate=500, radius_range_m=(2e-6, 3e-6))
@@ -333,7 +367,9 @@ class TestCountInBeamOracle:
         far = cone.length_m + cone.disk_spacing_m
         pad = float(cone.disk_radius(cone.length_m)) + cone.disk_spacing_m + 1.0
         points = []
-        for eps in (-2.0 ** -10, 2.0 ** -10):
+        # eps = 0 puts points on the box's faces, the x faces included:
+        # they pass the x-range pre-test and go on to the full test
+        for eps in (-2.0 ** -10, 0.0, 2.0 ** -10):
             points += [tx + (far + pad + eps, 0.0, 0.0), tx + (-pad - eps, 0.0, 0.0),
                        tx + (cone.length_m, pad + eps, 0.0),
                        tx + (cone.length_m, 0.0, -pad - eps)]
@@ -412,6 +448,14 @@ class TestDensityTimeSeries:
         write_csv(path, ["x", "y", "z", "r"],
                   [(*xyz, r) for xyz, r in zip(fld.positions_m, fld.radii_m)])
         assert path.read_text() == "x,y,z,r\n1.0,2.0,3.0,2e-06\n"
+        # a row of builtin floats and ints is written as its reprs, any
+        # other row cell by cell: both give each cell's format_cell
+        rows = [(True, np.float64(0.1), "dust", -0.0, math.nan, math.inf),
+                (-0.0, math.nan, math.inf, 3, 2.5e-300, 1.0)]
+        lines = write_csv(tmp_path / "mixed.csv", list("abcdef"),
+                          rows).read_text().splitlines()
+        assert lines[1:] == [",".join(map(format_cell, row)) for row in rows]
+        assert lines[1] == "true,0.1,dust,-0.0,nan,inf"
 
     def test_default_configuration_reaches_the_beam(self):
         # Steady-state beam fraction for the built-in storm geometry with
