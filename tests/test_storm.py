@@ -451,11 +451,13 @@ class TestDensityTimeSeries:
         # a row of builtin floats and ints is written as its reprs, any
         # other row cell by cell: both give each cell's format_cell
         rows = [(True, np.float64(0.1), "dust", -0.0, math.nan, math.inf),
-                (-0.0, math.nan, math.inf, 3, 2.5e-300, 1.0)]
+                (-0.0, math.nan, math.inf, 3, 2.5e-300, 1.0),
+                (False, 1.0, 2, -0.0, math.nan, math.inf)]
         lines = write_csv(tmp_path / "mixed.csv", list("abcdef"),
                           rows).read_text().splitlines()
         assert lines[1:] == [",".join(map(format_cell, row)) for row in rows]
-        assert lines[1] == "true,0.1,dust,-0.0,nan,inf"
+        assert (lines[1], lines[3]) == ("true,0.1,dust,-0.0,nan,inf",
+                                        "false,1.0,2,-0.0,nan,inf")
 
     def test_default_configuration_reaches_the_beam(self):
         # Steady-state beam fraction for the built-in storm geometry with
