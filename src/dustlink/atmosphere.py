@@ -354,7 +354,7 @@ def load_catalog_dir(directory: str | Path,
 
 def _read_catalog(path: Path) -> str:
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CatalogError(f"cannot read catalog file {path}: {exc}") from exc
 

@@ -20,10 +20,6 @@ def format_cell(value) -> str:
     return str(value)
 
 
-# cell types whose repr is their cell (a bool is an int, but not of this type)
-_PLAIN = frozenset((float, int))
-
-
 def write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> Path:
     """Write rows under a header; returns the path."""
     path = Path(path)
@@ -34,12 +30,9 @@ def write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> Path:
         if len(row) != len(header):
             raise DustlinkError(
                 f"row width {len(row)} does not match header width {len(header)}")
-        if _PLAIN.issuperset(map(type, row)):
-            lines.append(",".join(map(repr, row)))
-        else:
-            # a builtin float's cell is its repr: skip the call for those
-            lines.append(",".join([repr(v) if type(v) is float else format_cell(v)
-                                   for v in row]))
+        # a builtin float's cell is its repr: skip the call for those
+        lines.append(",".join([repr(v) if type(v) is float else format_cell(v)
+                               for v in row]))
     try:
         path.write_text("\n".join(lines) + "\n", newline="\n")
     except OSError as exc:

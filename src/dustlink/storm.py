@@ -13,12 +13,9 @@ its two nearest disk centers is within that disk's radius.
 
 A stepped field is held as one (4, N) float block, rows x, y, z and
 radius; ``ParticleField.positions_m`` and ``radii_m`` are (N, 3) and
-(N,) views of it, and a field built from a C-ordered (N, 3) array gives
-the same results bit for bit. Two exact pre-tests skip work that cannot
-change a result: the swirl gathers the vortex core only when some
-particle has dx*dx <= R**2, and the beam count stops when no particle's
-x lies in the beam's bounding box (see ``step_field`` and
-``count_in_beam``).
+(N,) views of it, so the stepping and the beam's box test run on
+contiguous rows. A field built from a C-ordered (N, 3) array gives the
+same results bit for bit.
 """
 
 import math
@@ -145,13 +142,8 @@ def step_field(fld: ParticleField, cfg: StormConfig) -> ParticleField:
     their turbulent jitter (drawn as an (N_old, 3) array, which fixes the
     order of the draws) plus the wind, swirl and vertical terms, times the
     timestep, plus the old positions; the emitted particles' columns
-    follow.
-
-    The swirl gathers the vortex core only when some particle has
-    dx*dx <= R**2: the core test dx*dx + dy*dy <= R**2 cannot pass
-    otherwise, since dy*dy >= 0 and rounded addition is monotone. The
-    kept columns are gathered in one ``take``, skipped when no particle
-    leaves the domain.
+    follow. The kept columns are gathered in one ``take``, skipped when
+    no particle leaves the domain.
     """
     rng = substream(cfg.seed, fld.step_index)
     old_x, old_y, _ = fld.positions_m.T
@@ -173,14 +165,11 @@ def step_field(fld: ParticleField, cfg: StormConfig) -> ParticleField:
     # solid-body swirl about the vertical axis through the vortex center;
     # it joins the wind before the jitter, so x sums (wind + swirl) + jitter
     if cfg.vortex_strength_rad_s > 0.0:
-        core_r2 = cfg.vortex_core_radius_m ** 2
         dx = old_x - cfg.vortex_center_m[0]
-        dx2 = dx * dx
-        if (dx2 <= core_r2).any():
-            dy = old_y - cfg.vortex_center_m[1]
-            core = np.flatnonzero(dx2 + dy * dy <= core_r2)
-            wind[core] += -cfg.vortex_strength_rad_s * dy[core]
-            y[core] += cfg.vortex_strength_rad_s * dx[core]
+        dy = old_y - cfg.vortex_center_m[1]
+        core = np.flatnonzero(dx * dx + dy * dy <= cfg.vortex_core_radius_m ** 2)
+        wind[core] += -cfg.vortex_strength_rad_s * dy[core]
+        y[core] += cfg.vortex_strength_rad_s * dx[core]
     x += wind
     z += cfg.updraft_m_s - cfg.settling_m_s
     moved *= cfg.timestep_s
@@ -271,11 +260,9 @@ def count_in_beam(fld: ParticleField, cone: BeamCone) -> tuple[int, np.ndarray]:
     most that disk's radius. The profile bins in-beam particles into 1 m
     axial slots.
 
-    Only the particles in the beam's padded bounding box are tested. The
-    box test reads the x, y and z rows of the field and stops at the x
-    range when no particle lies in it: such a field has no particle in
-    the box, so the count is 0 and the profile all zeros, as the full test
-    would give. The faces of the box count as inside.
+    Only the particles in the beam's padded bounding box are tested; the
+    box test reads the x, y and z rows of the field, and the faces of the
+    box count as inside.
     """
     n_bins = cone.bin_count()
     profile = np.zeros(n_bins)
@@ -292,9 +279,8 @@ def count_in_beam(fld: ParticleField, cone: BeamCone) -> tuple[int, np.ndarray]:
     hi = np.maximum(tx, far) + pad
     x, y, z = fld.positions_m.T
     in_box = _within(x, lo[0], hi[0])
-    if in_box.any():   # on most storm steps no particle is in the x range
-        in_box &= _within(y, lo[1], hi[1])
-        in_box &= _within(z, lo[2], hi[2])
+    in_box &= _within(y, lo[1], hi[1])
+    in_box &= _within(z, lo[2], hi[2])
     if not in_box.any():
         return 0, profile
 

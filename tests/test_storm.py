@@ -79,8 +79,7 @@ class TestStepField:
     @pytest.mark.parametrize("x, moved", [(120.0, True), (120.5, False)],
                              ids=["core_edge", "past_core_edge"])
     def test_swirl_at_the_core_edge(self, x, moved):
-        # dx = R, dy = 0 lies on the core's rim, where the dx*dx <= R**2
-        # pre-test and the full test dx*dx + dy*dy <= R**2 are both equal
+        # dx = R, dy = 0 lies on the core's rim, which is inside the core
         cfg = quiet_config(vortex_strength_rad_s=0.5, vortex_center_m=(100.0, 0.0, 0.0),
                            vortex_core_radius_m=20.0)
         out = step_field(field_at([[x, 0.0, 5.0]]), cfg)
@@ -367,8 +366,8 @@ class TestCountInBeamOracle:
         far = cone.length_m + cone.disk_spacing_m
         pad = float(cone.disk_radius(cone.length_m)) + cone.disk_spacing_m + 1.0
         points = []
-        # eps = 0 puts points on the box's faces, the x faces included:
-        # they pass the x-range pre-test and go on to the full test
+        # eps = 0 puts points on the box's faces, the x faces included,
+        # which count as inside the box
         for eps in (-2.0 ** -10, 0.0, 2.0 ** -10):
             points += [tx + (far + pad + eps, 0.0, 0.0), tx + (-pad - eps, 0.0, 0.0),
                        tx + (cone.length_m, pad + eps, 0.0),
@@ -448,8 +447,7 @@ class TestDensityTimeSeries:
         write_csv(path, ["x", "y", "z", "r"],
                   [(*xyz, r) for xyz, r in zip(fld.positions_m, fld.radii_m)])
         assert path.read_text() == "x,y,z,r\n1.0,2.0,3.0,2e-06\n"
-        # a row of builtin floats and ints is written as its reprs, any
-        # other row cell by cell: both give each cell's format_cell
+        # every cell is written as its format_cell, whatever the row's types
         rows = [(True, np.float64(0.1), "dust", -0.0, math.nan, math.inf),
                 (-0.0, math.nan, math.inf, 3, 2.5e-300, 1.0),
                 (False, 1.0, 2, -0.0, math.nan, math.inf)]
