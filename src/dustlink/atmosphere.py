@@ -4,7 +4,7 @@ Catalog records use the 2004-era 160-column fixed-width layout: molecule
 number, isotopologue number, line center (1/cm), reference intensity at
 296 K, air- and self-broadened half widths, lower-state energy,
 temperature exponent and pressure shift, parsed at exact column offsets.
-A catalog is held as a ``LineTable``, one numpy column per field in record
+A catalog is held as a ``LineTable``, one 1-D numpy column per field in record
 order. The loaders cast the fields of all records together through one
 structured record dtype. The cast declines every batch with a bad record,
 and may decline a valid one (a non-ASCII character or a NUL anywhere);
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import AVOGADRO, ATM_PA, BOLTZMANN, C2_CM_K, HZ_PER_INVCM, LN2, SPEED_OF_LIGHT
-from .errors import CatalogError, DomainError, FormatError, is_int, require_finite
+from .errors import CatalogError, DomainError, FormatError, require_finite, require_int
 
 __all__ = [
     "SpectralLine",
@@ -135,10 +135,8 @@ class SpectralLine:
     molar_mass_kg_mol: float
 
     def __post_init__(self):
-        for name in ("molecule_id", "isotopologue_id"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise DomainError(f"{name} must be an int, got {value!r}")
+        require_int("molecule_id", self.molecule_id)
+        require_int("isotopologue_id", self.isotopologue_id)
         require_finite(**{name: getattr(self, name) for name in _FLOAT_FIELDS})
         for name, test, message in _RANGE_CHECKS:
             if not test(getattr(self, name)):
@@ -153,8 +151,8 @@ _COLUMNS = tuple(_COLUMN_TYPES)
 
 @dataclass(frozen=True, eq=False)
 class LineTable:
-    """Catalog lines as columns: one read-only numpy array per
-    ``SpectralLine`` field, in record order.
+    """Catalog lines as columns: one read-only 1-D numpy array per
+    ``SpectralLine`` field, all of one length, in record order.
 
     ``len`` counts the lines; an integer index, and iteration, give
     ``SpectralLine`` objects; any other numpy index gives a LineTable of
@@ -173,7 +171,11 @@ class LineTable:
     molar_mass_kg_mol: np.ndarray
 
     def __post_init__(self):
-        for column in self._columns():
+        columns = self._columns()
+        if any(column.ndim != 1 or column.shape != columns[0].shape for column in columns):
+            raise DomainError("columns must be 1-D and of one length, got shapes "
+                              + str({n: c.shape for n, c in zip(_COLUMNS, columns)}))
+        for column in columns:
             column.setflags(write=False)
 
     @classmethod
@@ -371,6 +373,11 @@ class GasMixture:
         require_finite(temperature_k=self.temperature_k, pressure_atm=self.pressure_atm)
         if self.temperature_k <= 0 or self.pressure_atm <= 0:
             raise DomainError("temperature and pressure must be positive")
+        for entry in self.species:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                    and isinstance(entry[0], str)):
+                raise DomainError(f"each species must be a (name, ratio) pair, "
+                                  f"got {entry!r}")
         names = [name for name, _ in self.species]
         if len(set(names)) < len(names):
             raise DomainError(f"each gas may be listed once, got {names}")

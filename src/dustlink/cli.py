@@ -26,7 +26,7 @@ import numpy as np
 
 from . import atmosphere, link, storm
 from .errors import (CatalogError, ConfigError, DomainError, DustlinkError,
-                     FormatError, is_int, require_finite)
+                     FormatError, require_finite, require_int)
 from .output import write_csv, write_svg_line
 from .presets import PLANETS, PlanetPreset, bundled_catalog_dir, preset
 from .rng import derive_seed
@@ -82,29 +82,27 @@ class ExperimentConfig:
                 + ", ".join(SCENARIOS))
         if self.planet not in PLANETS:
             raise ConfigError(f"unknown planet {self.planet!r}")
-        reals = {}
-        for key, value in self.given().items():
-            spec = CONFIG_KEYS.get(key)
-            if key in self.overrides:
-                if spec is None or spec.owner is ExperimentConfig:
-                    raise ConfigError(f"unknown override key {key!r}")
-                name = f"override {key}"
-            else:
-                name = spec.field
-            # an int fits either kind of number, a float only a float key
-            if spec.kind is int and not is_int(value):
-                raise ConfigError(f"{name} must be an int, got {value!r}")
-            if spec.kind is float:
-                reals[name] = value
-            if spec.kind is bool and not isinstance(value, bool):
-                raise ConfigError(f"{name} must be a bool, got {value!r}")
-            # "" would fall back to the working directory or the next catalog
-            if spec.kind is os.PathLike and (
-                    value == "" or not isinstance(value, (str, os.PathLike))):
-                raise ConfigError(f"{name} must be a non-empty str or path, "
-                                  f"got {value!r}")
         try:
-            require_finite(**reals)
+            for key, value in self.given().items():
+                spec = CONFIG_KEYS.get(key)
+                if key in self.overrides:
+                    if spec is None or spec.owner is ExperimentConfig:
+                        raise ConfigError(f"unknown override key {key!r}")
+                    name = f"override {key}"
+                else:
+                    name = spec.field
+                # an int fits either kind of number, a float only a float key
+                if spec.kind is int:
+                    require_int(name, value)
+                if spec.kind is float:
+                    require_finite(**{name: value})
+                if spec.kind is bool and not isinstance(value, bool):
+                    raise ConfigError(f"{name} must be a bool, got {value!r}")
+                # "" would fall back to the working directory or the next catalog
+                if spec.kind is os.PathLike and (
+                        value == "" or not isinstance(value, (str, os.PathLike))):
+                    raise ConfigError(f"{name} must be a non-empty str or path, "
+                                      f"got {value!r}")
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
         if not 0 <= self.seed < 1 << 128:
@@ -357,7 +355,7 @@ def _storm_config(cfg: ExperimentConfig, planet: PlanetPreset) -> storm.StormCon
 
 def _storm_density(cfg, planet, grid):
     series = storm.density_time_series(_storm_config(cfg, planet), _STORM_CONE,
-                                       cfg.overrides.get("storm.steps", 120))
+                                       **_set_fields(cfg, storm.density_time_series))
     return [(t, count, *profile.tolist()) for t, count, profile in series]
 
 

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all dustlink modules, and the one check
-of what a valid config number is."""
+"""Exception hierarchy shared by all dustlink modules, and the checks of
+what a valid config number, int and vector are."""
 
 import math
 
@@ -46,3 +46,28 @@ def require_finite(**values) -> None:
             finite = False
         if not finite:
             raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def require_int(name: str, value, least: int | None = None,
+                bits: int | None = None) -> None:
+    """Raise ``DomainError`` unless ``value`` is an int (``is_int``) >= ``least``
+    and < 2**``bits``, each bound when given; with ``bits``, give ``least`` too."""
+    if not (is_int(value) and (least is None or value >= least)
+            and (bits is None or value < 1 << bits)):
+        bound = ("" if least is None else f" >= {least}" if bits is None
+                 else f" in [{least}, 2**{bits})")
+        raise DomainError(f"{name} must be an int{bound}, got {value!r}")
+
+
+def require_vector(name: str, value, size: int) -> tuple:
+    """The ``size`` entries of ``value``, each a finite real (``require_finite``),
+    or ``DomainError``; a scalar, or a nested entry, counts as one entry."""
+    try:
+        entries = tuple(value)
+    except TypeError:
+        entries = (value,)
+    if len(entries) != size:
+        raise DomainError(f"{name} must have {size} entries, got {value!r}")
+    for entry in entries:
+        require_finite(**{name: entry})
+    return entries

@@ -77,15 +77,15 @@ class LinkConfig:
     def for_preset(cls, planet: PlanetPreset, distance_m: float | None = None,
                    tx_power_dbm: float | None = None,
                    noise_psd_w_hz: float | None = None) -> "LinkConfig":
+        # power and noise density that are not given keep the field defaults
+        power = {} if tx_power_dbm is None else {"tx_power_w": dbm_to_watts(tx_power_dbm)}
+        noise = {} if noise_psd_w_hz is None else {"noise_psd_w_hz": noise_psd_w_hz}
         return cls(
             band_lo_hz=planet.band_lo_hz,
             band_hi_hz=planet.band_hi_hz,
             center_hz=planet.frequency_hz,
             distance_m=distance_m if distance_m is not None else planet.distance_m,
-            tx_power_w=(DEFAULT_TX_POWER_W if tx_power_dbm is None
-                        else dbm_to_watts(tx_power_dbm)),
-            noise_psd_w_hz=(DEFAULT_NOISE_PSD_W_HZ if noise_psd_w_hz is None
-                            else noise_psd_w_hz),
+            **power, **noise,
         )
 
 

@@ -12,7 +12,7 @@ A preset holds only what a planet or its scenario table sets. The Monte
 Carlo settings both planets share (the 0.5-1 asymmetry range, the 1e-5
 weight threshold, the event guard) are the defaults of
 ``TransportConfig``, and transmit power and noise density are the
-defaults below, which ``LinkConfig.for_preset`` applies.
+defaults below, which are ``LinkConfig``'s field defaults.
 """
 
 from dataclasses import dataclass

@@ -34,7 +34,7 @@ import threading
 
 import numpy as np
 
-from .errors import DomainError, is_int
+from .errors import DomainError, is_int, require_int
 
 __all__ = ["substream", "derive_seed", "UniformStream", "philox4x64",
            "word_uniforms", "ZERO_DRAW"]
@@ -84,11 +84,8 @@ def substream(seed: int, stream_index: int) -> np.random.Generator:
     construct. The seed is an int in [0, 2**128) and the stream index an
     int in [0, 2**64); anything else raises ``DomainError``.
     """
-    if not (is_int(seed) and 0 <= seed < 1 << 128):
-        raise DomainError(f"seed must be an int in [0, 2**128), got {seed!r}")
-    if not (is_int(stream_index) and 0 <= stream_index <= _MASK64):
-        raise DomainError(
-            f"stream index must be an int in [0, 2**64), got {stream_index!r}")
+    require_int("seed", seed, 0, 128)
+    require_int("stream index", stream_index, 0, 64)
     # a uint64 array: numpy reads a tuple holding an int >= 2**63 as float64
     counter = np.array([0, 0, stream_index, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, is_int, require_finite
+from .errors import DomainError, require_finite, require_int, require_vector
 from .rng import substream
 
 __all__ = [
@@ -35,18 +35,6 @@ __all__ = [
     "count_in_beam",
     "density_time_series",
 ]
-
-
-_VECTOR_SIZES = {"vortex_center_m": 3, "domain_m": 6, "radius_range_m": 2}
-
-
-def _entries(value) -> tuple:
-    """The entries of a vector field, or ``(value,)`` if it has none. A
-    nested entry stays one entry, for the finite check to reject."""
-    try:
-        return tuple(value)
-    except TypeError:
-        return (value,)
 
 
 @dataclass(frozen=True)
@@ -70,21 +58,14 @@ class StormConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (is_int(self.emission_rate) and self.emission_rate >= 0):
-            raise DomainError(
-                f"emission_rate must be an int >= 0, got {self.emission_rate!r}")
-        if not (is_int(self.seed) and 0 <= self.seed < 1 << 128):
-            raise DomainError(f"seed must be an int in [0, 2**128), got {self.seed!r}")
-        for name, size in _VECTOR_SIZES.items():
-            if len(_entries(getattr(self, name))) != size:
-                raise DomainError(f"{name} must have {size} entries, "
-                                  f"got {getattr(self, name)!r}")
+        require_int("emission_rate", self.emission_rate, 0)
+        require_int("seed", self.seed, 0, 128)
+        # a vector field has as many entries as its default
         for f in fields(self):
-            if f.name in ("emission_rate", "seed"):
-                continue
-            value = getattr(self, f.name)
-            for entry in value if f.name in _VECTOR_SIZES else (value,):
-                require_finite(**{f.name: entry})
+            if isinstance(f.default, tuple):
+                require_vector(f.name, getattr(self, f.name), len(f.default))
+        require_finite(**{f.name: getattr(self, f.name) for f in fields(self)
+                          if f.type is float})
         if self.timestep_s <= 0:
             raise DomainError("timestep must be positive")
         if self.ramp_length_m <= 0:
@@ -213,12 +194,7 @@ class BeamCone:
 
     def __post_init__(self):
         for name in ("tx_m", "rx_m"):
-            point = _entries(getattr(self, name))
-            if len(point) != 3:
-                raise DomainError(f"{name} must have 3 entries, "
-                                  f"got {getattr(self, name)!r}")
-            for entry in point:
-                require_finite(**{name: entry})
+            point = require_vector(name, getattr(self, name), 3)
             object.__setattr__(self, name, tuple(map(float, point)))
         # named as the range checks below name them
         require_finite(**{"half angle": self.half_angle_rad,
@@ -306,14 +282,13 @@ def count_in_beam(fld: ParticleField, cone: BeamCone) -> tuple[int, np.ndarray]:
 
 
 def density_time_series(cfg: StormConfig, cone: BeamCone,
-                        steps: int) -> list[tuple[float, int, np.ndarray]]:
-    """Run the storm and count beam particles each step.
+                        steps: int = 120) -> list[tuple[float, int, np.ndarray]]:
+    """Run the storm for ``steps`` steps and count beam particles each step.
 
     Returns (time, in-beam count, per-meter profile) per step;
     deterministic per seed.
     """
-    if not (is_int(steps) and steps >= 1):
-        raise DomainError(f"steps must be an int >= 1, got {steps!r}")
+    require_int("steps", steps, 1)
     fld = empty_field()
     series = []
     for _ in range(steps):

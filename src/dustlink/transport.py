@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import db_from_transmittance
-from .errors import DomainError, is_int, require_finite
+from .errors import DomainError, require_finite, require_int
 from . import rng
 from .rng import UniformStream, substream, word_uniforms
 
@@ -108,11 +108,8 @@ class TransportConfig:
     max_events: int = 10 ** 6
 
     def __post_init__(self):
-        if not (is_int(self.seed) and 0 <= self.seed < 1 << 64):
-            raise DomainError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
-        if not (is_int(self.packet_count) and self.packet_count >= 1):
-            raise DomainError(
-                f"packet_count must be an int >= 1, got {self.packet_count!r}")
+        require_int("seed", self.seed, 0, 64)
+        require_int("packet_count", self.packet_count, 1)
         require_finite(distance_m=self.distance_m,
                        extinction_per_m=self.extinction_per_m,
                        weight_threshold=self.weight_threshold)
@@ -122,9 +119,7 @@ class TransportConfig:
             raise DomainError("extinction rate must be >= 0")
         if not (0.0 < self.weight_threshold < 1.0):
             raise DomainError("weight threshold must be in (0, 1)")
-        if not (is_int(self.max_events) and self.max_events >= 1):
-            raise DomainError(
-                f"event guard max_events must be an int >= 1, got {self.max_events!r}")
+        require_int("event guard max_events", self.max_events, 1)
 
 
 FATES = ("reached", "weight_killed", "backscatter_exit", "guard_killed")

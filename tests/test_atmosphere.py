@@ -196,6 +196,22 @@ class TestParser:
         with pytest.raises(ValueError):
             table.line_center_invcm[0] = 1.0
 
+    @pytest.mark.parametrize("column, cut", [
+        pytest.param("molar_mass_kg_mol", lambda c: c[:1], id="short"),
+        pytest.param("molecule_id", lambda c: c[:1], id="first-short"),
+        pytest.param("line_center_invcm", lambda c: c[:, None], id="2d"),
+        pytest.param("molecule_id", lambda c: c.reshape(1, 2), id="first-2d"),
+        pytest.param("intensity_ref", lambda c: np.asarray(c[0]), id="0d"),
+    ])
+    def test_table_columns_must_be_1d_and_of_one_length(self, column, cut):
+        # a short column once gave len 2 and one row, and a bare IndexError
+        # in absorption_coefficient
+        table = atm.parse_catalog("\n".join([CRAFTED, CRAFTED]))
+        columns = {name: getattr(table, name).copy() for name in atm._COLUMNS}
+        columns[column] = cut(columns[column])
+        with pytest.raises(DomainError, match="columns must be 1-D and of one length"):
+            atm.LineTable(**columns)
+
     @given(st.lists(st.tuples(damaged_records(),
                               st.sampled_from([None, None, "", "   ", "\t"])),
                     max_size=6))
@@ -651,6 +667,15 @@ class TestGasMixture:
     def test_unknown_gas(self):
         with pytest.raises(DomainError):
             atm.GasMixture((("XE", 0.1),), 288.0, 1.0)
+
+    @pytest.mark.parametrize("entry", [("H2O", 0.01, 5), ("H2O",), 5, "H2O",
+                                       (["H2O"], 0.01)],
+                             ids=["triple", "single", "int", "str", "list-name"])
+    def test_species_entry_must_be_a_name_ratio_pair(self, entry):
+        # once a bare ValueError or TypeError from unpacking or hashing
+        with pytest.raises(DomainError, match=r"^each species must be a \(name, "
+                                              r"ratio\) pair, got "):
+            atm.GasMixture((("CO2", 0.9), entry), 288.0, 1.0)
 
     def test_ideal_gas_density(self):
         mixture = atm.GasMixture((("N2", 0.5),), 300.0, 1.0)

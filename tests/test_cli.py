@@ -17,6 +17,7 @@ from dustlink.cli import (CONFIG_KEYS, ExperimentConfig, SCENARIOS,
                           run_scenario, write_outputs)
 from dustlink.errors import ConfigError
 from dustlink.presets import bundled_catalog_dir
+from dustlink.storm import density_time_series
 
 REPO = Path(__file__).resolve().parents[1]
 FLOAT_KEYS = [key for key, spec in CONFIG_KEYS.items() if spec.kind is float]
@@ -311,6 +312,11 @@ class TestRunScenario:
         result = run_scenario(cfg)
         assert len(result.rows) == 5
         assert result.header[0] == "t_s"
+
+    def test_storm_density_runs_the_default_steps(self):
+        # without storm.steps, the steps are density_time_series' default
+        steps = inspect.signature(density_time_series).parameters["steps"].default
+        assert len(run_scenario(small_config("storm_density")).rows) == steps
 
 
 class TestWriteOutputs:

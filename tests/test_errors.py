@@ -1,18 +1,21 @@
-"""Tests for the one check of what a valid config number is."""
+"""Tests for the checks of what a valid config number, int and vector are."""
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from dustlink.atmosphere import GasMixture, SpectralLine
-from dustlink.cli import ExperimentConfig
-from dustlink.errors import ConfigError, DomainError, is_int, require_finite
+from dustlink.cli import CONFIG_KEYS, ExperimentConfig
+from dustlink.errors import (ConfigError, DomainError, is_int, require_finite,
+                             require_int, require_vector)
 from dustlink.link import LinkConfig
 from dustlink.scatter import (DustPermittivity, LinearDensity, SizeDistribution,
                               Visibility, VolumetricDensity)
-from dustlink.storm import BeamCone, StormConfig
+from dustlink.rng import substream
+from dustlink.storm import BeamCone, StormConfig, density_time_series
 from dustlink.transport import TransportConfig, UniformAsymmetry
 
 # every config class with valid arguments that set each numeric field
@@ -114,3 +117,115 @@ def test_finite_reals_accepted(value):
 def test_require_finite_names_the_value(value, word):
     with pytest.raises(DomainError, match=f"^y must be {word}, got "):
         require_finite(x=1.0, y=value)
+
+
+def _storm_steps(**kwargs):
+    return density_time_series(StormConfig(), BeamCone(**VALID[BeamCone]), **kwargs)
+
+
+# every int field: (callable, valid arguments, path, message head, least
+# bound or None); a value V that is not an int is rejected with
+# f"{head}, got {V!r}", and so is least - 1 where the callable checks it
+INT_FIELDS = [
+    (TransportConfig, VALID[TransportConfig], ("seed",),
+     "seed must be an int in [0, 2**64)", 0),
+    (TransportConfig, VALID[TransportConfig], ("packet_count",),
+     "packet_count must be an int >= 1", 1),
+    (TransportConfig, VALID[TransportConfig], ("max_events",),
+     "event guard max_events must be an int >= 1", 1),
+    (StormConfig, VALID[StormConfig], ("emission_rate",),
+     "emission_rate must be an int >= 0", 0),
+    (StormConfig, VALID[StormConfig], ("seed",), "seed must be an int in [0, 2**128)", 0),
+    (_storm_steps, {"steps": 1}, ("steps",), "steps must be an int >= 1", 1),
+    (substream, {"seed": 1, "stream_index": 2}, ("seed",),
+     "seed must be an int in [0, 2**128)", 0),
+    (substream, {"seed": 1, "stream_index": 2}, ("stream_index",),
+     "stream index must be an int in [0, 2**64)", 0),
+    (SpectralLine, VALID[SpectralLine], ("molecule_id",),
+     "molecule_id must be an int", None),
+    (SpectralLine, VALID[SpectralLine], ("isotopologue_id",),
+     "isotopologue_id must be an int", None),
+    # an override's bound is its owner's, checked when a run builds it
+    *((ExperimentConfig, {**VALID[ExperimentConfig], "overrides": {key: 2}},
+       ("overrides", key), f"override {key} must be an int", None)
+      for key, spec in CONFIG_KEYS.items()
+      if spec.kind is int and spec.owner is not ExperimentConfig),
+    *((ExperimentConfig, VALID[ExperimentConfig], (spec.field,),
+       f"{spec.field} must be an int", None)
+      for spec in CONFIG_KEYS.values()
+      if spec.kind is int and spec.owner is ExperimentConfig),
+]
+
+
+def _int_id(call, path):
+    return f"{call.__name__.lstrip('_')}-{'.'.join(path)}"
+
+
+@pytest.mark.parametrize("call, kwargs, path, head", [
+    pytest.param(*case[:4], id=_int_id(case[0], case[2])) for case in INT_FIELDS])
+@pytest.mark.parametrize("bad", [2.0, np.float64(2.0)], ids=["float", "np.float64"])
+def test_int_field_rejects_an_integral_float(call, kwargs, path, head, bad):
+    call(**kwargs)
+    error = ConfigError if call is ExperimentConfig else DomainError
+    with pytest.raises(error, match=f"^{re.escape(head)}, got {re.escape(repr(bad))}$"):
+        call(**replaced(kwargs, path, bad))
+
+
+# (callable, valid arguments, path, least bound minus one, message); an
+# ExperimentConfig field states its own bound
+BELOW_LEAST = [
+    *((call, kwargs, path, least - 1, f"{head}, got {least - 1}")
+      for call, kwargs, path, head, least in INT_FIELDS if least is not None),
+    (ExperimentConfig, VALID[ExperimentConfig], ("seed",), -1,
+     "seed must be in [0, 2**128), got -1"),
+    (ExperimentConfig, VALID[ExperimentConfig], ("replicates",), 0,
+     "replicates and workers must be >= 1"),
+    (ExperimentConfig, VALID[ExperimentConfig], ("workers",), 0,
+     "replicates and workers must be >= 1"),
+    (ExperimentConfig, VALID[ExperimentConfig], ("range_steps",), 0,
+     "range.steps must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, kwargs, path, value, message", [
+    pytest.param(*case, id=_int_id(case[0], case[2])) for case in BELOW_LEAST])
+def test_int_field_rejects_its_least_bound_minus_one(call, kwargs, path, value,
+                                                     message):
+    call(**replaced(kwargs, path, value + 1))
+    error = ConfigError if call is ExperimentConfig else DomainError
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(**replaced(kwargs, path, value))
+
+
+@pytest.mark.parametrize("kwargs, value, message", [
+    pytest.param({}, True, "n must be an int, got True", id="bool"),
+    pytest.param({"least": 1}, 0, "n must be an int >= 1, got 0", id="least"),
+    pytest.param({"least": 0, "bits": 64}, 2 ** 64,
+                 "n must be an int in [0, 2**64), got 18446744073709551616", id="bits"),
+    pytest.param({"least": 0, "bits": 64}, np.int64(-1),
+                 "n must be an int in [0, 2**64), got np.int64(-1)", id="numpy"),
+])
+def test_require_int_message(kwargs, value, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        require_int("n", value, **kwargs)
+
+
+def test_require_int_takes_the_bounds_and_numpy_ints():
+    require_int("n", np.uint64(2 ** 64 - 1), 0, 64)
+    require_int("n", 0, 0, 64)
+    require_int("n", -5)
+
+
+@pytest.mark.parametrize("value, message", [
+    pytest.param((1.0, 2.0), "v must have 3 entries, got (1.0, 2.0)", id="short"),
+    pytest.param(5.0, "v must have 3 entries, got 5.0", id="scalar"),
+    pytest.param((1.0, (2.0,), 3.0), "v must be real, got (2.0,)", id="nested"),
+    pytest.param((1.0, math.nan, 3.0), "v must be finite, got nan", id="nan"),
+])
+def test_require_vector_message(value, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        require_vector("v", value, 3)
+
+
+def test_require_vector_returns_the_entries():
+    assert require_vector("v", np.array([1.0, 2.0, 3.0]), 3) == (1.0, 2.0, 3.0)

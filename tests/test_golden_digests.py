@@ -87,6 +87,18 @@ def test_rejected_run_fails_unless_shown_unread(old):
         "b: rejected, but transport.distance_m changes the old tree's CSV"]
 
 
+def test_line_count_counts_the_package_modules(tmp_path):
+    # as wc -l src/dustlink/*.py: newlines, in .py files directly under it
+    package = tmp_path / "dustlink"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3")    # no final newline: 0 lines
+    (package / "c.py").write_text("")
+    (package / "data.par").write_text("1\n2\n")
+    (package / "sub" / "d.py").write_text("1\n")
+    assert golden_digests.line_count(str(tmp_path)) == 3
+
+
 def test_tree_facts_are_the_bench_facts():
     # imported from tools/bench_pairs.py, so the digest JSON and the BENCH
     # files record numpy the same way

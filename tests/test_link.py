@@ -195,6 +195,12 @@ class TestLinkConfig:
         assert cfg.tx_power_w == DEFAULT_TX_POWER_W
         assert cfg.distance_m == EARTH.distance_m
 
+    @pytest.mark.parametrize("planet", [EARTH, MARS], ids=["earth", "mars"])
+    def test_preset_keeps_the_field_defaults(self, planet):
+        assert LinkConfig.for_preset(planet) == LinkConfig(
+            planet.band_lo_hz, planet.band_hi_hz, planet.frequency_hz,
+            planet.distance_m)
+
     def test_distance_is_required(self):
         with pytest.raises(TypeError, match="distance_m"):
             LinkConfig(band_lo_hz=0.22e12, band_hi_hz=0.24e12, center_hz=0.24e12)

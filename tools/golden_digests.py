@@ -20,7 +20,8 @@ same JSON on the source trees before and after it.
 With two trees, runs the same set once per tree, each in its own
 subprocess, and prints each tree's numpy facts and, for each CSV whose
 digest differs, its header, its row count and the largest relative change
-of each column that changed. It exits 1 if a run or a header is missing or
+of each column that changed; its summary ends with each tree's line count
+of ``dustlink/*.py``. It exits 1 if a run or a header is missing or
 differs, a row count differs, a column outside ``bench/verify.py``'s
 ``MC_COLUMNS`` changes, or a changed cell flips kind: it is not a finite
 number on both sides (text, nan or an infinity on either), or it is zero
@@ -190,6 +191,12 @@ def _changes(old: list[list[str]], new: list[list[str]]) -> tuple[dict, list[str
     return largest, flips
 
 
+def line_count(src_dir: str) -> int:
+    """The lines of ``dustlink/*.py`` under ``src_dir``, as ``wc -l`` counts."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in Path(src_dir, "dustlink").glob("*.py"))
+
+
 def facts_line(tree: str, out: dict) -> str:
     """A tree's numpy version and CPU features, from its ``main``."""
     return (f"{tree}: numpy {out['numpy']}; CPU features "
@@ -246,7 +253,8 @@ def compare(old_src: str, new_src: str) -> int:
     print(f"{len(rejected)} runs rejected; {len(differ)} of {len(set(old) & set(new))} "
           "CSVs differ; largest relative change "
           + (", ".join(f"{c} {v:.3g}" for c, v in sorted(overall.items())) or "none")
-          + f"; {len(bad)} failing")
+          + f"; {len(bad)} failing; dustlink/*.py lines {line_count(old_src)} -> "
+          f"{line_count(new_src)}")
     return 1 if bad else 0
 
 
