@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .constants import AVOGADRO, ATM_PA, BOLTZMANN, C2_CM_K, HZ_PER_INVCM, LN2, SPEED_OF_LIGHT
-from .errors import CatalogError, DomainError, FormatError, require_finite, require_int
+from .errors import (CatalogError, DomainError, FormatError, require_finite, require_int,
+                     require_positive)
 
 __all__ = [
     "SpectralLine",
@@ -172,6 +173,9 @@ class LineTable:
 
     def __post_init__(self):
         columns = self._columns()
+        for name, column in zip(_COLUMNS, columns):
+            if not isinstance(column, np.ndarray):
+                raise DomainError(f"{name} must be an ndarray, got {column!r}")
         if any(column.ndim != 1 or column.shape != columns[0].shape for column in columns):
             raise DomainError("columns must be 1-D and of one length, got shapes "
                               + str({n: c.shape for n, c in zip(_COLUMNS, columns)}))
@@ -370,9 +374,9 @@ class GasMixture:
     pressure_atm: float
 
     def __post_init__(self):
-        require_finite(temperature_k=self.temperature_k, pressure_atm=self.pressure_atm)
-        if self.temperature_k <= 0 or self.pressure_atm <= 0:
-            raise DomainError("temperature and pressure must be positive")
+        require_positive(temperature_k=self.temperature_k, pressure_atm=self.pressure_atm)
+        if not isinstance(self.species, (tuple, list)):
+            raise DomainError(f"species must be a tuple or list, got {self.species!r}")
         for entry in self.species:
             if not (isinstance(entry, (tuple, list)) and len(entry) == 2
                     and isinstance(entry[0], str)):
@@ -430,8 +434,7 @@ def line_intensity_at_temperature(line, temperature_k: float):
     lower state, and the stimulated-emission factor; exactly S_ref at the
     reference temperature. ``line`` is a SpectralLine or a LineTable.
     """
-    if temperature_k <= 0:
-        raise DomainError("temperature must be positive")
+    require_positive(temperature_k=temperature_k)
     t = temperature_k
     t0 = REFERENCE_TEMPERATURE_K
     if t == t0:
@@ -450,8 +453,7 @@ def line_intensity_at_temperature(line, temperature_k: float):
 def lorentz_halfwidth(line, pressure_atm: float,
                       partial_pressure_atm: float, temperature_k: float):
     """Pressure-broadened HWHM in Hz; ``line`` is a SpectralLine or a LineTable."""
-    if temperature_k <= 0:
-        raise DomainError("temperature must be positive")
+    require_positive(temperature_k=temperature_k)
     if not (0.0 <= partial_pressure_atm <= pressure_atm):
         raise DomainError("partial pressure must lie in [0, total pressure]")
     ratio = REFERENCE_TEMPERATURE_K / temperature_k
@@ -467,14 +469,13 @@ def _shifted_center_hz(line, pressure_atm: float):
 
 
 def _lorentz(f: np.ndarray, center_hz: float, halfwidth_hz: float) -> np.ndarray:
-    if halfwidth_hz <= 0:
-        raise DomainError("half width must be positive")
     return (halfwidth_hz / math.pi) / (halfwidth_hz ** 2 + (f - center_hz) ** 2)
 
 
 def lorentz_shape(f_hz, line: SpectralLine, halfwidth_hz: float,
                   pressure_atm: float):
     """Lorentz profile (1/Hz) about the pressure-shifted line center."""
+    require_positive(halfwidth_hz=halfwidth_hz)
     out = _lorentz(np.asarray(f_hz, dtype=float),
                    _shifted_center_hz(line, pressure_atm), halfwidth_hz)
     return float(out) if np.isscalar(f_hz) else out
@@ -482,21 +483,19 @@ def lorentz_shape(f_hz, line: SpectralLine, halfwidth_hz: float,
 
 def doppler_halfwidth(line, temperature_k: float):
     """Thermal (Gaussian) HWHM in Hz; ``line`` is a SpectralLine or a LineTable."""
-    if temperature_k <= 0:
-        raise DomainError("temperature must be positive")
+    require_positive(temperature_k=temperature_k)
     return (line.center_hz / SPEED_OF_LIGHT) * _libm(math.sqrt,
         2.0 * AVOGADRO * BOLTZMANN * temperature_k * LN2 / line.molar_mass_kg_mol)
 
 
 def _doppler(f: np.ndarray, center_hz: float, halfwidth_hz: float) -> np.ndarray:
-    if halfwidth_hz <= 0:
-        raise DomainError("half width must be positive")
     return math.sqrt(LN2 / (math.pi * halfwidth_hz ** 2)) * np.exp(
         -((f - center_hz) ** 2) * LN2 / halfwidth_hz ** 2)
 
 
 def doppler_shape(f_hz, line: SpectralLine, halfwidth_hz: float):
     """Gaussian profile (1/Hz) with HWHM ``halfwidth_hz``."""
+    require_positive(halfwidth_hz=halfwidth_hz)
     out = _doppler(np.asarray(f_hz, dtype=float), line.center_hz, halfwidth_hz)
     return float(out) if np.isscalar(f_hz) else out
 
@@ -591,6 +590,8 @@ def absorption_coefficient(mixture: GasMixture,
         else:
             halfwidth = halfwidth[hit]
             shape = _doppler
+        if not (halfwidth > 0).all():
+            raise DomainError("half width must be positive")
         strength = density * _intensity_si(hits, mixture.temperature_k)
         for a, b, c, w, s in zip(lo[hit].tolist(), hi[hit].tolist(),
                                  center[hit].tolist(), halfwidth.tolist(),

@@ -235,22 +235,26 @@ def _sweep(cfg: ExperimentConfig, values: list[float],
     """Trace ``replicates`` (default ``DEFAULT_REPLICATES``) seeded copies
     of each value's run.
 
-    All runs go in one batch, or with ``workers > 1`` one contiguous slice
-    per worker; results do not depend on how the runs are split. Rows are
-    ``(value, replicate, seed, T, A)``, sorted by value and replicate.
+    All runs go in one batch, or with ``workers > 1`` one batch per worker,
+    dealt round-robin (worker k of w gets runs k, k + w, ...) so that the
+    costly runs at one end of a sweep are shared; results do not depend on
+    how the runs are split. Rows are ``(value, replicate, seed, T, A)``,
+    sorted by value and replicate.
     """
     replicates = cfg.replicates or DEFAULT_REPLICATES
     keys = [(value, rep) for value in values for rep in range(replicates)]
     transports = [replace(run, seed=derive_seed(cfg.seed, cfg.scenario, vi, rep))
                   for vi, run in enumerate(runs) for rep in range(replicates)]
-    if cfg.workers > 1:
+    workers = min(cfg.workers, len(transports))
+    if workers > 1:
         # here, so one-worker runs and API imports never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        bounds = np.linspace(0, len(transports), cfg.workers + 1, dtype=int)
-        slices = [transports[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
-                  if hi > lo]
-        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
-            results = [r for part in pool.map(estimate_batch, slices) for r in part]
+        results = [None] * len(transports)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(estimate_batch,
+                             [transports[k::workers] for k in range(workers)])
+            for k, part in enumerate(parts):
+                results[k::workers] = part
     else:
         results = estimate_batch(transports)
     rows = [(value, rep, transport.seed, result.transmittance,

@@ -2,7 +2,7 @@
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, require_finite, require_positive
 
 SPEED_OF_LIGHT = 2.99792458e8           # m/s (exact)
 BOLTZMANN = 1.380649e-23                # J/K (exact)
@@ -31,8 +31,7 @@ def db_from_transmittance(transmittance: float, distance_m: float) -> float:
     """Specific attenuation in dB/m; +inf when nothing is transmitted."""
     if not 0.0 <= transmittance <= 1.0:
         raise DomainError(f"transmittance {transmittance} outside [0, 1]")
-    if not 0.0 < distance_m < math.inf:
-        raise DomainError(f"distance must be positive and finite, got {distance_m}")
+    require_positive(distance_m=distance_m)
     if transmittance == 0.0:
         return math.inf
     if transmittance == 1.0:
@@ -41,7 +40,8 @@ def db_from_transmittance(transmittance: float, distance_m: float) -> float:
 
 
 def dbm_to_watts(dbm: float) -> float:
-    """Exact dBm -> W conversion."""
+    """Exact dBm -> W conversion; ``dbm`` must be finite."""
+    require_finite(dbm=dbm)
     try:
         return 10.0 ** ((dbm - 30.0) / 10.0)
     except OverflowError:

@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all dustlink modules, and the checks of
-what a valid config number, int and vector are."""
+what a valid config number, positive or non-negative number, int and
+vector are."""
 
 import math
 
@@ -46,6 +47,24 @@ def require_finite(**values) -> None:
             finite = False
         if not finite:
             raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def require_positive(**values) -> None:
+    """Raise ``DomainError`` unless every value is a finite real number
+    (``require_finite``, checked for all values first) above 0."""
+    require_finite(**values)
+    for name, value in values.items():
+        if value <= 0:
+            raise DomainError(f"{name} must be positive, got {value!r}")
+
+
+def require_nonnegative(**values) -> None:
+    """Raise ``DomainError`` unless every value is a finite real number
+    (``require_finite``, checked for all values first) at or above 0."""
+    require_finite(**values)
+    for name, value in values.items():
+        if value < 0:
+            raise DomainError(f"{name} must be >= 0, got {value!r}")
 
 
 def require_int(name: str, value, least: int | None = None,

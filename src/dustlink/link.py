@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import SPEED_OF_LIGHT, dbm_to_watts
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, require_nonnegative, require_positive
 from .presets import DEFAULT_NOISE_PSD_W_HZ, DEFAULT_TX_POWER_W, PlanetPreset
 from .rng import derive_seed, substream
 from .scatter import LinearDensity
@@ -58,16 +58,13 @@ class LinkConfig:
 
     def __post_init__(self):
         require_finite(band_lo_hz=self.band_lo_hz, band_hi_hz=self.band_hi_hz,
-                       center_hz=self.center_hz, distance_m=self.distance_m,
-                       tx_power_w=self.tx_power_w, noise_psd_w_hz=self.noise_psd_w_hz)
+                       center_hz=self.center_hz)
+        require_positive(distance_m=self.distance_m, tx_power_w=self.tx_power_w,
+                         noise_psd_w_hz=self.noise_psd_w_hz)
         if self.band_lo_hz >= self.band_hi_hz:
             raise DomainError("band must satisfy f_lo < f_hi")
         if not self.band_lo_hz <= self.center_hz <= self.band_hi_hz:
             raise DomainError("center frequency must lie in [f_lo, f_hi]")
-        if self.tx_power_w <= 0 or self.noise_psd_w_hz <= 0:
-            raise DomainError("power and noise density must be positive")
-        if self.distance_m <= 0:
-            raise DomainError("distance must be positive")
 
     @property
     def bandwidth_hz(self) -> float:
@@ -114,19 +111,14 @@ class CapacityResult:
 
 def h_spreading(f_hz: float, distance_m: float) -> float:
     """Free-space spreading amplitude c/(4*pi*D*f)."""
-    require_finite(f_hz=f_hz, distance_m=distance_m)
-    if not (f_hz > 0 and distance_m > 0):
-        raise DomainError("frequency and distance must be positive")
+    require_positive(f_hz=f_hz, distance_m=distance_m)
     return SPEED_OF_LIGHT / (4.0 * math.pi * distance_m * f_hz)
 
 
 def h_absorption(k_per_m: float, distance_m: float) -> float:
     """Molecular absorption amplitude exp(-k*D/2)."""
-    require_finite(k_per_m=k_per_m, distance_m=distance_m)
-    if k_per_m < 0:
-        raise DomainError("absorption coefficient must be >= 0")
-    if distance_m <= 0:
-        raise DomainError("distance must be positive")
+    require_nonnegative(k_per_m=k_per_m)
+    require_positive(distance_m=distance_m)
     return math.exp(-0.5 * k_per_m * distance_m)
 
 
@@ -157,9 +149,7 @@ def channel_gain(f_hz: float, distance_m: float, k_per_m: float,
 
 def capacity(cfg: LinkConfig, h_los: float) -> CapacityResult:
     """Shannon capacity of the single sub-band at amplitude ``h_los``."""
-    require_finite(h_los=h_los)
-    if h_los < 0:
-        raise DomainError("channel amplitude must be >= 0")
+    require_nonnegative(h_los=h_los)
     bw = cfg.bandwidth_hz
     snr = h_los * h_los * cfg.tx_power_w / (bw * cfg.noise_psd_w_hz)
     return CapacityResult(capacity_bps=bw * math.log2(1.0 + snr), snr=snr)

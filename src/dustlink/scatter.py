@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, require_nonnegative, require_positive
 
 __all__ = [
     "SizeDistribution",
@@ -92,8 +92,7 @@ class SizeDistribution:
                        geometric_sigma=self.geometric_sigma,
                        r_min_m=self.r_min_m, r_max_m=self.r_max_m)
         if self.kind == "point-mass":
-            if self.median_radius_m <= 0:
-                raise DomainError("point-mass radius must be positive")
+            require_positive(median_radius_m=self.median_radius_m)
             object.__setattr__(self, "r_min_m", self.median_radius_m)
             object.__setattr__(self, "r_max_m", self.median_radius_m)
             return
@@ -176,11 +175,9 @@ class DustPermittivity:
     field_scale: float = 1.0
 
     def __post_init__(self):
-        require_finite(eps_real=self.eps_real, eps_imag=self.eps_imag,
-                       charge_density=self.charge_density,
+        require_finite(eps_real=self.eps_real, charge_density=self.charge_density,
                        field_scale=self.field_scale)
-        if self.eps_imag < 0:
-            raise DomainError("imaginary permittivity must be >= 0")
+        require_nonnegative(eps_imag=self.eps_imag)
         if self.approximation not in ("mie", "rayleigh"):
             raise DomainError(f"unknown approximation {self.approximation!r}; "
                               "expected 'mie' or 'rayleigh'")
@@ -200,12 +197,12 @@ def dust_permittivity(model: str, f_hz: float = 0.0) -> DustPermittivity:
     Earth dust ("earth-frequency-dependent", Mie) is dispersive,
     eps = 3 + i*18.256/f_GHz (the square of the refractive index
     sqrt(3 + i*18.256/f_GHz)); Mars dust ("mars-constant", Rayleigh) is
-    the constant (1.52 + 0.01i)**2. ``f_hz`` must be finite.
+    the constant (1.52 + 0.01i)**2. ``f_hz`` must be finite, and positive
+    for the Earth model.
     """
     require_finite(f_hz=f_hz)
     if model == "earth-frequency-dependent":
-        if f_hz <= 0:
-            raise DomainError("earth permittivity needs a positive frequency")
+        require_positive(f_hz=f_hz)
         f_ghz = f_hz / EARTH_PERMITTIVITY_FREQ_UNIT_HZ
         return DustPermittivity("mie", 3.0, 18.256 / f_ghz)
     if model == "mars-constant":
@@ -220,9 +217,7 @@ class Visibility:
     meters: float
 
     def __post_init__(self):
-        require_finite(meters=self.meters)
-        if self.meters <= 0:
-            raise DomainError("visibility must be positive")
+        require_positive(meters=self.meters)
 
 
 @dataclass(frozen=True)
@@ -231,9 +226,7 @@ class VolumetricDensity:
     per_m3: float
 
     def __post_init__(self):
-        require_finite(per_m3=self.per_m3)
-        if self.per_m3 < 0:
-            raise DomainError("number density must be >= 0")
+        require_nonnegative(per_m3=self.per_m3)
 
 
 @dataclass(frozen=True)
@@ -244,12 +237,8 @@ class LinearDensity:
     beam_area_m2: float = 1e-6   # 0.01 cm**2 beam face
 
     def __post_init__(self):
-        require_finite(count_per_m=self.count_per_m,
-                       beam_area_m2=self.beam_area_m2)
-        if self.count_per_m < 0:
-            raise DomainError("linear particle density must be >= 0")
-        if self.beam_area_m2 <= 0:
-            raise DomainError("beam area must be positive")
+        require_nonnegative(count_per_m=self.count_per_m)
+        require_positive(beam_area_m2=self.beam_area_m2)
 
 
 @dataclass(frozen=True)
@@ -278,8 +267,7 @@ _Terms = tuple[tuple[int, float], ...]
 
 
 def _wavenumber(f_hz: float) -> float:
-    if not 0 < f_hz < math.inf:
-        raise DomainError(f"frequency must be positive and finite, got {f_hz!r}")
+    require_positive(f_hz=f_hz)
     return 2.0 * math.pi * f_hz / SPEED_OF_LIGHT
 
 
@@ -381,8 +369,7 @@ def number_density_from_visibility(dist: SizeDistribution, visibility_m: float) 
     N0 = 15 / (0.034744 * V * integral of pi*r**2*P(r) over the support),
     with visibility in meters.
     """
-    if visibility_m <= 0:
-        raise DomainError("visibility must be positive")
+    require_positive(visibility_m=visibility_m)
     return 15.0 / (VISIBILITY_LAW_CONSTANT * visibility_m * math.pi * dist.moment(2))
 
 

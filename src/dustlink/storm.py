@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, require_finite, require_int, require_vector
+from .errors import (DomainError, require_finite, require_int, require_nonnegative,
+                     require_positive, require_vector)
 from .rng import substream
 
 __all__ = [
@@ -64,20 +65,13 @@ class StormConfig:
         for f in fields(self):
             if isinstance(f.default, tuple):
                 require_vector(f.name, getattr(self, f.name), len(f.default))
-        require_finite(**{f.name: getattr(self, f.name) for f in fields(self)
-                          if f.type is float})
-        if self.timestep_s <= 0:
-            raise DomainError("timestep must be positive")
-        if self.ramp_length_m <= 0:
-            raise DomainError("ramp length must be positive")
+        require_positive(timestep_s=self.timestep_s, ramp_length_m=self.ramp_length_m)
+        require_nonnegative(**{name: getattr(self, name) for name in (
+            "source_y_half_span_m", "wind_speed_m_s", "vortex_strength_rad_s",
+            "vortex_core_radius_m", "updraft_m_s", "settling_m_s", "turbulence_m_s")})
         x0, x1, y0, y1, z0, z1 = self.domain_m
         if not (x0 < x1 and y0 < y1 and z0 < z1):
             raise DomainError("domain bounds must be well ordered")
-        for name in ("wind_speed_m_s", "vortex_strength_rad_s", "updraft_m_s",
-                     "settling_m_s", "turbulence_m_s", "source_y_half_span_m",
-                     "vortex_core_radius_m"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if not (0 < self.radius_range_m[0] <= self.radius_range_m[1]):
             raise DomainError("radius range must be positive and ordered")
 
@@ -196,13 +190,11 @@ class BeamCone:
         for name in ("tx_m", "rx_m"):
             point = require_vector(name, getattr(self, name), 3)
             object.__setattr__(self, name, tuple(map(float, point)))
-        # named as the range checks below name them
-        require_finite(**{"half angle": self.half_angle_rad,
-                          "disk spacing": self.disk_spacing_m})
+        # named as the range checks name them
+        require_finite(**{"half angle": self.half_angle_rad})
         if not 0 < self.half_angle_rad < math.pi / 2:
             raise DomainError("half angle must lie in (0, pi/2)")
-        if self.disk_spacing_m <= 0:
-            raise DomainError("disk spacing must be positive")
+        require_positive(**{"disk spacing": self.disk_spacing_m})
         length = math.dist(self.tx_m, self.rx_m)
         if length == 0.0:
             raise DomainError("transmitter and receiver coincide")

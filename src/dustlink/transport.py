@@ -62,7 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import db_from_transmittance
-from .errors import DomainError, require_finite, require_int
+from .errors import (DomainError, require_finite, require_int, require_nonnegative,
+                     require_positive)
 from . import rng
 from .rng import UniformStream, substream, word_uniforms
 
@@ -110,13 +111,12 @@ class TransportConfig:
     def __post_init__(self):
         require_int("seed", self.seed, 0, 64)
         require_int("packet_count", self.packet_count, 1)
-        require_finite(distance_m=self.distance_m,
-                       extinction_per_m=self.extinction_per_m,
-                       weight_threshold=self.weight_threshold)
-        if self.distance_m <= 0:
-            raise DomainError("distance must be positive")
-        if self.extinction_per_m < 0:
-            raise DomainError("extinction rate must be >= 0")
+        require_positive(distance_m=self.distance_m)
+        require_nonnegative(extinction_per_m=self.extinction_per_m)
+        if not isinstance(self.asymmetry, UniformAsymmetry):
+            raise DomainError(
+                f"asymmetry must be a UniformAsymmetry, got {self.asymmetry!r}")
+        require_finite(weight_threshold=self.weight_threshold)
         if not (0.0 < self.weight_threshold < 1.0):
             raise DomainError("weight threshold must be in (0, 1)")
         require_int("event guard max_events", self.max_events, 1)

@@ -212,6 +212,14 @@ class TestParser:
         with pytest.raises(DomainError, match="columns must be 1-D and of one length"):
             atm.LineTable(**columns)
 
+    @pytest.mark.parametrize("cut", [list, tuple], ids=["list", "tuple"])
+    def test_table_columns_must_be_arrays(self, cut):
+        # a list column once raised a bare AttributeError on .ndim
+        columns = {name: cut(getattr(atm.parse_catalog(CRAFTED), name))
+                   for name in atm._COLUMNS}
+        with pytest.raises(DomainError, match=r"^molecule_id must be an ndarray, got "):
+            atm.LineTable(**columns)
+
     @given(st.lists(st.tuples(damaged_records(),
                               st.sampled_from([None, None, "", "   ", "\t"])),
                     max_size=6))
@@ -676,6 +684,12 @@ class TestGasMixture:
         with pytest.raises(DomainError, match=r"^each species must be a \(name, "
                                               r"ratio\) pair, got "):
             atm.GasMixture((("CO2", 0.9), entry), 288.0, 1.0)
+
+    @pytest.mark.parametrize("species", [5, None, "H2O"])
+    def test_species_must_be_a_tuple_or_list(self, species):
+        # 5 and None once raised a bare TypeError
+        with pytest.raises(DomainError, match=r"^species must be a tuple or list, got "):
+            atm.GasMixture(species, 288.0, 1.0)
 
     def test_ideal_gas_density(self):
         mixture = atm.GasMixture((("N2", 0.5),), 300.0, 1.0)

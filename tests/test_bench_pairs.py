@@ -166,3 +166,34 @@ def test_copies_have_paths_of_equal_length(tmp_path, monkeypatch):
     assert parent != child
     assert parent.parent == child.parent
     assert len(str(parent)) == len(str(child))
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+
+
+@pytest.mark.parametrize("parent, child, better, expected", [
+    # lower in 9 of 10 pairs, by more than the parent's q3 - q1 (0.02)
+    pytest.param(PARENT, [0.90] * 9 + [1.10], "lower", "gain", id="gain"),
+    pytest.param(PARENT, [v + 0.05 for v in PARENT], "higher", "gain", id="gain-higher"),
+    # the median 30 % worse against a 25 % bound
+    pytest.param(PARENT, [1.30] * 10, "lower", "worse", id="worse"),
+    # the parent's quartiles 40 % apart; the child neither gains nor loses
+    pytest.param([0.8, 1.2] * 5, [1.0] * 10, "lower", "unresolved", id="unresolved"),
+    # as wide, but every child run beats every parent run
+    pytest.param([0.8, 1.2] * 5, [0.7] * 10, "lower", "flat", id="wide-but-beaten"),
+    # lower in 8 of 10 pairs only: no gain, and inside the bound
+    pytest.param(PARENT, [0.90] * 8 + [1.10] * 2, "lower", "flat", id="flat"),
+    # ties count for neither side
+    pytest.param(PARENT, PARENT, "lower", "flat", id="ties"),
+])
+def test_verdict(parent, child, better, expected):
+    assert bench_pairs.verdict(parent, child, better, 0.25) == expected
+
+
+def test_summary_gives_end_to_end_metrics_a_verdict():
+    runs = [bench_pairs.record(pair, tree, canned_stdout(1.3 if tree == "child" else 1.0))
+            for pair in range(3) for tree in bench_pairs.TREES]
+    summary = bench_pairs.summarise(
+        runs, {"pass_s": {"name": "pass_s", "better": "lower", "bound": 0.25}})
+    assert summary["pass_s"]["verdict"] == "worse"
+    assert "verdict" not in summary["peak_rss_mib"]

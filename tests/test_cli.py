@@ -652,6 +652,7 @@ def test_pool_opens_one_worker_per_slice(monkeypatch):
     # workers = 8 once opened a pool of 8 processes for a 2-run sweep
     import concurrent.futures
     sizes = []
+    slices = []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -663,12 +664,22 @@ def test_pool_opens_one_worker_per_slice(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, batches):
+            slices.append([[run.seed for run in batch] for batch in batches])
+            return map(fn, batches)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     cfg = ExperimentConfig("mcp_sweep", replicates=1, range_steps=2,
                            range_stop=100)
     rows = run_scenario(replace(cfg, workers=8)).rows
     assert sizes == [2]
+    assert rows == run_scenario(cfg).rows
+
+    # the runs, in sweep order, are dealt round-robin: worker k gets runs
+    # k, k + w, ..., so the costly end of a sweep is shared
+    cfg = replace(cfg, replicates=2, range_steps=4)
+    rows = run_scenario(replace(cfg, workers=3)).rows
+    seeds = [row[2] for row in rows]
+    assert sizes[1:] == [3]
+    assert slices[1:] == [[seeds[0::3], seeds[1::3], seeds[2::3]]]
     assert rows == run_scenario(cfg).rows

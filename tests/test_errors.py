@@ -7,13 +7,17 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from dustlink.atmosphere import GasMixture, SpectralLine
+from dustlink.atmosphere import (GasMixture, SpectralLine, doppler_halfwidth, doppler_shape,
+                                 line_intensity_at_temperature, lorentz_halfwidth,
+                                 lorentz_shape)
 from dustlink.cli import CONFIG_KEYS, ExperimentConfig
 from dustlink.errors import (ConfigError, DomainError, is_int, require_finite,
-                             require_int, require_vector)
+                             require_int, require_nonnegative, require_positive,
+                             require_vector)
 from dustlink.link import LinkConfig
 from dustlink.scatter import (DustPermittivity, LinearDensity, SizeDistribution,
-                              Visibility, VolumetricDensity)
+                              Visibility, VolumetricDensity, dust_permittivity,
+                              number_density_from_visibility)
 from dustlink.rng import substream
 from dustlink.storm import BeamCone, StormConfig, density_time_series
 from dustlink.transport import TransportConfig, UniformAsymmetry
@@ -117,6 +121,98 @@ def test_finite_reals_accepted(value):
 def test_require_finite_names_the_value(value, word):
     with pytest.raises(DomainError, match=f"^y must be {word}, got "):
         require_finite(x=1.0, y=value)
+
+
+# the fields each class checks with require_positive or require_nonnegative
+POSITIVE = {
+    TransportConfig: ["distance_m"],
+    StormConfig: ["timestep_s", "ramp_length_m"],
+    BeamCone: ["disk_spacing_m"],
+    LinkConfig: ["distance_m", "tx_power_w", "noise_psd_w_hz"],
+    GasMixture: ["temperature_k", "pressure_atm"],
+    Visibility: ["meters"],
+    LinearDensity: ["beam_area_m2"],
+}
+NONNEGATIVE = {
+    TransportConfig: ["extinction_per_m"],
+    StormConfig: ["source_y_half_span_m", "wind_speed_m_s", "vortex_strength_rad_s",
+                  "vortex_core_radius_m", "updraft_m_s", "settling_m_s",
+                  "turbulence_m_s"],
+    DustPermittivity: ["eps_imag"],
+    VolumetricDensity: ["per_m3"],
+    LinearDensity: ["count_per_m"],
+}
+# BeamCone names its disk spacing as its range checks name it
+MESSAGE_NAME = {(BeamCone, "disk_spacing_m"): "disk spacing"}
+SIGN_CASES = [
+    pytest.param(cls, name, bad, f"{MESSAGE_NAME.get((cls, name), name)} {rule}, "
+                                 f"got {bad!r}", id=f"{cls.__name__}-{name}-{bad!r}")
+    for table, wrong_sign, sign_rule in ((POSITIVE, 0.0, "must be positive"),
+                                         (NONNEGATIVE, -1.0, "must be >= 0"))
+    for cls, names in table.items() for name in names
+    for bad, rule in ((wrong_sign, sign_rule), (math.nan, "must be finite"),
+                      (math.inf, "must be finite"))]
+
+
+@pytest.mark.parametrize("cls, name, bad, message", SIGN_CASES)
+def test_sign_checked_field_message(cls, name, bad, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        cls(**{**VALID[cls], name: bad})
+
+
+def test_every_float_field_of_storm_config_is_sign_checked():
+    floats = {f.name for f in fields(StormConfig) if f.type is float}
+    assert floats == set(POSITIVE[StormConfig]) | set(NONNEGATIVE[StormConfig])
+
+
+_LINE = SpectralLine(**VALID[SpectralLine])
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(SizeDistribution.point_mass, "median_radius_m", id="point_mass"),
+    pytest.param(lambda v: dust_permittivity("earth-frequency-dependent", v), "f_hz",
+                 id="dust_permittivity"),
+    pytest.param(lambda v: number_density_from_visibility(
+        SizeDistribution(**VALID[SizeDistribution]), v), "visibility_m",
+                 id="number_density_from_visibility"),
+    pytest.param(lambda v: line_intensity_at_temperature(_LINE, v), "temperature_k",
+                 id="line_intensity_at_temperature"),
+    pytest.param(lambda v: lorentz_halfwidth(_LINE, 1.0, 0.01, v), "temperature_k",
+                 id="lorentz_halfwidth"),
+    pytest.param(lambda v: doppler_halfwidth(_LINE, v), "temperature_k",
+                 id="doppler_halfwidth"),
+    pytest.param(lambda v: lorentz_shape(_LINE.center_hz, _LINE, v, 1.0), "halfwidth_hz",
+                 id="lorentz_shape"),
+    pytest.param(lambda v: doppler_shape(_LINE.center_hz, _LINE, v), "halfwidth_hz",
+                 id="doppler_shape"),
+])
+@pytest.mark.parametrize("bad, rule", [(0.0, "must be positive"), (-1.0, "must be positive"),
+                                       (math.nan, "must be finite"),
+                                       (math.inf, "must be finite")])
+def test_positive_argument_message(call, name, bad, rule):
+    # the nan or inf of each formula but point_mass once gave 0.0 or nan
+    with pytest.raises(DomainError, match=f"^{re.escape(f'{name} {rule}, got {bad!r}')}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("check, rule, bad", [
+    (require_positive, "must be positive", 0), (require_positive, "must be positive", -2.5),
+    (require_nonnegative, "must be >= 0", -1), (require_nonnegative, "must be >= 0",
+                                                 np.float64(-1e-300))])
+def test_sign_check_message(check, rule, bad):
+    with pytest.raises(DomainError, match=f"^{re.escape(f'y {rule}, got {bad!r}')}$"):
+        check(x=1.0, y=bad)
+
+
+@pytest.mark.parametrize("check", [require_positive, require_nonnegative])
+def test_sign_check_tests_finiteness_first(check):
+    # a non-real or non-finite value is named before a value of the wrong sign
+    with pytest.raises(DomainError, match="^y must be real, got '1'$"):
+        check(x=-1.0, y="1")
+    with pytest.raises(DomainError, match="^y must be finite, got inf$"):
+        check(x=-1.0, y=math.inf)
+    check(x=0.5, y=np.int64(3), z=1e308)
+    require_nonnegative(x=0, y=0.0)
 
 
 def _storm_steps(**kwargs):

@@ -1,6 +1,7 @@
 """Tests for channel gain composition, capacity, and the link scenarios."""
 
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -160,6 +161,13 @@ class TestCapacity:
         # 10.0 ** 397 once leaked OverflowError
         with pytest.raises(DomainError, match="power 4000.0 dBm"):
             dbm_to_watts(4000.0)
+
+    @pytest.mark.parametrize("dbm, message", [
+        ("a", "dbm must be real, got 'a'"), (math.nan, "dbm must be finite, got nan")])
+    def test_non_finite_dbm_rejected(self, dbm, message):
+        # "a" once leaked TypeError, and nan dBm gave nan watts
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            dbm_to_watts(dbm)
 
 
 @pytest.mark.parametrize("call", [

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo packet transport."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -555,3 +556,10 @@ class TestConfigValidation:
             UniformAsymmetry(1.5, 1.5)
         with pytest.raises(DomainError):
             UniformAsymmetry(0.8, 0.2)
+
+    @pytest.mark.parametrize("asymmetry", [5, None, (0.2, 0.8)])
+    def test_asymmetry_must_be_uniform_asymmetry(self, asymmetry):
+        # these were accepted, and estimate_batch raised AttributeError on .lo
+        with pytest.raises(DomainError, match=r"^asymmetry must be a UniformAsymmetry, "
+                                              f"got {re.escape(repr(asymmetry))}$"):
+            config(asymmetry=asymmetry)

@@ -16,8 +16,9 @@ commits, the machine facts (numpy's version and the CPU features it
 dispatches on among them), every run's ``correct``/``attempted``/``failed``
 and metrics, and per workload and metric: the parent's and the child's
 median and quartiles, the relative change of the medians, and how many
-pairs the child read lower. It imports no ``dustlink`` and applies
-no gate; the bounds live in ``BENCHMARK.json``.
+pairs the child read lower. Each end-to-end metric of NEW_ROOT's
+``BENCHMARK.json`` also gets a ``verdict`` (see ``verdict``) from its
+``better`` direction and its ``bound``. It imports no ``dustlink``.
 """
 
 import argparse
@@ -130,11 +131,42 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarise(runs: list[dict]) -> dict:
-    """Per metric: each tree's spread and the pairs the child read lower.
+def verdict(parent: list[float], child: list[float], better: str,
+            bound: float) -> str:
+    """How the child's runs compare with the parent's, pair by pair.
+
+    ``gain``: the child is better in at least 9 of 10 pairs (ties count
+    for neither) and the medians differ by more than the parent's
+    q3 - q1; ``worse``: the child's median is worse by more than
+    ``bound`` times the parent's median; ``unresolved``: the parent's
+    (q3 - q1) / median exceeds ``bound`` and not every child run beats
+    every parent run; ``flat``: any other case. ``better`` is "lower" or
+    "higher".
+    """
+    # negated, a higher-is-better metric reads lower-is-better
+    sign = 1.0 if better == "lower" else -1.0
+    old, new = [sign * v for v in parent], [sign * v for v in child]
+    old_spread = spread(old)
+    iqr = old_spread["q3"] - old_spread["q1"]
+    gap = old_spread["median"] - spread(new)["median"]
+    scale = bound * abs(old_spread["median"])
+    if 10 * sum(n < o for o, n in zip(old, new)) >= 9 * len(old) and gap > iqr:
+        return "gain"
+    if -gap > scale:
+        return "worse"
+    if iqr > scale and not max(new) < min(old):
+        return "unresolved"
+    return "flat"
+
+
+def summarise(runs: list[dict], end_to_end: dict | None = None) -> dict:
+    """Per metric: each tree's spread and the pairs the child read lower,
+    and for each metric in ``end_to_end`` (name -> ``BENCHMARK.json``
+    entry with ``better`` and ``bound``) its ``verdict``.
 
     ``runs`` holds one ``record`` per tree per pair of one workload.
     """
+    end_to_end = end_to_end or {}
     by_pair = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["tree"]] = run
@@ -155,6 +187,10 @@ def summarise(runs: list[dict]) -> dict:
                                                      values["child"])),
             "pairs": len(pairs),
         }
+        if name in end_to_end:
+            gate = end_to_end[name]
+            summary[name]["verdict"] = verdict(values["parent"], values["child"],
+                                               gate["better"], gate["bound"])
     return summary
 
 
@@ -189,6 +225,7 @@ def main(argv=None) -> int:
     sources = {"parent": args.old_root.resolve(), "child": args.new_root.resolve()}
     spec = json.loads((sources["child"] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    end_to_end = {m["name"]: m for m in spec.get("end_to_end", [])}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         roots = {t: copy_tree(sources[t], Path(tmp) / COPY_NAMES[t]) for t in TREES}
         for root in roots.values():
@@ -204,7 +241,7 @@ def main(argv=None) -> int:
         "protocol": {"pairs": args.pairs, "seconds": args.seconds,
                      "seed": args.seed, "order": "parent first in even pairs",
                      "bytecode": "fresh copies compiled with compileall"},
-        "workloads": {w: {"summary": summarise(runs[w]), "runs": runs[w]}
+        "workloads": {w: {"summary": summarise(runs[w], end_to_end), "runs": runs[w]}
                       for w in workloads},
     }
     path = Path(f"BENCH_{args.tag}.json")
@@ -215,7 +252,7 @@ def main(argv=None) -> int:
                   f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}] child "
                   f"{s['child']['median']:.4g} [{s['child']['q1']:.4g}, "
                   f"{s['child']['q3']:.4g}] child lower {s['child_lower']}"
-                  f"/{s['pairs']}")
+                  f"/{s['pairs']} {s.get('verdict', '')}".rstrip())
     print(f"wrote {path}")
     return 0
 
