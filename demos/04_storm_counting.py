@@ -48,8 +48,7 @@ oracle_cone = BeamCone((0.0, 0.0, 0.0), (length, 0.0, 0.0), half_angle, 0.05)
 xs = rng.uniform(0.0, length, n)
 rr = cyl_radius * np.sqrt(rng.random(n))
 az = rng.uniform(0.0, 2 * math.pi, n)
-cloud = ParticleField(np.column_stack([xs, rr * np.cos(az), rr * np.sin(az)]),
-                      np.full(n, 1e-6))
+cloud = ParticleField(np.column_stack([xs, rr * np.cos(az), rr * np.sin(az)]))
 count, _ = count_in_beam(cloud, oracle_cone)
 end_radius = length * math.tan(half_angle)
 expected = n * ((math.pi / 3) * end_radius ** 2) / (math.pi * cyl_radius ** 2)

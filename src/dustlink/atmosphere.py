@@ -454,6 +454,7 @@ def lorentz_halfwidth(line, pressure_atm: float,
                       partial_pressure_atm: float, temperature_k: float):
     """Pressure-broadened HWHM in Hz; ``line`` is a SpectralLine or a LineTable."""
     require_positive(temperature_k=temperature_k)
+    require_finite(pressure_atm=pressure_atm, partial_pressure_atm=partial_pressure_atm)
     if not (0.0 <= partial_pressure_atm <= pressure_atm):
         raise DomainError("partial pressure must lie in [0, total pressure]")
     ratio = REFERENCE_TEMPERATURE_K / temperature_k
@@ -476,6 +477,7 @@ def lorentz_shape(f_hz, line: SpectralLine, halfwidth_hz: float,
                   pressure_atm: float):
     """Lorentz profile (1/Hz) about the pressure-shifted line center."""
     require_positive(halfwidth_hz=halfwidth_hz)
+    require_finite(pressure_atm=pressure_atm)
     out = _lorentz(np.asarray(f_hz, dtype=float),
                    _shifted_center_hz(line, pressure_atm), halfwidth_hz)
     return float(out) if np.isscalar(f_hz) else out

@@ -350,15 +350,12 @@ _STORM_CONE = storm.BeamCone((5500.0, 0.0, 50.0), (6500.0, 0.0, 50.0),
                              half_angle_rad=1.5e-5, disk_spacing_m=0.01)
 
 
-def _storm_config(cfg: ExperimentConfig, planet: PlanetPreset) -> storm.StormConfig:
-    return storm.StormConfig(
-        radius_range_m=(planet.size_distribution.r_min_m,
-                        planet.size_distribution.r_max_m),
-        seed=cfg.seed, **_set_fields(cfg, storm.StormConfig))
+def _storm_config(cfg: ExperimentConfig) -> storm.StormConfig:
+    return storm.StormConfig(seed=cfg.seed, **_set_fields(cfg, storm.StormConfig))
 
 
 def _storm_density(cfg, planet, grid):
-    series = storm.density_time_series(_storm_config(cfg, planet), _STORM_CONE,
+    series = storm.density_time_series(_storm_config(cfg), _STORM_CONE,
                                        **_set_fields(cfg, storm.density_time_series))
     return [(t, count, *profile.tolist()) for t, count, profile in series]
 

@@ -11,15 +11,14 @@ The beam between transmitter and receiver is subdivided into disks at a
 fixed spacing; a particle is in the beam when its distance to either of
 its two nearest disk centers is within that disk's radius.
 
-A stepped field is held as one (4, N) float block, rows x, y, z and
-radius; ``ParticleField.positions_m`` and ``radii_m`` are (N, 3) and
-(N,) views of it, so the stepping and the beam's box test run on
-contiguous rows. A field built from a C-ordered (N, 3) array gives the
-same results bit for bit.
+A stepped field is held as one (3, N) float block, rows x, y and z;
+``ParticleField.positions_m`` is its (N, 3) transpose, so the stepping and
+the beam's box test run on contiguous rows. A field built from a C-ordered
+(N, 3) array gives the same results bit for bit.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import KW_ONLY, dataclass, field, fields
 
 import numpy as np
 
@@ -55,7 +54,6 @@ class StormConfig:
     timestep_s: float = 1.0
     domain_m: tuple[float, float, float, float, float, float] = (
         0.0, 7000.0, -60.0, 60.0, 0.0, 120.0)
-    radius_range_m: tuple[float, float] = (0.5e-6, 4e-6)
     seed: int = 0
 
     def __post_init__(self):
@@ -72,35 +70,34 @@ class StormConfig:
         x0, x1, y0, y1, z0, z1 = self.domain_m
         if not (x0 < x1 and y0 < y1 and z0 < z1):
             raise DomainError("domain bounds must be well ordered")
-        if not (0 < self.radius_range_m[0] <= self.radius_range_m[1]):
-            raise DomainError("radius range must be positive and ordered")
 
 
 @dataclass(frozen=True)
 class ParticleField:
-    """Particle positions (N x 3) and radii (N) at one timestamp.
+    """Particle positions (N x 3) at one timestamp.
 
-    ``step_field`` builds both as views of one (4, N) block, rows x, y, z
-    and radius; a field built from any (N, 3) array works the same.
+    ``step_field`` builds the positions as the transpose of one (3, N)
+    block, rows x, y and z; a field built from any (N, 3) array works the
+    same. The fields after the positions are keyword-only.
     """
 
     positions_m: np.ndarray
-    radii_m: np.ndarray
+    _: KW_ONLY
     timestamp_s: float = 0.0
     step_index: int = 0
     emitted: int = 0   # particles added by the producing step
     removed: int = 0   # particles dropped by the producing step
 
     def __post_init__(self):
-        if self.positions_m.shape != (self.radii_m.shape[0], 3):
-            raise DomainError("positions must be (N, 3) matching N radii")
+        if getattr(self.positions_m, "ndim", 0) != 2 or self.positions_m.shape[1] != 3:
+            raise DomainError("positions_m must be an (N, 3) ndarray")
 
     def count(self) -> int:
-        return int(self.radii_m.shape[0])
+        return int(self.positions_m.shape[0])
 
 
 def empty_field() -> ParticleField:
-    return ParticleField(np.zeros((0, 3)), np.zeros(0))
+    return ParticleField(np.zeros((0, 3)))
 
 
 def _within(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -112,8 +109,8 @@ def step_field(fld: ParticleField, cfg: StormConfig) -> ParticleField:
 
     Deterministic for a fixed (cfg.seed, step index): emission and
     turbulence randomness come from a per-step substream. The new field
-    is one (4, N_old + N_new) block, rows x, y, z and radius, so every
-    update runs on contiguous rows. The old particles' columns come first:
+    is one (3, N_old + N_new) block, rows x, y and z, so every update runs
+    on contiguous rows. The old particles' columns come first:
     their turbulent jitter (drawn as an (N_old, 3) array, which fixes the
     order of the draws) plus the wind, swirl and vertical terms, times the
     timestep, plus the old positions; the emitted particles' columns
@@ -124,8 +121,8 @@ def step_field(fld: ParticleField, cfg: StormConfig) -> ParticleField:
     old_x, old_y, _ = fld.positions_m.T
     n_old = fld.count()
     n_new = cfg.emission_rate
-    block = np.empty((4, n_old + n_new))
-    moved = block[:3, :n_old]
+    block = np.empty((3, n_old + n_new))
+    moved = block[:, :n_old]
     if cfg.turbulence_m_s > 0.0 and n_old > 0:
         # the draws of rng.normal(0, turbulence, (n_old, 3)), laid out as rows
         np.multiply(rng.standard_normal((n_old, 3)).T, cfg.turbulence_m_s,
@@ -150,11 +147,9 @@ def step_field(fld: ParticleField, cfg: StormConfig) -> ParticleField:
     moved *= cfg.timestep_s
     moved += fld.positions_m.T
 
-    block[:3, n_old:] = 0.0
+    block[:, n_old:] = 0.0
     block[1, n_old:] = rng.uniform(-cfg.source_y_half_span_m,
                                    cfg.source_y_half_span_m, n_new)
-    block[3, :n_old] = fld.radii_m
-    block[3, n_old:] = rng.uniform(*cfg.radius_range_m, n_new)
 
     x0, x1, y0, y1, z0, z1 = cfg.domain_m
     keep = _within(block[0], x0, x1)
@@ -166,8 +161,7 @@ def step_field(fld: ParticleField, cfg: StormConfig) -> ParticleField:
         block = block.take(kept, axis=1)
 
     return ParticleField(
-        positions_m=block[:3].T,
-        radii_m=block[3],
+        positions_m=block.T,
         timestamp_s=fld.timestamp_s + cfg.timestep_s,
         step_index=fld.step_index + 1,
         emitted=n_new,
@@ -199,6 +193,9 @@ class BeamCone:
         if length == 0.0:
             raise DomainError("transmitter and receiver coincide")
         object.__setattr__(self, "length_m", length)
+        if not math.isfinite(length / self.disk_spacing_m):
+            raise DomainError(f"disk spacing {self.disk_spacing_m!r} m is too fine "
+                              f"to count on a {length!r} m beam")
         if self.disk_count() == 0:
             raise DomainError(f"disk spacing {self.disk_spacing_m!r} m leaves no "
                               f"disk on a {length!r} m beam")

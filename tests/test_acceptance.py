@@ -375,7 +375,7 @@ def test_criterion_13_storm_counting_oracle():
     rr = cyl_radius * np.sqrt(rng.random(n))
     az = rng.uniform(0.0, 2 * math.pi, n)
     pts = np.column_stack([xs, rr * np.cos(az), rr * np.sin(az)])
-    fld = ParticleField(pts, np.full(n, 1e-6))
+    fld = ParticleField(pts)
     count, _ = count_in_beam(fld, cone)
     elapsed = time.perf_counter() - start
     end_radius = length * math.tan(half_angle)

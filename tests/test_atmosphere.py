@@ -340,6 +340,25 @@ class TestLorentz:
         oracle = 0.4100 * 0.6 * (296.0 / 250.0) ** 0.70 * HZ_PER_INVCM
         assert gamma == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("pressure, partial, message", [
+        (math.nan, 0.0, "pressure_atm must be finite, got nan"),
+        (math.inf, 0.0, "pressure_atm must be finite, got inf"),
+        (1.0, math.nan, "partial_pressure_atm must be finite, got nan"),
+        (1.0, math.inf, "partial_pressure_atm must be finite, got inf")],
+        ids=["nan", "inf", "partial_nan", "partial_inf"])
+    def test_non_finite_pressure_rejected(self, pressure, partial, message):
+        # an infinite total pressure passed the partial-pressure range test
+        # and gave an infinite half width
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            atm.lorentz_halfwidth(make_line(), pressure, partial, 296.0)
+
+    @pytest.mark.parametrize("pressure", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_shape_rejects_non_finite_pressure(self, pressure):
+        # nan gave a nan profile and inf a profile of zeros
+        line = make_line()
+        with pytest.raises(DomainError, match=f"^pressure_atm must be finite, got {pressure}$"):
+            atm.lorentz_shape(line.center_hz, line, 1e9, pressure)
+
     def test_peak_value(self):
         line = make_line(pressure_shift_invcm_atm=0.0)
         gamma = 2.5e9

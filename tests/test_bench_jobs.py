@@ -1,15 +1,20 @@
 """Every benchmark job is a run the CLI accepts: it sets only keys that its
-scenario reads. A rejected job would count as a failed operation."""
+scenario reads. A rejected job would count as a failed operation. The
+traced pass's span recorder reads what it instruments and puts back every
+function it rebinds."""
 
 import sys
 from pathlib import Path
 
 import pytest
 
-from dustlink.cli import check_read
+from dustlink import storm
+from dustlink.cli import ExperimentConfig, check_read, run_scenario
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 from jobs import INPUT_SETS, WORKLOADS, build_jobs  # noqa: E402
+from spans import (AGGREGATE_TARGETS, SPAN_TARGETS, Instrumentation,  # noqa: E402
+                   SpanRecorder)
 
 CASES = [pytest.param(workload, set_index, id=f"{workload}-set{set_index}")
          for workload in WORKLOADS for set_index in range(INPUT_SETS)]
@@ -21,3 +26,33 @@ def test_every_job_is_accepted(workload, set_index, tmp_path):
     assert jobs
     for job in jobs:
         check_read(job.config)
+
+
+def _bindings() -> dict:
+    """(module, attribute) -> object for every attribute the spans rebind."""
+    attrs = {target[2] for target in SPAN_TARGETS + AGGREGATE_TARGETS}
+    return {(name, attr): vars(module)[attr]
+            for name, module in list(sys.modules.items())
+            if name == "dustlink" or name.startswith("dustlink.")
+            for attr in attrs if attr in vars(module)}
+
+
+def test_traced_storm_steps_record_their_particles(tmp_path):
+    cfg = ExperimentConfig(scenario="storm_density", seed=1003, output=str(tmp_path),
+                           overrides={"storm.steps": 3})
+    # the fields the three steps are given, stepped without the recorder
+    given = [storm.empty_field()]
+    for _ in range(2):
+        given.append(storm.step_field(given[-1], storm.StormConfig(seed=cfg.seed)))
+    before = _bindings()
+    recorder = SpanRecorder()
+    with Instrumentation(recorder):
+        assert storm.step_field is not before["dustlink.storm", "step_field"]
+        run_scenario(cfg)
+    steps = [span for span in recorder.spans if span.name == "storm.step"]
+    assert len(steps) == 3
+    assert [span.attrs["particles"] for span in steps] == [f.count() for f in given]
+    assert given[-1].count() > 0
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)

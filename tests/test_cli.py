@@ -414,7 +414,7 @@ class TestKeysRead:
         key = line.split()[0]
         assert sorted(CONFIG_KEYS[key].read_by) == sorted(readers)
 
-    @pytest.mark.parametrize("key, spec", CONFIG_KEYS.items())
+    @pytest.mark.parametrize("key, spec", CONFIG_KEYS.items(), ids=list(CONFIG_KEYS))
     def test_universal_keys_are_the_run_settings(self, key, spec):
         universal = {"scenario", "planet", "seed", "workers", "output", "plot"}
         assert (set(spec.read_by) == set(SCENARIOS)) == (key in universal)

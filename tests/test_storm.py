@@ -8,7 +8,6 @@ import pytest
 
 from dustlink.errors import DomainError
 from dustlink.output import format_cell, write_csv
-from dustlink.presets import EARTH
 from dustlink.rng import substream
 from dustlink.storm import (BeamCone, ParticleField, StormConfig,
                             count_in_beam, density_time_series, empty_field,
@@ -22,12 +21,8 @@ def quiet_config(**kwargs) -> StormConfig:
     return StormConfig(**base)
 
 
-def field_at(positions, radii=None, step_index=0) -> ParticleField:
-    positions = np.asarray(positions, dtype=float)
-    if radii is None:
-        radii = np.full(len(positions), 1e-6)
-    return ParticleField(positions, np.asarray(radii, dtype=float),
-                         step_index=step_index)
+def field_at(positions, step_index=0) -> ParticleField:
+    return ParticleField(np.asarray(positions, dtype=float), step_index=step_index)
 
 
 class TestStepField:
@@ -63,7 +58,6 @@ class TestStepField:
         a = step_field(empty_field(), cfg)
         b = step_field(empty_field(), cfg)
         assert np.array_equal(a.positions_m, b.positions_m)
-        assert np.array_equal(a.radii_m, b.radii_m)
 
     def test_settling_only_shrinks_population(self):
         cfg = quiet_config(settling_m_s=2.0,
@@ -94,11 +88,10 @@ class TestStepField:
         columns = empty_field()
         for _ in range(60):
             columns = step_field(columns, cfg)
-        # step_field's fields are views of one (4, N) block
+        # step_field's positions are the transpose of one (3, N) block
         assert columns.positions_m.T.flags.c_contiguous
-        assert columns.positions_m.base is columns.radii_m.base
         rows = field_at(np.ascontiguousarray(columns.positions_m),
-                        columns.radii_m.copy(), step_index=columns.step_index)
+                        step_index=columns.step_index)
         assert rows.positions_m.flags.c_contiguous
         count, profile = count_in_beam(columns, cone)
         count_rows, profile_rows = count_in_beam(rows, cone)
@@ -106,14 +99,21 @@ class TestStepField:
         assert (count, profile.tobytes()) == (count_rows, profile_rows.tobytes())
         a, b = step_field(columns, cfg), step_field(rows, cfg)
         assert a.positions_m.tobytes() == b.positions_m.tobytes()
-        assert a.radii_m.tobytes() == b.radii_m.tobytes()
         assert (a.emitted, a.removed) == (b.emitted, b.removed)
 
-    def test_radii_within_configured_range(self):
-        cfg = quiet_config(emission_rate=500, radius_range_m=(2e-6, 3e-6))
-        fld = step_field(empty_field(), cfg)
-        assert np.all(fld.radii_m >= 2e-6)
-        assert np.all(fld.radii_m <= 3e-6)
+
+class TestParticleField:
+    def test_radii_are_not_taken_as_the_timestamp(self):
+        positions = np.zeros((2, 3))
+        with pytest.raises(TypeError):
+            ParticleField(positions, np.full(2, 1e-6))
+
+    @pytest.mark.parametrize("positions", [
+        np.zeros((4, 2)), np.zeros(3), np.zeros((2, 3, 1)), [[0.0, 0.0, 0.0]]],
+        ids=["two_columns", "one_dimension", "three_dimensions", "list"])
+    def test_positions_not_n_by_3_rejected(self, positions):
+        with pytest.raises(DomainError, match=r"positions_m must be an \(N, 3\) ndarray"):
+            ParticleField(positions)
 
 
 class TestStormConfig:
@@ -129,8 +129,7 @@ class TestStormConfig:
         ("wind_speed_m_s", "8"), ("timestep_s", None), ("updraft_m_s", True),
         ("turbulence_m_s", np.bool_(True)), ("ramp_length_m", 1j),
         ("domain_m", (0.0, "7000", -60.0, 60.0, 0.0, 120.0)),
-        ("vortex_center_m", (6000.0, None, 0.0)),
-        ("radius_range_m", (0.5e-6, False))])
+        ("vortex_center_m", (6000.0, None, 0.0))])
     def test_non_real_rejected(self, name, value):
         # numpy's isfinite once raised TypeError on these
         with pytest.raises(DomainError, match=f"{name} must be real"):
@@ -155,7 +154,6 @@ class TestStormConfig:
         # unpacking raised "not enough values to unpack"
         ("domain_m", (0.0, 7000.0, -60.0, 60.0, 0.0)),
         ("vortex_center_m", (6000.0, 0.0)),
-        ("radius_range_m", (0.5e-6, 1e-6, 4e-6)),
         ("turbulence_m_s", -0.1)])
     def test_bad_shape_or_sign_rejected(self, name, value):
         with pytest.raises(DomainError, match=name):
@@ -164,7 +162,6 @@ class TestStormConfig:
     @pytest.mark.parametrize("name, value, message", [
         # numpy's shape check raised "inhomogeneous shape" on these
         ("vortex_center_m", (1.0, (2.0, 3.0), 0.0), "must be real"),
-        ("radius_range_m", ([0.5e-6], 4e-6), "must be real"),
         ("domain_m", 5.0, "must have 6 entries")])
     def test_ragged_or_scalar_vector_rejected(self, name, value, message):
         with pytest.raises(DomainError, match=f"{name} {message}"):
@@ -210,6 +207,14 @@ class TestBeamCone:
     def test_ragged_or_scalar_point_rejected(self, tx, message):
         with pytest.raises(DomainError, match=message):
             BeamCone(tx, (1.0, 0.0, 0.0), 0.1, 0.1)
+
+    @pytest.mark.parametrize("rx, spacing", [
+        ((1000.0, 0.0, 0.0), 5e-324), ((1e300, 0.0, 0.0), 1e-10)],
+        ids=["subnormal_spacing", "astronomic_beam"])
+    def test_uncountable_disks_rejected(self, rx, spacing):
+        # the disk count overflowed a float and leaked an OverflowError
+        with pytest.raises(DomainError, match="disk spacing"):
+            BeamCone((0.0, 0.0, 0.0), rx, 1e-3, spacing)
 
     def test_cone_without_disks_rejected(self):
         # the first disk sits one spacing from the apex, past this 5 mm beam
@@ -442,11 +447,10 @@ class TestDensityTimeSeries:
         assert int(float(first[1])) == series[0][1]
 
     def test_snapshot_csv_export(self, tmp_path):
-        fld = field_at([[1.0, 2.0, 3.0]], radii=[2e-6])
+        fld = field_at([[1.0, 2.0, 3.0]])
         path = tmp_path / "snap.csv"
-        write_csv(path, ["x", "y", "z", "r"],
-                  [(*xyz, r) for xyz, r in zip(fld.positions_m, fld.radii_m)])
-        assert path.read_text() == "x,y,z,r\n1.0,2.0,3.0,2e-06\n"
+        write_csv(path, ["x", "y", "z"], fld.positions_m)
+        assert path.read_text() == "x,y,z\n1.0,2.0,3.0\n"
         # every cell is written as its format_cell, whatever the row's types
         rows = [(True, np.float64(0.1), "dust", -0.0, math.nan, math.inf),
                 (-0.0, math.nan, math.inf, 3, 2.5e-300, 1.0),
@@ -484,26 +488,25 @@ def sha256(array) -> str:
 
 class TestPinnedRuns:
     """Bit-level pins of whole storm runs, recorded before the one-buffer
-    ``step_field`` and the bounding-box ``count_in_beam``: positions and
-    radii digests, emitted and removed totals, and the in-beam count on
-    the 10 km demo cone every 20 steps."""
+    ``step_field`` and the bounding-box ``count_in_beam``: the positions
+    digest, emitted and removed totals, and the in-beam count on the 10 km
+    demo cone every 20 steps. The runs were recorded when each particle
+    also drew a radius; that was the last draw of each step, so dropping it
+    moved no position."""
 
     CONE = BeamCone((0.0, 0.0, 50.0), (10_000.0, 0.0, 50.0),
                     half_angle_rad=1.5e-5, disk_spacing_m=0.01)
 
-    @pytest.mark.parametrize("cfg, steps, positions, radii, emitted, removed, counts", [
-        (StormConfig(seed=1003, radius_range_m=(EARTH.size_distribution.r_min_m,
-                                                EARTH.size_distribution.r_max_m)),
-         120, "0a2c4a1dfa419e9887cf672a793d749ffca35ea44071cd14bb48e105e9386fcb",
-         "8df4ffd50b7698f78996cea31764b5944075be631a57bf8f77c5068e59d70e1b",
+    @pytest.mark.parametrize("cfg, steps, positions, emitted, removed, counts", [
+        # the CLI's storm_density config at seed 1003, for either planet
+        (StormConfig(seed=1003), 120,
+         "0a2c4a1dfa419e9887cf672a793d749ffca35ea44071cd14bb48e105e9386fcb",
          24000, 1812, [0] * 6),
         (StormConfig(seed=20), 460,
          "6973ee5a6909796ce7c50714f2ff65e89e1a57127f379cbd4ccc0cd50dc2dc92",
-         "11ad7a388353141ed9c81c0fcea6e0cb11c53610b898e5fa2f1af88907887022",
          92000, 32161, [0] * 15 + [1, 0, 1, 0, 2, 0, 2, 4]),
         (StormConfig(seed=7, turbulence_m_s=0.0, vortex_strength_rad_s=0.0), 460,
          "f8f5c1197495a6d4de6aa9cc2b773485dfcc3deca257132dcb45da962e7b8736",
-         "74c59969adda5a6b81a39e0a3188ce4b79fa9aeb4b81b93f857341bb4fce9402",
          92000, 24000, [0] * 16 + [9, 5, 6, 4, 4, 8, 3]),
         # a slow vortex near the source: in the default storm every particle
         # that enters the core is flung out of the domain, so no pin above
@@ -512,11 +515,10 @@ class TestPinnedRuns:
                      vortex_core_radius_m=150.0, vortex_strength_rad_s=0.05,
                      domain_m=(0.0, 7000.0, -500.0, 500.0, 0.0, 120.0)), 120,
          "3d7aa77cbf5de30a1ab40550c256dba20981ec6344ce2873cef9aceda9b70581",
-         "f06151e1f550ea8a1113d8b25e23bc3b3d60fc8b4562ebae9d37e8bdbf8f6ad5",
          24000, 1776, [0] * 6)],
         ids=["earth_seed1003", "default_seed20", "still_seed7", "swirl_seed11"])
-    def test_run_is_bit_identical(self, cfg, steps, positions, radii, emitted,
-                                  removed, counts):
+    def test_run_is_bit_identical(self, cfg, steps, positions, emitted, removed,
+                                  counts):
         fld = empty_field()
         totals = [0, 0]
         beam = []
@@ -526,6 +528,6 @@ class TestPinnedRuns:
             totals[1] += fld.removed
             if i % 20 == 0:
                 beam.append(count_in_beam(fld, self.CONE)[0])
-        assert (sha256(fld.positions_m), sha256(fld.radii_m)) == (positions, radii)
+        assert sha256(fld.positions_m) == positions
         assert totals == [emitted, removed]
         assert beam == counts
