@@ -237,17 +237,23 @@ def _link_points(cfg: LinkConfig, planet: PlanetPreset, transport: TransportConf
                  densities_per_m: list[float], k_per_m: float) -> list[tuple]:
     """The link budget of each (distance, dust density) point.
 
-    Point i reruns ``transport`` over its distance with the planet's dust
-    extinction at its density and the seed ``derive_seed(seed, label, i)``,
-    all points in one batch. Its dust amplitude composes with spreading
-    and the band-center absorption ``k_per_m``. Returns each point's
-    (transport result, channel gains, capacity in bit/s).
+    Each point reruns ``transport`` over its distance with the planet's
+    dust extinction at its density. Every point of a scenario has the one
+    seed ``derive_seed(seed, label)``, so ``estimate_batch`` traces them as
+    one trace whose planes are the points' optical depths: common random
+    numbers, so that the points differ only by their depths, a point's
+    transmittance falls with its depth draw for draw, and the scenario
+    costs one trace. A point's result does not depend on the other points.
+    Its dust amplitude composes with spreading and the band-center
+    absorption ``k_per_m``. Returns each point's (transport result,
+    channel gains, capacity in bit/s).
     """
+    scenario_seed = derive_seed(seed, label)
     results = estimate_batch([
-        replace(transport, distance_m=distance, seed=derive_seed(seed, label, i),
+        replace(transport, distance_m=distance, seed=scenario_seed,
                 extinction_per_m=planet.extinction(
                     LinearDensity(density), cfg.center_hz).extinction_per_m)
-        for i, (distance, density) in enumerate(zip(distances_m, densities_per_m))])
+        for distance, density in zip(distances_m, densities_per_m)])
     points = []
     for distance, result in zip(distances_m, results):
         gains = channel_gain(cfg.center_hz, distance, k_per_m, result.transmittance)
@@ -261,7 +267,11 @@ def time_scenario_points(cfg: LinkConfig, planet: PlanetPreset,
     """Per-second capacity under a time-varying dust count.
 
     Each second's count becomes a per-meter density over the link
-    distance (``_link_points`` with label "time"). Deterministic per seed.
+    distance (``_link_points`` with label "time"). Every second has the
+    scenario's one seed: with common random numbers the seconds differ
+    only by their dust, so per seed a higher count never gives a higher
+    capacity, and a second's row does not depend on the other counts.
+    Deterministic per seed.
     """
     if any(c < 0 for c in counts):
         raise DomainError("dust counts must be >= 0")
@@ -283,7 +293,9 @@ def distance_sweep_points(cfg: LinkConfig, planet: PlanetPreset,
 
     The density at each distance is drawn uniformly from the range (a
     (0, 0) range is clear sky); each distance is one ``_link_points``
-    point with label "distance". Distances must be increasing.
+    point with label "distance". Every distance has the scenario's one
+    seed, so the points differ only by their optical depths (common random
+    numbers) and the sweep costs one trace. Distances must be increasing.
     """
     if list(distances_m) != sorted(distances_m):
         raise DomainError("distances must be increasing")

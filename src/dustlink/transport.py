@@ -1,31 +1,46 @@
 """Monte Carlo photon-packet transport through a homogeneous dust slab.
 
-Packets launch at X = 0 heading along +X with unit energy weight.
-Free paths are exponential in the extinction rate, scattering angles come
-from the Henyey-Greenstein inversion, and the weight decays by the
-Beer-Lambert factor of each step. A packet terminates when it crosses the
-receiver plane X = D (recording the residual-attenuated weight), exits
-backwards (X < 0), drops below the weight threshold, or hits the event
-guard. A packet is scored only where it crosses the receiver plane, so
-its state is its X coordinate, its X direction cosine and its weight
-alone: the MCML update of the X cosine (Wang, Jacques & Zheng, 1995)
-needs no other direction cosine.
+A run depends on its extinction C and distance D only through the optical
+depth tau = C * D (``TransportConfig.optical_depth``), so packets are
+traced in optical units: lengths are in mean free paths. Packets launch at
+X = 0 heading along +X with unit energy weight. Free paths are -log u,
+scattering angles come from the Henyey-Greenstein inversion, and the
+weight decays by the Beer-Lambert factor exp(-step) of each step. A packet
+terminates when it crosses the receiver plane X = tau (recording the
+residual-attenuated weight), exits backwards (X < 0), drops below the
+weight threshold, or hits the event guard. A packet is scored only where
+it crosses the receiver plane, so its state is its X coordinate, its X
+direction cosine and its weight alone: the MCML update of the X cosine
+(Wang, Jacques & Zheng, 1995) needs no other direction cosine.
 
 Receiver contributions are only ever evaluated at an actual boundary
 crossing, where the step direction necessarily has a positive X
-component, so the residual Beer-Lambert factor is always finite.
+component, so the residual Beer-Lambert factor is always finite. A depth
+of 0 is crossed by the first step with weight 1; an infinite depth (C * D
+overflows) is never crossed.
 
 Draw contract: event n (n = 1, 2, ...) of packet i of a run with seed s
 reads the four draws of Philox block n of substream i, that is
 ``word_uniforms(philox4x64(s, i, n))``, in the order step, g, nu, chi; a
 packet that ends on its step ignores the other three. A fixed asymmetry g
 is ``UniformAsymmetry(g, g)``, whose g word is read and multiplied by 0.
-A word that maps to 0 reads as ``dustlink.rng.ZERO_DRAW`` (2**-54).
+A word that maps to 0 reads as ``dustlink.rng.ZERO_DRAW`` (2**-54). The
+draws do not depend on the run's depth, so runs that share a seed and a
+packet count share every packet's path up to the first plane it passes.
 
 Two implementations share these rules. ``estimate_batch`` (and
 ``estimate_transmittance``, a batch of one) runs a wave kernel: packets
 are held as arrays, and each wave advances every live packet by one event
-in numpy. While packets are still being admitted, each wave makes one
+in numpy. The runs of a batch that share (seed, packet count) are traced
+once, as one trace whose receiver planes are their depths in ascending
+order: a live packet keeps the index of the next plane it has not passed,
+a forward step scores every plane it passes, and the packet ends past the
+last one or by the usual fates. No fate rule depends on the plane, so each
+run's contributions, fates and event total are those of the run traced
+alone, bit for bit (common random numbers across the runs: Glasserman &
+Yao, Management Science 38, 884, 1992; the depth scaling is that of
+condensed Monte Carlo, Graaff et al., Appl. Opt. 32, 426, 1993).
+While packets are still being admitted, each wave makes one
 ``dustlink.rng.philox4x64`` call for the next block of every live packet;
 once all are admitted, one call computes the next ``_WAVE_ROWS // live``
 blocks of each, and the following waves read them row by row, so the
@@ -34,25 +49,24 @@ batch writes into one block buffer, and the blocks come back with each
 word as a contiguous row; the wave turns the step word of every live
 packet into a draw, and the g, nu and chi words, one row at a time, only
 of the packets that scatter on, with ``dustlink.rng.word_uniforms``. The
-packets of many runs share the kernel; a packet's state is its output
-index, run, first wave, X, X cosine, weight and column in the blocks,
-and it reads its run's extinction and distance each wave. A wave sets
-every fate from masks, in the order crossing, backscatter, event guard,
-weight threshold, and drops the ended packets in one pass; the masks are
-turned into indices once, and the wave reads and writes through them.
-``trace_packet`` is the scalar reference, one packet
-in plain Python, reading the same draws one at a time. The kernel keeps
-the reference's branch order and floating-point operations, so each
-packet has the same fate and event count; its contribution agrees within
-rtol 1e-12, because ``np.exp``/``np.log`` may differ from ``math`` in the
-last bit.
+packets of many traces share the kernel; a packet's state is its index,
+trace, first wave, X, X cosine, weight, next plane and column in the
+blocks. A wave sets every fate from masks, in the order crossing,
+backscatter, event guard, weight threshold, and drops the ended packets
+in one pass; the masks are turned into indices once, and the wave reads
+and writes through them. ``trace_packet`` is the scalar reference, one
+packet of one run in plain Python, reading the same draws one at a time.
+The kernel keeps the reference's branch order and floating-point
+operations, so each packet has the same fate and event count; its
+contribution agrees within rtol 1e-12, because ``np.exp``/``np.log`` may
+differ from ``math`` in the last bit.
 
 Determinism: every packet draws from its own counter-based substream of
 its run's seed (see ``dustlink.rng``), and each run's contributions are
 reduced in packet order with pairwise summation. A run's result therefore
-does not depend on which other runs share its batch, on how the kernel
-chunks the packets, or on how a caller splits runs across worker
-processes.
+does not depend on which other runs share its batch or its trace, on how
+the kernel chunks the packets, or on how a caller splits runs across
+worker processes.
 """
 
 import math
@@ -120,6 +134,12 @@ class TransportConfig:
         if not (0.0 < self.weight_threshold < 1.0):
             raise DomainError("weight threshold must be in (0, 1)")
         require_int("event guard max_events", self.max_events, 1)
+
+    @property
+    def optical_depth(self) -> float:
+        """tau = C * D, the receiver plane in mean free paths (inf when the
+        product overflows)."""
+        return self.extinction_per_m * self.distance_m
 
 
 FATES = ("reached", "weight_killed", "backscatter_exit", "guard_killed")
@@ -228,14 +248,12 @@ def trace_packet(cfg: TransportConfig,
     kernel behind ``estimate_batch``: it consumes the same substream draws
     in the same order, four per event, so the kernel gives the packet an
     equal fate and event count and a contribution within rtol 1e-12.
+    Lengths are in mean free paths: the receiver plane is at
+    ``cfg.optical_depth``.
     """
     if packet_index >= cfg.packet_count:
         raise DomainError("packet index beyond configured packet count")
-    cext = cfg.extinction_per_m
-    if cext == 0.0:
-        return "reached", 1.0, 0
-
-    dist = cfg.distance_m
+    tau = cfg.optical_depth
     eps_t = cfg.weight_threshold
     max_events = cfg.max_events
     g_lo = cfg.asymmetry.lo
@@ -255,11 +273,11 @@ def trace_packet(cfg: TransportConfig,
     events = 0
 
     while True:
-        step = -log(draw()) / cext
+        step = -log(draw())
         dx = step * mx
-        if x + dx >= dist and mx > 0.0:
+        if x + dx >= tau and mx > 0.0:
             # crossing: residual Beer-Lambert factor from the last scatter site
-            return "reached", w * exp(-cext * (dist - x) / mx), events
+            return "reached", w * exp(-(tau - x) / mx), events
         x += dx
         if x < 0.0:
             return "backscatter_exit", 0.0, events
@@ -267,7 +285,7 @@ def trace_packet(cfg: TransportConfig,
         if events >= max_events:
             return "guard_killed", 0.0, events
         # Beer-Lambert decay; dx/mx telescopes to the step length
-        w *= exp(-cext * step)
+        w *= exp(-step)
         if w < eps_t:
             return "weight_killed", 0.0, events
 
@@ -301,60 +319,75 @@ _WAVE_ROWS = rng._SCRATCH_LANES
 def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
     """Trace every packet of each run ``cfgs[r]``.
 
-    The runs share their asymmetry, weight threshold and event guard. A
-    live packet is (pos, run, born, col, x, mx, w): its output index, run,
-    wave of first event, column in the Philox blocks, X, X cosine and
-    weight; each wave reads extinction and distance by run. Packets are
-    admitted in order, at most ``_WAVE_ROWS`` live at a time: whenever half
-    the rows have ended, new packets take their place, so a batch has one
-    tail of waves with few live rows, not one per ``_WAVE_ROWS`` packets.
-    Event n reads block n. When the blocks of the last call are used up,
-    the next call computes, for every live packet, the block of its next
-    event, or, once every packet is admitted, the blocks of its next
-    ``_WAVE_ROWS // live`` events; so no call exceeds ``_WAVE_ROWS`` blocks,
-    every call writes into one buffer of ``_WAVE_ROWS`` blocks, and a
-    packet that ends early leaves its later blocks unread. Each wave
-    turns only the words a packet reads into draws, takes every live
-    packet through one pass of ``trace_packet``'s loop, with the same
-    floating-point operations, sets the fates from masks in its order
-    (crossing, backscatter, event guard, weight threshold), reading and
-    writing through the masks' indices, and compacts once. Returns each
-    run's contributions and fate codes, in packet order, and each run's
-    event total.
+    The runs share their asymmetry, weight threshold and event guard. The
+    runs that share (seed, packet count) are one trace, whose planes are
+    their optical depths in ascending order. A live packet is (q, trace,
+    born, col, x, mx, w, nxt): its index in its trace, trace, wave of first
+    event, column in the Philox blocks, X, X cosine, weight and next plane
+    not yet passed. Packets are admitted in order, at most ``_WAVE_ROWS``
+    live at a time: whenever half the rows have ended, new packets take
+    their place, so a batch has one tail of waves with few live rows, not
+    one per ``_WAVE_ROWS`` packets. Event n reads block n. When the blocks
+    of the last call are used up, the next call computes, for every live
+    packet, the block of its next event, or, once every packet is
+    admitted, the blocks of its next ``_WAVE_ROWS // live`` events; so no
+    call exceeds ``_WAVE_ROWS`` blocks, every call writes into one buffer
+    of ``_WAVE_ROWS`` blocks, and a packet that ends early leaves its later
+    blocks unread. Each wave turns only the words a packet reads into
+    draws and takes every live packet through one pass of
+    ``trace_packet``'s loop, with the same floating-point operations: a
+    forward step scores every plane it passes, and the packet ends past
+    its trace's last plane. The other fates are set from masks in
+    ``trace_packet``'s order (backscatter, event guard, weight threshold),
+    for every plane the packet has not passed, and the wave compacts once.
+    A (run, packet) cell is written once, when its outcome is known.
+    Returns each run's contributions and fate codes, in packet order, and
+    each run's event total.
     """
     head = cfgs[0]
     asym = head.asymmetry
     two_pi = 2.0 * math.pi
-    run_cext = np.array([cfg.extinction_per_m for cfg in cfgs])
-    run_dist = np.array([cfg.distance_m for cfg in cfgs])
-    run_seeds = np.array([cfg.seed for cfg in cfgs], dtype=np.uint64)
     offsets = np.cumsum([0, *(cfg.packet_count for cfg in cfgs)])
-    total = int(offsets[-1])
+    traces: dict[tuple, list[int]] = {}
+    for r, cfg in enumerate(cfgs):
+        traces.setdefault((cfg.seed, cfg.packet_count), []).append(r)
+    depths = [cfg.optical_depth for cfg in cfgs]
+    # trace t's planes, by depth, start at first[t]; each plane has its
+    # depth, its run's first output cell and the count of its trace's
+    # planes from it on
+    plane_run = np.array([r for runs in traces.values()
+                          for r in sorted(runs, key=depths.__getitem__)])
+    plane_tau = np.array(depths).take(plane_run)
+    plane_cell = offsets.take(plane_run)
+    sizes = [len(runs) for runs in traces.values()]
+    plane_left = np.concatenate([np.arange(n, 0, -1) for n in sizes])
+    first = np.cumsum([0, *sizes[:-1]])
+    trace_seeds = np.array([seed for seed, _ in traces], dtype=np.uint64)
+    trace_offsets = np.cumsum([0, *(m for _, m in traces)])
+    total = int(trace_offsets[-1])
 
-    contributions = np.zeros(total)
-    fates = np.zeros(total, dtype=np.uint8)   # fate 0 is "reached"
-    events = np.zeros(len(cfgs), dtype=np.int64)
+    contributions = np.zeros(int(offsets[-1]))
+    fates = np.zeros(contributions.size, dtype=np.uint8)   # fate 0 is "reached"
+    cell_events = np.zeros(contributions.size, dtype=np.int64)
     rows = min(_WAVE_ROWS, total)
     # every refill writes its blocks here: one comes only once the blocks in
     # hand are all read, and none computes more than _WAVE_ROWS blocks, even
     # for a batch of fewer packets
     block_words = np.empty(4 * _WAVE_ROWS, dtype=np.uint64)
-    pos, run, born, col = (np.empty(0, dtype=np.int64) for _ in range(4))
+    q, trace, born, col, nxt = (np.empty(0, dtype=np.int64) for _ in range(5))
     x, mx, w = (np.empty(0) for _ in range(3))
     admitted = 0
     wave = 0
     ahead = read = 0   # blocks computed ahead per packet, and read
-    while admitted < total or pos.size:
+    while admitted < total or q.size:
         wave += 1
-        if admitted < total and pos.size <= rows // 2:
-            new = np.arange(admitted, min(admitted + rows - pos.size, total))
+        if admitted < total and q.size <= rows // 2:
+            new = np.arange(admitted, min(admitted + rows - q.size, total))
             admitted += new.size
-            r = np.searchsorted(offsets, new, side="right") - 1
-            flight = run_cext[r] == 0.0
-            contributions[new[flight]] = 1.0   # free flight: every packet reaches
-            new, r = new[~flight], r[~flight]
-            pos = np.concatenate((pos, new))
-            run = np.concatenate((run, r))
+            t = np.searchsorted(trace_offsets, new, side="right") - 1
+            q = np.concatenate((q, new - trace_offsets.take(t)))
+            trace = np.concatenate((trace, t))
+            nxt = np.concatenate((nxt, first.take(t)))
             born = np.concatenate((born, np.full(new.size, wave)))
             x = np.concatenate((x, np.zeros(new.size)))
             mx, w = (np.concatenate((a, np.ones(new.size))) for a in (mx, w))
@@ -365,49 +398,71 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
             # of each live packet while packets are admitted, then its next
             # _WAVE_ROWS // live (through the module, so it can be patched).
             # ``col`` is each live packet's column in these blocks.
-            ahead = (1 if admitted < total or not pos.size
-                     else _WAVE_ROWS // pos.size)
-            blocks = rng.philox4x64(run_seeds[run], pos - offsets[run],
+            ahead = (1 if admitted < total or not q.size
+                     else _WAVE_ROWS // q.size)
+            blocks = rng.philox4x64(trace_seeds.take(trace), q,
                                     event + np.arange(ahead)[:, None],
                                     out=block_words)
-            col = np.arange(pos.size)
+            col = np.arange(q.size)
             read = 0
         # one contiguous row per word: step, g, nu, chi
         words = blocks[read].T
         read += 1
-        cext = run_cext[run]
-        dist = run_dist[run]
-        # a subnormal extinction gives an infinite step: the packet crosses
-        with np.errstate(over="ignore"):
-            step = -np.log(word_uniforms(words[0].take(col))) / cext
+        step = -np.log(word_uniforms(words[0].take(col)))
         x_next = x + step * mx
-        ended = (x_next >= dist) & (mx > 0.0)
-        # crossing: residual Beer-Lambert factor from the last scatter site
-        hit = np.flatnonzero(ended)
-        contributions[pos.take(hit)] = w.take(hit) * np.exp(
-            -cext.take(hit) * (dist.take(hit) - x.take(hit)) / mx.take(hit))
+        # a forward step scores every plane it passes with the residual
+        # Beer-Lambert factor from the last scatter site; a packet ends
+        # past its last plane
+        ended = np.zeros(q.size, dtype=bool)
+        hit = np.flatnonzero((x_next >= plane_tau.take(nxt)) & (mx > 0.0))
+        while hit.size:
+            plane = nxt.take(hit)
+            cells = plane_cell.take(plane) + q.take(hit)
+            contributions[cells] = w.take(hit) * np.exp(
+                -(plane_tau.take(plane) - x.take(hit)) / mx.take(hit))
+            cell_events[cells] = event.take(hit) - 1
+            nxt[hit] = plane + 1
+            last = plane_left.take(plane) == 1
+            ended[hit[last]] = True
+            hit = hit[~last]
+            hit = hit[x_next.take(hit) >= plane_tau.take(nxt.take(hit))]
         x = x_next
         out = x < 0.0
         scattered = ~ended & ~out
-        events += np.bincount(run.compress(scattered), minlength=len(cfgs))
         guarded = scattered & (event >= head.max_events)
         # Beer-Lambert decay; dx/mx telescopes to the step length
-        w = w * np.exp(-cext * step)
+        w = w * np.exp(-step)
         killed = scattered & ~guarded & (w < head.weight_threshold)
-        for mask, fate in ((out, "backscatter_exit"), (guarded, "guard_killed"),
-                           (killed, "weight_killed")):
-            fates[pos.take(np.flatnonzero(mask))] = _FATE_INDEX[fate]
-        keep = scattered & ~guarded & ~killed
-        kept = np.flatnonzero(keep)
-        pos, run, born, col, x, mx, w = (a.take(kept)
-                                         for a in (pos, run, born, col, x, mx, w))
+        # every plane a lost packet has not passed takes its fate, and its
+        # event count: the scatter of this wave counts unless it backscattered
+        lost = np.flatnonzero(out | guarded | killed)
+        lost_out = out.take(lost)
+        fate = np.where(lost_out, _FATE_INDEX["backscatter_exit"],
+                        np.where(guarded.take(lost), _FATE_INDEX["guard_killed"],
+                                 _FATE_INDEX["weight_killed"]))
+        plane = nxt.take(lost)
+        left = plane_left.take(plane)
+        cells = (plane_cell.take(_spans(plane, left))
+                 + np.repeat(q.take(lost), left))
+        fates[cells] = np.repeat(fate, left)
+        cell_events[cells] = np.repeat(event.take(lost) - lost_out, left)
+        kept = np.flatnonzero(scattered & ~guarded & ~killed)
+        q, trace, born, col, nxt, x, mx, w = (
+            a.take(kept) for a in (q, trace, born, col, nxt, x, mx, w))
         # only the packets that scatter on turn their g, nu, chi words
         # into draws
         g, nu, chi = (word_uniforms(words[j].take(col)) for j in (1, 2, 3))
         g = asym.lo + (asym.hi - asym.lo) * g
         mx = _rotate(mx, _hg_cosine(g, nu), two_pi * chi)
     ends = offsets[1:-1]
-    return np.split(contributions, ends), np.split(fates, ends), events
+    return (np.split(contributions, ends), np.split(fates, ends),
+            np.add.reduceat(cell_events, offsets[:-1]))
+
+
+def _spans(starts, counts):
+    """The concatenated ``range(s, s + c)`` of each start and count."""
+    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return shift + np.arange(shift.size)
 
 
 def _rotate(mx, ct, phi):
@@ -426,11 +481,14 @@ def estimate_batch(cfgs: Sequence[TransportConfig]) -> list[TransportResult]:
     """Ensemble transmittance and dB/m attenuation of many runs at once.
 
     Runs that share their asymmetry, weight threshold and event guard are
-    traced together in one wave kernel; each packet keeps
-    its run's seed and its index in its run, and each run's contributions
-    are reduced in packet order with numpy's pairwise sum. So every result
-    is bit-identical to that of its config traced alone, whatever the rest
-    of the batch. Transmittance 0 reports +inf dB/m.
+    traced together in one wave kernel, and among them the runs that share
+    (seed, packet count) are one trace with a receiver plane at each run's
+    optical depth. Each packet keeps its seed and its index, and each
+    run's contributions are reduced in packet order with numpy's pairwise
+    sum. So every result is bit-identical to that of its config traced
+    alone, whatever the rest of the batch; and of runs that share a seed
+    and a packet count, a deeper one never transmits more. Transmittance 0
+    reports +inf dB/m.
     """
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):

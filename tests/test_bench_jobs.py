@@ -1,7 +1,8 @@
 """Every benchmark job is a run the CLI accepts: it sets only keys that its
 scenario reads. A rejected job would count as a failed operation. The
 traced pass's span recorder reads what it instruments and puts back every
-function it rebinds."""
+function it rebinds. One pass of every transport workload's input set
+passes the benchmark's own output checks."""
 
 import sys
 from pathlib import Path
@@ -13,8 +14,10 @@ from dustlink.cli import ExperimentConfig, check_read, run_scenario
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 from jobs import INPUT_SETS, WORKLOADS, build_jobs  # noqa: E402
+from run import Runner  # noqa: E402
 from spans import (AGGREGATE_TARGETS, SPAN_TARGETS, Instrumentation,  # noqa: E402
                    SpanRecorder)
+from verify import load_reference  # noqa: E402
 
 CASES = [pytest.param(workload, set_index, id=f"{workload}-set{set_index}")
          for workload in WORKLOADS for set_index in range(INPUT_SETS)]
@@ -56,3 +59,15 @@ def test_traced_storm_steps_record_their_particles(tmp_path):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_transport_workloads_match_references(tmp_path):
+    # bench/verify.py's checks, among them the Monte Carlo cells whose
+    # recorded replicates all read 0 and so allow no other value
+    for workload in ("earth_sweeps", "mars_capacity"):
+        for set_index in range(INPUT_SETS):
+            jobs = build_jobs(workload, set_index, str(tmp_path))
+            runner = Runner(jobs, load_reference(workload, set_index))
+            runner.check(runner.run_pass()[1])
+            assert runner.attempted == len(jobs)
+            assert runner.failed == 0, (workload, set_index)

@@ -18,7 +18,7 @@ from dustlink.link import (DROP_WINDOWS_S, DistancePoint, LinkConfig, TimePoint,
                            capacity, channel_gain, default_time_counts,
                            h_absorption, h_dust, h_spreading,
                            run_distance_sweep, run_time_scenario,
-                           transport_template)
+                           time_scenario_points, transport_template)
 from dustlink.presets import (DEFAULT_NOISE_PSD_W_HZ, DEFAULT_TX_POWER_W, EARTH,
                               MARS)
 from dustlink.transport import TransportConfig, UniformAsymmetry
@@ -311,6 +311,37 @@ class TestTimeScenario:
         a = run_time_scenario(cfg, MARS, counts, 7, 0.0, packet_count=300)
         b = run_time_scenario(cfg, MARS, counts, 7, 0.0, packet_count=300)
         assert a == b
+
+
+    @given(counts=st.lists(st.integers(0, 400), min_size=1, max_size=8),
+           more=st.lists(st.integers(0, 400), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=15, deadline=None)
+    def test_rows_keep_when_counts_are_appended(self, counts, more, seed):
+        # every second is a plane of one trace of the scenario's seed, and a
+        # plane's score does not depend on the other planes
+        cfg = link_config(distance_m=1.0)
+        transport = replace(transport_template(EARTH), packet_count=150)
+        head = time_scenario_points(cfg, EARTH, counts, seed, 0.004, transport)
+        whole = time_scenario_points(cfg, EARTH, counts + more, seed, 0.004,
+                                     transport)
+        assert whole[:len(counts)] == head
+
+    @given(counts=st.lists(st.integers(0, 3000), min_size=2, max_size=10),
+           seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=15, deadline=None)
+    def test_capacity_falls_with_count_per_seed(self, counts, seed):
+        # common random numbers: with one seed, more dust never transmits
+        # more, second by second, not only on average (at 1 m on Mars, T
+        # falls from 1 to about 0.01 over these counts)
+        cfg = LinkConfig.for_preset(MARS, distance_m=1.0)
+        transport = replace(transport_template(MARS), packet_count=150)
+        points = sorted(time_scenario_points(cfg, MARS, counts, seed, 0.0,
+                                             transport),
+                        key=lambda p: p.count)
+        for a, b in zip(points, points[1:]):
+            assert b.transmittance <= a.transmittance
+            assert b.capacity_bps <= a.capacity_bps
 
 
 class TestDistanceSweep:

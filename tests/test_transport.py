@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -512,6 +513,71 @@ class TestScaleInvariance:
             assert result.transmittance == 0.0439394702220736
             assert result.fates == FateCounts(1577, 60, 363, 0)
             assert result.mean_events == 3.9085
+
+
+class TestDepthEdges:
+    """Runs whose optical depth C * D is not an ordinary positive float."""
+
+    def test_overflowed_depth_is_never_crossed(self):
+        # C * D overflows to inf: no packet reaches the receiver, and the
+        # packets end as they do at any depth the weight threshold cuts off
+        cfg = config(extinction_per_m=1e300, distance_m=1e10)
+        assert cfg.extinction_per_m * cfg.distance_m == math.inf
+        result = estimate_transmittance(cfg)
+        assert result.transmittance == 0.0
+        assert result.fates == FateCounts(0, 1467, 533, 0)
+        assert result.mean_events == 10.8115
+        TestWaveKernel.assert_matches_reference(replace(cfg, packet_count=200))
+        # beside a finite depth of the same seed, it keeps its result
+        thin = config(extinction_per_m=0.25)
+        assert estimate_batch([cfg, thin]) == [result, estimate_transmittance(thin)]
+
+    def test_subnormal_depth_rounds_to_free_flight(self):
+        # 5e-324 * 0.1 rounds to 0: every packet crosses on its first step
+        cfg = config(extinction_per_m=5e-324, distance_m=0.1)
+        assert cfg.extinction_per_m * cfg.distance_m == 0.0
+        result = estimate_transmittance(cfg)
+        assert result.transmittance == 1.0
+        assert result.fates == FateCounts(reached=2000)
+        assert result.mean_events == 0.0
+        assert all(trace_packet(cfg, i) == ("reached", 1.0, 0) for i in range(20))
+
+
+class TestSharedTraces:
+    """Runs that share (seed, packet count) are planes of one trace, and
+    each gives what it gives traced alone."""
+
+    @given(runs=st.lists(
+               st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+                         st.sampled_from([1.0, 0.25, 3.0, 0.7])),
+               min_size=1, max_size=6),
+           packets=st.integers(1, 150),
+           seed=st.integers(0, 2 ** 64 - 2),
+           asymmetry=st.sampled_from([UniformAsymmetry(), UniformAsymmetry(0.0, 1.0),
+                                      UniformAsymmetry(0.9, 0.9)]))
+    @settings(max_examples=30, deadline=None)
+    def test_each_plane_is_its_run_alone(self, runs, packets, seed, asymmetry):
+        # a depth tau is a run at C = scale and D = tau / scale (C = 0 for
+        # tau = 0), so C = 1 runs sit next to C != 1 ones; the first run is
+        # repeated, and a second seed makes a second trace in the batch
+        cfgs = [config(extinction_per_m=scale if depth else 0.0,
+                       distance_m=depth / scale if depth else 1.0,
+                       packet_count=packets, seed=s, asymmetry=asymmetry)
+                for s in (seed, seed + 1)
+                for depth, scale in [*runs, runs[0]]]
+        shared = transport._trace_packets(cfgs)
+        for r, cfg in enumerate(cfgs):
+            (contributions,), (fates,), events = transport._trace_packets([cfg])
+            assert np.array_equal(shared[0][r], contributions)
+            assert np.array_equal(shared[1][r], fates)
+            assert shared[2][r] == events[0]
+        batch = estimate_batch(cfgs)
+        assert batch == [estimate_batch([cfg])[0] for cfg in cfgs]
+        # per seed, a deeper run never transmits more
+        for s in (seed, seed + 1):
+            ordered = sorted((cfg.extinction_per_m * cfg.distance_m, result.transmittance)
+                             for cfg, result in zip(cfgs, batch) if cfg.seed == s)
+            assert all(t1 >= t2 for (_, t1), (_, t2) in zip(ordered, ordered[1:]))
 
 
 class TestConfigValidation:
