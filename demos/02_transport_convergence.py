@@ -7,13 +7,12 @@ their lives (receiver, weight threshold, backscatter).
 
 import math
 
-from dustlink import (EARTH, LinearDensity, TransportConfig, UniformAsymmetry,
-                      estimate_batch, estimate_transmittance)
+from dustlink import (EARTH, LinearDensity, TransportConfig, estimate_batch,
+                      estimate_transmittance)
 
 # --- analytic check: pure forward scattering telescopes to Beer-Lambert ------
 cfg = TransportConfig(distance_m=10.0, packet_count=10_000,
-                      extinction_per_m=0.3, asymmetry=UniformAsymmetry(1.0, 1.0),
-                      seed=1)
+                      extinction_per_m=0.3, g_lo=1.0, g_hi=1.0, seed=1)
 result = estimate_transmittance(cfg)
 print("Forward-scattering limit (g = 1, C = 0.3/m, D = 10 m)")
 print(f"  T = {result.transmittance:.12f}")

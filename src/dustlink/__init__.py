@@ -30,8 +30,7 @@ from .scatter import (DustPermittivity, ExtinctionResult, LinearDensity,
 from .storm import (BeamCone, ParticleField, StormConfig, count_in_beam,
                     density_time_series, empty_field, step_field)
 from .transport import (FateCounts, TransportConfig, TransportResult,
-                        UniformAsymmetry, estimate_batch,
-                        estimate_transmittance, sample_scatter_angles,
-                        trace_packet, update_direction)
+                        estimate_batch, estimate_transmittance,
+                        sample_scatter_angles, trace_packet, update_direction)
 
 __version__ = "0.1.0"

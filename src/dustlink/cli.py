@@ -33,14 +33,13 @@ from .rng import derive_seed
 from .scatter import LinearDensity, Visibility, VolumetricDensity
 # estimate_transmittance stays bound here although unused:
 # bench/test_bench.py checks that the benchmark's span recorder rebinds it
-from .transport import (TransportConfig, UniformAsymmetry, estimate_batch,
+from .transport import (TransportConfig, estimate_batch,
                         estimate_transmittance)  # noqa: F401
 
 __all__ = ["ExperimentConfig", "ScenarioResult", "parse_config",
            "run_scenario", "check_read", "write_outputs", "main", "SCENARIOS",
            "CONFIG_KEYS"]
 
-CATALOG_ENV_VAR = "DUSTLINK_CATALOG_DIR"
 DEFAULT_REPLICATES = 10
 _MEDIA = (Visibility, VolumetricDensity, LinearDensity)
 
@@ -93,7 +92,7 @@ class ExperimentConfig:
                     name = spec.field
                 # an int fits either kind of number, a float only a float key
                 if spec.kind is int:
-                    require_int(name, value)
+                    require_int(name, value, *_INT_BOUNDS.get(key, ()))
                 if spec.kind is float:
                     require_finite(**{name: value})
                 if spec.kind is bool and not isinstance(value, bool):
@@ -105,10 +104,6 @@ class ExperimentConfig:
                                       f"got {value!r}")
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
-        if not 0 <= self.seed < 1 << 128:
-            raise ConfigError(f"seed must be in [0, 2**128), got {self.seed!r}")
-        if (self.replicates is not None and self.replicates < 1) or self.workers < 1:
-            raise ConfigError("replicates and workers must be >= 1")
         if self.range_scale not in (None, "log", "linear"):
             raise ConfigError(f"unknown range scale {self.range_scale!r}")
         if (self.density_lo_per_m is None) != (self.density_hi_per_m is None):
@@ -117,8 +112,6 @@ class ExperimentConfig:
         if (self.range_start is not None and self.range_stop is not None
                 and self.range_start > self.range_stop):
             raise ConfigError("range.start must not exceed range.stop")
-        if self.range_steps is not None and self.range_steps < 1:
-            raise ConfigError("range.steps must be >= 1")
         # keys of which one would win over the other
         media = [k for k in self.overrides if CONFIG_KEYS[k].owner in _MEDIA]
         if len(media) > 1:
@@ -195,11 +188,7 @@ def _set_fields(cfg: ExperimentConfig, owner) -> dict:
 
 def _transport(cfg: ExperimentConfig, planet: PlanetPreset) -> TransportConfig:
     """The transport template of every run a scenario traces."""
-    values = _set_fields(cfg, TransportConfig)
-    bounds = _set_fields(cfg, UniformAsymmetry)
-    if bounds:
-        values["asymmetry"] = UniformAsymmetry(**bounds)
-    return replace(link.transport_template(planet), **values)
+    return replace(link.transport_template(planet), **_set_fields(cfg, TransportConfig))
 
 
 def _grid(cfg: ExperimentConfig, start: float, stop: float, steps: int,
@@ -265,9 +254,8 @@ def _sweep(cfg: ExperimentConfig, values: list[float],
 
 
 def _catalog(cfg: ExperimentConfig, planet: PlanetPreset) -> dict:
-    directory = (cfg.catalog_dir or os.environ.get(CATALOG_ENV_VAR)
-                 or bundled_catalog_dir())
-    return atmosphere.load_catalog_dir(directory, [g for g, _ in planet.gases])
+    return atmosphere.load_catalog_dir(cfg.catalog_dir or bundled_catalog_dir(),
+                                       [g for g, _ in planet.gases])
 
 
 def _band_center_absorption(cfg: ExperimentConfig, planet: PlanetPreset) -> float:
@@ -294,11 +282,21 @@ def _fixed_medium_run(cfg: ExperimentConfig, planet: PlanetPreset) -> TransportC
     return replace(_transport(cfg, planet), extinction_per_m=cext)
 
 
+def _counts(grid: list[float]) -> list[float]:
+    """The grid rounded to whole counts, which must not repeat: two points
+    of one count would be two rows of one sweep value."""
+    values = [float(round(v)) for v in grid]
+    if len(set(values)) < len(values):
+        raise ConfigError("the range rounds to repeated counts "
+                          + ", ".join(f"{v:g}" for v in values))
+    return values
+
+
 # Scenario functions: (config, planet preset, grid or None) -> CSV rows.
 
 def _mcp_sweep(cfg, planet, grid):
     run = _fixed_medium_run(cfg, planet)
-    values = [float(round(v)) for v in grid]
+    values = _counts(grid)
     return _sweep(cfg, values, [replace(run, packet_count=int(v)) for v in values])
 
 
@@ -309,7 +307,7 @@ def _visibility_sweep(cfg, planet, grid):
 
 def _particle_sweep(cfg, planet, grid):
     # sweep value is the particle count on the whole path
-    values = [float(round(v)) for v in grid]
+    values = _counts(grid)
     distance_m = _transport(cfg, planet).distance_m
     cexts = [planet.extinction(LinearDensity(v / distance_m)).extinction_per_m
              for v in values]
@@ -486,8 +484,8 @@ CONFIG_KEYS = {key: ConfigKey(kind, owner, name, read_by)
     ("transport.weight_threshold", float, TransportConfig, "weight_threshold",
      _TRACED),
     ("transport.max_events", int, TransportConfig, "max_events", _TRACED),
-    ("transport.g_lo", float, UniformAsymmetry, "lo", _TRACED),
-    ("transport.g_hi", float, UniformAsymmetry, "hi", _TRACED),
+    ("transport.g_lo", float, TransportConfig, "g_lo", _TRACED),
+    ("transport.g_hi", float, TransportConfig, "g_hi", _TRACED),
     ("medium.count_per_m", float, LinearDensity, "count_per_m", _FIXED_MEDIUM),
     ("medium.visibility_m", float, Visibility, "meters", _FIXED_MEDIUM),
     ("medium.n0_per_m3", float, VolumetricDensity, "per_m3", _FIXED_MEDIUM),
@@ -504,6 +502,13 @@ CONFIG_KEYS = {key: ConfigKey(kind, owner, name, read_by)
     ("storm.vortex_strength_rad_s", float, storm.StormConfig,
      "vortex_strength_rad_s", _STORM),
 )}
+
+
+# require_int's (least, bits) bounds of each int key that sets an
+# ExperimentConfig field; an int override's bounds are its owner's, checked
+# when a run builds it
+_INT_BOUNDS = {"seed": (0, 128), "replicates": (1,), "workers": (1,),
+               "range.steps": (1,)}
 
 
 def check_read(cfg: ExperimentConfig) -> None:

@@ -22,11 +22,12 @@ overflows) is never crossed.
 Draw contract: event n (n = 1, 2, ...) of packet i of a run with seed s
 reads the four draws of Philox block n of substream i, that is
 ``word_uniforms(philox4x64(s, i, n))``, in the order step, g, nu, chi; a
-packet that ends on its step ignores the other three. A fixed asymmetry g
-is ``UniformAsymmetry(g, g)``, whose g word is read and multiplied by 0.
-A word that maps to 0 reads as ``dustlink.rng.ZERO_DRAW`` (2**-54). The
-draws do not depend on the run's depth, so runs that share a seed and a
-packet count share every packet's path up to the first plane it passes.
+packet that ends on its step ignores the other three. An event's
+asymmetry is ``g_lo + (g_hi - g_lo) * u`` for its g draw u, so a fixed
+asymmetry g is ``g_lo = g_hi = g``, whose g word is read and multiplied
+by 0. A word that maps to 0 reads as ``dustlink.rng.ZERO_DRAW`` (2**-54).
+The draws do not depend on the run's depth, so runs that share a seed and
+a packet count share every packet's path up to the first plane it passes.
 
 Two implementations share these rules. ``estimate_batch`` (and
 ``estimate_transmittance``, a batch of one) runs a wave kernel: packets
@@ -82,7 +83,6 @@ from . import rng
 from .rng import UniformStream, substream, word_uniforms
 
 __all__ = [
-    "UniformAsymmetry",
     "TransportConfig",
     "FateCounts",
     "TransportResult",
@@ -96,28 +96,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class UniformAsymmetry:
-    """Scattering asymmetry redrawn uniformly in [lo, hi] per event.
-
-    A fixed asymmetry g is the range (g, g): ``lo + 0.0 * u == lo``.
-    """
-    lo: float = 0.5
-    hi: float = 1.0
-
-    def __post_init__(self):
-        require_finite(lo=self.lo, hi=self.hi)
-        if not (0.0 <= self.lo <= self.hi <= 1.0):
-            raise DomainError("need 0 <= lo <= hi <= 1")
-
-
-@dataclass(frozen=True)
 class TransportConfig:
-    """Inputs of one transport run. Immutable while the run executes."""
+    """Inputs of one transport run. Immutable while the run executes.
+
+    The scattering asymmetry is redrawn uniformly in [g_lo, g_hi] at every
+    event; a fixed asymmetry g is ``g_lo = g_hi = g``.
+    """
 
     distance_m: float
     packet_count: int
     extinction_per_m: float
-    asymmetry: UniformAsymmetry = UniformAsymmetry()
+    g_lo: float = 0.5
+    g_hi: float = 1.0
     weight_threshold: float = 1e-5
     seed: int = 0
     max_events: int = 10 ** 6
@@ -127,9 +117,9 @@ class TransportConfig:
         require_int("packet_count", self.packet_count, 1)
         require_positive(distance_m=self.distance_m)
         require_nonnegative(extinction_per_m=self.extinction_per_m)
-        if not isinstance(self.asymmetry, UniformAsymmetry):
-            raise DomainError(
-                f"asymmetry must be a UniformAsymmetry, got {self.asymmetry!r}")
+        require_finite(g_lo=self.g_lo, g_hi=self.g_hi)
+        if not (0.0 <= self.g_lo <= self.g_hi <= 1.0):
+            raise DomainError("need 0 <= g_lo <= g_hi <= 1")
         require_finite(weight_threshold=self.weight_threshold)
         if not (0.0 < self.weight_threshold < 1.0):
             raise DomainError("weight threshold must be in (0, 1)")
@@ -256,8 +246,8 @@ def trace_packet(cfg: TransportConfig,
     tau = cfg.optical_depth
     eps_t = cfg.weight_threshold
     max_events = cfg.max_events
-    g_lo = cfg.asymmetry.lo
-    g_span = cfg.asymmetry.hi - g_lo
+    g_lo = cfg.g_lo
+    g_span = cfg.g_hi - g_lo
 
     stream = UniformStream(substream(cfg.seed, packet_index))
     draw = stream.next
@@ -345,7 +335,6 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
     each run's event total.
     """
     head = cfgs[0]
-    asym = head.asymmetry
     two_pi = 2.0 * math.pi
     offsets = np.cumsum([0, *(cfg.packet_count for cfg in cfgs)])
     traces: dict[tuple, list[int]] = {}
@@ -452,7 +441,7 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
         # only the packets that scatter on turn their g, nu, chi words
         # into draws
         g, nu, chi = (word_uniforms(words[j].take(col)) for j in (1, 2, 3))
-        g = asym.lo + (asym.hi - asym.lo) * g
+        g = head.g_lo + (head.g_hi - head.g_lo) * g
         mx = _rotate(mx, _hg_cosine(g, nu), two_pi * chi)
     ends = offsets[1:-1]
     return (np.split(contributions, ends), np.split(fates, ends),
@@ -492,7 +481,7 @@ def estimate_batch(cfgs: Sequence[TransportConfig]) -> list[TransportResult]:
     """
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
-        key = (cfg.asymmetry, cfg.weight_threshold, cfg.max_events)
+        key = (cfg.g_lo, cfg.g_hi, cfg.weight_threshold, cfg.max_events)
         groups.setdefault(key, []).append(i)
     results: list[TransportResult] = [None] * len(cfgs)
     for members in groups.values():

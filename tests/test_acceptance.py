@@ -55,8 +55,8 @@ from dustlink.rng import substream
 from dustlink.scatter import (LinearDensity, SizeDistribution,
                               number_density_from_visibility)
 from dustlink.storm import BeamCone, ParticleField, count_in_beam
-from dustlink.transport import (UniformAsymmetry, estimate_transmittance,
-                                sample_scatter_angles, update_direction)
+from dustlink.transport import (estimate_transmittance, sample_scatter_angles,
+                                update_direction)
 
 # Criterion 10's median specific attenuation window (dB/m) for the default
 # Earth and Mars runs; criterion 11d derives its cutoff window from it.
@@ -81,7 +81,7 @@ def default_run(planet, seed: int, extinction_per_m: float | None = None,
 def test_criterion_01_forward_limit():
     start = time.perf_counter()
     result = default_run(EARTH, seed=20240101, extinction_per_m=0.3,
-                         asymmetry=UniformAsymmetry(1.0, 1.0))
+                         g_lo=1.0, g_hi=1.0)
     elapsed = time.perf_counter() - start
     error = abs(result.transmittance - math.exp(-3.0))
     check("criterion 1 (forward-limit equivalence)",

@@ -130,7 +130,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 128])
     def test_seed_out_of_range_rejected(self, seed):
-        with pytest.raises(ConfigError, match="seed must be in"):
+        with pytest.raises(ConfigError, match=r"seed must be an int in \[0, 2\*\*128\)"):
             ExperimentConfig(scenario="mcp_sweep", seed=seed)
 
     @pytest.mark.parametrize("value", [1.5, 2.0, "2", True])
@@ -504,6 +504,37 @@ class TestMain:
                      "--out", str(tmp_path / "out")])
         assert code == 3
 
+    def test_catalog_is_not_read_from_the_environment(self, tmp_path, monkeypatch):
+        # DUSTLINK_CATALOG_DIR once stood in for an unset catalog_dir, so one
+        # config and seed could give two outputs, or exit 3
+        config = tmp_path / "spectrum.cfg"
+        config.write_text("planet = mars\nrange.steps = 5\n")
+
+        def run(name):
+            out = tmp_path / name
+            assert main(["absorption_spectrum", "--config", str(config),
+                         "--out", str(out)]) == 0
+            return (out / "absorption_spectrum_mars.csv").read_bytes()
+
+        monkeypatch.delenv("DUSTLINK_CATALOG_DIR", raising=False)
+        unset = run("unset")
+        monkeypatch.setenv("DUSTLINK_CATALOG_DIR", str(tmp_path / "missing"))
+        assert run("set") == unset
+
+    @pytest.mark.parametrize("scenario", ["mcp_sweep", "particle_sweep"])
+    def test_count_grid_repeated_once_rounded_exit_code(self, scenario, tmp_path,
+                                                        capsys):
+        # the log grid 1, 1.32, 1.73, 2.28, 3 once gave two rows of each of
+        # the counts 1 and 2, with different seeds
+        config = tmp_path / "counts.cfg"
+        config.write_text("range.start = 1\nrange.stop = 3\nrange.steps = 5\n"
+                          "replicates = 1\n")
+        code = main([scenario, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert ("config error: the range rounds to repeated counts 1, 1, 2, 2, 3"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_config_exit_code(self, tmp_path, capsys):
         config = tmp_path / "nan.cfg"
         config.write_text("range.start = nan\n")
@@ -604,7 +635,7 @@ class TestMain:
         # once a runtime error (exit 4) from deep inside the random streams
         code = main([scenario, "--seed", "-1", "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "seed must be in [0, 2**128)" in capsys.readouterr().err
+        assert "seed must be an int in [0, 2**128)" in capsys.readouterr().err
 
     def test_every_flag_stores_into_a_field(self):
         # main passes the flags that are given on as these field names

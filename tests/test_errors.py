@@ -20,13 +20,13 @@ from dustlink.scatter import (DustPermittivity, LinearDensity, SizeDistribution,
                               number_density_from_visibility)
 from dustlink.rng import substream
 from dustlink.storm import BeamCone, StormConfig, density_time_series
-from dustlink.transport import TransportConfig, UniformAsymmetry
+from dustlink.transport import TransportConfig
 
 # every config class with valid arguments that set each numeric field
 VALID = {
     TransportConfig: dict(distance_m=8.0, packet_count=10, extinction_per_m=0.5,
-                          weight_threshold=1e-5, seed=3, max_events=100),
-    UniformAsymmetry: dict(lo=0.2, hi=0.8),
+                          g_lo=0.2, g_hi=0.8, weight_threshold=1e-5, seed=3,
+                          max_events=100),
     StormConfig: {f.name: f.default for f in fields(StormConfig)},
     BeamCone: dict(tx_m=(0.0, 0.0, 50.0), rx_m=(100.0, 0.0, 50.0),
                    half_angle_rad=0.01, disk_spacing_m=0.5),
@@ -246,10 +246,14 @@ INT_FIELDS = [
        ("overrides", key), f"override {key} must be an int", None)
       for key, spec in CONFIG_KEYS.items()
       if spec.kind is int and spec.owner is not ExperimentConfig),
-    *((ExperimentConfig, VALID[ExperimentConfig], (spec.field,),
-       f"{spec.field} must be an int", None)
-      for spec in CONFIG_KEYS.values()
-      if spec.kind is int and spec.owner is ExperimentConfig),
+    (ExperimentConfig, VALID[ExperimentConfig], ("seed",),
+     "seed must be an int in [0, 2**128)", 0),
+    (ExperimentConfig, VALID[ExperimentConfig], ("replicates",),
+     "replicates must be an int >= 1", 1),
+    (ExperimentConfig, VALID[ExperimentConfig], ("workers",),
+     "workers must be an int >= 1", 1),
+    (ExperimentConfig, VALID[ExperimentConfig], ("range_steps",),
+     "range_steps must be an int >= 1", 1),
 ]
 
 
@@ -267,20 +271,9 @@ def test_int_field_rejects_an_integral_float(call, kwargs, path, head, bad):
         call(**replaced(kwargs, path, bad))
 
 
-# (callable, valid arguments, path, least bound minus one, message); an
-# ExperimentConfig field states its own bound
-BELOW_LEAST = [
-    *((call, kwargs, path, least - 1, f"{head}, got {least - 1}")
-      for call, kwargs, path, head, least in INT_FIELDS if least is not None),
-    (ExperimentConfig, VALID[ExperimentConfig], ("seed",), -1,
-     "seed must be in [0, 2**128), got -1"),
-    (ExperimentConfig, VALID[ExperimentConfig], ("replicates",), 0,
-     "replicates and workers must be >= 1"),
-    (ExperimentConfig, VALID[ExperimentConfig], ("workers",), 0,
-     "replicates and workers must be >= 1"),
-    (ExperimentConfig, VALID[ExperimentConfig], ("range_steps",), 0,
-     "range.steps must be >= 1"),
-]
+# (callable, valid arguments, path, least bound minus one, message)
+BELOW_LEAST = [(call, kwargs, path, least - 1, f"{head}, got {least - 1}")
+               for call, kwargs, path, head, least in INT_FIELDS if least is not None]
 
 
 @pytest.mark.parametrize("call, kwargs, path, value, message", [

@@ -21,7 +21,7 @@ from dustlink.link import (DROP_WINDOWS_S, DistancePoint, LinkConfig, TimePoint,
                            time_scenario_points, transport_template)
 from dustlink.presets import (DEFAULT_NOISE_PSD_W_HZ, DEFAULT_TX_POWER_W, EARTH,
                               MARS)
-from dustlink.transport import TransportConfig, UniformAsymmetry
+from dustlink.transport import TransportConfig
 
 
 def link_config(**kwargs) -> LinkConfig:
@@ -247,33 +247,29 @@ class TestTransportTemplate:
         assert template.seed == 0
 
     def test_every_transport_key_routed_once(self):
-        # each sets one TransportConfig field or asymmetry bound
+        # each sets one TransportConfig field
         transport_fields = {f.name for f in fields(TransportConfig)}
         targets = {key: (spec.owner, spec.field) for key, spec in CONFIG_KEYS.items()
                    if key.startswith("transport.")}
         assert len(set(targets.values())) == len(targets) == 6
-        assert all(name in transport_fields if owner is TransportConfig
-                   else owner is UniformAsymmetry and name in ("lo", "hi")
+        assert all(owner is TransportConfig and name in transport_fields
                    for owner, name in targets.values())
 
-    @pytest.mark.parametrize("overrides, field, value", [
-        ({}, "asymmetry", UniformAsymmetry()),
-        ({"transport.packets": 50}, "packet_count", 50),
-        ({"transport.distance_m": 4.0}, "distance_m", 4.0),
-        ({"transport.weight_threshold": 0.01}, "weight_threshold", 0.01),
-        ({"transport.max_events": 5}, "max_events", 5),
-        ({"transport.g_lo": 0.2}, "asymmetry", UniformAsymmetry(lo=0.2)),
-        ({"transport.g_hi": 0.7}, "asymmetry", UniformAsymmetry(hi=0.7)),
-        ({"transport.g_lo": 0.1, "transport.g_hi": 0.3}, "asymmetry",
-         UniformAsymmetry(0.1, 0.3)),
-        ({"transport.g_lo": 0.3, "transport.g_hi": 0.3}, "asymmetry",
-         UniformAsymmetry(0.3, 0.3)),
+    @pytest.mark.parametrize("overrides, values", [
+        ({}, {}),
+        ({"transport.packets": 50}, dict(packet_count=50)),
+        ({"transport.distance_m": 4.0}, dict(distance_m=4.0)),
+        ({"transport.weight_threshold": 0.01}, dict(weight_threshold=0.01)),
+        ({"transport.max_events": 5}, dict(max_events=5)),
+        ({"transport.g_lo": 0.2}, dict(g_lo=0.2)),
+        ({"transport.g_hi": 0.7}, dict(g_hi=0.7)),
+        ({"transport.g_lo": 0.1, "transport.g_hi": 0.3}, dict(g_lo=0.1, g_hi=0.3)),
+        ({"transport.g_lo": 0.3, "transport.g_hi": 0.3}, dict(g_lo=0.3, g_hi=0.3)),
     ], ids=["unset", "packets", "distance_m", "weight_threshold", "max_events", "g_lo", "g_hi", "g_lo_hi",
             "g_fixed"])
-    def test_cli_key_sets_field(self, overrides, field, value):
+    def test_cli_key_sets_field(self, overrides, values):
         cfg = ExperimentConfig("mcp_sweep", planet="mars", overrides=overrides)
-        assert _transport(cfg, MARS) == replace(transport_template(MARS),
-                                                **{field: value})
+        assert _transport(cfg, MARS) == replace(transport_template(MARS), **values)
 
 
 class TestTimeScenario:

@@ -1,7 +1,6 @@
 """Tests for the Monte Carlo packet transport."""
 
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +12,7 @@ import dustlink.rng as rng
 import dustlink.transport as transport
 from dustlink.errors import DomainError
 from dustlink.rng import ZERO_DRAW, philox4x64, substream, word_uniforms
-from dustlink.transport import (FATES, FateCounts, TransportConfig,
-                                UniformAsymmetry, estimate_batch,
+from dustlink.transport import (FATES, FateCounts, TransportConfig, estimate_batch,
                                 estimate_transmittance, sample_scatter_angles,
                                 trace_packet, update_direction)
 
@@ -154,7 +152,7 @@ class TestTracePacket:
         assert trace_packet(config(extinction_per_m=0.0), 0) == ("reached", 1.0, 0)
 
     def test_forward_scattering_telescopes_to_beer_lambert(self):
-        cfg = config(extinction_per_m=0.3, asymmetry=UniformAsymmetry(1.0, 1.0))
+        cfg = config(extinction_per_m=0.3, g_lo=1.0, g_hi=1.0)
         for i in range(50):
             fate, contribution, _ = trace_packet(cfg, i)
             assert fate == "reached"
@@ -183,7 +181,7 @@ class TestEstimateTransmittance:
 
     def test_forward_limit(self):
         result = estimate_transmittance(config(
-            extinction_per_m=0.3, asymmetry=UniformAsymmetry(1.0, 1.0)))
+            extinction_per_m=0.3, g_lo=1.0, g_hi=1.0))
         assert result.transmittance == pytest.approx(math.exp(-3.0), abs=1e-9)
         assert result.attenuation_db_per_m == pytest.approx(1.3029, abs=1e-4)
         # attenuation identity recomputed along the same path
@@ -250,20 +248,21 @@ class TestWaveKernel:
         np.testing.assert_allclose(
             contributions, [c for _, c, _ in reference], rtol=1e-12, atol=0.0)
 
+    # each asymmetry is the (g_lo, g_hi) keywords; {} is the default range
     @pytest.mark.parametrize("asymmetry", [
-        UniformAsymmetry(), UniformAsymmetry(0.0, 1.0), UniformAsymmetry(0.0, 0.0),
-        UniformAsymmetry(0.7, 0.7), UniformAsymmetry(1.0, 1.0),
-        UniformAsymmetry(0.3, 0.3), UniformAsymmetry(0.6, 0.6),
-        UniformAsymmetry(0.9, 0.9)])
+        {}, dict(g_lo=0.0, g_hi=1.0), dict(g_lo=0.0, g_hi=0.0),
+        dict(g_lo=0.7, g_hi=0.7), dict(g_lo=1.0, g_hi=1.0),
+        dict(g_lo=0.3, g_hi=0.3), dict(g_lo=0.6, g_hi=0.6),
+        dict(g_lo=0.9, g_hi=0.9)])
     @pytest.mark.parametrize("cext", [0.05, 0.25, 2.5, 50.0])
     def test_matches_reference(self, asymmetry, cext):
         self.assert_matches_reference(config(
-            packet_count=300, extinction_per_m=cext, asymmetry=asymmetry))
+            packet_count=300, extinction_per_m=cext, **asymmetry))
 
     def test_all_fates_covered(self):
         # a small event guard and a high weight threshold
         cfg = config(packet_count=400, extinction_per_m=0.4, max_events=6,
-                     weight_threshold=0.01, asymmetry=UniformAsymmetry(0.0, 1.0))
+                     weight_threshold=0.01, g_lo=0.0, g_hi=1.0)
         self.assert_matches_reference(cfg)
         fates = estimate_transmittance(cfg).fates
         assert min(vars(fates).values()) > 0
@@ -313,8 +312,8 @@ class TestWaveKernel:
         for stream, j in planted_at:
             assert draws[stream, j] == ZERO_DRAW
         assert np.count_nonzero(draws == ZERO_DRAW) == len(planted_at)
-        for g in (UniformAsymmetry(0.7, 0.7), UniformAsymmetry()):
-            cfg = config(packet_count=6, extinction_per_m=2.5, asymmetry=g)
+        for asymmetry in (dict(g_lo=0.7, g_hi=0.7), {}):
+            cfg = config(packet_count=6, extinction_per_m=2.5, **asymmetry)
             self.assert_matches_reference(cfg)
             # a zero step word is a free path of 54 ln 2 / C = 15 m > D
             assert trace_packet(cfg, 0) == ("reached", math.exp(-25.0), 0)
@@ -347,8 +346,7 @@ class TestWaveKernel:
         monkeypatch.setattr(rng, "philox4x64", planted)
         monkeypatch.setattr(transport, "substream", PlantedGenerator)
         self.assert_matches_reference(config(
-            packet_count=50, extinction_per_m=2.5,
-            asymmetry=UniformAsymmetry(0.0, 1.0)))
+            packet_count=50, extinction_per_m=2.5, g_lo=0.0, g_hi=1.0))
 
 
 class TestEstimateBatch:
@@ -370,9 +368,9 @@ class TestEstimateBatch:
             (dict(seed=5, extinction_per_m=0.0), dict(max_events=6)),
         ]
         out = []
-        for asymmetry in (UniformAsymmetry(0.0, 1.0), UniformAsymmetry(0.6, 0.6)):
+        for g_lo, g_hi in ((0.0, 1.0), (0.6, 0.6)):
             for run, kernel in rows:
-                out.append(config(**{"packet_count": 120, "asymmetry": asymmetry,
+                out.append(config(**{"packet_count": 120, "g_lo": g_lo, "g_hi": g_hi,
                                      **run, **kernel}))
         return out
 
@@ -460,9 +458,8 @@ class TestEstimateBatch:
                                    st.floats(0.0, 50.0, exclude_min=True)),
                          min_size=1, max_size=4),
            asymmetry=st.one_of(
-               st.floats(0.0, 1.0).map(lambda g: UniformAsymmetry(g, g)),
-               st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
-                   lambda bounds: UniformAsymmetry(*sorted(bounds)))),
+               st.floats(0.0, 1.0).map(lambda g: (g, g)),
+               st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted)),
            threshold=st.floats(1e-9, 0.9),
            max_events=st.integers(1, 10 ** 6),
            seed=st.integers(0, 2 ** 64 - 5))
@@ -472,7 +469,7 @@ class TestEstimateBatch:
         # a packet reaching X = D has travelled at least D, so every
         # contribution, and so every run's mean, is at most exp(-C*D)
         cfgs = [config(extinction_per_m=cext, distance_m=distance,
-                       packet_count=100, asymmetry=asymmetry,
+                       packet_count=100, g_lo=asymmetry[0], g_hi=asymmetry[1],
                        weight_threshold=threshold, max_events=max_events,
                        seed=seed + i)
                 for i, (cext, distance) in enumerate(runs)]
@@ -484,7 +481,7 @@ class TestEstimateBatch:
 
 
     @pytest.mark.parametrize("asymmetry", [
-        UniformAsymmetry(), UniformAsymmetry(0.0, 1.0), UniformAsymmetry(0.0, 0.0)])
+        {}, dict(g_lo=0.0, g_hi=1.0), dict(g_lo=0.0, g_hi=0.0)])
     def test_mean_above_unscattered_bound(self, asymmetry):
         # a packet that never scatters (probability exp(-C*D)) contributes
         # exp(-C*D) and no contribution is negative, so E[T] >= exp(-2*C*D);
@@ -494,7 +491,7 @@ class TestEstimateBatch:
             for depth in (0.5, 2.5):
                 for seed in (1, 2, 3):
                     cfg = config(extinction_per_m=cext, distance_m=depth / cext,
-                                 asymmetry=asymmetry, seed=seed)
+                                 seed=seed, **asymmetry)
                     (contributions,), _, _ = transport._trace_packets([cfg])
                     se = contributions.std(ddof=1) / math.sqrt(cfg.packet_count)
                     assert contributions.mean() + 3 * se >= math.exp(-2 * depth)
@@ -548,13 +545,17 @@ class TestSharedTraces:
     each gives what it gives traced alone."""
 
     @given(runs=st.lists(
-               st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+               # a subnormal depth over a scale of 3 underflows to a
+               # distance of 0, which no run takes (TestDepthEdges covers
+               # subnormal depths)
+               st.tuples(st.one_of(st.just(0.0),
+                                   st.floats(0.0, 30.0, allow_subnormal=False)),
                          st.sampled_from([1.0, 0.25, 3.0, 0.7])),
                min_size=1, max_size=6),
            packets=st.integers(1, 150),
            seed=st.integers(0, 2 ** 64 - 2),
-           asymmetry=st.sampled_from([UniformAsymmetry(), UniformAsymmetry(0.0, 1.0),
-                                      UniformAsymmetry(0.9, 0.9)]))
+           asymmetry=st.sampled_from([{}, dict(g_lo=0.0, g_hi=1.0),
+                                      dict(g_lo=0.9, g_hi=0.9)]))
     @settings(max_examples=30, deadline=None)
     def test_each_plane_is_its_run_alone(self, runs, packets, seed, asymmetry):
         # a depth tau is a run at C = scale and D = tau / scale (C = 0 for
@@ -562,7 +563,7 @@ class TestSharedTraces:
         # repeated, and a second seed makes a second trace in the batch
         cfgs = [config(extinction_per_m=scale if depth else 0.0,
                        distance_m=depth / scale if depth else 1.0,
-                       packet_count=packets, seed=s, asymmetry=asymmetry)
+                       packet_count=packets, seed=s, **asymmetry)
                 for s in (seed, seed + 1)
                 for depth, scale in [*runs, runs[0]]]
         shared = transport._trace_packets(cfgs)
@@ -618,14 +619,11 @@ class TestConfigValidation:
             config(weight_threshold=0.0)
 
     def test_bad_asymmetry(self):
-        with pytest.raises(DomainError):
-            UniformAsymmetry(1.5, 1.5)
-        with pytest.raises(DomainError):
-            UniformAsymmetry(0.8, 0.2)
+        for g_lo, g_hi in ((1.5, 1.5), (0.8, 0.2), (-0.1, 0.5), (0.5, 1.1)):
+            with pytest.raises(DomainError, match=r"^need 0 <= g_lo <= g_hi <= 1$"):
+                config(g_lo=g_lo, g_hi=g_hi)
 
-    @pytest.mark.parametrize("asymmetry", [5, None, (0.2, 0.8)])
-    def test_asymmetry_must_be_uniform_asymmetry(self, asymmetry):
-        # these were accepted, and estimate_batch raised AttributeError on .lo
-        with pytest.raises(DomainError, match=r"^asymmetry must be a UniformAsymmetry, "
-                                              f"got {re.escape(repr(asymmetry))}$"):
-            config(asymmetry=asymmetry)
+    def test_asymmetry_keyword_is_gone(self):
+        # the asymmetry range is the g_lo and g_hi fields
+        with pytest.raises(TypeError, match="asymmetry"):
+            config(asymmetry=(0.2, 0.8))
