@@ -623,7 +623,9 @@ class TestConfigValidation:
             with pytest.raises(DomainError, match=r"^need 0 <= g_lo <= g_hi <= 1$"):
                 config(g_lo=g_lo, g_hi=g_hi)
 
-    def test_asymmetry_keyword_is_gone(self):
-        # the asymmetry range is the g_lo and g_hi fields
+    @pytest.mark.parametrize("asymmetry", [5, None, (0.2, 0.8)])
+    def test_asymmetry_must_be_uniform_asymmetry(self, asymmetry):
+        # the asymmetry range is the g_lo and g_hi fields: a stale
+        # asymmetry= argument of any value fails at construction
         with pytest.raises(TypeError, match="asymmetry"):
-            config(asymmetry=(0.2, 0.8))
+            config(asymmetry=asymmetry)
