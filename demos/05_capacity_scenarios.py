@@ -5,12 +5,15 @@ link fluctuates, with two low-dust drop windows. Scenario two sweeps
 transmitter-receiver distance in clear sky and in a dust storm.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from dustlink import EARTH, MARS, LinkConfig, bundled_catalog_dir, load_catalog_dir
 from dustlink.atmosphere import absorption_coefficient
 from dustlink.link import (DROP_WINDOWS_S, default_time_counts,
-                           run_distance_sweep, run_time_scenario)
+                           run_distance_sweep, run_time_scenario,
+                           transport_template)
 
 
 def band_center_absorption(planet) -> float:
@@ -27,8 +30,9 @@ for planet in (EARTH, MARS):
     cfg = LinkConfig.for_preset(planet, distance_m=1.0)
     k = band_center_absorption(planet)
     counts = default_time_counts(planet, seed=100)
+    transport = replace(transport_template(planet), packet_count=4000)
     points = run_time_scenario(cfg, planet, counts, seed=100, k_per_m=k,
-                               packet_count=4000)
+                               transport=transport)
     print(f"\n  {planet.name} (k = {k:.2e} per m at "
           f"{cfg.center_hz / 1e12:.2f} THz)")
     print(f"  {'t':>3} {'count':>6} {'T_MS':>10} {'capacity (bit/s)':>18}")
@@ -44,10 +48,11 @@ distances = [float(d) for d in np.geomspace(1, 200, 10)]
 for planet, storm_range in ((EARTH, (100.0, 200.0)), (MARS, (1000.0, 2000.0))):
     cfg = LinkConfig.for_preset(planet)
     k = band_center_absorption(planet)
+    transport = replace(transport_template(planet), packet_count=4000)
     clear = run_distance_sweep(cfg, planet, distances, (0.0, 0.0), seed=7,
-                               k_per_m=k, packet_count=4000)
+                               k_per_m=k, transport=transport)
     dusty = run_distance_sweep(cfg, planet, distances, storm_range, seed=7,
-                               k_per_m=k, packet_count=4000)
+                               k_per_m=k, transport=transport)
     print(f"\n  {planet.name}: storm density {storm_range[0]:.0f}-"
           f"{storm_range[1]:.0f} particles per meter")
     print(f"  {'D (m)':>7} {'clear C (bit/s)':>16} {'storm C (bit/s)':>16}")

@@ -202,11 +202,19 @@ def _grid(cfg: ExperimentConfig, start: float, stop: float, steps: int,
         raise ConfigError("range.start must not exceed range.stop")
     if steps == 1:
         return [float(start)]
-    if scale == "log":
-        if start <= 0:
-            raise ConfigError("log-scaled ranges need a positive start")
-        return [float(v) for v in np.geomspace(start, stop, steps)]
-    return [float(v) for v in np.linspace(start, stop, steps)]
+    if scale == "log" and start <= 0:
+        raise ConfigError("log-scaled ranges need a positive start")
+    space = np.geomspace if scale == "log" else np.linspace
+    return _increasing([float(v) for v in space(start, stop, steps)],
+                       "the range repeats values")
+
+
+def _increasing(values: list[float], message: str) -> list[float]:
+    """``values``, which must strictly increase: two points of one value
+    would be two rows of one value. Else a ``ConfigError``."""
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ConfigError(f"{message} " + ", ".join(f"{v:g}" for v in values))
+    return values
 
 
 def _density(cfg: ExperimentConfig, planet: PlanetPreset):
@@ -228,7 +236,7 @@ def _sweep(cfg: ExperimentConfig, values: list[float],
     dealt round-robin (worker k of w gets runs k, k + w, ...) so that the
     costly runs at one end of a sweep are shared; results do not depend on
     how the runs are split. Rows are ``(value, replicate, seed, T, A)``,
-    sorted by value and replicate.
+    value-major and replicate-minor.
     """
     replicates = cfg.replicates or DEFAULT_REPLICATES
     keys = [(value, rep) for value in values for rep in range(replicates)]
@@ -246,11 +254,9 @@ def _sweep(cfg: ExperimentConfig, values: list[float],
                 results[k::workers] = part
     else:
         results = estimate_batch(transports)
-    rows = [(value, rep, transport.seed, result.transmittance,
+    return [(value, rep, transport.seed, result.transmittance,
              result.attenuation_db_per_m)
             for (value, rep), transport, result in zip(keys, transports, results)]
-    rows.sort(key=lambda row: row[:2])
-    return rows
 
 
 def _catalog(cfg: ExperimentConfig, planet: PlanetPreset) -> dict:
@@ -283,13 +289,9 @@ def _fixed_medium_run(cfg: ExperimentConfig, planet: PlanetPreset) -> TransportC
 
 
 def _counts(grid: list[float]) -> list[float]:
-    """The grid rounded to whole counts, which must not repeat: two points
-    of one count would be two rows of one sweep value."""
-    values = [float(round(v)) for v in grid]
-    if len(set(values)) < len(values):
-        raise ConfigError("the range rounds to repeated counts "
-                          + ", ".join(f"{v:g}" for v in values))
-    return values
+    """The grid rounded to whole counts, which must not repeat."""
+    return _increasing([float(round(v)) for v in grid],
+                       "the range rounds to repeated counts")
 
 
 # Scenario functions: (config, planet preset, grid or None) -> CSV rows.
@@ -329,8 +331,8 @@ def _time_scenario(cfg, planet, grid):
     link_cfg = _link_config(cfg, planet, distance_m=1.0)
     k = _band_center_absorption(cfg, planet)
     counts = link.default_time_counts(planet, cfg.seed)
-    points = link.time_scenario_points(link_cfg, planet, counts, cfg.seed, k,
-                                       _transport(cfg, planet))
+    points = link.run_time_scenario(link_cfg, planet, counts, cfg.seed, k,
+                                    _transport(cfg, planet))
     return [astuple(p) for p in points]
 
 
@@ -339,8 +341,8 @@ def _capacity_distance(cfg, planet, grid):
     k = _band_center_absorption(cfg, planet)
     densities = (planet.density_range_per_m if cfg.density_lo_per_m is None
                  else (cfg.density_lo_per_m, cfg.density_hi_per_m))
-    points = link.distance_sweep_points(link_cfg, planet, grid, densities,
-                                        cfg.seed, k, _transport(cfg, planet))
+    points = link.run_distance_sweep(link_cfg, planet, grid, densities,
+                                     cfg.seed, k, _transport(cfg, planet))
     return [astuple(p) for p in points]
 
 

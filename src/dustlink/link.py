@@ -35,8 +35,6 @@ __all__ = [
     "capacity",
     "default_time_counts",
     "transport_template",
-    "time_scenario_points",
-    "distance_sweep_points",
     "run_time_scenario",
     "run_distance_sweep",
 ]
@@ -202,37 +200,8 @@ def transport_template(planet: PlanetPreset) -> TransportConfig:
     return TransportConfig(planet.distance_m, planet.packet_count, 0.0)
 
 
-def _template(planet: PlanetPreset, packet_count: int | None) -> TransportConfig:
-    if packet_count is not None:
-        planet = replace(planet, packet_count=packet_count)
-    return transport_template(planet)
-
-
-def run_time_scenario(cfg: LinkConfig, planet: PlanetPreset,
-                      counts: list[int], seed: int, k_per_m: float,
-                      packet_count: int | None = None) -> list[TimePoint]:
-    """``time_scenario_points`` with the preset's transport settings.
-
-    ``packet_count``, when given, replaces the preset's packet count.
-    """
-    return time_scenario_points(cfg, planet, counts, seed, k_per_m,
-                                _template(planet, packet_count))
-
-
-def run_distance_sweep(cfg: LinkConfig, planet: PlanetPreset,
-                       distances_m: list[float],
-                       density_range_per_m: tuple[float, float], seed: int,
-                       k_per_m: float,
-                       packet_count: int | None = None) -> list[DistancePoint]:
-    """``distance_sweep_points`` with the preset's transport settings.
-
-    ``packet_count``, when given, replaces the preset's packet count.
-    """
-    return distance_sweep_points(cfg, planet, distances_m, density_range_per_m,
-                                 seed, k_per_m, _template(planet, packet_count))
-
-
-def _link_points(cfg: LinkConfig, planet: PlanetPreset, transport: TransportConfig,
+def _link_points(cfg: LinkConfig, planet: PlanetPreset,
+                 transport: TransportConfig | None, packet_count: int | None,
                  seed: int, label: str, distances_m: list[float],
                  densities_per_m: list[float], k_per_m: float) -> list[tuple]:
     """The link budget of each (distance, dust density) point.
@@ -246,8 +215,13 @@ def _link_points(cfg: LinkConfig, planet: PlanetPreset, transport: TransportConf
     costs one trace. A point's result does not depend on the other points.
     Its dust amplitude composes with spreading and the band-center
     absorption ``k_per_m``. Returns each point's (transport result,
-    channel gains, capacity in bit/s).
+    channel gains, capacity in bit/s). ``transport`` None is
+    ``transport_template(planet)``; ``packet_count`` replaces its count.
     """
+    if transport is None:
+        transport = transport_template(planet)
+    if packet_count is not None:
+        transport = replace(transport, packet_count=packet_count)
     scenario_seed = derive_seed(seed, label)
     results = estimate_batch([
         replace(transport, distance_m=distance, seed=scenario_seed,
@@ -261,9 +235,10 @@ def _link_points(cfg: LinkConfig, planet: PlanetPreset, transport: TransportConf
     return points
 
 
-def time_scenario_points(cfg: LinkConfig, planet: PlanetPreset,
-                         counts: list[int], seed: int, k_per_m: float,
-                         transport: TransportConfig) -> list[TimePoint]:
+def run_time_scenario(cfg: LinkConfig, planet: PlanetPreset,
+                      counts: list[int], seed: int, k_per_m: float,
+                      transport: TransportConfig | None = None, *,
+                      packet_count: int | None = None) -> list[TimePoint]:
     """Per-second capacity under a time-varying dust count.
 
     Each second's count becomes a per-meter density over the link
@@ -271,11 +246,13 @@ def time_scenario_points(cfg: LinkConfig, planet: PlanetPreset,
     scenario's one seed: with common random numbers the seconds differ
     only by their dust, so per seed a higher count never gives a higher
     capacity, and a second's row does not depend on the other counts.
+    ``transport`` defaults to the preset's ``transport_template``, and
+    ``packet_count``, when given, replaces its packet count.
     Deterministic per seed.
     """
     if any(c < 0 for c in counts):
         raise DomainError("dust counts must be >= 0")
-    points = _link_points(cfg, planet, transport, seed, "time",
+    points = _link_points(cfg, planet, transport, packet_count, seed, "time",
                           [cfg.distance_m] * len(counts),
                           [count / cfg.distance_m for count in counts], k_per_m)
     return [TimePoint(float(t), count, result.transmittance,
@@ -284,11 +261,11 @@ def time_scenario_points(cfg: LinkConfig, planet: PlanetPreset,
             in enumerate(zip(counts, points))]
 
 
-def distance_sweep_points(cfg: LinkConfig, planet: PlanetPreset,
-                          distances_m: list[float],
-                          density_range_per_m: tuple[float, float], seed: int,
-                          k_per_m: float,
-                          transport: TransportConfig) -> list[DistancePoint]:
+def run_distance_sweep(cfg: LinkConfig, planet: PlanetPreset,
+                       distances_m: list[float],
+                       density_range_per_m: tuple[float, float], seed: int,
+                       k_per_m: float, transport: TransportConfig | None = None,
+                       *, packet_count: int | None = None) -> list[DistancePoint]:
     """Capacity versus distance at a per-meter dust density range.
 
     The density at each distance is drawn uniformly from the range (a
@@ -296,16 +273,18 @@ def distance_sweep_points(cfg: LinkConfig, planet: PlanetPreset,
     point with label "distance". Every distance has the scenario's one
     seed, so the points differ only by their optical depths (common random
     numbers) and the sweep costs one trace. Distances must be increasing.
+    ``transport`` defaults to the preset's ``transport_template``, and
+    ``packet_count``, when given, replaces its packet count.
     """
-    if list(distances_m) != sorted(distances_m):
+    if any(a >= b for a, b in zip(distances_m, distances_m[1:])):
         raise DomainError("distances must be increasing")
     lo, hi = density_range_per_m
     if not 0 <= lo <= hi < math.inf:
         raise DomainError("density range must be ordered, finite and >= 0")
     rng = substream(derive_seed(seed, "distance-densities"), 0)
     densities = [float(rng.uniform(lo, hi)) for _ in distances_m]
-    points = _link_points(cfg, planet, transport, seed, "distance", distances_m,
-                          densities, k_per_m)
+    points = _link_points(cfg, planet, transport, packet_count, seed, "distance",
+                          distances_m, densities, k_per_m)
     return [DistancePoint(float(distance), density, k_per_m, result.transmittance,
                           gains.h_spreading, gains.h_absorption, gains.h_dust,
                           capacity_bps)

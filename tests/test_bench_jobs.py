@@ -56,6 +56,24 @@ def test_traced_storm_steps_record_their_particles(tmp_path):
     assert len(steps) == 3
     assert [span.attrs["particles"] for span in steps] == [f.count() for f in given]
     assert given[-1].count() > 0
+    _assert_restored(before)
+
+
+@pytest.mark.parametrize("scenario", ["time_scenario", "capacity_distance"])
+def test_traced_link_scenarios_record_their_span(scenario, tmp_path):
+    # the CLI's link run is the span's function, so the span is not 0 s
+    steps = 3 if scenario == "capacity_distance" else None   # time has no grid
+    cfg = ExperimentConfig(scenario=scenario, planet="mars", output=str(tmp_path),
+                           range_steps=steps, overrides={"transport.packets": 50})
+    before = _bindings()
+    recorder = SpanRecorder()
+    with Instrumentation(recorder):
+        run_scenario(cfg)
+    assert [span.name for span in recorder.spans].count("link.scenario") == 1
+    _assert_restored(before)
+
+
+def _assert_restored(before: dict) -> None:
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)

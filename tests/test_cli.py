@@ -535,6 +535,28 @@ class TestMain:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("scenario, value", [
+        ("mcp_sweep", "100"), ("visibility_sweep", "100"),
+        ("particle_sweep", "100"), ("distance_sweep", "100"),
+        ("frequency_sweep", "1e12"), ("capacity_distance", "100"),
+        ("extinction_table", "1e12"), ("absorption_spectrum", "1e12")])
+    def test_repeated_grid_exit_code(self, scenario, value, tmp_path, capsys):
+        # one value over three steps: the count sweeps and absorption_spectrum
+        # rejected it with messages of their own, and the others wrote three
+        # rows of the value, with three seeds in the sweeps, three densities
+        # in capacity_distance and three identical rows in extinction_table
+        config = tmp_path / "repeat.cfg"
+        config.write_text(f"range.start = {value}\nrange.stop = {value}\n"
+                          "range.steps = 3\n"
+                          + size_lines(scenario, {"replicates": 1,
+                                                  "transport.packets": 50}))
+        code = main([scenario, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        shown = f"{float(value):g}"
+        assert (f"config error: the range repeats values {shown}, {shown}, {shown}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_config_exit_code(self, tmp_path, capsys):
         config = tmp_path / "nan.cfg"
         config.write_text("range.start = nan\n")

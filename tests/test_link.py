@@ -18,7 +18,7 @@ from dustlink.link import (DROP_WINDOWS_S, DistancePoint, LinkConfig, TimePoint,
                            capacity, channel_gain, default_time_counts,
                            h_absorption, h_dust, h_spreading,
                            run_distance_sweep, run_time_scenario,
-                           time_scenario_points, transport_template)
+                           transport_template)
 from dustlink.presets import (DEFAULT_NOISE_PSD_W_HZ, DEFAULT_TX_POWER_W, EARTH,
                               MARS)
 from dustlink.transport import TransportConfig
@@ -284,8 +284,9 @@ class TestTimeScenario:
 
     def test_zero_dust_constant_capacity(self):
         cfg = link_config(distance_m=1.0)
-        points = run_time_scenario(cfg, EARTH, [0] * 21, seed=5, k_per_m=0.004,
-                                   packet_count=500)
+        points = run_time_scenario(
+            cfg, EARTH, [0] * 21, seed=5, k_per_m=0.004,
+            transport=replace(transport_template(EARTH), packet_count=500))
         caps = {p.capacity_bps for p in points}
         assert len(caps) == 1
         assert all(p.transmittance == 1.0 for p in points)
@@ -293,8 +294,9 @@ class TestTimeScenario:
     def test_drop_windows_beat_storm_seconds(self):
         cfg = link_config(distance_m=1.0)
         counts = default_time_counts(EARTH, seed=6)
-        points = run_time_scenario(cfg, EARTH, counts, seed=6, k_per_m=0.004,
-                                   packet_count=2000)
+        points = run_time_scenario(
+            cfg, EARTH, counts, seed=6, k_per_m=0.004,
+            transport=replace(transport_template(EARTH), packet_count=2000))
         inside = [p.capacity_bps for p in points
                   if any(lo <= p.t_s <= hi for lo, hi in DROP_WINDOWS_S)]
         outside = [p.capacity_bps for p in points
@@ -304,8 +306,9 @@ class TestTimeScenario:
     def test_deterministic(self):
         cfg = link_config(distance_m=1.0)
         counts = default_time_counts(MARS, seed=7)
-        a = run_time_scenario(cfg, MARS, counts, 7, 0.0, packet_count=300)
-        b = run_time_scenario(cfg, MARS, counts, 7, 0.0, packet_count=300)
+        transport = replace(transport_template(MARS), packet_count=300)
+        a = run_time_scenario(cfg, MARS, counts, 7, 0.0, transport=transport)
+        b = run_time_scenario(cfg, MARS, counts, 7, 0.0, transport=transport)
         assert a == b
 
 
@@ -318,9 +321,9 @@ class TestTimeScenario:
         # plane's score does not depend on the other planes
         cfg = link_config(distance_m=1.0)
         transport = replace(transport_template(EARTH), packet_count=150)
-        head = time_scenario_points(cfg, EARTH, counts, seed, 0.004, transport)
-        whole = time_scenario_points(cfg, EARTH, counts + more, seed, 0.004,
-                                     transport)
+        head = run_time_scenario(cfg, EARTH, counts, seed, 0.004, transport)
+        whole = run_time_scenario(cfg, EARTH, counts + more, seed, 0.004,
+                                  transport)
         assert whole[:len(counts)] == head
 
     @given(counts=st.lists(st.integers(0, 3000), min_size=2, max_size=10),
@@ -332,8 +335,8 @@ class TestTimeScenario:
         # falls from 1 to about 0.01 over these counts)
         cfg = LinkConfig.for_preset(MARS, distance_m=1.0)
         transport = replace(transport_template(MARS), packet_count=150)
-        points = sorted(time_scenario_points(cfg, MARS, counts, seed, 0.0,
-                                             transport),
+        points = sorted(run_time_scenario(cfg, MARS, counts, seed, 0.0,
+                                          transport),
                         key=lambda p: p.count)
         for a, b in zip(points, points[1:]):
             assert b.transmittance <= a.transmittance
@@ -355,10 +358,11 @@ class TestDistanceSweep:
         # coupled-seed comparison: disjoint density ranges, same seed; the
         # low range stays transparent over the grid so the gap is strict
         cfg = link_config()
+        transport = replace(transport_template(EARTH), packet_count=2000)
         low = run_distance_sweep(cfg, EARTH, self.DISTANCES, (1.0, 2.0),
-                                 seed=9, k_per_m=0.004, packet_count=2000)
+                                 seed=9, k_per_m=0.004, transport=transport)
         high = run_distance_sweep(cfg, EARTH, self.DISTANCES, (100.0, 200.0),
-                                  seed=9, k_per_m=0.004, packet_count=2000)
+                                  seed=9, k_per_m=0.004, transport=transport)
         for lo, hi in zip(low, high):
             assert hi.capacity_bps < lo.capacity_bps
 
@@ -367,10 +371,11 @@ class TestDistanceSweep:
         # on the grid (cutoff existence; the exact distance is model-scale)
         cfg = link_config()
         grid = [1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0]
+        transport = replace(transport_template(EARTH), packet_count=2000)
         clear = run_distance_sweep(cfg, EARTH, grid, (0.0, 0.0), seed=12,
-                                   k_per_m=0.004, packet_count=2000)
+                                   k_per_m=0.004, transport=transport)
         dusty = run_distance_sweep(cfg, EARTH, grid, (100.0, 200.0), seed=12,
-                                   k_per_m=0.004, packet_count=2000)
+                                   k_per_m=0.004, transport=transport)
         ratios = [d.capacity_bps / c.capacity_bps
                   for c, d in zip(clear, dusty)]
         assert any(r < 0.01 for r in ratios)
@@ -378,6 +383,12 @@ class TestDistanceSweep:
     def test_unordered_distances_rejected(self):
         with pytest.raises(DomainError):
             run_distance_sweep(link_config(), EARTH, [10.0, 5.0], (0.0, 0.0),
+                               seed=1, k_per_m=0.0)
+
+    def test_repeated_distances_rejected(self):
+        # two rows at one distance, with two densities, once passed
+        with pytest.raises(DomainError, match="distances must be increasing"):
+            run_distance_sweep(link_config(), EARTH, [5.0, 5.0, 10.0], (0.0, 0.0),
                                seed=1, k_per_m=0.0)
 
     @pytest.mark.parametrize("density_range", [(math.nan, math.nan),
@@ -403,17 +414,29 @@ class TestDistanceSweep:
 class TestLinkBudget:
     """Both capacity scenarios compose a dusty point the same way."""
 
+    def test_packet_count_replaces_the_transport_count(self):
+        # the keyword bench/make_reference.py passes to both scenarios
+        cfg = LinkConfig.for_preset(MARS, distance_m=1.0)
+        transport = replace(transport_template(MARS), packet_count=60)
+        assert (run_time_scenario(cfg, MARS, [5, 900], 1, 0.0, packet_count=60)
+                == run_time_scenario(cfg, MARS, [5, 900], 1, 0.0, transport))
+        assert (run_distance_sweep(cfg, MARS, [1.0, 3.0], (100.0, 900.0), 1, 0.0,
+                                   packet_count=60)
+                == run_distance_sweep(cfg, MARS, [1.0, 3.0], (100.0, 900.0), 1,
+                                      0.0, transport))
+
     @pytest.mark.parametrize("planet", [EARTH, MARS], ids=["earth", "mars"])
     def test_dusty_points_composed_alike(self, planet):
         k = 0.004
         time_cfg = LinkConfig.for_preset(planet, distance_m=1.0)
         counts = default_time_counts(planet, seed=3)
+        transport = replace(transport_template(planet), packet_count=400)
         time_points = run_time_scenario(time_cfg, planet, counts, seed=3,
-                                        k_per_m=k, packet_count=400)
+                                        k_per_m=k, transport=transport)
         distance_cfg = LinkConfig.for_preset(planet)
         distance_points = run_distance_sweep(
             distance_cfg, planet, [0.5, 1.0, 2.0, 4.0], (1.0, 20.0), seed=3,
-            k_per_m=k, packet_count=400)
+            k_per_m=k, transport=transport)
         cases = ([(time_cfg, time_cfg.distance_m, p) for p in time_points]
                  + [(distance_cfg, p.distance_m, p) for p in distance_points])
         assert any(0.0 < p.transmittance < 1.0 for _, _, p in cases)
