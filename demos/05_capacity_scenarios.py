@@ -5,15 +5,13 @@ link fluctuates, with two low-dust drop windows. Scenario two sweeps
 transmitter-receiver distance in clear sky and in a dust storm.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from dustlink import EARTH, MARS, LinkConfig, bundled_catalog_dir, load_catalog_dir
 from dustlink.atmosphere import absorption_coefficient
 from dustlink.link import (DROP_WINDOWS_S, default_time_counts,
-                           run_distance_sweep, run_time_scenario,
-                           transport_template)
+                           run_distance_sweep, run_time_scenario)
+from dustlink.transport import TransportConfig
 
 
 def band_center_absorption(planet) -> float:
@@ -30,7 +28,7 @@ for planet in (EARTH, MARS):
     cfg = LinkConfig.for_preset(planet, distance_m=1.0)
     k = band_center_absorption(planet)
     counts = default_time_counts(planet, seed=100)
-    transport = replace(transport_template(planet), packet_count=4000)
+    transport = TransportConfig(packet_count=4000)
     points = run_time_scenario(cfg, planet, counts, seed=100, k_per_m=k,
                                transport=transport)
     print(f"\n  {planet.name} (k = {k:.2e} per m at "
@@ -48,7 +46,7 @@ distances = [float(d) for d in np.geomspace(1, 200, 10)]
 for planet, storm_range in ((EARTH, (100.0, 200.0)), (MARS, (1000.0, 2000.0))):
     cfg = LinkConfig.for_preset(planet)
     k = band_center_absorption(planet)
-    transport = replace(transport_template(planet), packet_count=4000)
+    transport = TransportConfig(packet_count=4000)
     clear = run_distance_sweep(cfg, planet, distances, (0.0, 0.0), seed=7,
                                k_per_m=k, transport=transport)
     dusty = run_distance_sweep(cfg, planet, distances, storm_range, seed=7,

@@ -546,15 +546,19 @@ def absorption_coefficient(mixture: GasMixture,
     ``shape_model`` defaults by pressure regime: Lorentz at or above
     0.1 atm, Doppler below. Lines whose wing cutoff does not reach the
     grid contribute nothing. A catalog entry may be a LineTable or a
-    list of SpectralLines.
+    list of SpectralLines. The grid (a scalar is one point) must be 1-D,
+    non-empty, real, finite, positive and strictly increasing.
     """
-    grid = np.atleast_1d(np.asarray(frequency_hz, dtype=float))
-    if grid.size == 0:
-        raise DomainError("frequency grid is empty")
-    if not np.isfinite(grid).all():
-        raise DomainError("frequency grid must be finite")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
-        raise DomainError("frequency grid must be strictly increasing")
+    try:
+        grid = np.atleast_1d(np.asarray(frequency_hz))
+    except ValueError:   # a ragged nesting
+        grid = np.empty(0)
+    real = grid.ndim == 1 and grid.dtype.kind in "iuf"
+    grid = grid.astype(float) if real else np.empty(0)
+    if not (grid.size and np.isfinite(grid).all() and grid[0] > 0
+            and (np.diff(grid) > 0).all()):
+        raise DomainError("frequency grid must be a non-empty 1-D array of "
+                          "finite, positive, strictly increasing reals")
     if shape_model is None:
         shape_model = ("lorentz"
                        if mixture.pressure_atm >= LORENTZ_PRESSURE_THRESHOLD_ATM

@@ -186,9 +186,9 @@ def _set_fields(cfg: ExperimentConfig, owner) -> dict:
             if CONFIG_KEYS[key].owner == owner}
 
 
-def _transport(cfg: ExperimentConfig, planet: PlanetPreset) -> TransportConfig:
+def _transport(cfg: ExperimentConfig) -> TransportConfig:
     """The transport template of every run a scenario traces."""
-    return replace(link.transport_template(planet), **_set_fields(cfg, TransportConfig))
+    return TransportConfig(**_set_fields(cfg, TransportConfig))
 
 
 def _grid(cfg: ExperimentConfig, start: float, stop: float, steps: int,
@@ -271,21 +271,20 @@ def _band_center_absorption(cfg: ExperimentConfig, planet: PlanetPreset) -> floa
 
 
 def _link_config(cfg: ExperimentConfig, planet: PlanetPreset,
-                 distance_m: float | None = None) -> link.LinkConfig:
+                 distance_m: float = TransportConfig.distance_m) -> link.LinkConfig:
     return link.LinkConfig.for_preset(
         planet,
         distance_m=distance_m, **_set_fields(cfg, link.LinkConfig.for_preset))
 
 
-def _runs_at(cfg: ExperimentConfig, planet: PlanetPreset,
-             cexts: list[float]) -> list[TransportConfig]:
-    template = _transport(cfg, planet)
+def _runs_at(cfg: ExperimentConfig, cexts: list[float]) -> list[TransportConfig]:
+    template = _transport(cfg)
     return [replace(template, extinction_per_m=cext) for cext in cexts]
 
 
 def _fixed_medium_run(cfg: ExperimentConfig, planet: PlanetPreset) -> TransportConfig:
     cext = planet.extinction(_density(cfg, planet)).extinction_per_m
-    return replace(_transport(cfg, planet), extinction_per_m=cext)
+    return replace(_transport(cfg), extinction_per_m=cext)
 
 
 def _counts(grid: list[float]) -> list[float]:
@@ -304,16 +303,16 @@ def _mcp_sweep(cfg, planet, grid):
 
 def _visibility_sweep(cfg, planet, grid):
     cexts = [planet.extinction(Visibility(v)).extinction_per_m for v in grid]
-    return _sweep(cfg, grid, _runs_at(cfg, planet, cexts))
+    return _sweep(cfg, grid, _runs_at(cfg, cexts))
 
 
 def _particle_sweep(cfg, planet, grid):
     # sweep value is the particle count on the whole path
     values = _counts(grid)
-    distance_m = _transport(cfg, planet).distance_m
+    distance_m = _transport(cfg).distance_m
     cexts = [planet.extinction(LinearDensity(v / distance_m)).extinction_per_m
              for v in values]
-    return _sweep(cfg, values, _runs_at(cfg, planet, cexts))
+    return _sweep(cfg, values, _runs_at(cfg, cexts))
 
 
 def _distance_sweep(cfg, planet, grid):
@@ -324,7 +323,7 @@ def _distance_sweep(cfg, planet, grid):
 def _frequency_sweep(cfg, planet, grid):
     density = _density(cfg, planet)
     cexts = [planet.extinction(density, f).extinction_per_m for f in grid]
-    return _sweep(cfg, grid, _runs_at(cfg, planet, cexts))
+    return _sweep(cfg, grid, _runs_at(cfg, cexts))
 
 
 def _time_scenario(cfg, planet, grid):
@@ -332,7 +331,7 @@ def _time_scenario(cfg, planet, grid):
     k = _band_center_absorption(cfg, planet)
     counts = link.default_time_counts(planet, cfg.seed)
     points = link.run_time_scenario(link_cfg, planet, counts, cfg.seed, k,
-                                    _transport(cfg, planet))
+                                    _transport(cfg))
     return [astuple(p) for p in points]
 
 
@@ -342,7 +341,7 @@ def _capacity_distance(cfg, planet, grid):
     densities = (planet.density_range_per_m if cfg.density_lo_per_m is None
                  else (cfg.density_lo_per_m, cfg.density_hi_per_m))
     points = link.run_distance_sweep(link_cfg, planet, grid, densities,
-                                     cfg.seed, k, _transport(cfg, planet))
+                                     cfg.seed, k, _transport(cfg))
     return [astuple(p) for p in points]
 
 

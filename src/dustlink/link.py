@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import SPEED_OF_LIGHT, dbm_to_watts
-from .errors import DomainError, require_finite, require_nonnegative, require_positive
+from .errors import (DomainError, require_finite, require_int, require_nonnegative,
+                     require_positive, require_vector)
 from .presets import DEFAULT_NOISE_PSD_W_HZ, DEFAULT_TX_POWER_W, PlanetPreset
 from .rng import derive_seed, substream
 from .scatter import LinearDensity
@@ -34,7 +35,6 @@ __all__ = [
     "channel_gain",
     "capacity",
     "default_time_counts",
-    "transport_template",
     "run_time_scenario",
     "run_distance_sweep",
 ]
@@ -69,7 +69,8 @@ class LinkConfig:
         return self.band_hi_hz - self.band_lo_hz
 
     @classmethod
-    def for_preset(cls, planet: PlanetPreset, distance_m: float | None = None,
+    def for_preset(cls, planet: PlanetPreset,
+                   distance_m: float = TransportConfig.distance_m,
                    tx_power_dbm: float | None = None,
                    noise_psd_w_hz: float | None = None) -> "LinkConfig":
         # power and noise density that are not given keep the field defaults
@@ -79,7 +80,7 @@ class LinkConfig:
             band_lo_hz=planet.band_lo_hz,
             band_hi_hz=planet.band_hi_hz,
             center_hz=planet.frequency_hz,
-            distance_m=distance_m if distance_m is not None else planet.distance_m,
+            distance_m=distance_m,
             **power, **noise,
         )
 
@@ -156,7 +157,7 @@ def capacity(cfg: LinkConfig, h_los: float) -> CapacityResult:
 @dataclass(frozen=True)
 class TimePoint:
     t_s: float
-    count: float
+    count: int
     transmittance: float
     attenuation_db_per_m: float
     capacity_bps: float
@@ -189,19 +190,8 @@ def default_time_counts(planet: PlanetPreset, seed: int) -> list[int]:
     return counts
 
 
-def transport_template(planet: PlanetPreset) -> TransportConfig:
-    """The one transport run that every scenario run is derived from.
-
-    A clear-sky run with seed 0 over the planet's distance with its packet
-    count; every other setting is ``TransportConfig``'s default. Callers
-    set Monte Carlo overrides, and scenarios their extinction, distance and
-    seed (the MCP sweep its packet count), with ``dataclasses.replace``.
-    """
-    return TransportConfig(planet.distance_m, planet.packet_count, 0.0)
-
-
 def _link_points(cfg: LinkConfig, planet: PlanetPreset,
-                 transport: TransportConfig | None, packet_count: int | None,
+                 transport: TransportConfig, packet_count: int | None,
                  seed: int, label: str, distances_m: list[float],
                  densities_per_m: list[float], k_per_m: float) -> list[tuple]:
     """The link budget of each (distance, dust density) point.
@@ -215,11 +205,9 @@ def _link_points(cfg: LinkConfig, planet: PlanetPreset,
     costs one trace. A point's result does not depend on the other points.
     Its dust amplitude composes with spreading and the band-center
     absorption ``k_per_m``. Returns each point's (transport result,
-    channel gains, capacity in bit/s). ``transport`` None is
-    ``transport_template(planet)``; ``packet_count`` replaces its count.
+    channel gains, capacity in bit/s). ``packet_count``, when given,
+    replaces the packet count of ``transport``.
     """
-    if transport is None:
-        transport = transport_template(planet)
     if packet_count is not None:
         transport = replace(transport, packet_count=packet_count)
     scenario_seed = derive_seed(seed, label)
@@ -237,7 +225,7 @@ def _link_points(cfg: LinkConfig, planet: PlanetPreset,
 
 def run_time_scenario(cfg: LinkConfig, planet: PlanetPreset,
                       counts: list[int], seed: int, k_per_m: float,
-                      transport: TransportConfig | None = None, *,
+                      transport: TransportConfig = TransportConfig(), *,
                       packet_count: int | None = None) -> list[TimePoint]:
     """Per-second capacity under a time-varying dust count.
 
@@ -246,12 +234,11 @@ def run_time_scenario(cfg: LinkConfig, planet: PlanetPreset,
     scenario's one seed: with common random numbers the seconds differ
     only by their dust, so per seed a higher count never gives a higher
     capacity, and a second's row does not depend on the other counts.
-    ``transport`` defaults to the preset's ``transport_template``, and
-    ``packet_count``, when given, replaces its packet count.
-    Deterministic per seed.
+    Each count must be an int >= 0. ``packet_count``, when given, replaces
+    the packet count of ``transport``. Deterministic per seed.
     """
-    if any(c < 0 for c in counts):
-        raise DomainError("dust counts must be >= 0")
+    for count in counts:
+        require_int("dust count", count, 0)
     points = _link_points(cfg, planet, transport, packet_count, seed, "time",
                           [cfg.distance_m] * len(counts),
                           [count / cfg.distance_m for count in counts], k_per_m)
@@ -264,7 +251,7 @@ def run_time_scenario(cfg: LinkConfig, planet: PlanetPreset,
 def run_distance_sweep(cfg: LinkConfig, planet: PlanetPreset,
                        distances_m: list[float],
                        density_range_per_m: tuple[float, float], seed: int,
-                       k_per_m: float, transport: TransportConfig | None = None,
+                       k_per_m: float, transport: TransportConfig = TransportConfig(),
                        *, packet_count: int | None = None) -> list[DistancePoint]:
     """Capacity versus distance at a per-meter dust density range.
 
@@ -272,15 +259,15 @@ def run_distance_sweep(cfg: LinkConfig, planet: PlanetPreset,
     (0, 0) range is clear sky); each distance is one ``_link_points``
     point with label "distance". Every distance has the scenario's one
     seed, so the points differ only by their optical depths (common random
-    numbers) and the sweep costs one trace. Distances must be increasing.
-    ``transport`` defaults to the preset's ``transport_template``, and
-    ``packet_count``, when given, replaces its packet count.
+    numbers) and the sweep costs one trace. Distances must be increasing,
+    and the range two finite reals with 0 <= lo <= hi. ``packet_count``,
+    when given, replaces the packet count of ``transport``.
     """
     if any(a >= b for a, b in zip(distances_m, distances_m[1:])):
         raise DomainError("distances must be increasing")
-    lo, hi = density_range_per_m
-    if not 0 <= lo <= hi < math.inf:
-        raise DomainError("density range must be ordered, finite and >= 0")
+    lo, hi = require_vector("density range", density_range_per_m, 2)
+    if not 0 <= lo <= hi:
+        raise DomainError("density range must be ordered and >= 0")
     rng = substream(derive_seed(seed, "distance-densities"), 0)
     densities = [float(rng.uniform(lo, hi)) for _ in distances_m]
     points = _link_points(cfg, planet, transport, packet_count, seed, "distance",

@@ -2,17 +2,17 @@
 
 Earth runs 0.24 THz links through 1-150 micron dust under a 288 K /
 1013 mb atmosphere; Mars runs 1.64 THz through 0.5-4 micron dust at
-210 K / 6.1 mb, both with 10^4 photon packets over a 10 m link. The
-log-normal shape parameters (Earth: median 10 um, sigma 2.0; Mars:
-median 1.5 um, sigma 1.5) are modeling choices and overridable
-everywhere. ``PlanetPreset.extinction`` takes a dust extinction's
-permittivity and wavenumber at one and the same frequency.
+210 K / 6.1 mb. The log-normal shape parameters (Earth: median 10 um,
+sigma 2.0; Mars: median 1.5 um, sigma 1.5) are modeling choices and
+overridable everywhere. ``PlanetPreset.extinction`` takes a dust
+extinction's permittivity and wavenumber at one and the same frequency.
 
 A preset holds only what a planet or its scenario table sets. The Monte
-Carlo settings both planets share (the 0.5-1 asymmetry range, the 1e-5
-weight threshold, the event guard) are the defaults of
-``TransportConfig``, and transmit power and noise density are the
-defaults below, which are ``LinkConfig``'s field defaults.
+Carlo settings both planets share (the packet count, the link length,
+the 0.5-1 asymmetry range, the 1e-5 weight threshold, the event guard)
+are the defaults of ``TransportConfig``, and transmit power and noise
+density are the defaults below, which are ``LinkConfig``'s field
+defaults.
 """
 
 from dataclasses import dataclass
@@ -36,16 +36,14 @@ DEFAULT_TX_POWER_W = dbm_to_watts(10.0)
 
 @dataclass(frozen=True)
 class PlanetPreset:
-    """Band, atmosphere, dust, link length and scenario ranges of one planet."""
+    """Band, atmosphere, dust and scenario ranges of one planet."""
 
     name: str
     frequency_hz: float
     band_lo_hz: float
     band_hi_hz: float
-    packet_count: int
     temperature_k: float
     pressure_atm: float
-    distance_m: float
     dust_count_per_m: float
     size_distribution: SizeDistribution
     permittivity_model: str
@@ -79,10 +77,8 @@ EARTH = PlanetPreset(
     frequency_hz=0.24e12,
     band_lo_hz=0.22e12,
     band_hi_hz=0.24e12,
-    packet_count=10_000,
     temperature_k=288.0,
     pressure_atm=1013.0 / MB_PER_ATM,
-    distance_m=10.0,
     dust_count_per_m=10.0,     # 100 particles per 10 m path
     size_distribution=SizeDistribution.log_normal(10e-6, 2.0, 1e-6, 150e-6),
     permittivity_model="earth-frequency-dependent",
@@ -103,10 +99,8 @@ MARS = PlanetPreset(
     frequency_hz=1.64e12,
     band_lo_hz=1.64e12,
     band_hi_hz=1.67e12,
-    packet_count=10_000,
     temperature_k=210.0,
     pressure_atm=6.1 / MB_PER_ATM,
-    distance_m=10.0,
     dust_count_per_m=1000.0,   # 10**4 particles per 10 m path
     size_distribution=SizeDistribution.log_normal(1.5e-6, 1.5, 0.5e-6, 4e-6),
     permittivity_model="mars-constant",

@@ -249,6 +249,11 @@ class MediumSpec:
     permittivity: DustPermittivity
     density: Visibility | VolumetricDensity | LinearDensity
 
+    def __post_init__(self):
+        if not isinstance(self.density, (Visibility, VolumetricDensity, LinearDensity)):
+            raise DomainError("density must be a Visibility, VolumetricDensity or "
+                              f"LinearDensity, got {self.density!r}")
+
 
 @dataclass(frozen=True)
 class ExtinctionResult:
@@ -333,9 +338,13 @@ def _efficiency(terms: _Terms) -> _Terms:
 
 
 def _at_radius(terms: _Terms, r_m):
-    r = np.asarray(r_m, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("radius must be positive")
+    try:
+        r = np.asarray(r_m)
+    except ValueError:   # a ragged nesting
+        r = np.asarray(math.nan)
+    if r.dtype.kind not in "iuf" or not np.all(np.isfinite(r) & (r > 0)):
+        raise DomainError(f"radius must be finite and positive, got {r_m!r}")
+    r = r.astype(float)
     out = sum(c * r ** n for n, c in terms)
     return float(out) if np.isscalar(r_m) else out
 
@@ -349,7 +358,7 @@ def extinction_efficiency(f_hz: float, r_m, eps: DustPermittivity):
 
     The Mie series is already an efficiency in its printed form; the
     Rayleigh cross section is divided by the geometric cross section.
-    Accepts scalar or array radii.
+    Accepts scalar or array radii, each finite and positive.
     """
     return _at_radius(_efficiency(_cross_section_terms(f_hz, eps)), r_m)
 
@@ -358,7 +367,7 @@ def physical_cross_section(f_hz: float, r_m, eps: DustPermittivity):
     """Per-particle extinction cross section in m**2 under
     ``eps.approximation``: ``pi*r**2`` times the printed Mie efficiency,
     or the Rayleigh sum of absorption, dipole scattering and charge
-    terms. Accepts scalar or array radii.
+    terms. Accepts scalar or array radii, each finite and positive.
     """
     return _at_radius(_cross_section_terms(f_hz, eps), r_m)
 

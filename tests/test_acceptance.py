@@ -49,14 +49,14 @@ from dustlink.cli import ExperimentConfig, run_scenario, write_outputs
 from dustlink.constants import DB_PER_NEPER, HZ_PER_INVCM
 from dustlink.link import (DROP_WINDOWS_S, LinkConfig, capacity, channel_gain,
                            default_time_counts, h_dust, run_distance_sweep,
-                           run_time_scenario, transport_template)
+                           run_time_scenario)
 from dustlink.presets import EARTH, MARS
 from dustlink.rng import substream
 from dustlink.scatter import (LinearDensity, SizeDistribution,
                               number_density_from_visibility)
 from dustlink.storm import BeamCone, ParticleField, count_in_beam
-from dustlink.transport import (estimate_transmittance, sample_scatter_angles,
-                                update_direction)
+from dustlink.transport import (TransportConfig, estimate_transmittance,
+                                sample_scatter_angles, update_direction)
 
 # Criterion 10's median specific attenuation window (dB/m) for the default
 # Earth and Mars runs; criterion 11d derives its cutoff window from it.
@@ -73,9 +73,8 @@ def default_run(planet, seed: int, extinction_per_m: float | None = None,
     if extinction_per_m is None:
         extinction_per_m = planet.extinction(
             LinearDensity(planet.dust_count_per_m)).extinction_per_m
-    return estimate_transmittance(replace(
-        transport_template(planet), extinction_per_m=extinction_per_m,
-        seed=seed, **kwargs))
+    return estimate_transmittance(TransportConfig(
+        extinction_per_m=extinction_per_m, seed=seed, **kwargs))
 
 
 def test_criterion_01_forward_limit():

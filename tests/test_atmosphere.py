@@ -650,6 +650,17 @@ class TestAbsorptionCoefficient:
             atm.absorption_coefficient(EARTH.mixture(), {},
                                        np.array([2e12, 1e12]))
 
+    @pytest.mark.parametrize("grid", [
+        np.array([-2e11, -1e11, 0.0, 1e11, 2e11]), np.array([0.0, 1e11]),
+        np.array([[1e11, 2e11]]), np.array(["1e11", "2e11"]),
+        np.array([1e11 + 0j, 2e11]), [1e11, [2e11, 3e11]], [True]],
+        ids=["negative", "zero", "2-D", "str", "complex", "ragged", "bool"])
+    def test_grid_that_is_not_positive_real_1d_rejected(self, grid):
+        # the negative grid once wrote k = 1.07e-05 /m at -200 GHz; the
+        # others leaked numpy's ValueError or TypeError, or read True as 1 Hz
+        with pytest.raises(DomainError, match="frequency grid must be"):
+            atm.absorption_coefficient(EARTH.mixture(), {}, grid)
+
     def test_nonnegative_everywhere(self):
         catalog = atm.load_catalog_dir(bundled_catalog_dir(),
                                        [g for g, _ in EARTH.gases])

@@ -2,9 +2,11 @@
 scenario reads. A rejected job would count as a failed operation. The
 traced pass's span recorder reads what it instruments and puts back every
 function it rebinds. One pass of every transport workload's input set
-passes the benchmark's own output checks."""
+passes the benchmark's own output checks, and the reference recorder's
+reruns of link scenario rows still reproduce those rows."""
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from dustlink.cli import ExperimentConfig, check_read, run_scenario
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 from jobs import INPUT_SETS, WORKLOADS, build_jobs  # noqa: E402
+from make_reference import REPLICATES, SEED_STRIDE, replicate_columns  # noqa: E402
 from run import Runner  # noqa: E402
 from spans import (AGGREGATE_TARGETS, SPAN_TARGETS, Instrumentation,  # noqa: E402
                    SpanRecorder)
@@ -89,3 +92,27 @@ def test_transport_workloads_match_references(tmp_path):
             runner.check(runner.run_pass()[1])
             assert runner.attempted == len(jobs)
             assert runner.failed == 0, (workload, set_index)
+
+
+@pytest.mark.parametrize("name", ["time_scenario_mars", "capacity_distance_mars"])
+def test_reference_replicates_rerun_each_row(name, tmp_path):
+    # make_reference.py reruns each row through dustlink.link with
+    # packet_count= and LinkConfig.for_preset(planet); its first replicate
+    # seed is the job's seed plus SEED_STRIDE, so at a job run at that seed
+    # the first replicate is the row itself
+    job = next(j for j in build_jobs("mars_capacity", 0, str(tmp_path))
+               if j.name == name)
+    steps = 3 if job.config.scenario == "capacity_distance" else None
+    small = replace(job.config, range_steps=steps,
+                    overrides={"transport.packets": 20})
+    result = run_scenario(replace(small, seed=small.seed + SEED_STRIDE))
+    header, rows = list(result.header), result.rows
+    columns = replicate_columns(replace(job, config=small), header, rows, None)
+    assert set(columns) == {"T_MS", "capacity_bps"} | (
+        {"A_dB_per_m"} if steps is None else {"H_dust"})
+    for column, replicates in columns.items():
+        j = header.index(column)
+        assert len(replicates) == len(rows)
+        for row, values in zip(rows, replicates):
+            assert len(values) == REPLICATES
+            assert values[0] == pytest.approx(row[j], rel=1e-12)

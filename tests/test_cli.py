@@ -557,6 +557,17 @@ class TestMain:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    def test_non_positive_frequency_grid_exit_code(self, tmp_path, capsys):
+        # once exit 0, with absorption written at -200 GHz and 0 Hz
+        config = tmp_path / "spectrum.cfg"
+        config.write_text("range.start = -2e11\nrange.stop = 2e11\n"
+                          "range.steps = 5\n")
+        code = main(["absorption_spectrum", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error: frequency grid must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_config_exit_code(self, tmp_path, capsys):
         config = tmp_path / "nan.cfg"
         config.write_text("range.start = nan\n")

@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,8 +17,7 @@ from dustlink.errors import DomainError
 from dustlink.link import (DROP_WINDOWS_S, DistancePoint, LinkConfig, TimePoint,
                            capacity, channel_gain, default_time_counts,
                            h_absorption, h_dust, h_spreading,
-                           run_distance_sweep, run_time_scenario,
-                           transport_template)
+                           run_distance_sweep, run_time_scenario)
 from dustlink.presets import (DEFAULT_NOISE_PSD_W_HZ, DEFAULT_TX_POWER_W, EARTH,
                               MARS)
 from dustlink.transport import TransportConfig
@@ -201,13 +200,13 @@ class TestLinkConfig:
         cfg = LinkConfig.for_preset(EARTH)
         assert cfg.noise_psd_w_hz == DEFAULT_NOISE_PSD_W_HZ
         assert cfg.tx_power_w == DEFAULT_TX_POWER_W
-        assert cfg.distance_m == EARTH.distance_m
+        assert cfg.distance_m == TransportConfig().distance_m
 
     @pytest.mark.parametrize("planet", [EARTH, MARS], ids=["earth", "mars"])
     def test_preset_keeps_the_field_defaults(self, planet):
         assert LinkConfig.for_preset(planet) == LinkConfig(
             planet.band_lo_hz, planet.band_hi_hz, planet.frequency_hz,
-            planet.distance_m)
+            TransportConfig().distance_m)
 
     def test_distance_is_required(self):
         with pytest.raises(TypeError, match="distance_m"):
@@ -241,9 +240,10 @@ class TestLinkConfig:
 
 class TestTransportTemplate:
     def test_planet_values_and_transport_defaults(self):
-        # the preset sets distance and packet count; TransportConfig the rest
-        template = transport_template(MARS)
-        assert template == TransportConfig(MARS.distance_m, MARS.packet_count, 0.0)
+        # TransportConfig owns the run size: a clear-sky 10^4-packet, 10 m run
+        template = TransportConfig()
+        assert template == TransportConfig(distance_m=10.0, packet_count=10_000,
+                                           extinction_per_m=0.0)
         assert template.seed == 0
 
     def test_every_transport_key_routed_once(self):
@@ -269,7 +269,7 @@ class TestTransportTemplate:
             "g_fixed"])
     def test_cli_key_sets_field(self, overrides, values):
         cfg = ExperimentConfig("mcp_sweep", planet="mars", overrides=overrides)
-        assert _transport(cfg, MARS) == replace(transport_template(MARS), **values)
+        assert _transport(cfg) == TransportConfig(**values)
 
 
 class TestTimeScenario:
@@ -286,7 +286,7 @@ class TestTimeScenario:
         cfg = link_config(distance_m=1.0)
         points = run_time_scenario(
             cfg, EARTH, [0] * 21, seed=5, k_per_m=0.004,
-            transport=replace(transport_template(EARTH), packet_count=500))
+            transport=TransportConfig(packet_count=500))
         caps = {p.capacity_bps for p in points}
         assert len(caps) == 1
         assert all(p.transmittance == 1.0 for p in points)
@@ -296,17 +296,26 @@ class TestTimeScenario:
         counts = default_time_counts(EARTH, seed=6)
         points = run_time_scenario(
             cfg, EARTH, counts, seed=6, k_per_m=0.004,
-            transport=replace(transport_template(EARTH), packet_count=2000))
+            transport=TransportConfig(packet_count=2000))
         inside = [p.capacity_bps for p in points
                   if any(lo <= p.t_s <= hi for lo, hi in DROP_WINDOWS_S)]
         outside = [p.capacity_bps for p in points
                    if not any(lo <= p.t_s <= hi for lo, hi in DROP_WINDOWS_S)]
         assert min(inside) > max(outside)
 
+    @pytest.mark.parametrize("count", [True, 1.5, "3", -1, None])
+    def test_count_that_is_not_an_int_rejected(self, count):
+        # True and 1.5 were once accepted as dust counts, and "3" raised a
+        # TypeError from the comparison
+        with pytest.raises(DomainError, match="dust count must be an int >= 0"):
+            run_time_scenario(link_config(distance_m=1.0), EARTH, [2, count],
+                              seed=1, k_per_m=0.0,
+                              transport=TransportConfig(packet_count=10))
+
     def test_deterministic(self):
         cfg = link_config(distance_m=1.0)
         counts = default_time_counts(MARS, seed=7)
-        transport = replace(transport_template(MARS), packet_count=300)
+        transport = TransportConfig(packet_count=300)
         a = run_time_scenario(cfg, MARS, counts, 7, 0.0, transport=transport)
         b = run_time_scenario(cfg, MARS, counts, 7, 0.0, transport=transport)
         assert a == b
@@ -320,7 +329,7 @@ class TestTimeScenario:
         # every second is a plane of one trace of the scenario's seed, and a
         # plane's score does not depend on the other planes
         cfg = link_config(distance_m=1.0)
-        transport = replace(transport_template(EARTH), packet_count=150)
+        transport = TransportConfig(packet_count=150)
         head = run_time_scenario(cfg, EARTH, counts, seed, 0.004, transport)
         whole = run_time_scenario(cfg, EARTH, counts + more, seed, 0.004,
                                   transport)
@@ -334,7 +343,7 @@ class TestTimeScenario:
         # more, second by second, not only on average (at 1 m on Mars, T
         # falls from 1 to about 0.01 over these counts)
         cfg = LinkConfig.for_preset(MARS, distance_m=1.0)
-        transport = replace(transport_template(MARS), packet_count=150)
+        transport = TransportConfig(packet_count=150)
         points = sorted(run_time_scenario(cfg, MARS, counts, seed, 0.0,
                                           transport),
                         key=lambda p: p.count)
@@ -358,7 +367,7 @@ class TestDistanceSweep:
         # coupled-seed comparison: disjoint density ranges, same seed; the
         # low range stays transparent over the grid so the gap is strict
         cfg = link_config()
-        transport = replace(transport_template(EARTH), packet_count=2000)
+        transport = TransportConfig(packet_count=2000)
         low = run_distance_sweep(cfg, EARTH, self.DISTANCES, (1.0, 2.0),
                                  seed=9, k_per_m=0.004, transport=transport)
         high = run_distance_sweep(cfg, EARTH, self.DISTANCES, (100.0, 200.0),
@@ -371,7 +380,7 @@ class TestDistanceSweep:
         # on the grid (cutoff existence; the exact distance is model-scale)
         cfg = link_config()
         grid = [1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0]
-        transport = replace(transport_template(EARTH), packet_count=2000)
+        transport = TransportConfig(packet_count=2000)
         clear = run_distance_sweep(cfg, EARTH, grid, (0.0, 0.0), seed=12,
                                    k_per_m=0.004, transport=transport)
         dusty = run_distance_sweep(cfg, EARTH, grid, (100.0, 200.0), seed=12,
@@ -399,6 +408,15 @@ class TestDistanceSweep:
             run_distance_sweep(link_config(), EARTH, [5.0], density_range,
                                seed=1, k_per_m=0.0)
 
+    @pytest.mark.parametrize("density_range", [(0.0, None), (0.0, 1.0, 2.0),
+                                               ("0", "1"), 5.0],
+                             ids=["none", "three", "str", "scalar"])
+    def test_malformed_density_range_rejected(self, density_range):
+        # once a TypeError from the comparison, or an unpacking ValueError
+        with pytest.raises(DomainError, match="density range"):
+            run_distance_sweep(link_config(), EARTH, [5.0], density_range,
+                               seed=1, k_per_m=0.0)
+
     def test_gain_columns_consistent(self):
         cfg = link_config()
         points = run_distance_sweep(cfg, EARTH, [5.0, 25.0], (0.0, 0.0),
@@ -417,7 +435,7 @@ class TestLinkBudget:
     def test_packet_count_replaces_the_transport_count(self):
         # the keyword bench/make_reference.py passes to both scenarios
         cfg = LinkConfig.for_preset(MARS, distance_m=1.0)
-        transport = replace(transport_template(MARS), packet_count=60)
+        transport = TransportConfig(packet_count=60)
         assert (run_time_scenario(cfg, MARS, [5, 900], 1, 0.0, packet_count=60)
                 == run_time_scenario(cfg, MARS, [5, 900], 1, 0.0, transport))
         assert (run_distance_sweep(cfg, MARS, [1.0, 3.0], (100.0, 900.0), 1, 0.0,
@@ -430,7 +448,7 @@ class TestLinkBudget:
         k = 0.004
         time_cfg = LinkConfig.for_preset(planet, distance_m=1.0)
         counts = default_time_counts(planet, seed=3)
-        transport = replace(transport_template(planet), packet_count=400)
+        transport = TransportConfig(packet_count=400)
         time_points = run_time_scenario(time_cfg, planet, counts, seed=3,
                                         k_per_m=k, transport=transport)
         distance_cfg = LinkConfig.for_preset(planet)

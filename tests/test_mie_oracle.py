@@ -2,8 +2,8 @@
 
 ``bhmie_qext`` is the extinction part of BHMIE (Bohren & Huffman, Absorption
 and Scattering of Light by Small Particles, 1983, Appendix A). The tests
-characterize where each approximation label's efficiency holds against it:
-Mars Rayleigh stays within 6 % below exact Mie up to 10 THz, and Earth's
+characterize where each approximation label's efficiency, and its cross
+section against ``pi r**2`` times exact Mie, holds against it: Mars Rayleigh stays within 6 % below exact Mie up to 10 THz, and Earth's
 printed series is pi**2 above exact Mie as x -> 0 and diverges past x = 1.
 """
 
@@ -15,7 +15,7 @@ import pytest
 
 from dustlink.constants import SPEED_OF_LIGHT
 from dustlink.scatter import (MARS_REFRACTIVE_INDEX, dust_permittivity,
-                              extinction_efficiency)
+                              extinction_efficiency, physical_cross_section)
 
 
 def bhmie_qext(x: float, m: complex) -> float:
@@ -121,3 +121,26 @@ class TestEarthPrintedSeries:
         assert ratios[0] == pytest.approx(5.954, rel=1e-3)
         assert ratios[1] < ratios[2] < ratios[3]
         assert ratios[3] > 30.0
+
+
+class TestPhysicalCrossSection:
+    """The cross section of each label against pi r**2 times exact Mie, at
+    the ratios the efficiency pins above hold."""
+
+    def test_mars_rayleigh_below_exact_mie_by_at_most_six_percent(self):
+        eps = dust_permittivity("mars-constant")
+        r = TestMarsRayleigh.R_M
+        deviations = np.array([
+            physical_cross_section(f, r, eps)
+            / (math.pi * r * r * bhmie_qext(wavenumber(f) * r, MARS_REFRACTIVE_INDEX))
+            - 1.0 for f in np.geomspace(0.1e12, 10e12, 201)])
+        assert np.all((-0.0600 < deviations) & (deviations < 0.0))
+        assert deviations.min() < -0.0595
+
+    @pytest.mark.parametrize("x", [1e-4, 1e-3])
+    def test_earth_series_pi_squared_above_exact_mie_as_x_goes_to_zero(self, x):
+        f = 0.1e12
+        eps, m = earth_case(f)
+        r = x / wavenumber(f)
+        ratio = physical_cross_section(f, r, eps) / (math.pi * r * r * bhmie_qext(x, m))
+        assert ratio == pytest.approx(math.pi ** 2, rel=2e-6)

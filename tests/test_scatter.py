@@ -264,6 +264,18 @@ class TestApproximation:
         assert extinction_efficiency(f, r, mie) != pytest.approx(
             extinction_efficiency(f, r, rayleigh), rel=1e-3)
 
+    @pytest.mark.parametrize("function", [extinction_efficiency,
+                                          physical_cross_section])
+    @pytest.mark.parametrize("r_m", [
+        math.nan, math.inf, 0.0, -1e-6, "1e-6", True, np.array([1e-6, math.nan]),
+        np.array([1e-6 + 0j])],
+        ids=["nan", "inf", "zero", "negative", "str", "bool", "array-nan", "complex"])
+    def test_radius_that_is_not_finite_positive_real_rejected(self, function, r_m):
+        # nan and inf radii once gave nan and inf, and a str leaked numpy's
+        # ValueError
+        with pytest.raises(DomainError, match="radius must be finite and positive"):
+            function(1e11, r_m, dust_permittivity("earth-frequency-dependent", 1e11))
+
 
 class TestRayleigh:
     def test_zero_charge_term(self):
@@ -384,6 +396,13 @@ class TestLinearDensity:
 
 
 class TestDensityValidation:
+    @pytest.mark.parametrize("density", [5.0, None, "1e7"])
+    def test_medium_density_must_be_a_density_class(self, density):
+        # a float was once accepted, and ensemble_extinction then raised an
+        # AttributeError
+        with pytest.raises(DomainError, match="density must be a Visibility"):
+            MediumSpec(EARTH_DIST, EARTH.permittivity(), density)
+
     @given(NON_FINITE)
     def test_non_finite_visibility_rejected(self, value):
         with pytest.raises(DomainError):
