@@ -179,8 +179,10 @@ def default_time_counts(planet: PlanetPreset, seed: int) -> list[int]:
     """Per-second dust counts at t = 0..20 s with low-dust drop windows.
 
     Each second draws uniformly from the planet's ``storm_count_range``,
-    or from its ``drop_count_range`` inside the drop windows.
+    or from its ``drop_count_range`` inside the drop windows. The seed
+    is an int in [0, 2**128), as ``ExperimentConfig``'s.
     """
+    require_int("seed", seed, 0, 128)
     rng = substream(derive_seed(seed, "time-counts"), 0)
     counts = []
     for t in range(TIME_SCENARIO_SECONDS):
@@ -234,9 +236,11 @@ def run_time_scenario(cfg: LinkConfig, planet: PlanetPreset,
     scenario's one seed: with common random numbers the seconds differ
     only by their dust, so per seed a higher count never gives a higher
     capacity, and a second's row does not depend on the other counts.
-    Each count must be an int >= 0. ``packet_count``, when given, replaces
-    the packet count of ``transport``. Deterministic per seed.
+    Each count must be an int >= 0, and the seed an int in [0, 2**128).
+    ``packet_count``, when given, replaces the packet count of
+    ``transport``. Deterministic per seed.
     """
+    require_int("seed", seed, 0, 128)
     for count in counts:
         require_int("dust count", count, 0)
     points = _link_points(cfg, planet, transport, packet_count, seed, "time",
@@ -260,9 +264,11 @@ def run_distance_sweep(cfg: LinkConfig, planet: PlanetPreset,
     point with label "distance". Every distance has the scenario's one
     seed, so the points differ only by their optical depths (common random
     numbers) and the sweep costs one trace. Distances must be increasing,
-    and the range two finite reals with 0 <= lo <= hi. ``packet_count``,
-    when given, replaces the packet count of ``transport``.
+    the range two finite reals with 0 <= lo <= hi, and the seed an int in
+    [0, 2**128). ``packet_count``, when given, replaces the packet count
+    of ``transport``.
     """
+    require_int("seed", seed, 0, 128)
     if any(a >= b for a, b in zip(distances_m, distances_m[1:])):
         raise DomainError("distances must be increasing")
     lo, hi = require_vector("density range", density_range_per_m, 2)

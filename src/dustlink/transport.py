@@ -43,13 +43,14 @@ Yao, Management Science 38, 884, 1992; the depth scaling is that of
 condensed Monte Carlo, Graaff et al., Appl. Opt. 32, 426, 1993).
 While packets are still being admitted, each wave makes one
 ``dustlink.rng.philox4x64`` call for the next block of every live packet;
-once all are admitted, one call computes the next ``_WAVE_ROWS // live``
-blocks of each, and the following waves read them row by row, so the
-tail of waves with few live packets shares a few calls. Every call of a
-batch writes into one block buffer, and the blocks come back with each
-word as a contiguous row; the wave turns the step word of every live
-packet into a draw, and the g, nu and chi words, one row at a time, only
-of the packets that scatter on, with ``dustlink.rng.word_uniforms``. The
+once all are admitted, one call computes the next ``_AHEAD`` (8) blocks
+of each, at most ``_WAVE_ROWS // live``, and the following waves read
+them row by row. So the tail of waves with few live packets shares a few
+calls, and few of their blocks go unread. Every call of a batch writes
+into one block buffer, and the blocks come back with each word as a
+contiguous row; the wave turns the step word of every live packet into a
+draw, and the g, nu and chi words, one row at a time, only of the
+packets that scatter on, with ``dustlink.rng.word_uniforms``. The
 packets of many traces share the kernel; a packet's state is its index,
 trace, first wave, X, X cosine, weight, next plane and column in the
 blocks. A wave sets every fate from masks, in the order crossing,
@@ -306,6 +307,11 @@ def trace_packet(cfg: TransportConfig,
 # live packets, and Philox blocks of one call, at most; Philox keeps its
 # scratch for calls of this size
 _WAVE_ROWS = rng._SCRATCH_LANES
+# blocks a refill computes ahead per live packet once every packet is
+# admitted. An event's path is Exp(1) in optical units and the weight is
+# exp(-path), so at the default weight threshold of 1e-5 a packet has at
+# most about ln(1e5) = 11.5 events left, and most packets of a tail fewer.
+_AHEAD = 8
 
 
 def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
@@ -322,11 +328,12 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
     one per ``_WAVE_ROWS`` packets. Event n reads block n. When the blocks
     of the last call are used up, the next call computes, for every live
     packet, the block of its next event, or, once every packet is
-    admitted, the blocks of its next ``_WAVE_ROWS // live`` events; so no
-    call exceeds ``_WAVE_ROWS`` blocks, every call writes into one buffer
-    of ``_WAVE_ROWS`` blocks, and a packet that ends early leaves its later
-    blocks unread. Each wave turns only the words a packet reads into
-    draws and takes every live packet through one pass of
+    admitted, the blocks of its next ``_AHEAD`` events, but at most
+    ``_WAVE_ROWS // live``. No call exceeds ``_WAVE_ROWS`` blocks, every
+    call writes into one buffer of ``_WAVE_ROWS`` blocks, and a packet
+    that ends early leaves its later blocks unread; how far a call reads
+    ahead changes no draw. Each wave turns only the words a packet reads
+    into draws and takes every live packet through one pass of
     ``trace_packet``'s loop, with the same floating-point operations: a
     forward step scores every plane it passes, and the packet ends past
     its trace's last plane. The other fates are set from masks in
@@ -387,10 +394,11 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
         if read == ahead:
             # event n reads block n of the packet's substream: the next block
             # of each live packet while packets are admitted, then its next
-            # _WAVE_ROWS // live (through the module, so it can be patched).
-            # ``col`` is each live packet's column in these blocks.
-            ahead = (1 if admitted < total or not q.size
-                     else _WAVE_ROWS // q.size)
+            # _AHEAD, at most _WAVE_ROWS // live (through the module, so it
+            # can be patched). ``col`` is each live packet's column in these
+            # blocks.
+            ahead = (1 if admitted < total
+                     else min(_WAVE_ROWS // q.size, _AHEAD))
             blocks = rng.philox4x64(trace_seeds.take(trace), q,
                                     event + np.arange(ahead)[:, None],
                                     out=block_words)

@@ -186,6 +186,27 @@ def test_non_number_argument_raises_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda seed: default_time_counts(MARS, seed),
+    lambda seed: run_time_scenario(link_config(), MARS, [0], seed, 0.0,
+                                   TransportConfig(packet_count=1)),
+    lambda seed: run_distance_sweep(link_config(), MARS, [1.0], (0.0, 0.0), seed,
+                                    0.0, TransportConfig(packet_count=1)),
+], ids=["time_counts", "time_scenario", "distance_sweep"])
+@pytest.mark.parametrize("seed", ["1", True, 1.5, -1, None, 2 ** 128],
+                         ids=["str", "bool", "float", "negative", "none", "2**128"])
+def test_seed_must_be_int_below_2_128(call, seed):
+    # a str seed once ran as its UTF-8 bytes (default_time_counts(MARS, "1")
+    # equalled default_time_counts(MARS, 49)), and a seed >= 2**128 ran too;
+    # the bound is ExperimentConfig's
+    with pytest.raises(DomainError, match=re.escape("seed must be an int in [0, 2**128)")):
+        call(seed)
+
+
+def test_largest_seed_accepted():
+    assert len(default_time_counts(MARS, 2 ** 128 - 1)) == 21
+
+
 class TestDbFromTransmittance:
     @pytest.mark.parametrize("transmittance, distance_m", [
         (0.5, 0.0), (0.5, -1.0), (0.5, math.inf), (math.nan, 1.0),

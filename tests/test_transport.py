@@ -8,9 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dustlink.link as link
 import dustlink.rng as rng
 import dustlink.transport as transport
 from dustlink.errors import DomainError
+from dustlink.link import LinkConfig, default_time_counts, run_time_scenario
+from dustlink.presets import MARS
 from dustlink.rng import ZERO_DRAW, philox4x64, substream, word_uniforms
 from dustlink.transport import (FATES, FateCounts, TransportConfig, estimate_batch,
                                 estimate_transmittance, sample_scatter_angles,
@@ -450,6 +453,42 @@ class TestEstimateBatch:
         assert len(outs) > 1
         assert all(np.shares_memory(out, outs[0]) for out in outs)
         assert outs[0].size == 4 * transport._WAVE_ROWS
+
+    @pytest.mark.parametrize("case", ["opaque_run", "mars_time_scenario"])
+    def test_refills_compute_little_past_the_blocks_read(self, case, monkeypatch):
+        # Once every packet is admitted, a refill computes at most 8 blocks
+        # ahead per live packet, not _WAVE_ROWS // live. Event n reads block
+        # n, and a packet that ends on its step reads one more, so a trace's
+        # packets read its deepest run's events plus its reached and
+        # backscattered packets. _WAVE_ROWS // live blocks a refill computed
+        # 2.11 and 2.19 times that.
+        computed = []
+        batches = []
+
+        def counting(seeds, streams, blocks, out=None):
+            words = philox4x64(seeds, streams, blocks, out=out)
+            computed.append(math.prod(words.shape[:-1]))
+            return words
+
+        def recording(cfgs):
+            results = estimate_batch(cfgs)
+            batches.append((cfgs, results))
+            return results
+
+        monkeypatch.setattr(rng, "philox4x64", counting)
+        monkeypatch.setattr(link, "estimate_batch", recording)
+        if case == "opaque_run":   # tau = 20
+            recording([config(packet_count=1000, extinction_per_m=2.0)])
+        else:
+            run_time_scenario(LinkConfig.for_preset(MARS), MARS,
+                              default_time_counts(MARS, 1001), 1001, 0.0,
+                              TransportConfig(packet_count=1000))
+        [(cfgs, results)] = batches
+        assert len({(cfg.seed, cfg.packet_count) for cfg in cfgs}) == 1
+        cfg, deepest = max(zip(cfgs, results), key=lambda r: r[0].optical_depth)
+        read = (round(deepest.mean_events * cfg.packet_count)
+                + deepest.fates.reached + deepest.fates.backscatter_exit)
+        assert sum(computed) <= 1.6 * read
 
     def test_empty_batch(self):
         assert estimate_batch([]) == []
