@@ -569,8 +569,6 @@ def absorption_coefficient(mixture: GasMixture,
               for gas, lines in catalog.items()}
 
     k = np.zeros_like(grid)
-    f_lo = grid[0]
-    f_hi = grid[-1]
     for gas, _ratio in mixture.species:
         lines = tables.get(gas)
         if not lines:
@@ -587,7 +585,7 @@ def absorption_coefficient(mixture: GasMixture,
             cutoff = DOPPLER_WING_CUTOFF_HALFWIDTHS * halfwidth
             center = lines.center_hz
         lo, hi = _windows(grid, center, cutoff)
-        hit = (lo < hi) & (center + cutoff >= f_lo) & (center - cutoff <= f_hi)
+        hit = lo < hi
         hits = lines[hit]
         if shape_model == "lorentz":
             halfwidth = lorentz_halfwidth(hits, mixture.pressure_atm, partial,

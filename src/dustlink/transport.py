@@ -41,19 +41,20 @@ run's contributions, fates and event total are those of the run traced
 alone, bit for bit (common random numbers across the runs: Glasserman &
 Yao, Management Science 38, 884, 1992; the depth scaling is that of
 condensed Monte Carlo, Graaff et al., Appl. Opt. 32, 426, 1993).
-While packets are still being admitted, each wave makes one
-``dustlink.rng.philox4x64`` call for the next block of every live packet;
-once all are admitted, one call computes the next ``_AHEAD`` (8) blocks
-of each, at most ``_WAVE_ROWS // live``, and the following waves read
-them row by row. So the tail of waves with few live packets shares a few
+Packets are admitted only at a refill: one ``dustlink.rng.philox4x64``
+call that computes the next ``min(_WAVE_ROWS // live, _AHEAD)`` blocks
+of every live packet (``_WAVE_ROWS`` is 8192 and ``_AHEAD`` 8), which
+the following waves read row by row. While packets are still being
+admitted more than half of the rows are live, so each wave refills one
+block a packet; the tail of waves with few live packets shares a few
 calls, and few of their blocks go unread. Every call of a batch writes
 into one block buffer, and the blocks come back with each word as a
 contiguous row; the wave turns the step word of every live packet into a
 draw, and the g, nu and chi words, one row at a time, only of the
 packets that scatter on, with ``dustlink.rng.word_uniforms``. The
-packets of many traces share the kernel; a packet's state is its index,
-trace, first wave, X, X cosine, weight, next plane and column in the
-blocks. A wave sets every fate from masks, in the order crossing,
+packets of many traces share the kernel, numbered in trace order; a
+packet's state is its number, next event, X, X cosine, weight, next
+plane and column in the blocks. A wave sets every fate from masks, in the order crossing,
 backscatter, event guard, weight threshold, and drops the ended packets
 in one pass; the masks are turned into indices once, and the wave reads
 and writes through them. ``trace_packet`` is the scalar reference, one
@@ -307,10 +308,10 @@ def trace_packet(cfg: TransportConfig,
 # live packets, and Philox blocks of one call, at most; Philox keeps its
 # scratch for calls of this size
 _WAVE_ROWS = rng._SCRATCH_LANES
-# blocks a refill computes ahead per live packet once every packet is
-# admitted. An event's path is Exp(1) in optical units and the weight is
-# exp(-path), so at the default weight threshold of 1e-5 a packet has at
-# most about ln(1e5) = 11.5 events left, and most packets of a tail fewer.
+# blocks a refill computes ahead per live packet, at most. An event's path
+# is Exp(1) in optical units and the weight is exp(-path), so at the default
+# weight threshold of 1e-5 a packet has at most about ln(1e5) = 11.5 events
+# left, and most packets of a tail fewer.
 _AHEAD = 8
 
 
@@ -319,29 +320,28 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
 
     The runs share their asymmetry, weight threshold and event guard. The
     runs that share (seed, packet count) are one trace, whose planes are
-    their optical depths in ascending order. A live packet is (q, trace,
-    born, col, x, mx, w, nxt): its index in its trace, trace, wave of first
-    event, column in the Philox blocks, X, X cosine, weight and next plane
-    not yet passed. Packets are admitted in order, at most ``_WAVE_ROWS``
-    live at a time: whenever half the rows have ended, new packets take
-    their place, so a batch has one tail of waves with few live rows, not
-    one per ``_WAVE_ROWS`` packets. Event n reads block n. When the blocks
-    of the last call are used up, the next call computes, for every live
-    packet, the block of its next event, or, once every packet is
-    admitted, the blocks of its next ``_AHEAD`` events, but at most
-    ``_WAVE_ROWS // live``. No call exceeds ``_WAVE_ROWS`` blocks, every
-    call writes into one buffer of ``_WAVE_ROWS`` blocks, and a packet
-    that ends early leaves its later blocks unread; how far a call reads
-    ahead changes no draw. Each wave turns only the words a packet reads
-    into draws and takes every live packet through one pass of
-    ``trace_packet``'s loop, with the same floating-point operations: a
-    forward step scores every plane it passes, and the packet ends past
-    its trace's last plane. The other fates are set from masks in
-    ``trace_packet``'s order (backscatter, event guard, weight threshold),
-    for every plane the packet has not passed, and the wave compacts once.
-    A (run, packet) cell is written once, when its outcome is known.
-    Returns each run's contributions and fate codes, in packet order, and
-    each run's event total.
+    their optical depths in ascending order; the packets of all traces are
+    numbered 0, 1, ... in trace order. A live packet is (p, ev, col, x, mx,
+    w, nxt): its number, next event, column in the Philox blocks, X, X
+    cosine, weight and next plane not yet passed. Event n reads block n.
+    A refill comes when the blocks of the last call are used up. If at most
+    half of the ``_WAVE_ROWS`` rows are live, it admits packets in order
+    until all rows are, so a batch has one tail of waves with few live
+    rows, not one per ``_WAVE_ROWS`` packets. Then one call computes the
+    blocks of every live packet's next ``min(_WAVE_ROWS // live, _AHEAD)``
+    events: one while packets are still being admitted, up to ``_AHEAD`` in
+    the tail. Every call writes into one buffer of ``_WAVE_ROWS`` blocks,
+    and a packet that ends early leaves its later blocks unread; how far a
+    call reads ahead changes no draw. Each wave
+    turns only the words a packet reads into draws and takes every live
+    packet through one pass of ``trace_packet``'s loop, with the same
+    floating-point operations: a forward step scores every plane it
+    passes, and the packet ends past its trace's last plane. The other
+    fates are set from masks in ``trace_packet``'s order (backscatter,
+    event guard, weight threshold), for every plane the packet has not
+    passed, and the wave compacts once. A (run, packet) cell is written
+    once, when its outcome is known. Returns each run's contributions and
+    fate codes, in packet order, and each run's event total.
     """
     head = cfgs[0]
     two_pi = 2.0 * math.pi
@@ -350,59 +350,52 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
     for r, cfg in enumerate(cfgs):
         traces.setdefault((cfg.seed, cfg.packet_count), []).append(r)
     depths = [cfg.optical_depth for cfg in cfgs]
-    # trace t's planes, by depth, start at first[t]; each plane has its
-    # depth, its run's first output cell and the count of its trace's
-    # planes from it on
+    # trace t's packets are numbered from trace_offsets[t] on, and its
+    # planes, by depth, start at first[t]; each plane has its depth, its
+    # run's first output cell less its trace's first packet number, and the
+    # count of its trace's planes from it on
     plane_run = np.array([r for runs in traces.values()
                           for r in sorted(runs, key=depths.__getitem__)])
     plane_tau = np.array(depths).take(plane_run)
-    plane_cell = offsets.take(plane_run)
     sizes = [len(runs) for runs in traces.values()]
     plane_left = np.concatenate([np.arange(n, 0, -1) for n in sizes])
     first = np.cumsum([0, *sizes[:-1]])
     trace_seeds = np.array([seed for seed, _ in traces], dtype=np.uint64)
     trace_offsets = np.cumsum([0, *(m for _, m in traces)])
     total = int(trace_offsets[-1])
+    plane_cell = offsets.take(plane_run) - np.repeat(trace_offsets[:-1], sizes)
 
     contributions = np.zeros(int(offsets[-1]))
     fates = np.zeros(contributions.size, dtype=np.uint8)   # fate 0 is "reached"
     cell_events = np.zeros(contributions.size, dtype=np.int64)
-    rows = min(_WAVE_ROWS, total)
     # every refill writes its blocks here: one comes only once the blocks in
     # hand are all read, and none computes more than _WAVE_ROWS blocks, even
     # for a batch of fewer packets
     block_words = np.empty(4 * _WAVE_ROWS, dtype=np.uint64)
-    q, trace, born, col, nxt = (np.empty(0, dtype=np.int64) for _ in range(5))
+    p, ev, col, nxt = (np.empty(0, dtype=np.int64) for _ in range(4))
     x, mx, w = (np.empty(0) for _ in range(3))
     admitted = 0
-    wave = 0
     ahead = read = 0   # blocks computed ahead per packet, and read
-    while admitted < total or q.size:
-        wave += 1
-        if admitted < total and q.size <= rows // 2:
-            new = np.arange(admitted, min(admitted + rows - q.size, total))
-            admitted += new.size
-            t = np.searchsorted(trace_offsets, new, side="right") - 1
-            q = np.concatenate((q, new - trace_offsets.take(t)))
-            trace = np.concatenate((trace, t))
-            nxt = np.concatenate((nxt, first.take(t)))
-            born = np.concatenate((born, np.full(new.size, wave)))
-            x = np.concatenate((x, np.zeros(new.size)))
-            mx, w = (np.concatenate((a, np.ones(new.size))) for a in (mx, w))
-
-        event = wave - born + 1
+    while admitted < total or p.size:
         if read == ahead:
-            # event n reads block n of the packet's substream: the next block
-            # of each live packet while packets are admitted, then its next
-            # _AHEAD, at most _WAVE_ROWS // live (through the module, so it
-            # can be patched). ``col`` is each live packet's column in these
-            # blocks.
-            ahead = (1 if admitted < total
-                     else min(_WAVE_ROWS // q.size, _AHEAD))
-            blocks = rng.philox4x64(trace_seeds.take(trace), q,
-                                    event + np.arange(ahead)[:, None],
+            if admitted < total and p.size <= _WAVE_ROWS // 2:
+                new = np.arange(admitted, min(admitted + _WAVE_ROWS - p.size, total))
+                admitted += new.size
+                t = np.searchsorted(trace_offsets, new, side="right") - 1
+                p = np.concatenate((p, new))
+                ev = np.concatenate((ev, np.ones(new.size, dtype=np.int64)))
+                nxt = np.concatenate((nxt, first.take(t)))
+                x = np.concatenate((x, np.zeros(new.size)))
+                mx, w = (np.concatenate((a, np.ones(new.size))) for a in (mx, w))
+            # event n reads block n of the substream that is the packet's
+            # number within its trace (through the module, so it can be
+            # patched); ``col`` is each live packet's column in the blocks
+            t = np.searchsorted(trace_offsets, p, side="right") - 1
+            ahead = min(_WAVE_ROWS // p.size, _AHEAD)
+            blocks = rng.philox4x64(trace_seeds.take(t), p - trace_offsets.take(t),
+                                    ev + np.arange(ahead)[:, None],
                                     out=block_words)
-            col = np.arange(q.size)
+            col = np.arange(p.size)
             read = 0
         # one contiguous row per word: step, g, nu, chi
         words = blocks[read].T
@@ -412,14 +405,14 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
         # a forward step scores every plane it passes with the residual
         # Beer-Lambert factor from the last scatter site; a packet ends
         # past its last plane
-        ended = np.zeros(q.size, dtype=bool)
+        ended = np.zeros(p.size, dtype=bool)
         hit = np.flatnonzero((x_next >= plane_tau.take(nxt)) & (mx > 0.0))
         while hit.size:
             plane = nxt.take(hit)
-            cells = plane_cell.take(plane) + q.take(hit)
+            cells = plane_cell.take(plane) + p.take(hit)
             contributions[cells] = w.take(hit) * np.exp(
                 -(plane_tau.take(plane) - x.take(hit)) / mx.take(hit))
-            cell_events[cells] = event.take(hit) - 1
+            cell_events[cells] = ev.take(hit) - 1
             nxt[hit] = plane + 1
             last = plane_left.take(plane) == 1
             ended[hit[last]] = True
@@ -428,7 +421,7 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
         x = x_next
         out = x < 0.0
         scattered = ~ended & ~out
-        guarded = scattered & (event >= head.max_events)
+        guarded = scattered & (ev >= head.max_events)
         # Beer-Lambert decay; dx/mx telescopes to the step length
         w = w * np.exp(-step)
         killed = scattered & ~guarded & (w < head.weight_threshold)
@@ -442,12 +435,13 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
         plane = nxt.take(lost)
         left = plane_left.take(plane)
         cells = (plane_cell.take(_spans(plane, left))
-                 + np.repeat(q.take(lost), left))
+                 + np.repeat(p.take(lost), left))
         fates[cells] = np.repeat(fate, left)
-        cell_events[cells] = np.repeat(event.take(lost) - lost_out, left)
+        cell_events[cells] = np.repeat(ev.take(lost) - lost_out, left)
         kept = np.flatnonzero(scattered & ~guarded & ~killed)
-        q, trace, born, col, nxt, x, mx, w = (
-            a.take(kept) for a in (q, trace, born, col, nxt, x, mx, w))
+        p, ev, col, nxt, x, mx, w = (
+            a.take(kept) for a in (p, ev, col, nxt, x, mx, w))
+        ev += 1
         # only the packets that scatter on turn their g, nu, chi words
         # into draws
         g, nu, chi = (word_uniforms(words[j].take(col)) for j in (1, 2, 3))

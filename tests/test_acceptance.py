@@ -52,7 +52,7 @@ from dustlink.link import (DROP_WINDOWS_S, LinkConfig, capacity, channel_gain,
                            run_time_scenario)
 from dustlink.presets import EARTH, MARS
 from dustlink.rng import substream
-from dustlink.scatter import (LinearDensity, SizeDistribution,
+from dustlink.scatter import (LinearDensity, SizeDistribution, Visibility,
                               number_density_from_visibility)
 from dustlink.storm import BeamCone, ParticleField, count_in_beam
 from dustlink.transport import (TransportConfig, estimate_transmittance,
@@ -420,3 +420,43 @@ def test_criterion_14_parser_and_single_line_absorption():
     check("criterion 14 (parser and single-line absorption)", ok,
           f"fields exact: {field_exact}, 159-char rejected: {rejected}, "
           f"line-center deviation {rel:.2e}")
+
+
+def test_criterion_15_weak_storms_hurt_earth_more_than_mars():
+    # A sweep point's seed does not depend on the planet, and at a fixed
+    # seed and packet count T never rises with tau, so Earth's larger
+    # extinction at equal visibility bounds its T by Mars's in every cell.
+    rows = {planet: run_scenario(ExperimentConfig(
+                scenario="visibility_sweep", planet=planet, seed=7)).rows
+            for planet in ("earth", "mars")}
+    cells = list(zip(rows["earth"], rows["mars"]))
+    # the same (visibility, replicate, seed) on both planets
+    same_cells = bool(cells) and all(e[:3] == m[:3] for e, m in cells)
+    higher = [(e[0], e[1]) for e, m in cells if e[3] > m[3]]
+    ratios = [EARTH.extinction(Visibility(v)).extinction_per_m
+              / MARS.extinction(Visibility(v)).extinction_per_m
+              for v in sorted({e[0] for e, _ in cells})]
+    check("criterion 15 (weak storms hurt earth more than mars)",
+          same_cells and not higher,
+          f"earth T <= mars T in {len(cells) - len(higher)} of {len(cells)} "
+          "(visibility, replicate) cells; earth/mars extinction = "
+          + ", ".join(f"{r:.5g}" for r in ratios))
+
+
+def test_criterion_16_attenuation_increases_with_distance():
+    details = []
+    ok = True
+    for planet in ("earth", "mars"):
+        result = run_scenario(ExperimentConfig(scenario="distance_sweep",
+                                               planet=planet, seed=7))
+        # attenuation over the path, A x d: inf where T = 0
+        by_distance: dict[float, list[float]] = {}
+        for d, _rep, _seed, _t, a in result.rows:
+            by_distance.setdefault(d, []).append(a * d)
+        medians = [float(np.median(by_distance[d])) for d in sorted(by_distance)]
+        ok = ok and len(medians) > 1 and all(
+            b >= a for a, b in zip(medians, medians[1:]))
+        details.append(f"{planet}: " + ", ".join(f"{m:.3g}" for m in medians)
+                       + " dB")
+    check("criterion 16 (attenuation increases with distance)", ok,
+          "; ".join(details))

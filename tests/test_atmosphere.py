@@ -455,8 +455,6 @@ def oracle_absorption(mixture, catalog, grid, shape_model):
                 halfwidth = atm.doppler_halfwidth(line, temperature)
                 cutoff = atm.DOPPLER_WING_CUTOFF_HALFWIDTHS * halfwidth
                 center = line.center_hz
-            if center + cutoff < grid[0] or center - cutoff > grid[-1]:
-                continue
             strength = density * atm._intensity_si(line, temperature)
             window = np.abs(grid - center) <= cutoff
             if not np.any(window):
@@ -621,6 +619,19 @@ class TestAbsorptionCoefficient:
             grid.sort()
             assert 0 < len(window(grid, center, cutoff)) < grid.size
             assert_matches_oracle(mixture, {"H2O": [line]}, grid, shape_model)
+
+    def test_line_at_the_exact_window_edge_adds(self):
+        # f - center is exactly the Lorentz cutoff, so the line adds at f,
+        # although center + cutoff rounds below f
+        line = atm.SpectralLine(1, 1, 8.877627, 1e-19, 0.07, 0.3, 100.0, 0.7,
+                                0.0, 18.010565e-3)
+        grid = np.array([1016144561953.7167])
+        center = line.center_hz
+        assert grid[0] - center == atm.LORENTZ_WING_CUTOFF_HZ
+        assert center + atm.LORENTZ_WING_CUTOFF_HZ < grid[0]
+        oracle = assert_matches_oracle(EARTH.mixture(), {"H2O": [line]}, grid,
+                                       "lorentz")
+        assert oracle[0] == pytest.approx(1.008e-4, rel=1e-3)
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20, unique=True),
            st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3)), max_size=5))

@@ -16,10 +16,12 @@ _spec.loader.exec_module(bench_pairs)
 MACHINE = {"nproc": 2, "cpu": "test cpu", "python": "3.11.7"}
 
 
-def canned_stdout(pass_s, rss=50.0, failed=0):
+def canned_stdout(pass_s, rss=50.0, failed=0, setup_s=None):
     result = {"correct": failed == 0, "attempted": 5, "failed": failed,
               "metrics": {"pass_s": {"value": pass_s, "unit": "s"},
                           "peak_rss_mib": {"value": rss, "unit": "MiB"}}}
+    if setup_s is not None:
+        result["metrics"]["setup_s"] = {"value": setup_s, "unit": "s"}
     return ("workload w: test\n"
             f"machine: {json.dumps(MACHINE)}\n"
             "  pass_s  1.0 s\n"
@@ -130,9 +132,11 @@ def test_written_file_records_numpy_facts(tmp_path, monkeypatch):
     (root / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "w"}]}))
     monkeypatch.setattr(bench_pairs, "copy_tree", lambda src, dest: dest)
     monkeypatch.setattr(bench_pairs, "compile_tree", lambda root: None)
-    run_pairs = bench_pairs.run_pairs
+    run_pairs, run_setups = bench_pairs.run_pairs, bench_pairs.run_setups
     monkeypatch.setattr(bench_pairs, "run_pairs", lambda *args, **kwargs: run_pairs(
         *args, **kwargs, runner=lambda *run: canned_stdout(1.0)))
+    monkeypatch.setattr(bench_pairs, "run_setups", lambda *args, **kwargs: run_setups(
+        *args, **kwargs, runner=lambda root: 0.2))
     monkeypatch.chdir(tmp_path)
     assert bench_pairs.main([str(root), str(root), "--tag", "t", "--pairs", "1"]) == 0
     machine = json.loads((tmp_path / "BENCH_t.json").read_text())["machine"]
@@ -156,9 +160,15 @@ def test_copies_have_paths_of_equal_length(tmp_path, monkeypatch):
         ran.add(str(root))
         return canned_stdout(1.0)
 
-    run_pairs = bench_pairs.run_pairs
+    def setup_runner(root):
+        ran.add(str(root))
+        return 0.2
+
+    run_pairs, run_setups = bench_pairs.run_pairs, bench_pairs.run_setups
     monkeypatch.setattr(bench_pairs, "run_pairs", lambda *args, **kwargs: run_pairs(
         *args, **kwargs, runner=runner))
+    monkeypatch.setattr(bench_pairs, "run_setups", lambda *args, **kwargs: run_setups(
+        *args, **kwargs, runner=setup_runner))
     monkeypatch.chdir(tmp_path)
     assert bench_pairs.main([str(root), str(root), "--tag", "t", "--pairs", "2"]) == 0
     assert ran == set(copies)
@@ -197,3 +207,65 @@ def test_summary_gives_end_to_end_metrics_a_verdict():
         runs, {"pass_s": {"name": "pass_s", "better": "lower", "bound": 0.25}})
     assert summary["pass_s"]["verdict"] == "worse"
     assert "verdict" not in summary["peak_rss_mib"]
+
+
+def test_setup_s_verdict_comes_from_interleaved_rounds(tmp_path, monkeypatch):
+    # The pairs' own setup_s reads 40 % worse for the child (one stretch of
+    # host load per run); the interleaved set-up rounds read both trees
+    # alike, and every workload's setup_s verdict follows the rounds.
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w1"}, {"name": "w2"}],
+        "end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25},
+                       {"name": "pass_s", "better": "lower", "bound": 0.25}]}))
+    monkeypatch.setattr(bench_pairs, "copy_tree", lambda src, dest: dest)
+    monkeypatch.setattr(bench_pairs, "compile_tree", lambda root: None)
+    calls = []
+
+    def runner(root, workload, seed, seconds):
+        calls.append(("pair", root.name))
+        return canned_stdout(1.0, setup_s=0.14 if root.name == "new" else 0.10)
+
+    def setup_runner(root):
+        calls.append(("setup", root.name))
+        return 0.18 + 0.001 * (len(calls) % 3)
+
+    run_pairs, run_setups = bench_pairs.run_pairs, bench_pairs.run_setups
+    monkeypatch.setattr(bench_pairs, "run_pairs", lambda *args, **kwargs: run_pairs(
+        *args, **kwargs, runner=runner))
+    monkeypatch.setattr(bench_pairs, "run_setups", lambda *args, **kwargs: run_setups(
+        *args, **kwargs, runner=setup_runner))
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([str(root), str(root), "--tag", "t", "--pairs", "2"]) == 0
+
+    # the set-up rounds follow the pairs, the parent (old) first in even rounds
+    kinds = [kind for kind, _ in calls]
+    assert kinds == ["pair"] * 8 + ["setup"] * 2 * bench_pairs.SETUP_ROUNDS
+    setups = [name for kind, name in calls if kind == "setup"]
+    assert setups == ["old", "new", "new", "old"] * (bench_pairs.SETUP_ROUNDS // 2)
+
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    rounds = out["setup_rounds"]
+    assert len(rounds["runs"]) == 2 * bench_pairs.SETUP_ROUNDS
+    assert rounds["summary"]["pairs"] == bench_pairs.SETUP_ROUNDS
+    assert rounds["summary"]["verdict"] == "flat"
+    # the pairs alone would read worse: 0.14 against 0.10 s
+    assert bench_pairs.verdict([0.10] * 2, [0.14] * 2, "lower", 0.25) == "worse"
+    for w in ("w1", "w2"):
+        setup_s = out["workloads"][w]["summary"]["setup_s"]
+        assert setup_s["child"]["median"] == pytest.approx(0.14)
+        assert setup_s["verdict"] == "flat"
+        assert setup_s["verdict_from"] == "setup_rounds"
+        assert "verdict_from" not in out["workloads"][w]["summary"]["pass_s"]
+
+
+def test_setup_code_is_read_from_the_tree(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        'import sys\nSETUP_CODE = """\\\nprint(1)\n"""\n\nsys.exit(3)\n')
+    assert bench_pairs.setup_code(tmp_path) == "print(1)\n"
+    real = Path(__file__).resolve().parents[1]
+    assert "import dustlink" in bench_pairs.setup_code(real)
+    assert 0.0 < bench_pairs.setup_run(real) < 120.0
+

@@ -276,6 +276,31 @@ class TestWaveKernel:
         monkeypatch.setattr(transport, "_WAVE_ROWS", 7)
         assert estimate_transmittance(cfg) == whole
 
+    @pytest.mark.parametrize("wave_rows", [None, 7, 64])
+    def test_every_refill_follows_the_lookahead_rule(self, monkeypatch, wave_rows):
+        # a trace of 1000 packets, one of 400 at two depths and one of 300;
+        # None keeps the default _WAVE_ROWS, where all 1700 are admitted at
+        # once, and the small ones admit packets over many refills
+        cfgs = [config(packet_count=1000, seed=3),
+                config(packet_count=400, extinction_per_m=0.25, seed=5),
+                config(packet_count=400, extinction_per_m=1.0, seed=5),
+                config(packet_count=300, seed=7)]
+        whole = estimate_batch(cfgs)
+        if wave_rows is not None:
+            monkeypatch.setattr(transport, "_WAVE_ROWS", wave_rows)
+        calls = []
+
+        def counted(seeds, streams, blocks, out=None):
+            words = philox4x64(seeds, streams, blocks, out=out)
+            calls.append((words.shape[0], len(streams)))
+            return words
+
+        monkeypatch.setattr(rng, "philox4x64", counted)
+        assert estimate_batch(cfgs) == whole
+        assert calls
+        for ahead, live in calls:
+            assert ahead == min(transport._WAVE_ROWS // live, transport._AHEAD)
+
     def test_zero_words_read_as_zero_draw(self, monkeypatch):
         # Words that map to draw 0 (probability 2**-53) are planted below
         # the zero rule, as Philox words (0 and 2047 >> 11 are both 0), at

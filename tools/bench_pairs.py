@@ -9,7 +9,11 @@ equal length and without any ``__pycache__``, and compiles the copy with
 ``PYTHONDONTWRITEBYTECODE`` unset. Then, for each pair and each workload
 named in NEW_ROOT's ``BENCHMARK.json``, both copies run their own
 ``bench/run.py --workload W --seed K --seconds S`` once: the parent (OLD)
-first in even pairs, the child (NEW) first in odd ones.
+first in even pairs, the child (NEW) first in odd ones. After the pairs,
+``SETUP_ROUNDS`` rounds each start one fresh interpreter per copy on the
+``SETUP_CODE`` of that copy's own ``bench/run.py`` (read, not imported),
+the parent first in even rounds, and time it as ``bench/run.py`` times
+``setup_s``: interleaved, both trees' set-ups see the same host load.
 
 Writes ``BENCH_<tag>.json`` to the current directory with both trees'
 commits, the machine facts (numpy's version and the CPU features it
@@ -18,10 +22,13 @@ and metrics, and per workload and metric: the parent's and the child's
 median and quartiles, the relative change of the medians, and how many
 pairs the child read lower. Each end-to-end metric of NEW_ROOT's
 ``BENCHMARK.json`` also gets a ``verdict`` (see ``verdict``) from its
-``better`` direction and its ``bound``. It imports no ``dustlink``.
+``better`` direction and its ``bound``; every workload's ``setup_s``
+verdict comes from the set-up rounds, whose samples and summary the file
+holds under ``setup_rounds``. It imports no ``dustlink``.
 """
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -29,10 +36,12 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from statistics import median, quantiles
 
 TREES = ("parent", "child")
+SETUP_ROUNDS = 30
 # directory names of the two copies: of equal length, because a run's peak
 # RSS follows the length of the path it runs from (by up to ~0.8 MiB)
 COPY_NAMES = {"parent": "old", "child": "new"}
@@ -116,6 +125,49 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float) -> str:
     return proc.stdout
 
 
+def setup_code(root: Path) -> str:
+    """The ``SETUP_CODE`` string of the tree's ``bench/run.py``."""
+    module = ast.parse((root / "bench" / "run.py").read_text())
+    for node in module.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "SETUP_CODE" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise ValueError(f"{root}: bench/run.py has no SETUP_CODE")
+
+
+def setup_run(root: Path) -> float:
+    """Seconds from spawning a fresh interpreter on the tree's set-up code
+    until it prints its first line, timed as ``bench/run.py`` times
+    ``setup_s``, with the package from the tree's ``src/``."""
+    code = setup_code(root)
+    env = {**child_env(), "PYTHONPATH": str(root / "src")}
+    t0 = time.perf_counter()
+    with subprocess.Popen([sys.executable, "-c", code], cwd=root, env=env,
+                          stdout=subprocess.PIPE) as proc:
+        line = proc.stdout.readline()
+        ready = time.perf_counter()
+        proc.stdout.read()
+        returncode = proc.wait(timeout=120)
+    if returncode != 0 or not line:
+        raise RuntimeError(f"{root}: set-up interpreter exited with code {returncode}")
+    return ready - t0
+
+
+def run_setups(roots: dict, rounds: int = SETUP_ROUNDS, runner=setup_run,
+               log=print) -> list[dict]:
+    """One ``setup_s`` record per tree per round, in ``record``'s shape;
+    the parent runs first in even rounds."""
+    runs = []
+    for round_ in range(rounds):
+        for tree in run_order(round_):
+            runs.append({"pair": round_, "tree": tree,
+                         "metrics": {"setup_s": runner(roots[tree])},
+                         "units": {"setup_s": "s"}})
+        log(f"set-up round {round_}: " + ", ".join(
+            f"{run['tree']} {run['metrics']['setup_s']:.4g} s" for run in runs[-2:]))
+    return runs
+
+
 def record(pair: int, tree: str, stdout: str) -> dict:
     result = parse_result(stdout)
     return {"pair": pair, "tree": tree, "correct": result["correct"],
@@ -159,12 +211,15 @@ def verdict(parent: list[float], child: list[float], better: str,
     return "flat"
 
 
-def summarise(runs: list[dict], end_to_end: dict | None = None) -> dict:
+def summarise(runs: list[dict], end_to_end: dict | None = None,
+              setups: list[dict] | None = None) -> dict:
     """Per metric: each tree's spread and the pairs the child read lower,
     and for each metric in ``end_to_end`` (name -> ``BENCHMARK.json``
     entry with ``better`` and ``bound``) its ``verdict``.
 
-    ``runs`` holds one ``record`` per tree per pair of one workload.
+    ``runs`` holds one ``record`` per tree per pair of one workload. Given
+    ``setups`` (``run_setups``' records), ``setup_s`` takes its verdict
+    from them.
     """
     end_to_end = end_to_end or {}
     by_pair = {}
@@ -189,6 +244,10 @@ def summarise(runs: list[dict], end_to_end: dict | None = None) -> dict:
         }
         if name in end_to_end:
             gate = end_to_end[name]
+            if name == "setup_s" and setups:
+                values = {t: [run["metrics"][name] for run in setups
+                              if run["tree"] == t] for t in TREES}
+                summary[name]["verdict_from"] = "setup_rounds"
             summary[name]["verdict"] = verdict(values["parent"], values["child"],
                                                gate["better"], gate["bound"])
     return summary
@@ -230,8 +289,10 @@ def main(argv=None) -> int:
         roots = {t: copy_tree(sources[t], Path(tmp) / COPY_NAMES[t]) for t in TREES}
         for root in roots.values():
             compile_tree(root)
+        log = lambda m: print(m, flush=True)
         runs, machine = run_pairs(roots, workloads, args.pairs, args.seed,
-                                  args.seconds, log=lambda m: print(m, flush=True))
+                                  args.seconds, log=log)
+        setups = run_setups(roots, log=log)
     out = {
         "tag": args.tag,
         "parent": git_state(sources["parent"]),
@@ -240,8 +301,13 @@ def main(argv=None) -> int:
                     **numpy_facts()},
         "protocol": {"pairs": args.pairs, "seconds": args.seconds,
                      "seed": args.seed, "order": "parent first in even pairs",
-                     "bytecode": "fresh copies compiled with compileall"},
-        "workloads": {w: {"summary": summarise(runs[w], end_to_end), "runs": runs[w]}
+                     "bytecode": "fresh copies compiled with compileall",
+                     "setup_rounds": SETUP_ROUNDS,
+                     "setup_order": "parent first in even rounds"},
+        "setup_rounds": {"summary": summarise(setups, end_to_end)["setup_s"],
+                         "runs": setups},
+        "workloads": {w: {"summary": summarise(runs[w], end_to_end, setups),
+                          "runs": runs[w]}
                       for w in workloads},
     }
     path = Path(f"BENCH_{args.tag}.json")
@@ -253,6 +319,10 @@ def main(argv=None) -> int:
                   f"{s['child']['median']:.4g} [{s['child']['q1']:.4g}, "
                   f"{s['child']['q3']:.4g}] child lower {s['child_lower']}"
                   f"/{s['pairs']} {s.get('verdict', '')}".rstrip())
+    s = out["setup_rounds"]["summary"]
+    print(f"set-up rounds  setup_s        parent {s['parent']['median']:.4g} "
+          f"child {s['child']['median']:.4g} child lower {s['child_lower']}"
+          f"/{s['pairs']} {s.get('verdict', '')}".rstrip())
     print(f"wrote {path}")
     return 0
 
