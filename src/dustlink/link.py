@@ -263,12 +263,13 @@ def run_distance_sweep(cfg: LinkConfig, planet: PlanetPreset,
     (0, 0) range is clear sky); each distance is one ``_link_points``
     point with label "distance". Every distance has the scenario's one
     seed, so the points differ only by their optical depths (common random
-    numbers) and the sweep costs one trace. Distances must be increasing,
-    the range two finite reals with 0 <= lo <= hi, and the seed an int in
-    [0, 2**128). ``packet_count``, when given, replaces the packet count
-    of ``transport``.
+    numbers) and the sweep costs one trace. Distances must be positive and
+    increasing, the range two finite reals with 0 <= lo <= hi, and the seed
+    an int in [0, 2**128). ``packet_count``, when given, replaces the
+    packet count of ``transport``.
     """
     require_int("seed", seed, 0, 128)
+    require_positive(**{f"distances_m[{k}]": d for k, d in enumerate(distances_m)})
     if any(a >= b for a, b in zip(distances_m, distances_m[1:])):
         raise DomainError("distances must be increasing")
     lo, hi = require_vector("density range", density_range_per_m, 2)

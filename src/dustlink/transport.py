@@ -26,43 +26,43 @@ packet that ends on its step ignores the other three. An event's
 asymmetry is ``g_lo + (g_hi - g_lo) * u`` for its g draw u, so a fixed
 asymmetry g is ``g_lo = g_hi = g``, whose g word is read and multiplied
 by 0. A word that maps to 0 reads as ``dustlink.rng.ZERO_DRAW`` (2**-54).
-The draws do not depend on the run's depth, so runs that share a seed and
-a packet count share every packet's path up to the first plane it passes.
+No draw depends on the run's depth, so runs that differ only in depth
+share every packet's path up to the first plane it passes.
 
 Two implementations share these rules. ``estimate_batch`` (and
-``estimate_transmittance``, a batch of one) runs a wave kernel: packets
-are held as arrays, and each wave advances every live packet by one event
-in numpy. The runs of a batch that share (seed, packet count) are traced
-once, as one trace whose receiver planes are their depths in ascending
-order: a live packet keeps the index of the next plane it has not passed,
-a forward step scores every plane it passes, and the packet ends past the
-last one or by the usual fates. No fate rule depends on the plane, so each
-run's contributions, fates and event total are those of the run traced
-alone, bit for bit (common random numbers across the runs: Glasserman &
-Yao, Management Science 38, 884, 1992; the depth scaling is that of
-condensed Monte Carlo, Graaff et al., Appl. Opt. 32, 426, 1993).
-Packets are admitted only at a refill: one ``dustlink.rng.philox4x64``
-call that computes the next ``min(_WAVE_ROWS // live, _AHEAD)`` blocks
-of every live packet (``_WAVE_ROWS`` is 8192 and ``_AHEAD`` 8), which
-the following waves read row by row. While packets are still being
-admitted more than half of the rows are live, so each wave refills one
-block a packet; the tail of waves with few live packets shares a few
-calls, and few of their blocks go unread. Every call of a batch writes
-into one block buffer, and the blocks come back with each word as a
-contiguous row; the wave turns the step word of every live packet into a
-draw, and the g, nu and chi words, one row at a time, only of the
-packets that scatter on, with ``dustlink.rng.word_uniforms``. The
-packets of many traces share the kernel, numbered in trace order; a
-packet's state is its number, next event, X, X cosine, weight, next
-plane and column in the blocks. A wave sets every fate from masks, in the order crossing,
-backscatter, event guard, weight threshold, and drops the ended packets
-in one pass; the masks are turned into indices once, and the wave reads
-and writes through them. ``trace_packet`` is the scalar reference, one
-packet of one run in plain Python, reading the same draws one at a time.
-The kernel keeps the reference's branch order and floating-point
-operations, so each packet has the same fate and event count; its
-contribution agrees within rtol 1e-12, because ``np.exp``/``np.log`` may
-differ from ``math`` in the last bit.
+``estimate_transmittance``, a batch of one) runs one wave kernel per
+batch: packets are held as arrays, and each wave advances every live
+packet by one event in numpy. The runs that differ only in depth are
+traced once, as one trace whose receiver planes are their depths in
+ascending order: a live packet keeps the index of the next plane it has
+not passed, and reads its run's seed, asymmetry range, weight threshold
+and event guard through it; a forward step scores every plane it passes,
+and the packet ends past the last one or by the usual fates. No fate
+rule depends on the plane, so each run's contributions, fates and event
+total are those of the run traced alone, bit for bit (common random
+numbers across the runs: Glasserman & Yao, Management Science 38, 884,
+1992; the depth scaling is that of condensed Monte Carlo, Graaff et al.,
+Appl. Opt. 32, 426, 1993). Packets are admitted only at a refill: one
+``dustlink.rng.philox4x64`` call on each live packet's plane seed, its
+index in its run (its substream) and its next event computes its next
+``min(_WAVE_ROWS // live, _AHEAD)`` blocks (``_WAVE_ROWS`` is 8192 and
+``_AHEAD`` 8), which the following waves read row by row. While packets
+are still being admitted more than half of the rows are live, so each
+wave refills one block a packet; the tail of waves with few live packets
+shares a few calls, and few of their blocks go unread. Every call of a
+batch writes into one block buffer, and the blocks come back with each
+word as a contiguous row; the wave turns the step word of every live
+packet into a draw, and the g, nu and chi words, one row at a time, only
+of the packets that scatter on, with ``dustlink.rng.word_uniforms``. A
+wave sets every fate from masks, in the order crossing, backscatter,
+event guard, weight threshold, and drops the ended packets in one pass;
+the masks are turned into indices once, and the wave reads and writes
+through them. ``trace_packet`` is the scalar reference, one packet of
+one run in plain Python, reading the same draws one at a time. The
+kernel keeps the reference's branch order and floating-point operations,
+so each packet has the same fate and event count; its contribution
+agrees within rtol 1e-12, because ``np.exp``/``np.log`` may differ from
+``math`` in the last bit.
 
 Determinism: every packet draws from its own counter-based substream of
 its run's seed (see ``dustlink.rng``), and each run's contributions are
@@ -318,52 +318,53 @@ _AHEAD = 8
 def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
     """Trace every packet of each run ``cfgs[r]``.
 
-    The runs share their asymmetry, weight threshold and event guard. The
-    runs that share (seed, packet count) are one trace, whose planes are
-    their optical depths in ascending order; the packets of all traces are
-    numbered 0, 1, ... in trace order. A live packet is (p, ev, col, x, mx,
-    w, nxt): its number, next event, column in the Philox blocks, X, X
-    cosine, weight and next plane not yet passed. Event n reads block n.
-    A refill comes when the blocks of the last call are used up. If at most
-    half of the ``_WAVE_ROWS`` rows are live, it admits packets in order
-    until all rows are, so a batch has one tail of waves with few live
-    rows, not one per ``_WAVE_ROWS`` packets. Then one call computes the
-    blocks of every live packet's next ``min(_WAVE_ROWS // live, _AHEAD)``
-    events: one while packets are still being admitted, up to ``_AHEAD`` in
-    the tail. Every call writes into one buffer of ``_WAVE_ROWS`` blocks,
-    and a packet that ends early leaves its later blocks unread; how far a
-    call reads ahead changes no draw. Each wave
+    The runs that share every input but the depth are one trace, whose
+    planes are their optical depths in ascending order. A live packet is
+    (i, ev, col, x, mx, w, nxt): its index in its run (its substream), next
+    event, column in the Philox blocks, X, X cosine, weight and next plane
+    not yet passed, which holds its run's other inputs. Event n reads block
+    n. A refill comes when the blocks of the last call are used up. If at
+    most half of the ``_WAVE_ROWS`` rows are live, it admits packets, trace
+    by trace, until all rows are, so a batch has one tail of waves with few
+    live rows, not one per ``_WAVE_ROWS`` packets. Then one call computes
+    the blocks of every live packet's next
+    ``min(_WAVE_ROWS // live, _AHEAD)`` events: one while packets are still
+    being admitted, up to ``_AHEAD`` in the tail. Every call writes into one
+    buffer of ``_WAVE_ROWS`` blocks, and a packet that ends early leaves its
+    later blocks unread; how far a call reads ahead changes no draw. Each wave
     turns only the words a packet reads into draws and takes every live
     packet through one pass of ``trace_packet``'s loop, with the same
-    floating-point operations: a forward step scores every plane it
-    passes, and the packet ends past its trace's last plane. The other
-    fates are set from masks in ``trace_packet``'s order (backscatter,
-    event guard, weight threshold), for every plane the packet has not
-    passed, and the wave compacts once. A (run, packet) cell is written
-    once, when its outcome is known. Returns each run's contributions and
-    fate codes, in packet order, and each run's event total.
+    floating-point operations: a forward step scores every plane it passes,
+    and the packet ends past its trace's last plane. The other fates are set
+    from masks in ``trace_packet``'s order (backscatter, event guard, weight
+    threshold), for every plane the packet has not passed, and the wave
+    compacts once. A (run, packet) cell is written once, when its outcome is
+    known. Returns each run's contributions and fate codes, in packet order,
+    and each run's event total.
     """
-    head = cfgs[0]
     two_pi = 2.0 * math.pi
     offsets = np.cumsum([0, *(cfg.packet_count for cfg in cfgs)])
     traces: dict[tuple, list[int]] = {}
     for r, cfg in enumerate(cfgs):
-        traces.setdefault((cfg.seed, cfg.packet_count), []).append(r)
+        traces.setdefault((cfg.seed, cfg.packet_count, cfg.g_lo, cfg.g_hi,
+                           cfg.weight_threshold, cfg.max_events), []).append(r)
     depths = [cfg.optical_depth for cfg in cfgs]
-    # trace t's packets are numbered from trace_offsets[t] on, and its
-    # planes, by depth, start at first[t]; each plane has its depth, its
-    # run's first output cell less its trace's first packet number, and the
-    # count of its trace's planes from it on
+    # trace t's packets are admitted from the trace_offsets[t]-th on, and
+    # its planes, by depth, start at first[t]; a plane holds its run's first
+    # output cell and the count of its trace's planes from it on
     plane_run = np.array([r for runs in traces.values()
                           for r in sorted(runs, key=depths.__getitem__)])
     plane_tau = np.array(depths).take(plane_run)
+    plane_cell = offsets.take(plane_run)
     sizes = [len(runs) for runs in traces.values()]
     plane_left = np.concatenate([np.arange(n, 0, -1) for n in sizes])
     first = np.cumsum([0, *sizes[:-1]])
-    trace_seeds = np.array([seed for seed, _ in traces], dtype=np.uint64)
-    trace_offsets = np.cumsum([0, *(m for _, m in traces)])
+    seeds, counts, *inputs = zip(*traces)
+    plane_seed = np.repeat(np.array(seeds, dtype=np.uint64), sizes)
+    plane_g_lo, plane_g_hi, plane_threshold, plane_guard = (
+        np.repeat(column, sizes) for column in inputs)
+    trace_offsets = np.cumsum([0, *counts])
     total = int(trace_offsets[-1])
-    plane_cell = offsets.take(plane_run) - np.repeat(trace_offsets[:-1], sizes)
 
     contributions = np.zeros(int(offsets[-1]))
     fates = np.zeros(contributions.size, dtype=np.uint8)   # fate 0 is "reached"
@@ -372,30 +373,29 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
     # hand are all read, and none computes more than _WAVE_ROWS blocks, even
     # for a batch of fewer packets
     block_words = np.empty(4 * _WAVE_ROWS, dtype=np.uint64)
-    p, ev, col, nxt = (np.empty(0, dtype=np.int64) for _ in range(4))
+    i, ev, col, nxt = (np.empty(0, dtype=np.int64) for _ in range(4))
     x, mx, w = (np.empty(0) for _ in range(3))
     admitted = 0
     ahead = read = 0   # blocks computed ahead per packet, and read
-    while admitted < total or p.size:
+    while admitted < total or i.size:
         if read == ahead:
-            if admitted < total and p.size <= _WAVE_ROWS // 2:
-                new = np.arange(admitted, min(admitted + _WAVE_ROWS - p.size, total))
+            if admitted < total and i.size <= _WAVE_ROWS // 2:
+                new = np.arange(admitted, min(admitted + _WAVE_ROWS - i.size, total))
                 admitted += new.size
                 t = np.searchsorted(trace_offsets, new, side="right") - 1
-                p = np.concatenate((p, new))
+                i = np.concatenate((i, new - trace_offsets.take(t)))
                 ev = np.concatenate((ev, np.ones(new.size, dtype=np.int64)))
                 nxt = np.concatenate((nxt, first.take(t)))
                 x = np.concatenate((x, np.zeros(new.size)))
                 mx, w = (np.concatenate((a, np.ones(new.size))) for a in (mx, w))
-            # event n reads block n of the substream that is the packet's
-            # number within its trace (through the module, so it can be
-            # patched); ``col`` is each live packet's column in the blocks
-            t = np.searchsorted(trace_offsets, p, side="right") - 1
-            ahead = min(_WAVE_ROWS // p.size, _AHEAD)
-            blocks = rng.philox4x64(trace_seeds.take(t), p - trace_offsets.take(t),
+            # event n reads block n of substream i of the trace's seed
+            # (through the module, so it can be patched); ``col`` is each
+            # live packet's column in the blocks
+            ahead = min(_WAVE_ROWS // i.size, _AHEAD)
+            blocks = rng.philox4x64(plane_seed.take(nxt), i,
                                     ev + np.arange(ahead)[:, None],
                                     out=block_words)
-            col = np.arange(p.size)
+            col = np.arange(i.size)
             read = 0
         # one contiguous row per word: step, g, nu, chi
         words = blocks[read].T
@@ -405,11 +405,11 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
         # a forward step scores every plane it passes with the residual
         # Beer-Lambert factor from the last scatter site; a packet ends
         # past its last plane
-        ended = np.zeros(p.size, dtype=bool)
+        ended = np.zeros(i.size, dtype=bool)
         hit = np.flatnonzero((x_next >= plane_tau.take(nxt)) & (mx > 0.0))
         while hit.size:
             plane = nxt.take(hit)
-            cells = plane_cell.take(plane) + p.take(hit)
+            cells = plane_cell.take(plane) + i.take(hit)
             contributions[cells] = w.take(hit) * np.exp(
                 -(plane_tau.take(plane) - x.take(hit)) / mx.take(hit))
             cell_events[cells] = ev.take(hit) - 1
@@ -421,10 +421,11 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
         x = x_next
         out = x < 0.0
         scattered = ~ended & ~out
-        guarded = scattered & (ev >= head.max_events)
+        # an ended packet may point past the last plane; ``scattered`` masks it
+        guarded = scattered & (ev >= plane_guard.take(nxt, mode="clip"))
         # Beer-Lambert decay; dx/mx telescopes to the step length
         w = w * np.exp(-step)
-        killed = scattered & ~guarded & (w < head.weight_threshold)
+        killed = scattered & ~guarded & (w < plane_threshold.take(nxt, mode="clip"))
         # every plane a lost packet has not passed takes its fate, and its
         # event count: the scatter of this wave counts unless it backscattered
         lost = np.flatnonzero(out | guarded | killed)
@@ -435,17 +436,18 @@ def _trace_packets(cfgs) -> tuple[list, list, np.ndarray]:
         plane = nxt.take(lost)
         left = plane_left.take(plane)
         cells = (plane_cell.take(_spans(plane, left))
-                 + np.repeat(p.take(lost), left))
+                 + np.repeat(i.take(lost), left))
         fates[cells] = np.repeat(fate, left)
         cell_events[cells] = np.repeat(ev.take(lost) - lost_out, left)
         kept = np.flatnonzero(scattered & ~guarded & ~killed)
-        p, ev, col, nxt, x, mx, w = (
-            a.take(kept) for a in (p, ev, col, nxt, x, mx, w))
+        i, ev, col, nxt, x, mx, w = (
+            a.take(kept) for a in (i, ev, col, nxt, x, mx, w))
         ev += 1
         # only the packets that scatter on turn their g, nu, chi words
         # into draws
         g, nu, chi = (word_uniforms(words[j].take(col)) for j in (1, 2, 3))
-        g = head.g_lo + (head.g_hi - head.g_lo) * g
+        g_lo = plane_g_lo.take(nxt)
+        g = g_lo + (plane_g_hi.take(nxt) - g_lo) * g
         mx = _rotate(mx, _hg_cosine(g, nu), two_pi * chi)
     ends = offsets[1:-1]
     return (np.split(contributions, ends), np.split(fates, ends),
@@ -473,36 +475,30 @@ def _rotate(mx, ct, phi):
 def estimate_batch(cfgs: Sequence[TransportConfig]) -> list[TransportResult]:
     """Ensemble transmittance and dB/m attenuation of many runs at once.
 
-    Runs that share their asymmetry, weight threshold and event guard are
-    traced together in one wave kernel, and among them the runs that share
-    (seed, packet count) are one trace with a receiver plane at each run's
-    optical depth. Each packet keeps its seed and its index, and each
-    run's contributions are reduced in packet order with numpy's pairwise
-    sum. So every result is bit-identical to that of its config traced
-    alone, whatever the rest of the batch; and of runs that share a seed
-    and a packet count, a deeper one never transmits more. Transmittance 0
-    reports +inf dB/m.
+    The whole batch is one wave-kernel call, and the runs that share every
+    input but the depth are one trace with a receiver plane at each run's
+    optical depth. Each packet draws from the substream of its index in
+    its run's seed, and each run's contributions are reduced in packet
+    order with numpy's pairwise sum. So every result is bit-identical to
+    that of its config traced alone, whatever the rest of the batch; and
+    of runs that differ only in depth, a deeper one never transmits more.
+    Transmittance 0 reports +inf dB/m.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, cfg in enumerate(cfgs):
-        key = (cfg.g_lo, cfg.g_hi, cfg.weight_threshold, cfg.max_events)
-        groups.setdefault(key, []).append(i)
-    results: list[TransportResult] = [None] * len(cfgs)
-    for members in groups.values():
-        runs = [cfgs[i] for i in members]
-        for i, cfg, contributions, fates, events in zip(
-                members, runs, *_trace_packets(runs)):
-            m = cfg.packet_count
-            transmittance = min(float(np.sum(contributions)) / m, 1.0)
-            fate_counts = np.bincount(fates, minlength=len(FATES))
-            results[i] = TransportResult(
-                transmittance=transmittance,
-                attenuation_db_per_m=db_from_transmittance(transmittance,
-                                                           cfg.distance_m),
-                fates=FateCounts(*(int(c) for c in fate_counts)),
-                mean_events=int(events) / m,
-                seed=cfg.seed,
-            )
+    if not cfgs:
+        return []
+    results = []
+    for cfg, contributions, fates, events in zip(cfgs, *_trace_packets(cfgs)):
+        m = cfg.packet_count
+        transmittance = min(float(np.sum(contributions)) / m, 1.0)
+        fate_counts = np.bincount(fates, minlength=len(FATES))
+        results.append(TransportResult(
+            transmittance=transmittance,
+            attenuation_db_per_m=db_from_transmittance(transmittance,
+                                                       cfg.distance_m),
+            fates=FateCounts(*(int(c) for c in fate_counts)),
+            mean_events=int(events) / m,
+            seed=cfg.seed,
+        ))
     return results
 
 

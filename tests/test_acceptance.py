@@ -460,3 +460,30 @@ def test_criterion_16_attenuation_increases_with_distance():
                        + " dB")
     check("criterion 16 (attenuation increases with distance)", ok,
           "; ".join(details))
+
+
+def test_criterion_17_mars_cutoff_distance():
+    # 11d's twin at Mars's default density range; the clear and dusty
+    # sweeps share k, so k = 0 leaves the dust alone to cut the capacity
+    cfg = LinkConfig.for_preset(MARS)
+    distances = [float(d) for d in np.geomspace(1.0, 200.0, 12)]
+    clear = run_distance_sweep(cfg, MARS, distances, (0.0, 0.0), seed=5,
+                               k_per_m=0.0)
+    dusty = run_distance_sweep(cfg, MARS, distances, MARS.density_range_per_m,
+                               seed=5, k_per_m=0.0)
+    # T_hat <= exp(-C*d) at each drawn density, up to rounding in the
+    # per-step Beer-Lambert products
+    violations = []
+    for d in dusty:
+        cext = MARS.extinction(LinearDensity(d.density_per_m),
+                               cfg.center_hz).extinction_per_m
+        if d.transmittance > math.exp(-cext * d.distance_m) * (1.0 + 1e-9):
+            violations.append(d.distance_m)
+    cutoff = next((d.distance_m for c, d in zip(clear, dusty)
+                   if d.capacity_bps < 0.01 * c.capacity_bps), None)
+    lo, hi = MARS.density_range_per_m
+    check(f"criterion 17 (mars {lo:g}-{hi:g}/m cutoff on the grid)",
+          not violations and cutoff is not None,
+          f"first distance below 1% of clear sky: {cutoff} m; "
+          "premise T <= exp(-C d) "
+          + (f"fails at {violations} m" if violations else "holds"))

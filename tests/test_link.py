@@ -438,6 +438,17 @@ class TestDistanceSweep:
             run_distance_sweep(link_config(), EARTH, [5.0], density_range,
                                seed=1, k_per_m=0.0)
 
+    @pytest.mark.parametrize("distance, word", [
+        ("x", "real"), (None, "real"), ([2.0], "real"), (2 + 0j, "real"),
+        (0.0, "positive"), (math.nan, "finite")],
+        ids=["str", "none", "list", "complex", "zero", "nan"])
+    def test_malformed_distance_rejected(self, distance, word):
+        # the order test once raised a bare TypeError on the first four
+        with pytest.raises(DomainError,
+                           match=rf"^distances_m\[1\] must be {word}, got "):
+            run_distance_sweep(link_config(), EARTH, [1.0, distance], (0.0, 0.0),
+                               seed=1, k_per_m=0.0)
+
     def test_gain_columns_consistent(self):
         cfg = link_config()
         points = run_distance_sweep(cfg, EARTH, [5.0, 25.0], (0.0, 0.0),

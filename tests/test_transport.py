@@ -289,10 +289,20 @@ class TestWaveKernel:
         if wave_rows is not None:
             monkeypatch.setattr(transport, "_WAVE_ROWS", wave_rows)
         calls = []
+        # the draw contract: each (seed, stream) asks for blocks 1, 2, 3, ...
+        # in order, each once, and its stream is below its run's packet count
+        packets = {cfg.seed: cfg.packet_count for cfg in cfgs}
+        next_block = {}
 
         def counted(seeds, streams, blocks, out=None):
             words = philox4x64(seeds, streams, blocks, out=out)
             calls.append((words.shape[0], len(streams)))
+            for seed, stream, asked in zip(seeds.tolist(), streams.tolist(),
+                                           blocks.T.tolist()):
+                assert 0 <= stream < packets[seed]
+                start = next_block.get((seed, stream), 1)
+                assert asked == list(range(start, start + len(asked)))
+                next_block[seed, stream] = start + len(asked)
             return words
 
         monkeypatch.setattr(rng, "philox4x64", counted)
@@ -300,6 +310,8 @@ class TestWaveKernel:
         assert calls
         for ahead, live in calls:
             assert ahead == min(transport._WAVE_ROWS // live, transport._AHEAD)
+        assert set(next_block) == {(seed, i) for seed, m in packets.items()
+                                   for i in range(m)}
 
     def test_zero_words_read_as_zero_draw(self, monkeypatch):
         # Words that map to draw 0 (probability 2**-53) are planted below
@@ -382,8 +394,9 @@ class TestEstimateBatch:
 
     @staticmethod
     def mixed_configs():
-        # two kernel groups (the event guard splits them), seeds up to
-        # 2**64 - 1, zero extinction and per-run distances and packet counts
+        # two asymmetry ranges and two event guards, each seed under both
+        # ranges, seeds up to 2**64 - 1, zero extinction and per-run
+        # distances and packet counts
         rows = [
             (dict(seed=0, extinction_per_m=0.25), {}),
             (dict(seed=2 ** 64 - 1, extinction_per_m=0.0, packet_count=40), {}),
@@ -411,6 +424,22 @@ class TestEstimateBatch:
             assert result.fates == alone.fates
             assert result.mean_events == alone.mean_events
             assert result == alone
+
+    def test_one_kernel_call_per_batch(self, monkeypatch):
+        # the batch mixes asymmetry ranges and event guards, and repeats
+        # seeds across them, yet is one call; each run still gives what it
+        # gives traced alone
+        cfgs = self.mixed_configs()
+        alone = [estimate_transmittance(cfg) for cfg in cfgs]
+        trace_packets, calls = transport._trace_packets, []
+
+        def counted(runs):
+            calls.append(len(runs))
+            return trace_packets(runs)
+
+        monkeypatch.setattr(transport, "_trace_packets", counted)
+        assert estimate_batch(cfgs) == alone
+        assert calls == [len(cfgs)]
 
     def test_matches_scalar_reference(self):
         cfgs = self.mixed_configs()
@@ -605,8 +634,8 @@ class TestDepthEdges:
 
 
 class TestSharedTraces:
-    """Runs that share (seed, packet count) are planes of one trace, and
-    each gives what it gives traced alone."""
+    """Runs that differ only in depth are planes of one trace, and each
+    gives what it gives traced alone."""
 
     @given(runs=st.lists(
                # a subnormal depth over a scale of 3 underflows to a

@@ -13,7 +13,8 @@ Per pass, it prints the ``dustlink.rng.philox4x64`` calls, the Philox
 blocks they compute, the blocks the packets read, and computed / read.
 Event n of a packet reads its block n, and a packet that ends on its step
 (reached or backscattered) reads one block past its last event; the
-traces of a kernel call are the runs that share (seed, packet count), and
+traces of a kernel call are its runs that share every input but the depth
+(``extinction_per_m`` and ``distance_m``), as the kernel groups them, and
 a trace's packets read the blocks of its deepest run: its event total
 plus its reached and backscattered packets. The counts repeat exactly from
 run to run. How far a refill computes ahead changes the blocks computed
@@ -29,6 +30,9 @@ import tempfile
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+# the TransportConfig fields whose product is the depth; runs that share
+# every other field are one trace
+DEPTH_INPUTS = ("extinction_per_m", "distance_m")
 
 
 def main(src_dir: str, workloads: list[str] | None = None,
@@ -60,7 +64,8 @@ def main(src_dir: str, workloads: list[str] | None = None,
         _, fates, events = out = trace_packets(cfgs)
         deepest = {}
         for r, cfg in enumerate(cfgs):
-            key = (cfg.seed, cfg.packet_count)
+            key = tuple(value for name, value in vars(cfg).items()
+                        if name not in DEPTH_INPUTS)
             if cfg.optical_depth >= cfgs[deepest.get(key, r)].optical_depth:
                 deepest[key] = r
         for r in deepest.values():
